@@ -28,7 +28,6 @@ from .privacy import (
     RandomSource,
     ZeroNoiseSource,
     budget_ledger,
-    laplace_noisy_count,
     sample_pass_count,
     sample_passing_noisy_count,
 )
@@ -36,7 +35,6 @@ from .release import ReleaseStats, generate_release, release_stats
 from .tree import (
     PrefixTree,
     TreeNode,
-    build_exact_tree,
     build_noisy_tree,
     dump_tree,
     node_prefix,
@@ -46,7 +44,6 @@ from .utility import (
     PresenceIndex,
     QueryWorkload,
     SeqPattern,
-    UtilityReport,
     eval_count_query,
     evaluate_workload,
     fsp_metrics,

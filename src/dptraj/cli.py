@@ -33,7 +33,6 @@ from .release import release_stats
 from .tree import dump_tree
 from .utility import (
     DEFAULT_SANITY_FRACTION,
-    UtilityReport,
     evaluate_workload,
     fsp_metrics,
     generate_workload,
@@ -55,6 +54,13 @@ def _resolve_seed(value: int | None) -> int:
         except ValueError:
             raise ValueError(f"DPTRAJ_SEED must be an integer, got {env!r}") from None
     return secrets.randbits(63)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _open_output(path: str | None):
@@ -109,6 +115,8 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
 def cmd_eval_count(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     raw, universe = load_db(args.raw, args.universe)
+    if not len(raw):
+        raise DataFormatError(f"{args.raw}: raw database is empty")
     sanitized, _ = load_db(args.sanitized, args.universe)
     workload = generate_workload(universe, args.height, args.queries_per_subset, seed)
     sanity = args.sanity_fraction * len(raw)
@@ -116,7 +124,7 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
     averages = evaluate_workload(
         raw, sanitized, workload, len(universe), sanity, threads=args.threads
     )
-    report = UtilityReport(subset_errors=averages, runtime_seconds=time.perf_counter() - started)
+    runtime = time.perf_counter() - started
     out, close = _open_output(args.output)
     try:
         writer = csv.writer(out)
@@ -124,7 +132,7 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
             ["subset", "max_query_len", "queries", "epsilon", "height", "variant",
              "sanity", "avg_relative_error"]
         )
-        for i, (max_len, avg) in enumerate(zip(workload.max_lengths, report.subset_errors), start=1):
+        for i, (max_len, avg) in enumerate(zip(workload.max_lengths, averages), start=1):
             writer.writerow(
                 [i, max_len, args.queries_per_subset, args.epsilon_label, args.height,
                  args.variant_label, f"{sanity:.6f}", f"{avg:.6f}"]
@@ -132,7 +140,7 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
     finally:
         if close:
             out.close()
-    print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
+    print(f"runtime_seconds={runtime:.3f}", file=sys.stderr)
     return 0
 
 
@@ -150,7 +158,7 @@ def cmd_eval_fsp(args: argparse.Namespace) -> int:
     for k in k_values:
         tp, fp, fd = fsp_metrics(raw_patterns[:k], sanitized_patterns[:k], k)
         counts.append((k, tp, fp, fd))
-    report = UtilityReport(fsp_counts=counts, runtime_seconds=time.perf_counter() - started)
+    runtime = time.perf_counter() - started
     out, close = _open_output(args.output)
     try:
         writer = csv.writer(out)
@@ -158,7 +166,7 @@ def cmd_eval_fsp(args: argparse.Namespace) -> int:
             ["k", "epsilon", "height", "variant", "true_positives", "false_positives",
              "false_drops", "mined_raw", "mined_sanitized"]
         )
-        for k, tp, fp, fd in report.fsp_counts:
+        for k, tp, fp, fd in counts:
             writer.writerow(
                 [k, args.epsilon_label, args.height_label, args.variant_label,
                  tp, fp, fd, min(k, len(raw_patterns)), min(k, len(sanitized_patterns))]
@@ -166,7 +174,7 @@ def cmd_eval_fsp(args: argparse.Namespace) -> int:
     finally:
         if close:
             out.close()
-    print(f"runtime_seconds={report.runtime_seconds:.3f}", file=sys.stderr)
+    print(f"runtime_seconds={runtime:.3f}", file=sys.stderr)
     return 0
 
 
@@ -239,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-mult", type=float, default=2.0, dest="theta_mult")
     p.add_argument("--expand-empty", action="store_true", dest="expand_empty")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser("eval-count", help="relative-error report over a random query workload")
@@ -252,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sanity-fraction", type=float, default=DEFAULT_SANITY_FRACTION, dest="sanity_fraction"
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.add_argument("--epsilon", default="", dest="epsilon_label", help="label echoed into the CSV")
     p.add_argument("--variant", default="", dest="variant_label", help="label echoed into the CSV")

@@ -8,6 +8,7 @@ opaque string tokens interned against a fixed universe.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -99,10 +100,24 @@ def encode_timestamped(pairs: Iterable[tuple[str, object]]) -> list[str]:
     return tokens
 
 
+@contextmanager
+def _open_text(path: str):
+    """Open a UTF-8 text file for reading; undecodable bytes are a format error.
+
+    ``UnicodeDecodeError`` is a ``ValueError``, which callers would otherwise
+    mistake for a bad parameter.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_universe(path: str) -> LocationUniverse:
     """Read a universe file: one token per line, no blanks."""
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.strip()
             if not tok:
@@ -130,7 +145,7 @@ def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, 
         universe = load_universe(universe_path)
         index = universe._index
         trajectories: list[Trajectory] = []
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 tokens = line.split()
                 if not tokens:
@@ -146,7 +161,7 @@ def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, 
     index: dict[str, int] = {}
     tokens_seen: list[str] = []
     trajectories = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:

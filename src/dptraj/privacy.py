@@ -9,6 +9,7 @@ through a :class:`RandomSource` so runs are reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,13 +35,23 @@ class PrivacyParams:
     theta_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon!r}")
+        if not (
+            isinstance(self.epsilon, (int, float))
+            and math.isfinite(self.epsilon)
+            and self.epsilon > 0
+        ):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not (isinstance(self.height, int) and self.height >= 1):
             raise ValueError(f"height must be an integer >= 1, got {self.height!r}")
-        if self.theta_multiplier < 0:
-            raise ValueError(f"theta multiplier must be >= 0, got {self.theta_multiplier!r}")
+        if not (math.isfinite(self.theta_multiplier) and self.theta_multiplier >= 0):
+            raise ValueError(
+                f"theta multiplier must be finite and >= 0, got {self.theta_multiplier!r}"
+            )
         per_level = self.epsilon / self.height
+        if per_level < sys.float_info.min:  # a subnormal share makes the noise scale overflow
+            raise ValueError(
+                f"epsilon {self.epsilon!r} is too small to split over {self.height} levels"
+            )
         # std of Laplace(scale) is scale * sqrt(2)
         threshold = self.theta_multiplier * math.sqrt(2.0) * COUNT_SENSITIVITY / per_level
         object.__setattr__(self, "_per_level", per_level)
@@ -166,13 +177,6 @@ def laplace_noise(scale: float, rng, size=None):
             break
         u[degenerate] = 0.5 - rng.random(int(degenerate.sum()))
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def laplace_noisy_count(true_count: int, scale: float, rng) -> float:
-    """Noisy version of a non-negative count: count plus Laplace(scale) noise."""
-    if true_count < 0:
-        raise ValueError(f"count must be non-negative, got {true_count!r}")
-    return float(true_count) + laplace_noise(scale, rng)
 
 
 def sample_pass_count(m: int, params: PrivacyParams, rng) -> int:

@@ -1,4 +1,4 @@
-"""Prefix-tree construction: exact counts and the noisy, thresholded variant.
+"""Prefix-tree construction: the noisy, thresholded prefix tree of a database.
 
 The noisy builder works level by level. At each frontier node every universe
 location is a candidate child: candidates backed by at least one trajectory
@@ -10,12 +10,22 @@ born from empty candidates carry no trajectories and are not expanded further
 unless ``expand_empty`` is set; full symmetric expansion multiplies the node
 count by roughly ``0.03 * len(universe)`` per level and is only practical for
 small universes.
+
+Only distinct records and their multiplicities matter, so the builder sorts
+the distinct records (truncated to the tree height) once. The records under
+any prefix then fill one contiguous row range: a node is its row range, and
+its children are the runs of equal next location inside it, each found by
+one binary search; a child's true count is a difference of running totals.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,8 +44,8 @@ from .privacy import (
 class TreeNode:
     """One prefix-tree node; the root carries no location.
 
-    ``true_count`` and ``trajectory_ids`` exist only while building and are
-    never written to any output. ``fitted_count`` and ``adjusted_count`` are
+    ``true_count`` is the number of input records under the node; it is never
+    written to any output. ``fitted_count`` and ``adjusted_count`` are
     filled by the inference pass.
     """
 
@@ -49,7 +59,6 @@ class TreeNode:
         "fitted_count",
         "adjusted_count",
         "empty_born",
-        "trajectory_ids",
     )
 
     def __init__(self, location: int | None, depth: int, parent: "TreeNode | None"):
@@ -62,7 +71,6 @@ class TreeNode:
         self.fitted_count: float | None = None
         self.adjusted_count: float | None = None
         self.empty_born = False
-        self.trajectory_ids: list[int] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -106,52 +114,19 @@ def node_prefix(node: TreeNode) -> Trajectory:
     return tuple(locations)
 
 
-def _group_extensions(
-    trajectories: tuple[Trajectory, ...], ids: list[int], depth: int
-) -> dict[int, list[int]]:
-    """Split a node's trajectories by their next location; shorter ones stop here."""
-    groups: dict[int, list[int]] = {}
-    for i in ids:
-        t = trajectories[i]
-        if len(t) > depth:
-            groups.setdefault(t[depth], []).append(i)
-    return groups
+def _distinct_records(
+    trajectories: tuple[Trajectory, ...], height: int
+) -> tuple[list[Trajectory], list[int]]:
+    """Distinct records truncated to ``height``, sorted, and their running total.
 
-
-def build_exact_tree(
-    db: TrajectoryDb,
-    universe: LocationUniverse,
-    max_depth: int | None = None,
-    keep_trajectory_ids: bool = False,
-) -> PrefixTree:
-    """Noise-free prefix tree: one node per distinct prefix occurring in db."""
-    trajectories = db.trajectories
-    root = TreeNode(None, 0, None)
-    root.trajectory_ids = list(range(len(trajectories)))
-    root.true_count = len(trajectories)
-    root.noisy_count = float(len(trajectories))
-
-    frontier = [root]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        next_frontier: list[TreeNode] = []
-        for node in frontier:
-            groups = _group_extensions(trajectories, node.trajectory_ids, depth)
-            for loc in sorted(groups):
-                child = TreeNode(loc, depth + 1, node)
-                child.trajectory_ids = groups[loc]
-                child.true_count = len(groups[loc])
-                child.noisy_count = float(child.true_count)
-                node.children.append(child)
-                next_frontier.append(child)
-            if not keep_trajectory_ids:
-                node.trajectory_ids = None
-        frontier = next_frontier
-        depth += 1
-    if not keep_trajectory_ids:
-        for node in frontier:
-            node.trajectory_ids = None
-    return PrefixTree(root=root, universe=universe, params=None)
+    ``cum[j] - cum[i]`` is the number of input records in ``rows[i:j]``. In
+    sorted order the records under any prefix fill one contiguous range of
+    rows: the one that ends at the prefix first, then one run per next location.
+    """
+    multiplicity = Counter(map(itemgetter(slice(height)), trajectories))
+    rows = sorted(multiplicity)
+    cum = [0, *accumulate(map(multiplicity.__getitem__, rows))]
+    return rows, cum
 
 
 def build_noisy_tree(
@@ -161,7 +136,6 @@ def build_noisy_tree(
     source: RandomSource,
     expand_empty: bool = False,
     threads: int = 1,
-    keep_trajectory_ids: bool = False,
 ) -> PrefixTree:
     """Thresholded noisy prefix tree of height at most ``params.height``.
 
@@ -169,42 +143,49 @@ def build_noisy_tree(
     the result depends only on (db, universe, params, source seed) and not on
     ``threads``.
     """
-    trajectories = db.trajectories
+    rows, cum = _distinct_records(db.trajectories, params.height)
     universe_size = len(universe)
     scale = params.noise_scale
     theta = params.threshold
 
     root = TreeNode(None, 0, None)
-    root.trajectory_ids = list(range(len(trajectories)))
-    root.true_count = len(trajectories)
+    root.true_count = cum[-1]
     root.noisy_count = float("nan")  # the root count is never measured or released
 
-    def expand(node: TreeNode) -> None:
+    def expand(item: tuple[TreeNode, int, int]) -> list[tuple[TreeNode, int, int]]:
+        """Add the children of a node with row range ``[lo, hi)``; return those to expand next."""
+        node, lo, hi = item
         path = node_prefix(node) if node.parent is not None else ()
         rng = source.stream(*path)
-        groups = _group_extensions(trajectories, node.trajectory_ids or [], node.depth)
-        candidates = sorted(groups)
-        if candidates:
-            if len(candidates) <= 32:  # scalar draws beat numpy dispatch here
-                noisy = [len(groups[c]) + laplace_noise(scale, rng) for c in candidates]
+        depth = node.depth
+        # One run of rows per next location; a row ending here sorts first and is skipped.
+        runs: list[tuple[int, int, int]] = []
+        i = lo + 1 if lo < hi and len(rows[lo]) == depth else lo
+        while i < hi:
+            loc = rows[i][depth]
+            j = bisect_left(rows, path + (loc + 1,), i, hi)
+            runs.append((loc, i, j))
+            i = j
+        counts = [cum[j] - cum[i] for _, i, j in runs]
+        children: list[tuple[TreeNode, int, int]] = []
+        if runs:
+            if len(runs) <= 32:  # scalar draws beat numpy dispatch here
+                noisy = [count + laplace_noise(scale, rng) for count in counts]
             else:
-                counts = np.fromiter(
-                    (len(groups[c]) for c in candidates), float, len(candidates)
-                )
-                noisy = counts + laplace_noise(scale, rng, size=len(candidates))
-            for loc, noisy_count in zip(candidates, noisy):
+                noisy = np.asarray(counts, float) + laplace_noise(scale, rng, size=len(runs))
+            for (loc, i, j), count, noisy_count in zip(runs, counts, noisy):
                 if noisy_count >= theta:
-                    child = TreeNode(loc, node.depth + 1, node)
-                    child.trajectory_ids = groups[loc]
-                    child.true_count = len(groups[loc])
+                    child = TreeNode(loc, depth + 1, node)
+                    child.true_count = count
                     child.noisy_count = float(noisy_count)
                     node.children.append(child)
+                    children.append((child, i, j))
         # All remaining locations are zero-count candidates; resolve them in one shot.
-        empty_pool_size = universe_size - len(candidates)
+        empty_pool_size = universe_size - len(runs)
         passing = sample_pass_count(empty_pool_size, params, rng)
         if passing:
             mask = np.ones(universe_size, dtype=bool)
-            mask[candidates] = False
+            mask[[loc for loc, _, _ in runs]] = False
             pool = np.flatnonzero(mask)
             # partial Fisher-Yates: the first `passing` slots become the sample
             swaps = rng.integers(np.arange(passing), empty_pool_size)
@@ -212,34 +193,24 @@ def build_noisy_tree(
                 pool[i], pool[j] = pool[j], pool[i]
             values = sample_passing_noisy_count(params, rng, size=passing)
             for loc, value in zip(pool[:passing].tolist(), values):
-                child = TreeNode(loc, node.depth + 1, node)
-                child.trajectory_ids = []
-                child.true_count = 0
+                child = TreeNode(loc, depth + 1, node)
                 child.noisy_count = float(value)
                 child.empty_born = True
                 node.children.append(child)
-        if not keep_trajectory_ids:
-            node.trajectory_ids = None
+                if expand_empty:
+                    children.append((child, hi, hi))
+        return children
 
-    frontier = [root]
+    frontier = [(root, 0, len(rows))]
     for _ in range(params.height):
         if not frontier:
             break
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(expand, frontier, chunksize=64))
+                expanded = list(pool.map(expand, frontier, chunksize=64))
         else:
-            for node in frontier:
-                expand(node)
-        next_frontier: list[TreeNode] = []
-        for node in frontier:
-            for child in node.children:
-                if expand_empty or not child.empty_born:
-                    next_frontier.append(child)
-        frontier = next_frontier
-    if not keep_trajectory_ids:
-        for node in frontier:
-            node.trajectory_ids = None
+            expanded = [expand(item) for item in frontier]
+        frontier = [item for children in expanded for item in children]
     return PrefixTree(root=root, universe=universe, params=params)
 
 

@@ -249,12 +249,3 @@ def fsp_metrics(
     sanitized_set = {p.locations for p in sanitized_patterns}
     tp = len(true_set & sanitized_set)
     return tp, len(sanitized_set) - tp, len(true_set) - tp
-
-
-@dataclass(frozen=True)
-class UtilityReport:
-    """Results of the two utility measurements over one release."""
-
-    subset_errors: list[float] | None = None
-    fsp_counts: list[tuple[int, int, int, int]] | None = None  # (k, tp, fp, fd)
-    runtime_seconds: float = 0.0

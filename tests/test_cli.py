@@ -109,6 +109,32 @@ class TestSanitize:
         )
         assert result.returncode == 2
 
+    def test_out_of_range_params_are_param_errors(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        base = ("sanitize", "--input", data, "--output", tmp_path / "o.txt",
+                "--seed", "0", "--universe", universe)
+        for flags, name in [
+            (("--epsilon", "inf"), "epsilon"),
+            (("--epsilon", "1", "--theta-mult", "nan"), "theta multiplier"),
+            (("--epsilon", "1", "--threads", "-3"), "--threads"),
+        ]:
+            result = run_cli(*base, *flags)
+            assert result.returncode == 2, flags
+            assert name in result.stderr
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"L1 \xff\xfe L2\n")
+        for input_path, universe_path in [(bad, universe), (data, bad)]:
+            result = run_cli(
+                "sanitize", "--input", input_path, "--output", tmp_path / "o.txt",
+                "--epsilon", "1", "--seed", "0", "--universe", universe_path,
+            )
+            assert result.returncode == 1
+            assert str(bad) in result.stderr
+
     def test_unknown_token_is_universe_error(self, tmp_path):
         data = tmp_path / "d.txt"
         data.write_text("A B\n", encoding="utf-8")
@@ -172,6 +198,26 @@ class TestEvalCount:
         assert result.returncode == 0, result.stderr
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert float(rows[0]["sanity"]) == pytest.approx(0.001 * 8)
+
+    def test_empty_raw_is_data_error(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        result = run_cli(
+            "eval-count", "--raw", empty, "--sanitized", data, "--universe", universe,
+            "--queries-per-subset", "5", "--seed", "1",
+        )
+        assert result.returncode == 1
+        assert "raw database is empty" in result.stderr
+
+    def test_bad_threads_is_param_error(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        result = run_cli(
+            "eval-count", "--raw", data, "--sanitized", data, "--universe", universe,
+            "--queries-per-subset", "5", "--seed", "1", "--threads", "0",
+        )
+        assert result.returncode == 2
+        assert "--threads" in result.stderr
 
     def test_deterministic_reports(self, tmp_path, sample_paths):
         data, universe = sample_paths

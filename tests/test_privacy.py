@@ -11,7 +11,6 @@ from dptraj.privacy import (
     ZeroNoiseSource,
     budget_ledger,
     laplace_noise,
-    laplace_noisy_count,
     sample_pass_count,
     sample_passing_noisy_count,
 )
@@ -46,6 +45,12 @@ class TestPrivacyParams:
             PrivacyParams(epsilon=1.0, height=0)
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, height=2, theta_multiplier=-1)
+        for bad in (math.nan, math.inf, -math.inf, 5e-324):
+            with pytest.raises(ValueError, match="epsilon"):
+                PrivacyParams(epsilon=bad, height=3)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="theta multiplier"):
+                PrivacyParams(epsilon=1.0, height=3, theta_multiplier=bad)
 
     def test_zero_multiplier_disables_threshold(self):
         params = PrivacyParams(epsilon=1.0, height=4, theta_multiplier=0.0)
@@ -56,17 +61,13 @@ class TestPrivacyParams:
 class TestLaplace:
     def test_zero_noise_source_is_identity(self):
         stream = ZeroNoiseSource().stream(1, 2, 3)
-        assert laplace_noisy_count(5, 2.0, stream) == 5.0
+        assert 5 + laplace_noise(2.0, stream) == 5.0
+        assert (5 + laplace_noise(2.0, stream, size=3) == 5.0).all()
 
     def test_rejects_bad_scale(self):
         rng = RandomSource(0).stream()
         with pytest.raises(ValueError):
-            laplace_noisy_count(1, 0.0, rng)
-
-    def test_rejects_negative_count(self):
-        rng = RandomSource(0).stream()
-        with pytest.raises(ValueError):
-            laplace_noisy_count(-1, 1.0, rng)
+            laplace_noise(0.0, rng)
 
     def test_moments(self):
         # Laplace(scale) has mean 0 and variance 2*scale^2

@@ -5,7 +5,7 @@ import pytest
 from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource, ZeroNoiseSource
 from dptraj.tree import (
-    build_exact_tree,
+    TreeNode,
     build_noisy_tree,
     dump_tree,
     flatten_tree,
@@ -13,6 +13,7 @@ from dptraj.tree import (
 )
 
 from conftest import make_db, make_universe
+from oracles import build_exact_tree
 
 
 def _child(node, loc):
@@ -101,20 +102,26 @@ class TestNodePrefix:
 
 class TestNoisyTree:
     def test_zero_noise_matches_exact(self, sample_db):
-        db, universe = sample_db
+        rnd = random.Random(31)
+        cases = [sample_db]
+        for _ in range(8):
+            db, universe = _random_db(rnd, universe_size=4, max_len=9)
+            # repeat some records so distinct rows carry multiplicities > 1
+            cases.append((make_db([*db, *rnd.choices(db.trajectories, k=20)]), universe))
         params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
-        noisy = build_noisy_tree(db, universe, params, ZeroNoiseSource())
-        exact = build_exact_tree(db, universe)
 
         def signature(tree):
             return sorted(
                 (node_prefix(n), n.noisy_count) for n in tree.nodes() if n.parent is not None
             )
 
-        assert signature(noisy) == signature(exact)
-        for node in noisy.nodes():
-            if node.parent is not None:
-                assert node.noisy_count == float(node.true_count)
+        for db, universe in cases:
+            noisy = build_noisy_tree(db, universe, params, ZeroNoiseSource())
+            exact = build_exact_tree(db, universe, max_depth=params.height)
+            assert signature(noisy) == signature(exact)
+            for node in noisy.nodes():
+                if node.parent is not None:
+                    assert node.noisy_count == float(node.true_count)
 
     def test_kept_nodes_clear_threshold(self, sample_db):
         db, universe = sample_db
@@ -140,27 +147,20 @@ class TestNoisyTree:
         assert prefixes == {(0,), (0, 1), (0, 1, 2)}
 
     def test_level_trajectory_sets_disjoint_and_nested(self):
+        # In count form: each node counts exactly the records under its prefix,
+        # and siblings split their parent's records without overlap.
         rnd = random.Random(23)
         db, universe = _random_db(rnd)
         params = PrivacyParams(epsilon=6.0, height=4)
-        tree = build_noisy_tree(
-            db, universe, params, RandomSource(2), keep_trajectory_ids=True
-        )
+        tree = build_noisy_tree(db, universe, params, RandomSource(2))
         for node in tree.nodes():
             if node.empty_born:
                 continue
-            seen = set()
-            parent_ids = set(node.trajectory_ids or [])
-            child_total = 0
-            for child in node.children:
-                if child.empty_born:
-                    continue
-                ids = set(child.trajectory_ids or [])
-                assert not ids & seen  # a trajectory lands in at most one sibling
-                assert ids <= parent_ids
-                seen |= ids
-                child_total += len(ids)
-            assert child_total <= len(parent_ids)
+            if node.parent is not None:
+                p = node_prefix(node)
+                assert node.true_count == sum(1 for t in db if t[: len(p)] == p)
+            child_total = sum(c.true_count for c in node.children if not c.empty_born)
+            assert child_total <= node.true_count
 
     def test_empty_born_are_leaves_by_default(self):
         db = make_db([(0,)] * 50)
@@ -226,11 +226,17 @@ class TestNoisyTree:
         assert ledger.height == 5
         assert ledger.conserved
 
-    def test_trajectory_ids_dropped_unless_requested(self, sample_db):
+    def test_no_per_record_state_after_build(self, sample_db):
         db, universe = sample_db
         params = PrivacyParams(epsilon=1.0, height=3)
-        tree = build_noisy_tree(db, universe, params, RandomSource(3))
-        assert all(not n.trajectory_ids for n in tree.nodes())
+        tree = build_noisy_tree(db, universe, params, RandomSource(3), expand_empty=True)
+        for node in tree.nodes():
+            for name in TreeNode.__slots__:
+                value = getattr(node, name)
+                if name == "children":
+                    assert all(isinstance(child, TreeNode) for child in value)
+                else:
+                    assert value is None or isinstance(value, (int, float, TreeNode)), name
 
 
 class TestDump:
