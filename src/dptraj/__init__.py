@@ -7,7 +7,7 @@ sequential-pattern overlap.
 """
 
 from .datagen import GenConfig, generate, planted_routes
-from .inference import consistent_estimates, consolidate, isotonic_fit, order_violations
+from .inference import consistent_estimates, consolidate, order_violations
 from .model import (
     DataFormatError,
     LocationUniverse,

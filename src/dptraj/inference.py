@@ -21,8 +21,6 @@ estimates are averaged across paths; violations are counted by
 from __future__ import annotations
 
 import logging
-from typing import Sequence
-
 import numpy as np
 
 from .tree import FlatTree, PrefixTree, flatten_tree
@@ -30,66 +28,6 @@ from .tree import FlatTree, PrefixTree, flatten_tree
 logger = logging.getLogger(__name__)
 
 _ROW_CHUNK = 131072
-
-
-def isotonic_fit(values: Sequence[float]) -> list[float]:
-    """Minimum-L2 non-decreasing fit via pool-adjacent-violators."""
-    sums: list[float] = []
-    counts: list[int] = []
-    for v in values:
-        cur_sum = float(v)
-        cur_count = 1
-        while sums and sums[-1] * cur_count > cur_sum * counts[-1]:  # prev mean > cur mean
-            cur_sum += sums.pop()
-            cur_count += counts.pop()
-        sums.append(cur_sum)
-        counts.append(cur_count)
-    fit: list[float] = []
-    for s, c in zip(sums, counts):
-        fit.extend([s / c] * c)
-    return fit
-
-
-def isotonic_fit_minmax(values: Sequence[float]) -> list[float]:
-    """Same minimizer as :func:`isotonic_fit`, via the closed min-max-mean form.
-
-    Quadratic in the sequence length; kept as an independent cross-check of
-    the pool-adjacent-violators implementation.
-    """
-    n = len(values)
-    prefix = [0.0]
-    for v in values:
-        prefix.append(prefix[-1] + float(v))
-
-    def mean(i: int, j: int) -> float:  # inclusive 0-based [i, j]
-        return (prefix[j + 1] - prefix[i]) / (j - i + 1)
-
-    max_mean = [max(mean(i, j) for i in range(j + 1)) for j in range(n)]
-    fit = [0.0] * n
-    running = float("inf")
-    for j in range(n - 1, -1, -1):
-        running = min(running, max_mean[j])
-        fit[j] = running
-    return fit
-
-
-def isotonic_upper_minmax(values: Sequence[float]) -> list[float]:
-    """Dual max-min-mean form; equals :func:`isotonic_fit_minmax` pointwise."""
-    n = len(values)
-    prefix = [0.0]
-    for v in values:
-        prefix.append(prefix[-1] + float(v))
-
-    def mean(i: int, j: int) -> float:
-        return (prefix[j + 1] - prefix[i]) / (j - i + 1)
-
-    min_mean = [min(mean(i, j) for j in range(i, n)) for i in range(n)]
-    fit = [0.0] * n
-    running = float("-inf")
-    for i in range(n):
-        running = max(running, min_mean[i])
-        fit[i] = running
-    return fit
 
 
 def _isotonic_rows(rows: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ into the release.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +25,6 @@ CountQuery = frozenset  # of location ids
 
 #: Default sanity bound as a fraction of the raw database size.
 DEFAULT_SANITY_FRACTION = 0.001
-
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
 def eval_count_query(db: TrajectoryDb, query: CountQuery) -> int:
@@ -83,25 +82,31 @@ def generate_workload(
 
 
 class PresenceIndex:
-    """Bit-packed location -> record presence matrix for bulk query answering.
+    """Bit-packed location -> distinct-record presence matrix for bulk query answering.
 
-    Equivalent to :func:`eval_count_query` record scans, after one linear
-    indexing pass: a query is an AND of its locations' bit rows followed by a
-    popcount.
+    Equivalent to :func:`eval_count_query` record scans, after one indexing
+    pass over the database's distinct records: a query is an AND of its
+    locations' bit rows, and the answer is the summed multiplicity of the
+    records whose bit survives.
     """
 
     _CHUNK = 65536  # records per packing block; multiple of 8 keeps bytes aligned
 
     def __init__(self, db: TrajectoryDb, universe_size: int):
-        n = len(db)
-        self.records = n
+        multiplicity = Counter(db.trajectories)
+        distinct = list(multiplicity)
+        n = len(distinct)
+        self.records = len(db)
+        self.weights = np.fromiter(multiplicity.values(), dtype=np.int64, count=n)
         self._bits = np.zeros((universe_size, (n + 7) // 8), dtype=np.uint8)
-        trajectories = db.trajectories
         for start in range(0, n, self._CHUNK):
-            stop = min(start + self._CHUNK, n)
-            block = np.zeros((universe_size, stop - start), dtype=bool)
-            for i in range(start, stop):
-                block[list(set(trajectories[i])), i - start] = True
+            chunk = distinct[start : start + self._CHUNK]
+            lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+            locations = np.fromiter(
+                itertools.chain.from_iterable(chunk), dtype=np.int64, count=int(lengths.sum())
+            )
+            block = np.zeros((universe_size, len(chunk)), dtype=bool)
+            block[locations, np.repeat(np.arange(len(chunk)), lengths)] = True
             packed = np.packbits(block, axis=1)
             self._bits[:, start // 8 : start // 8 + packed.shape[1]] = packed
 
@@ -112,7 +117,8 @@ class PresenceIndex:
         acc = self._bits[next(ids)]
         for loc in ids:
             acc = acc & self._bits[loc]
-        return int(_POPCOUNT[acc].sum())
+        present = np.unpackbits(acc, count=len(self.weights)).view(bool)
+        return int(self.weights[present].sum())
 
 
 def evaluate_workload(

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from dptraj.datagen import GenConfig, generate
-from dptraj.inference import isotonic_fit, isotonic_fit_minmax
 from dptraj.pipeline import sanitize
 from dptraj.privacy import (
     PrivacyParams,
@@ -35,6 +34,7 @@ from dptraj.release import generate_release
 from dptraj.utility import evaluate_workload, fsp_metrics, generate_workload, mine_top_k
 
 from conftest import make_db, make_universe
+from oracles import isotonic_fit, isotonic_fit_minmax
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

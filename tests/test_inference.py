@@ -9,15 +9,13 @@ from dptraj.inference import (
     _isotonic_rows,
     consistent_estimates,
     consolidate,
-    isotonic_fit,
-    isotonic_fit_minmax,
-    isotonic_upper_minmax,
     order_violations,
 )
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.tree import PrefixTree, TreeNode, build_noisy_tree
 
 from conftest import make_db, make_universe
+from oracles import isotonic_fit, isotonic_fit_minmax, isotonic_upper_minmax
 
 
 def brute_force_monotone_fit(values):

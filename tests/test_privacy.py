@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from dptraj.privacy import (
@@ -51,6 +53,39 @@ class TestPrivacyParams:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="theta multiplier"):
                 PrivacyParams(epsilon=1.0, height=3, theta_multiplier=bad)
+
+    @given(
+        st.one_of(
+            st.floats(max_value=0.0),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+        st.integers(1, 20),
+    )
+    def test_rejects_non_finite_or_non_positive_epsilon(self, epsilon, height):
+        with pytest.raises(ValueError, match="epsilon"):
+            PrivacyParams(epsilon=epsilon, height=height)
+
+    @given(
+        st.one_of(
+            st.floats(max_value=0.0, exclude_max=True),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+    )
+    def test_rejects_non_finite_or_negative_theta_multiplier(self, theta_multiplier):
+        # Zero stays valid: it switches thresholding off (see below).
+        with pytest.raises(ValueError, match="theta multiplier"):
+            PrivacyParams(epsilon=1.0, height=3, theta_multiplier=theta_multiplier)
+
+    @given(
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.integers(1, 20),
+        st.floats(min_value=0.0, max_value=10.0),
+    )
+    def test_accepts_finite_positive_parameters(self, epsilon, height, theta_multiplier):
+        params = PrivacyParams(epsilon=epsilon, height=height, theta_multiplier=theta_multiplier)
+        assert math.isfinite(params.noise_scale) and params.noise_scale > 0
+        assert math.isfinite(params.threshold) and params.threshold >= 0
+        assert 0 < params.pass_probability <= 0.5
 
     def test_zero_multiplier_disables_threshold(self):
         params = PrivacyParams(epsilon=1.0, height=4, theta_multiplier=0.0)

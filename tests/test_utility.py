@@ -72,6 +72,30 @@ class TestCountQuery:
                 )
                 assert index.count(q) == eval_count_query(db, q)
 
+    @pytest.mark.parametrize("chunk", [PresenceIndex._CHUNK, 8, 16])
+    def test_index_agrees_with_scan_on_duplicates(self, monkeypatch, chunk):
+        # Few distinct records (a count that is not a multiple of 8), each
+        # repeated many times in shuffled order; small packing blocks make the
+        # distinct records span several blocks, the last one partial.
+        monkeypatch.setattr(PresenceIndex, "_CHUNK", chunk)
+        rnd = random.Random(23)
+        size = 9
+        distinct = {
+            tuple(rnd.randrange(size) for _ in range(rnd.randint(1, 6))) for _ in range(60)
+        }
+        distinct = sorted(distinct)[:37]
+        assert len(distinct) == 37
+        rows = [t for t in distinct for _ in range(rnd.randint(1, 40))]
+        rnd.shuffle(rows)
+        db = make_db(rows)
+        index = PresenceIndex(db, size)
+        assert len(index.weights) == 37
+        assert index.weights.sum() == len(db)
+        for q_len in range(1, 5):
+            for q in itertools.combinations(range(size), q_len):
+                q = frozenset(q)
+                assert index.count(q) == eval_count_query(db, q)
+
 
 class TestRelativeError:
     def test_plain_arithmetic(self):
