@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import secrets
 import sys
@@ -63,6 +64,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _open_output(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -83,7 +91,6 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         RandomSource(seed),
         variant=args.variant,
         expand_empty=args.expand_empty,
-        threads=args.threads,
     )
     elapsed = time.perf_counter() - started
     write_db(release, universe, args.output)
@@ -91,20 +98,15 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         with open(args.dump_tree, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dump_tree(tree))
 
-    total_nodes = -1  # skip the virtual root
-    empty_born = 0
-    for node in tree.nodes():
-        total_nodes += 1
-        empty_born += node.empty_born
     print(f"input={args.input} records={len(db)} universe={len(universe)}")
     print(
         f"epsilon={params.epsilon:g} height={params.height} theta={params.threshold:.6g} "
         f"theta_mult={params.theta_multiplier:g} variant={args.variant} seed={seed} "
-        f"expand_empty={str(args.expand_empty).lower()} threads={args.threads}"
+        f"expand_empty={str(args.expand_empty).lower()}"
     )
     for line in budget_ledger(params).describe():
         print(line)
-    print(f"tree.nodes={total_nodes} tree.empty_born={empty_born}")
+    print(f"tree.nodes={len(tree) - 1} tree.empty_born={int(tree.empty_born.sum())}")
     if args.variant == "full":
         print(f"inference.order_violations={order_violations(tree)}")
     print(f"release.records={len(release)} output={args.output}")
@@ -247,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-mult", type=float, default=2.0, dest="theta_mult")
     p.add_argument("--expand-empty", action="store_true", dest="expand_empty")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser("eval-count", help="relative-error report over a random query workload")
@@ -257,7 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=12)
     p.add_argument("--queries-per-subset", type=int, default=10000, dest="queries_per_subset")
     p.add_argument(
-        "--sanity-fraction", type=float, default=DEFAULT_SANITY_FRACTION, dest="sanity_fraction"
+        "--sanity-fraction", type=_positive_float, default=DEFAULT_SANITY_FRACTION,
+        dest="sanity_fraction",
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1)
@@ -271,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sanitized", required=True)
     p.add_argument("--universe", default=None)
     p.add_argument("--topk", default="100", help="comma-separated k values, e.g. 50,100,200")
-    p.add_argument("--max-pattern-len", type=int, default=None, dest="max_pattern_len")
+    p.add_argument("--max-pattern-len", type=_positive_int, default=None, dest="max_pattern_len")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.add_argument("--epsilon", default="", dest="epsilon_label", help="label echoed into the CSV")
     p.add_argument("--height", default="", dest="height_label", help="label echoed into the CSV")

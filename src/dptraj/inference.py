@@ -14,18 +14,15 @@ two passes that only ever read the noisy counts, never the data:
 
 After pass 2 every parent's adjusted count dominates the sum of its
 children's. The down-path ordering of adjusted counts is not guaranteed once
-estimates are averaged across paths; violations are counted by
-:func:`order_violations` and logged rather than treated as errors.
+estimates are averaged across paths; :func:`order_violations` counts the
+violations as a run statistic rather than treating them as errors.
 """
 
 from __future__ import annotations
 
-import logging
 import numpy as np
 
-from .tree import FlatTree, PrefixTree, flatten_tree
-
-logger = logging.getLogger(__name__)
+from .tree import PrefixTree
 
 _ROW_CHUNK = 131072
 
@@ -43,33 +40,31 @@ def _isotonic_rows(rows: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(max_mean[:, ::-1], axis=1)[:, ::-1]
 
 
-def _leaf_paths(flat: FlatTree) -> tuple[np.ndarray, np.ndarray]:
+def _leaf_paths(tree: PrefixTree) -> tuple[np.ndarray, np.ndarray]:
     """Leaf-to-root node-index matrix (rows padded with -1) and row lengths."""
-    leaf_idx = np.flatnonzero((flat.n_children == 0) & (flat.depth > 0))
-    lengths = flat.depth[leaf_idx]
+    leaf_idx = np.flatnonzero((tree.n_children == 0) & (tree.depth > 0))
+    lengths = tree.depth[leaf_idx]
     max_len = int(lengths.max()) if len(lengths) else 0
     paths = np.full((len(leaf_idx), max_len), -1, dtype=np.int64)
     if len(leaf_idx):
         paths[:, 0] = leaf_idx
         cur = leaf_idx
         for step in range(1, max_len):
-            nxt = np.where(cur >= 0, flat.parent[np.maximum(cur, 0)], -1)
+            nxt = np.where(cur >= 0, tree.parent[np.maximum(cur, 0)], -1)
             nxt = np.where(nxt == 0, -1, nxt)  # stop below the virtual root
             paths[:, step] = nxt
             cur = nxt
     return paths, lengths
 
 
-def consolidate(tree: PrefixTree, flat: FlatTree | None = None) -> FlatTree:
-    """Fill ``fitted_count`` on every non-root node.
+def consolidate(tree: PrefixTree) -> PrefixTree:
+    """Fill ``tree.fitted`` for every non-root node; return the tree.
 
     A node sits on one root-to-leaf path per leaf below it; its fitted count
     is the mean of its isotonic estimates over those paths.
     """
-    if flat is None:
-        flat = flatten_tree(tree)
-    n = len(flat)
-    paths, lengths = _leaf_paths(flat)
+    n = len(tree)
+    paths, lengths = _leaf_paths(tree)
     sums = np.zeros(n)
     hits = np.zeros(n, dtype=np.int64)
     for length in np.unique(lengths):
@@ -77,72 +72,61 @@ def consolidate(tree: PrefixTree, flat: FlatTree | None = None) -> FlatTree:
         for start in range(0, len(rows), _ROW_CHUNK):
             block = rows[start : start + _ROW_CHUNK]
             idx = paths[block, :length]
-            fits = _isotonic_rows(flat.noisy[idx])
+            fits = _isotonic_rows(tree.noisy[idx])
             np.add.at(sums, idx.ravel(), fits.ravel())
             np.add.at(hits, idx.ravel(), 1)
     fitted = np.zeros(n)
     covered = hits > 0
     fitted[covered] = sums[covered] / hits[covered]
-    for i in range(1, n):
-        flat.order[i].fitted_count = float(fitted[i])
-    return flat
+    tree.fitted = fitted
+    return tree
 
 
-def consistent_estimates(tree: PrefixTree, flat: FlatTree | None = None) -> FlatTree:
-    """Fill ``adjusted_count`` top-down from the fitted counts.
+def consistent_estimates(tree: PrefixTree, flat: PrefixTree | None = None) -> PrefixTree:
+    """Fill ``tree.adjusted`` top-down from the fitted counts; return the tree.
 
     Depth-1 nodes keep their fitted counts. Deeper nodes share their parent's
     deficit equally: when the children's fitted counts exceed what the parent
     can account for, each child gives back an equal part; a surplus never
     raises anybody.
+
+    ``flat`` is ignored; callers may pass on what :func:`consolidate` returns.
     """
-    if flat is None:
-        flat = flatten_tree(tree)
-    n = len(flat)
+    n = len(tree)
     if n == 1:
-        return flat
-    fitted = np.empty(n)
+        return tree
+    if tree.fitted is None or np.isnan(tree.fitted[1:]).any():
+        raise ValueError("fitted counts missing; run consolidate() first")
+    fitted = tree.fitted.copy()
     fitted[0] = 0.0
-    for i in range(1, n):
-        value = flat.order[i].fitted_count
-        if value is None:
-            raise ValueError("fitted counts missing; run consolidate() first")
-        fitted[i] = value
 
     child_fitted_sum = np.zeros(n)
-    np.add.at(child_fitted_sum, flat.parent[1:], fitted[1:])
+    np.add.at(child_fitted_sum, tree.parent[1:], fitted[1:])
 
     adjusted = np.empty(n)
     adjusted[0] = 0.0
-    for depth in range(1, int(flat.depth.max()) + 1):
-        level = np.flatnonzero(flat.depth == depth)
+    for depth in range(1, int(tree.depth.max()) + 1):
+        level = np.flatnonzero(tree.depth == depth)
         if depth == 1:
             adjusted[level] = fitted[level]
             continue
-        parents = flat.parent[level]
+        parents = tree.parent[level]
         deficit = np.minimum(
-            0.0, (adjusted[parents] - child_fitted_sum[parents]) / flat.n_children[parents]
+            0.0, (adjusted[parents] - child_fitted_sum[parents]) / tree.n_children[parents]
         )
         adjusted[level] = fitted[level] + deficit
-    for i in range(1, n):
-        flat.order[i].adjusted_count = float(adjusted[i])
-    return flat
+    tree.adjusted = adjusted
+    return tree
 
 
 def order_violations(tree: PrefixTree, tolerance: float = 1e-9) -> int:
     """Count child nodes whose adjusted count exceeds their parent's.
 
-    Down-path monotonicity is not enforced by the two passes; callers get a
-    log line when it is broken in practice.
+    Down-path monotonicity is not enforced by the two passes. Nodes without an
+    adjusted count are not counted.
     """
-    violations = 0
-    for node in tree.nodes():
-        if node.parent is None or node.parent.parent is None:
-            continue
-        child = node.adjusted_count
-        parent = node.parent.adjusted_count
-        if child is not None and parent is not None and child > parent + tolerance:
-            violations += 1
-    if violations:
-        logger.warning("adjusted counts break down-path ordering at %d nodes", violations)
-    return violations
+    if tree.adjusted is None:
+        return 0
+    child = np.flatnonzero(tree.depth >= 2)
+    adjusted = tree.adjusted
+    return int(np.count_nonzero(adjusted[child] > adjusted[tree.parent[child]] + tolerance))

@@ -18,7 +18,6 @@ def sanitize(
     source: RandomSource,
     variant: str = "full",
     expand_empty: bool = False,
-    threads: int = 1,
 ) -> tuple[TrajectoryDb, PrefixTree]:
     """Sanitize ``db`` and return the release together with the tree behind it.
 
@@ -27,12 +26,9 @@ def sanitize(
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    tree = build_noisy_tree(
-        db, universe, params, source, expand_empty=expand_empty, threads=threads
-    )
-    flat = None
+    tree = build_noisy_tree(db, universe, params, source, expand_empty=expand_empty)
     if variant == "full":
-        flat = consolidate(tree)
-        consistent_estimates(tree, flat)
-    release = generate_release(tree, use_inference=(variant == "full"), flat=flat)
+        consolidate(tree)
+        consistent_estimates(tree)
+    release = generate_release(tree, use_inference=(variant == "full"))
     return release, tree

@@ -123,8 +123,8 @@ class RandomSource:
     """Deterministic generator factory with sub-streams keyed by tree path.
 
     Two sources with the same seed yield identical streams for identical keys,
-    so level-parallel tree construction reproduces the single-threaded output
-    no matter how nodes are scheduled.
+    so a tree's draws do not depend on the order in which its nodes are
+    expanded.
     """
 
     def __init__(self, seed: int):

@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import FlatTree, PrefixTree, flatten_tree, node_prefix
 from .model import TrajectoryDb
+from .tree import PrefixTree
 
 
 def generate_release(
-    tree: PrefixTree, use_inference: bool, flat: FlatTree | None = None
+    tree: PrefixTree, use_inference: bool, flat: PrefixTree | None = None
 ) -> TrajectoryDb:
     """Emit the database encoded by the tree's counts.
 
@@ -22,33 +22,39 @@ def generate_release(
     ``use_inference`` the adjusted counts are read, otherwise the raw noisy
     counts ("basic" variant); both run on the same tree so the two variants
     share one set of random draws.
+
+    ``flat`` is ignored; callers may pass on what ``consolidate`` returns.
     """
-    if flat is None:
-        flat = flatten_tree(tree)
-    n = len(flat)
+    n = len(tree)
     if use_inference:
-        counts = np.empty(n)
-        counts[0] = 0.0
-        for i in range(1, n):
-            value = flat.order[i].adjusted_count
-            if value is None:
-                raise ValueError("adjusted counts missing; run the inference passes first")
-            counts[i] = value
+        if tree.adjusted is None or np.isnan(tree.adjusted[1:]).any():
+            raise ValueError("adjusted counts missing; run the inference passes first")
+        counts = tree.adjusted.copy()
     else:
-        counts = flat.noisy.copy()
-        counts[0] = 0.0
+        counts = tree.noisy.copy()
+    counts[0] = 0.0
 
     child_sum = np.zeros(n)
-    np.add.at(child_sum, flat.parent[1:], counts[1:])
+    np.add.at(child_sum, tree.parent[1:], counts[1:])
     terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64)
     terminated[0] = 0
 
+    # Prefixes of the internal nodes, parents first (preorder); a released
+    # node's prefix is its parent's plus its own location.
+    prefix: dict[int, tuple[int, ...]] = {0: ()}
+    internal = np.flatnonzero(tree.n_children[1:]) + 1
+    for i, up, loc in zip(
+        internal.tolist(), tree.parent[internal].tolist(), tree.location[internal].tolist()
+    ):
+        prefix[i] = prefix[up] + (loc,)
     released: list[tuple[int, ...]] = []
-    for i in flat.postorder_indices():
-        copies = int(terminated[i])
-        if copies:
-            prefix = node_prefix(flat.order[i])
-            released.extend([prefix] * copies)
+    emitting = np.flatnonzero(terminated)[::-1]  # postorder
+    for up, loc, copies in zip(
+        tree.parent[emitting].tolist(),
+        tree.location[emitting].tolist(),
+        terminated[emitting].tolist(),
+    ):
+        released.extend([prefix[up] + (loc,)] * copies)
     return TrajectoryDb(tuple(released))
 
 

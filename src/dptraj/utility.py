@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,8 +41,8 @@ def eval_count_query(db: TrajectoryDb, query: CountQuery) -> int:
 
 def relative_error(true_count: int, noisy_count: int, sanity: float) -> float:
     """|noisy - true| over max(true, sanity); the bound tames tiny selectivities."""
-    if sanity <= 0:
-        raise ValueError(f"sanity bound must be > 0, got {sanity!r}")
+    if not (math.isfinite(sanity) and sanity > 0):
+        raise ValueError(f"sanity bound must be finite and > 0, got {sanity!r}")
     return abs(noisy_count - true_count) / max(true_count, sanity)
 
 
@@ -177,6 +178,8 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len!r}")
     # Identical records share one projection entry with a multiplicity weight.
     multiplicity = Counter(db.trajectories)
     sequences = list(multiplicity.keys())

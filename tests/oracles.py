@@ -1,9 +1,53 @@
 """Reference implementations that tests compare the library against."""
 
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from dptraj.model import LocationUniverse, TrajectoryDb
-from dptraj.tree import PrefixTree, TreeNode
+from dptraj.tree import PrefixTree
+
+
+def array_tree(
+    nodes: Iterable[tuple[tuple[int, ...], float, int]],
+    universe: LocationUniverse,
+) -> PrefixTree:
+    """Array tree from ``(prefix, noisy count, true count)`` triples.
+
+    A prefix's parent prefix must come earlier in ``nodes``; siblings are born
+    in the order listed. The empty prefix, if given, sets the root's counts.
+    Rows are laid out as the builder lays them out: preorder, last-born
+    sibling first.
+    """
+    counts = {(): (float("nan"), 0)}
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}
+    for prefix, noisy, true in nodes:
+        counts[prefix] = (float(noisy), true)
+        if prefix:
+            children[prefix[:-1]].append(prefix)
+            children[prefix] = []
+    parent, location, depth, noisy_col, true_col = [], [], [], [], []
+    stack = [(-1, ())]
+    while stack:
+        up, prefix = stack.pop()
+        index = len(parent)
+        parent.append(up)
+        location.append(prefix[-1] if prefix else -1)
+        depth.append(len(prefix))
+        noisy_col.append(counts[prefix][0])
+        true_col.append(counts[prefix][1])
+        stack += [(index, child) for child in children[prefix]]
+    parents = np.array(parent, dtype=np.int64)
+    return PrefixTree(
+        parent=parents,
+        location=np.array(location, dtype=np.int64),
+        depth=np.array(depth, dtype=np.int64),
+        noisy=np.array(noisy_col, dtype=np.float64),
+        true_count=np.array(true_col, dtype=np.int64),
+        empty_born=np.zeros(len(parents), dtype=bool),
+        n_children=np.bincount(parents[1:], minlength=len(parents)),
+        universe=universe,
+    )
 
 
 def build_exact_tree(
@@ -15,29 +59,24 @@ def build_exact_tree(
     builder's sorted-row ranges, so the two can be checked against each other.
     """
     trajectories = db.trajectories
-    root = TreeNode(None, 0, None)
-    root.true_count = len(trajectories)
-    root.noisy_count = float(len(trajectories))
-
-    frontier = [(root, list(range(len(trajectories))))]
+    nodes = [((), len(trajectories), len(trajectories))]
+    frontier = [((), list(range(len(trajectories))))]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
         next_frontier = []
-        for node, ids in frontier:
+        for prefix, ids in frontier:
             groups: dict[int, list[int]] = {}
             for i in ids:
                 t = trajectories[i]
                 if len(t) > depth:
                     groups.setdefault(t[depth], []).append(i)
             for loc in sorted(groups):
-                child = TreeNode(loc, depth + 1, node)
-                child.true_count = len(groups[loc])
-                child.noisy_count = float(child.true_count)
-                node.children.append(child)
+                child = prefix + (loc,)
+                nodes.append((child, len(groups[loc]), len(groups[loc])))
                 next_frontier.append((child, groups[loc]))
         frontier = next_frontier
         depth += 1
-    return PrefixTree(root=root, universe=universe, params=None)
+    return array_tree(nodes, universe)
 
 
 def isotonic_fit(values: Sequence[float]) -> list[float]:

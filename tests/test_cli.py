@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -116,7 +117,6 @@ class TestSanitize:
         for flags, name in [
             (("--epsilon", "inf"), "epsilon"),
             (("--epsilon", "1", "--theta-mult", "nan"), "theta multiplier"),
-            (("--epsilon", "1", "--threads", "-3"), "--threads"),
         ]:
             result = run_cli(*base, *flags)
             assert result.returncode == 2, flags
@@ -210,6 +210,19 @@ class TestEvalCount:
         assert result.returncode == 1
         assert "raw database is empty" in result.stderr
 
+    def test_non_finite_sanity_fraction_is_param_error(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        for value in ("nan", "inf", "0", "-0.5"):
+            result = run_cli(
+                "eval-count", "--raw", data, "--sanitized", data, "--universe", universe,
+                "--queries-per-subset", "5", "--seed", "1", "--sanity-fraction", value,
+                "--output", tmp_path / "o.csv",
+            )
+            assert result.returncode == 2, value
+            assert "--sanity-fraction" in result.stderr
+            assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_threads_is_param_error(self, tmp_path, sample_paths):
         data, universe = sample_paths
         result = run_cli(
@@ -231,6 +244,59 @@ class TestEvalCount:
             )
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestPinnedRelease:
+    """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus.
+
+    The digests were recorded before the tree moved to preorder arrays; any
+    change to a draw, to the child order or to the inference arithmetic shows
+    up here.
+    """
+
+    CORPUS = "07c4cdd7e0a9fc577e9780745ca9237fd28e5f9231508c99029ae90894e17310"
+    RUNS = {
+        # flags: (release digest, --dump-tree digest)
+        ("--variant", "full"): (
+            "bd9c894d2818525b54cca342231d050a2d97df40496d7d9291ab0c28486a1d43",
+            "c722e98df88cd603e5a9bc7c9fcd280be9d0a9a1c4164c45a4dd32ad832bf677",
+        ),
+        ("--variant", "basic"): (
+            "caa36ad34721054f8f01be045f90b86962c77066d2510d836bd1e4d945692c61",
+            "c722e98df88cd603e5a9bc7c9fcd280be9d0a9a1c4164c45a4dd32ad832bf677",
+        ),
+        ("--expand-empty",): (
+            "661b99c089947364f5520176e4e97c666e92757cb6c3b7d0d6b16546749b0a5c",
+            "4dea79050959720a65717f9806f8974bc027a63051818ff69abc336c07ccf633",
+        ),
+        # ~43% of empty candidates pass, so the one-shot sampler's swaps collide.
+        ("--theta-mult", "0.1"): (
+            "50ddeeef6613774743c0977534056b7203df7d2e0a08c41bb87153928acee06a",
+            "ac2b2450866e4d7383889f6b2ccbfb91a2eb0b8044311439e874c58aa5e7a90b",
+        ),
+    }
+
+    def test_release_and_dump_digests(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        universe = tmp_path / "universe.txt"
+        result = run_cli(
+            "gen", "--output", corpus, "--universe-out", universe,
+            "--n-locations", "40", "--n-records", "4000", "--avg-len", "5",
+            "--max-len", "12", "--n-planted-routes", "5", "--zipf-skew", "0.8",
+            "--seed", "21",
+        )
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(corpus.read_bytes()).hexdigest() == self.CORPUS
+        for flags, (release_digest, dump_digest) in self.RUNS.items():
+            out, dump = tmp_path / "release.txt", tmp_path / "tree.txt"
+            result = run_cli(
+                "sanitize", "--input", corpus, "--output", out, "--epsilon", "1.0",
+                "--height", "8", "--seed", "33", "--universe", universe,
+                "--dump-tree", dump, *flags,
+            )
+            assert result.returncode == 0, result.stderr
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == release_digest, flags
+            assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest, flags
 
 
 class TestEvalFsp:
@@ -259,6 +325,16 @@ class TestEvalFsp:
         assert result.returncode == 0, result.stderr
         row = next(csv.DictReader(out.read_text().splitlines()))
         assert int(row["mined_raw"]) < 100000
+
+    def test_non_positive_max_pattern_len_is_param_error(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        for value in ("0", "-2"):
+            result = run_cli(
+                "eval-fsp", "--raw", data, "--sanitized", data,
+                "--universe", universe, "--topk", "5", "--max-pattern-len", value,
+            )
+            assert result.returncode == 2, value
+            assert "--max-pattern-len" in result.stderr
 
     def test_bad_topk_is_param_error(self, tmp_path, sample_paths):
         data, universe = sample_paths

@@ -9,22 +9,16 @@ from dptraj.model import TrajectoryDb
 from dptraj.pipeline import sanitize
 from dptraj.privacy import PrivacyParams, RandomSource, ZeroNoiseSource
 from dptraj.release import generate_release, release_stats
-from dptraj.tree import PrefixTree, TreeNode, build_noisy_tree
+from dptraj.tree import build_noisy_tree
 
 from conftest import make_db, make_universe
+from oracles import array_tree
 
 
 def manual_tree(counts, universe_size=10):
     """Tree from {prefix tuple: noisy count}; parents must be listed too."""
-    root = TreeNode(None, 0, None)
-    by_prefix = {(): root}
-    for prefix in sorted(counts, key=len):
-        parent = by_prefix[prefix[:-1]]
-        node = TreeNode(prefix[-1], len(prefix), parent)
-        node.noisy_count = float(counts[prefix])
-        parent.children.append(node)
-        by_prefix[prefix] = node
-    return PrefixTree(root=root, universe=make_universe(universe_size), params=None)
+    nodes = [(prefix, counts[prefix], 0) for prefix in sorted(counts, key=len)]
+    return array_tree(nodes, make_universe(universe_size))
 
 
 class TestGenerateRelease:

@@ -1,16 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource, ZeroNoiseSource
-from dptraj.tree import (
-    TreeNode,
-    build_noisy_tree,
-    dump_tree,
-    flatten_tree,
-    node_prefix,
-)
+from dptraj.tree import TreeNode, build_noisy_tree, dump_tree, node_prefix
 
 from conftest import make_db, make_universe
 from oracles import build_exact_tree
@@ -50,7 +45,7 @@ class TestExactTree:
     def test_empty_db(self):
         tree = build_exact_tree(TrajectoryDb(()), make_universe(3))
         assert tree.root.children == []
-        assert tree.node_count() == 1
+        assert len(tree) == 1
 
     def test_every_distinct_prefix_present(self):
         rnd = random.Random(5)
@@ -200,7 +195,7 @@ class TestNoisyTree:
                 locations = [c.location for c in node.children]
                 assert len(locations) == len(set(locations))
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_same_seed_repeats(self):
         rnd = random.Random(9)
         db, universe = _random_db(rnd, max_records=200, universe_size=12)
         params = PrivacyParams(epsilon=4.0, height=4)
@@ -212,11 +207,11 @@ class TestNoisyTree:
                 if n.parent is not None
             ]
 
-        one = signature(build_noisy_tree(db, universe, params, RandomSource(6), threads=1))
-        two = signature(build_noisy_tree(db, universe, params, RandomSource(6), threads=1))
-        eight = signature(build_noisy_tree(db, universe, params, RandomSource(6), threads=8))
+        one = signature(build_noisy_tree(db, universe, params, RandomSource(6)))
+        two = signature(build_noisy_tree(db, universe, params, RandomSource(6)))
+        other = signature(build_noisy_tree(db, universe, params, RandomSource(7)))
         assert one == two
-        assert one == eight
+        assert one != other
 
     def test_budget_ledger_attached(self, sample_db):
         db, universe = sample_db
@@ -230,13 +225,11 @@ class TestNoisyTree:
         db, universe = sample_db
         params = PrivacyParams(epsilon=1.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(3), expand_empty=True)
-        for node in tree.nodes():
-            for name in TreeNode.__slots__:
-                value = getattr(node, name)
-                if name == "children":
-                    assert all(isinstance(child, TreeNode) for child in value)
-                else:
-                    assert value is None or isinstance(value, (int, float, TreeNode)), name
+        for name, value in vars(tree).items():
+            if isinstance(value, np.ndarray):
+                assert value.shape == (len(tree),), name
+            else:
+                assert name in ("universe", "params") or value is None, name
 
 
 class TestDump:
@@ -267,19 +260,45 @@ class TestDump:
 
 
 class TestFlatten:
+    """The tree's rows: preorder, parents first, last-born sibling first."""
+
     def test_parents_precede_children(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
-        flat = flatten_tree(tree)
-        for idx in range(1, len(flat)):
-            assert flat.parent[idx] < idx
+        for idx in range(1, len(tree)):
+            assert tree.parent[idx] < idx
 
     def test_postorder_visits_children_first(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
-        flat = flatten_tree(tree)
         seen = set()
-        for idx in flat.postorder_indices():
-            for child in flat.order[idx].children:
-                assert id(child) in seen
-            seen.add(id(flat.order[idx]))
+        for idx in range(len(tree) - 1, -1, -1):
+            for child in TreeNode(tree, idx).children:
+                assert child.index in seen
+            seen.add(idx)
+
+    @pytest.mark.parametrize("expand_empty", [False, True])
+    def test_builder_rows_are_a_preorder(self, expand_empty):
+        rnd = random.Random(41)
+        for seed in range(6):
+            db, universe = _random_db(rnd, max_records=80, universe_size=10)
+            params = PrivacyParams(epsilon=3.0, height=4)
+            tree = build_noisy_tree(
+                db, universe, params, RandomSource(seed), expand_empty=expand_empty
+            )
+            n = len(tree)
+            rows = np.arange(1, n)
+            parent = tree.parent[1:]
+            assert tree.parent[0] == -1 and tree.depth[0] == 0
+            assert (parent < rows).all()
+            assert (tree.depth[1:] == tree.depth[parent] + 1).all()
+            assert (tree.n_children == np.bincount(parent, minlength=n)).all()
+            assert (tree.empty_born[1:] == (tree.true_count[1:] == 0)).all()
+            if not expand_empty:
+                assert (tree.n_children[tree.empty_born] == 0).all()
+            # preorder: each row's parent is the previous row or one of its ancestors
+            for i in range(1, n):
+                up = i - 1
+                while up != tree.parent[i]:
+                    assert up > 0, f"row {i} is not in its parent's subtree"
+                    up = tree.parent[up]

@@ -111,6 +111,11 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(1, 2, 0.0)
 
+    def test_non_finite_sanity_rejected(self):
+        for sanity in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                relative_error(0, 2, sanity)
+
 
 class TestWorkload:
     def test_subset_max_lengths(self):
@@ -190,6 +195,12 @@ class TestMineTopK:
             patterns = mine_top_k(db, 10)
         assert len(patterns) == 1
         assert "10" in caplog.text
+
+    def test_max_len_below_one_rejected(self):
+        db = make_db([(0, 1)] * 3)
+        for max_len in (0, -2):
+            with pytest.raises(ValueError, match="max_len"):
+                mine_top_k(db, 5, max_len=max_len)
 
     def test_max_len_respected(self):
         db = make_db([(0, 1, 2, 3)] * 5)
