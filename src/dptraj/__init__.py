@@ -15,7 +15,6 @@ from .model import (
     TrajectoryDb,
     UnknownLocationError,
     encode_timestamped,
-    is_prefix,
     load_db,
     load_universe,
     write_db,
@@ -32,13 +31,7 @@ from .privacy import (
     sample_passing_noisy_count,
 )
 from .release import ReleaseStats, generate_release, release_stats
-from .tree import (
-    PrefixTree,
-    TreeNode,
-    build_noisy_tree,
-    dump_tree,
-    node_prefix,
-)
+from .tree import PrefixTree, build_noisy_tree, dump_tree
 from .utility import (
     CountQuery,
     PresenceIndex,

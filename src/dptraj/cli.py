@@ -18,6 +18,7 @@ import os
 import secrets
 import sys
 import time
+from typing import Iterable
 
 from .datagen import GenConfig, generate
 from .inference import order_violations
@@ -71,10 +72,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> bool:
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout for None or ``-``.
+
+    Returns True when the table went to stdout.
+    """
+    to_stdout = path is None or path == "-"
+    out = sys.stdout if to_stdout else open(path, "w", encoding="utf-8", newline="")
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if not to_stdout:
+            out.close()
+    return to_stdout
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
@@ -106,7 +118,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     )
     for line in budget_ledger(params).describe():
         print(line)
-    print(f"tree.nodes={len(tree) - 1} tree.empty_born={int(tree.empty_born.sum())}")
+    print(f"tree.nodes={len(tree) - 1} tree.empty_born={int((tree.true_count[1:] == 0).sum())}")
     if args.variant == "full":
         print(f"inference.order_violations={order_violations(tree)}")
     print(f"release.records={len(release)} output={args.output}")
@@ -123,25 +135,18 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
     workload = generate_workload(universe, args.height, args.queries_per_subset, seed)
     sanity = args.sanity_fraction * len(raw)
     started = time.perf_counter()
-    averages = evaluate_workload(
-        raw, sanitized, workload, len(universe), sanity, threads=args.threads
-    )
+    averages = evaluate_workload(raw, sanitized, workload, len(universe), sanity)
     runtime = time.perf_counter() - started
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["subset", "max_query_len", "queries", "epsilon", "height", "variant",
-             "sanity", "avg_relative_error"]
-        )
-        for i, (max_len, avg) in enumerate(zip(workload.max_lengths, averages), start=1):
-            writer.writerow(
-                [i, max_len, args.queries_per_subset, args.epsilon_label, args.height,
-                 args.variant_label, f"{sanity:.6f}", f"{avg:.6f}"]
-            )
-    finally:
-        if close:
-            out.close()
+    _write_csv(
+        args.output,
+        ["subset", "max_query_len", "queries", "epsilon", "height", "variant",
+         "sanity", "avg_relative_error"],
+        (
+            [i, max_len, args.queries_per_subset, args.epsilon_label, args.height,
+             args.variant_label, f"{sanity:.6f}", f"{avg:.6f}"]
+            for i, (max_len, avg) in enumerate(zip(workload.max_lengths, averages), start=1)
+        ),
+    )
     print(f"runtime_seconds={runtime:.3f}", file=sys.stderr)
     return 0
 
@@ -156,26 +161,19 @@ def cmd_eval_fsp(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     raw_patterns = mine_top_k(raw, k_max, args.max_pattern_len)
     sanitized_patterns = mine_top_k(sanitized, k_max, args.max_pattern_len)
-    counts = []
-    for k in k_values:
-        tp, fp, fd = fsp_metrics(raw_patterns[:k], sanitized_patterns[:k], k)
-        counts.append((k, tp, fp, fd))
+    rows = [
+        [k, args.epsilon_label, args.height_label, args.variant_label,
+         *fsp_metrics(raw_patterns[:k], sanitized_patterns[:k], k),
+         min(k, len(raw_patterns)), min(k, len(sanitized_patterns))]
+        for k in k_values
+    ]
     runtime = time.perf_counter() - started
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["k", "epsilon", "height", "variant", "true_positives", "false_positives",
-             "false_drops", "mined_raw", "mined_sanitized"]
-        )
-        for k, tp, fp, fd in counts:
-            writer.writerow(
-                [k, args.epsilon_label, args.height_label, args.variant_label,
-                 tp, fp, fd, min(k, len(raw_patterns)), min(k, len(sanitized_patterns))]
-            )
-    finally:
-        if close:
-            out.close()
+    _write_csv(
+        args.output,
+        ["k", "epsilon", "height", "variant", "true_positives", "false_positives",
+         "false_drops", "mined_raw", "mined_sanitized"],
+        rows,
+    )
     print(f"runtime_seconds={runtime:.3f}", file=sys.stderr)
     return 0
 
@@ -216,17 +214,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     db, _ = load_db(args.input, args.universe)
     stats = release_stats(db)
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["length", "count"])
-        for length, count in stats.length_histogram.items():
-            writer.writerow([length, count])
-    finally:
-        if close:
-            out.close()
+    to_stdout = _write_csv(args.output, ["length", "count"], stats.length_histogram.items())
     summary = f"records={stats.records} distinct_locations={stats.distinct_locations}"
-    print(summary, file=sys.stdout if close else sys.stderr)
+    print(summary, file=sys.stderr if to_stdout else sys.stdout)
     return 0
 
 
@@ -262,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="sanity_fraction",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.add_argument("--epsilon", default="", dest="epsilon_label", help="label echoed into the CSV")
     p.add_argument("--variant", default="", dest="variant_label", help="label echoed into the CSV")

@@ -93,8 +93,6 @@ def consistent_estimates(tree: PrefixTree, flat: PrefixTree | None = None) -> Pr
     ``flat`` is ignored; callers may pass on what :func:`consolidate` returns.
     """
     n = len(tree)
-    if n == 1:
-        return tree
     if tree.fitted is None or np.isnan(tree.fitted[1:]).any():
         raise ValueError("fitted counts missing; run consolidate() first")
     fitted = tree.fitted.copy()

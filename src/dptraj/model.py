@@ -76,11 +76,6 @@ class TrajectoryDb:
         return iter(self.trajectories)
 
 
-def is_prefix(s: Trajectory, t: Trajectory) -> bool:
-    """True iff s equals the first len(s) locations of t."""
-    return len(s) <= len(t) and t[: len(s)] == tuple(s)
-
-
 def encode_timestamped(pairs: Iterable[tuple[str, object]]) -> list[str]:
     """Fold one record of (location, timestamp) pairs into composite tokens.
 

@@ -16,7 +16,9 @@ the distinct records (truncated to the tree height) once. The records under
 any prefix then fill one contiguous row range: a node is its row range, and
 its children are the runs of equal next location inside it, each found by
 one binary search; a child's true count is a difference of running totals.
-Nodes go straight into the tree's preorder arrays as they are made.
+Nodes go straight into the tree's preorder arrays as they are made; those
+arrays are the tree's interface, read and written directly by inference,
+release and the CLI.
 """
 
 from __future__ import annotations
@@ -26,19 +28,26 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .model import LocationUniverse, Trajectory, TrajectoryDb
 from .privacy import (
-    BudgetLedger,
     PrivacyParams,
     RandomSource,
-    budget_ledger,
     laplace_noise,
     sample_pass_count,
     sample_passing_noisy_count,
 )
+
+
+class NodeRow(NamedTuple):
+    """One row of a :class:`PrefixTree` as plain Python values."""
+
+    parent: int | None
+    depth: int
+    empty_born: bool
 
 
 @dataclass(eq=False)
@@ -49,8 +58,10 @@ class PrefixTree:
     NaN). Rows are in preorder with siblings last-born first, so reading them
     backwards is a postorder that visits siblings in birth order.
     ``true_count`` is the number of input records under a node; it is never
-    written to any output. ``fitted`` and ``adjusted`` stay ``None`` until the
-    inference passes fill them.
+    written to any output. A data-backed node always has a record under it,
+    so the non-root nodes with a zero true count are the empty-born ones.
+    ``fitted`` and ``adjusted`` stay ``None`` until the inference passes fill
+    them.
     """
 
     parent: np.ndarray
@@ -58,95 +69,25 @@ class PrefixTree:
     depth: np.ndarray
     noisy: np.ndarray
     true_count: np.ndarray
-    empty_born: np.ndarray
     n_children: np.ndarray
     universe: LocationUniverse
-    params: PrivacyParams | None = None
     fitted: np.ndarray | None = None
     adjusted: np.ndarray | None = None
-
-    @property
-    def ledger(self) -> BudgetLedger | None:
-        return budget_ledger(self.params) if self.params is not None else None
 
     def __len__(self) -> int:
         return len(self.parent)
 
-    @property
-    def root(self) -> "TreeNode":
-        return TreeNode(self, 0)
+    def nodes(self) -> Iterator[NodeRow]:
+        """Every row in preorder, root first (whose ``parent`` is ``None``).
 
-    def nodes(self):
-        """A view of every node, in preorder, root first."""
-        return (TreeNode(self, i) for i in range(len(self)))
-
-
-def _field(column: str, cast) -> property:
-    """View property for one array column; ``None`` while the column is unfilled."""
-
-    def get(node: "TreeNode"):
-        values = getattr(node.tree, column)
-        return None if values is None else cast(values[node.index])
-
-    def put(node: "TreeNode", value) -> None:
-        if getattr(node.tree, column) is None:
-            setattr(node.tree, column, np.full(len(node.tree), np.nan))
-        getattr(node.tree, column)[node.index] = value
-
-    return property(get, put)
-
-
-class TreeNode:
-    """View of one node of a :class:`PrefixTree`: reads and writes the tree's arrays.
-
-    The root carries no location. ``fitted_count`` and ``adjusted_count``
-    read ``None`` until the inference passes (or an assignment) fill them.
-    """
-
-    __slots__ = ("tree", "index")
-
-    def __init__(self, tree: PrefixTree, index: int):
-        self.tree = tree
-        self.index = index
-
-    depth = _field("depth", int)
-    true_count = _field("true_count", int)
-    noisy_count = _field("noisy", float)
-    empty_born = _field("empty_born", bool)
-    fitted_count = _field("fitted", float)
-    adjusted_count = _field("adjusted", float)
-
-    @property
-    def location(self) -> int | None:
-        return int(self.tree.location[self.index]) if self.index else None
-
-    @property
-    def parent(self) -> "TreeNode | None":
-        return TreeNode(self.tree, int(self.tree.parent[self.index])) if self.index else None
-
-    @property
-    def children(self) -> list["TreeNode"]:
-        """Child views in birth order."""
-        if not self.tree.n_children[self.index]:
-            return []
-        born = np.flatnonzero(self.tree.parent == self.index)[::-1]
-        return [TreeNode(self.tree, int(i)) for i in born]
-
-    def __repr__(self) -> str:
-        return f"TreeNode(index={self.index}, location={self.location}, depth={self.depth})"
-
-
-def node_prefix(node: TreeNode) -> Trajectory:
-    """The trajectory prefix spelled by the root-to-node path."""
-    if node.index == 0:
-        raise ValueError("the virtual root does not represent a prefix")
-    tree, i = node.tree, node.index
-    locations: list[int] = []
-    while i:
-        locations.append(int(tree.location[i]))
-        i = tree.parent[i]
-    locations.reverse()
-    return tuple(locations)
+        Kept for the manifest walk replayed by ``perfbench/traced.py``; other
+        code reads the arrays.
+        """
+        parent = self.parent.tolist()
+        parent[0] = None
+        empty_born = (self.true_count == 0).tolist()
+        empty_born[0] = False
+        return map(NodeRow, parent, self.depth.tolist(), empty_born)
 
 
 def _distinct_records(
@@ -249,19 +190,14 @@ def build_noisy_tree(
             true_count += [0] * passing
 
     parents = np.array(parent, dtype=np.int64)
-    counts_arr = np.array(true_count, dtype=np.int64)
-    empty_born = counts_arr == 0  # a data-backed node has a record under it
-    empty_born[0] = False
     return PrefixTree(
         parent=parents,
         location=np.array(location, dtype=np.int64),
         depth=np.array(depth, dtype=np.int64),
         noisy=np.array(noisy, dtype=np.float64),
-        true_count=counts_arr,
-        empty_born=empty_born,
+        true_count=np.array(true_count, dtype=np.int64),
         n_children=np.bincount(parents[1:], minlength=len(parents)),
         universe=universe,
-        params=params,
     )
 
 

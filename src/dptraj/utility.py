@@ -13,7 +13,6 @@ import itertools
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,29 +127,21 @@ def evaluate_workload(
     workload: QueryWorkload,
     universe_size: int,
     sanity: float | None = None,
-    threads: int = 1,
 ) -> list[float]:
     """Average relative error per workload subset.
 
-    The sanity bound defaults to 0.1% of the raw database size. Queries are
-    independent, so ``threads`` only splits the work; results do not depend
-    on it.
+    The sanity bound defaults to 0.1% of the raw database size.
     """
     if sanity is None:
         sanity = DEFAULT_SANITY_FRACTION * len(raw)
     raw_index = PresenceIndex(raw, universe_size)
     sanitized_index = PresenceIndex(sanitized, universe_size)
 
-    def one_error(query: CountQuery) -> float:
-        return relative_error(raw_index.count(query), sanitized_index.count(query), sanity)
-
     averages = []
     for queries in workload.subsets:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                errors = list(pool.map(one_error, queries, chunksize=256))
-        else:
-            errors = [one_error(q) for q in queries]
+        errors = [
+            relative_error(raw_index.count(q), sanitized_index.count(q), sanity) for q in queries
+        ]
         averages.append(sum(errors) / len(errors))
     return averages
 

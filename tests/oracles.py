@@ -44,10 +44,25 @@ def array_tree(
         depth=np.array(depth, dtype=np.int64),
         noisy=np.array(noisy_col, dtype=np.float64),
         true_count=np.array(true_col, dtype=np.int64),
-        empty_born=np.zeros(len(parents), dtype=bool),
         n_children=np.bincount(parents[1:], minlength=len(parents)),
         universe=universe,
     )
+
+
+def prefixes(tree: PrefixTree) -> list[tuple[int, ...]]:
+    """The root path of every row, indexed by row; the root's is ``()``.
+
+    Rows list parents first, so each prefix extends one already built.
+    """
+    paths: list[tuple[int, ...]] = [()]
+    for up, loc in zip(tree.parent[1:].tolist(), tree.location[1:].tolist()):
+        paths.append(paths[up] + (loc,))
+    return paths
+
+
+def children(tree: PrefixTree, i: int) -> list[int]:
+    """Rows whose parent is row ``i``, in birth order (rows hold them last-born first)."""
+    return np.flatnonzero(tree.parent == i)[::-1].tolist()
 
 
 def build_exact_tree(

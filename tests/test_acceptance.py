@@ -197,12 +197,10 @@ def test_criterion_4_children_never_exceed_parent():
             epsilon=rnd.choice([0.5, 1.0, 2.0]), height=rnd.choice([4, 8, 12])
         )
         _, tree = sanitize(db, universe, params, RandomSource(run), variant="full")
-        for node in tree.nodes():
-            if node.parent is None or not node.children:
-                continue
-            child_total = sum(c.adjusted_count for c in node.children)
-            assert child_total <= node.adjusted_count + 1e-9
-            checked_nodes += 1
+        child_total = np.bincount(tree.parent[1:], weights=tree.adjusted[1:], minlength=len(tree))
+        internal = np.flatnonzero(tree.n_children[1:]) + 1
+        assert (child_total[internal] <= tree.adjusted[internal] + 1e-9).all()
+        checked_nodes += len(internal)
     _report(4, f"children's adjusted counts bounded by parent at {checked_nodes} internal nodes over 50 runs")
 
 
@@ -353,12 +351,12 @@ def test_criterion_9_bit_identical_runs(tmp_path):
     assert releases["a"] == releases["c"], "same flags, same seed, different bytes"
 
     reports = []
-    for tag, threads in (("a", 1), ("b", 1), ("c", 8)):
+    for tag in ("a", "b", "c"):
         out = tmp_path / f"count_{tag}.csv"
         run_cli(
             "eval-count", "--raw", corpus, "--sanitized", tmp_path / "release_a.txt",
             "--universe", universe, "--height", "8", "--queries-per-subset", "50",
-            "--seed", "5", "--threads", threads, "--output", out,
+            "--seed", "5", "--output", out,
         )
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
@@ -373,4 +371,4 @@ def test_criterion_9_bit_identical_runs(tmp_path):
         )
         fsp_reports.append(out.read_bytes())
     assert fsp_reports[0] == fsp_reports[1]
-    _report(9, "releases byte-identical across reruns; CSV reports across reruns and thread counts")
+    _report(9, "releases byte-identical across reruns; CSV reports across reruns")

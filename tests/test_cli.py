@@ -44,6 +44,22 @@ class TestSanitize:
         assert "budget.total epsilon=4 conserved=true" in result.stdout
         assert "seed=11" in result.stdout
 
+    def test_root_only_tree_releases_nothing(self, tmp_path):
+        data = tmp_path / "empty.txt"
+        data.write_text("", encoding="utf-8")
+        universe = tmp_path / "u.txt"
+        universe.write_text("a\nb\nc\n", encoding="utf-8")
+        for variant in ("full", "basic"):
+            out = tmp_path / f"{variant}.txt"
+            result = run_cli(
+                "sanitize", "--input", data, "--universe", universe, "--output", out,
+                "--epsilon", "0.1", "--height", "3", "--seed", "1", "--variant", variant,
+            )
+            assert result.returncode == 0, (variant, result.stderr)
+            assert "tree.nodes=0 " in result.stdout
+            assert "release.records=0 " in result.stdout
+            assert out.read_bytes() == b""
+
     def test_deterministic_given_seed(self, tmp_path, sample_paths):
         # threshold works out to 2.0 for this budget/height split
         data, universe = sample_paths
@@ -222,15 +238,6 @@ class TestEvalCount:
             assert "--sanity-fraction" in result.stderr
             assert "Traceback" not in result.stderr
         assert not (tmp_path / "o.csv").exists()
-
-    def test_bad_threads_is_param_error(self, tmp_path, sample_paths):
-        data, universe = sample_paths
-        result = run_cli(
-            "eval-count", "--raw", data, "--sanitized", data, "--universe", universe,
-            "--queries-per-subset", "5", "--seed", "1", "--threads", "0",
-        )
-        assert result.returncode == 2
-        assert "--threads" in result.stderr
 
     def test_deterministic_reports(self, tmp_path, sample_paths):
         data, universe = sample_paths

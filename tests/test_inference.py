@@ -15,7 +15,7 @@ from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_db, make_universe
-from oracles import array_tree, isotonic_fit, isotonic_fit_minmax, isotonic_upper_minmax
+from oracles import array_tree, children, isotonic_fit, isotonic_fit_minmax, isotonic_upper_minmax
 
 
 def brute_force_monotone_fit(values):
@@ -123,13 +123,9 @@ class TestConsolidate:
             {0: {1: {2: {}}}}, {(0,): 4.0, (0, 1): 1.0, (0, 1, 2): 3.0}
         )
         consolidate(tree)
-        fitted = {tuple(): None}
-        nodes = {n.location: n for n in tree.nodes() if n.parent is not None}
         # leaf-to-root sequence (3, 1, 4) fits to (2, 2, 4)
-        by_depth = sorted(
-            (n for n in tree.nodes() if n.parent is not None), key=lambda n: n.depth
-        )
-        assert [n.fitted_count for n in by_depth] == pytest.approx([4.0, 2.0, 2.0])
+        by_depth = np.argsort(tree.depth[1:]) + 1
+        assert tree.fitted[by_depth].tolist() == pytest.approx([4.0, 2.0, 2.0])
 
     def test_mean_across_two_paths(self):
         # node 0 lies on two root-to-leaf paths; both are already monotone
@@ -139,9 +135,9 @@ class TestConsolidate:
             {(0,): 10.0, (0, 1): 4.0, (0, 2): 6.0},
         )
         consolidate(tree)
-        root_child = tree.root.children[0]
-        assert root_child.fitted_count == pytest.approx(10.0)
-        leaves = {c.location: c.fitted_count for c in root_child.children}
+        root_child = children(tree, 0)[0]
+        assert tree.fitted[root_child] == pytest.approx(10.0)
+        leaves = {int(tree.location[c]): tree.fitted[c] for c in children(tree, root_child)}
         assert leaves == {1: pytest.approx(4.0), 2: pytest.approx(6.0)}
 
     def test_mean_of_differing_path_estimates(self):
@@ -152,7 +148,7 @@ class TestConsolidate:
             {(0,): 10.0, (0, 1): 12.0, (0, 2): 4.0},
         )
         consolidate(tree)
-        assert tree.root.children[0].fitted_count == pytest.approx(10.5)
+        assert tree.fitted[children(tree, 0)[0]] == pytest.approx(10.5)
 
     def test_matches_per_path_enumeration_on_random_trees(self):
         rnd = random.Random(7)
@@ -160,11 +156,8 @@ class TestConsolidate:
             tree = self._random_tree(rnd)
             consolidate(tree)
             expected = self._brute_consolidate(tree)
-            for node in tree.nodes():
-                if node.parent is not None:
-                    assert node.fitted_count == pytest.approx(
-                        expected[node.index], abs=1e-9
-                    )
+            for i in range(1, len(tree)):
+                assert tree.fitted[i] == pytest.approx(expected[i], abs=1e-9)
 
     @staticmethod
     def _random_tree(rnd, max_nodes=30):
@@ -191,15 +184,15 @@ class TestConsolidate:
 
         def walk(node, path):
             path = path + [node]
-            if not node.children:
-                fit = isotonic_fit([n.noisy_count for n in reversed(path)])
+            if not children(tree, node):
+                fit = isotonic_fit([tree.noisy[n] for n in reversed(path)])
                 for value, n in zip(fit, reversed(path)):
-                    sums[n.index] = sums.get(n.index, 0.0) + value
-                    hits[n.index] = hits.get(n.index, 0) + 1
-            for child in node.children:
+                    sums[n] = sums.get(n, 0.0) + value
+                    hits[n] = hits.get(n, 0) + 1
+            for child in children(tree, node):
                 walk(child, path)
 
-        for child in tree.root.children:
+        for child in children(tree, 0):
             walk(child, [])
         return {k: sums[k] / hits[k] for k in sums}
 
@@ -212,15 +205,13 @@ class TestConsistentEstimates:
         )
         flat = consolidate(tree)
         # overwrite fitted counts to isolate the top-down rule
-        parent = tree.root.children[0]
-        parent.fitted_count = 10.0
-        children = {c.location: c for c in parent.children}
-        children[1].fitted_count = 6.0
-        children[2].fitted_count = 8.0
+        parent = children(tree, 0)[0]
+        kids = {int(tree.location[c]): c for c in children(tree, parent)}
+        tree.fitted[[parent, kids[1], kids[2]]] = [10.0, 6.0, 8.0]
         consistent_estimates(tree, flat)
-        assert parent.adjusted_count == pytest.approx(10.0)
-        assert children[1].adjusted_count == pytest.approx(4.0)
-        assert children[2].adjusted_count == pytest.approx(6.0)
+        assert tree.adjusted[parent] == pytest.approx(10.0)
+        assert tree.adjusted[kids[1]] == pytest.approx(4.0)
+        assert tree.adjusted[kids[2]] == pytest.approx(6.0)
 
     def test_surplus_leaves_children_alone(self):
         tree = build_manual_tree(
@@ -228,20 +219,23 @@ class TestConsistentEstimates:
             {(0,): 10.0, (0, 1): 3.0, (0, 2): 4.0},
         )
         flat = consolidate(tree)
-        parent = tree.root.children[0]
-        parent.fitted_count = 10.0
-        children = {c.location: c for c in parent.children}
-        children[1].fitted_count = 3.0
-        children[2].fitted_count = 4.0
+        parent = children(tree, 0)[0]
+        kids = {int(tree.location[c]): c for c in children(tree, parent)}
+        tree.fitted[[parent, kids[1], kids[2]]] = [10.0, 3.0, 4.0]
         consistent_estimates(tree, flat)
-        assert children[1].adjusted_count == pytest.approx(3.0)
-        assert children[2].adjusted_count == pytest.approx(4.0)
+        assert tree.adjusted[kids[1]] == pytest.approx(3.0)
+        assert tree.adjusted[kids[2]] == pytest.approx(4.0)
 
     def test_single_depth_one_node_unchanged(self):
         tree = build_manual_tree({0: {}}, {(0,): 7.5})
         flat = consolidate(tree)
         consistent_estimates(tree, flat)
-        assert tree.root.children[0].adjusted_count == pytest.approx(7.5)
+        assert tree.adjusted[children(tree, 0)[0]] == pytest.approx(7.5)
+
+    def test_root_only_tree(self):
+        tree = build_manual_tree({}, {})
+        consistent_estimates(consolidate(tree))
+        assert tree.adjusted.tolist() == [0.0]
 
     def test_requires_consolidation_first(self):
         tree = build_manual_tree({0: {}}, {(0,): 1.0})
@@ -254,11 +248,9 @@ class TestConsistentEstimates:
             tree = TestConsolidate._random_tree(rnd)
             flat = consolidate(tree)
             consistent_estimates(tree, flat)
-            for node in tree.nodes():
-                if node.parent is None or not node.children:
-                    continue
-                total = sum(c.adjusted_count for c in node.children)
-                assert total <= node.adjusted_count + 1e-9
+            for i in np.flatnonzero(tree.n_children[1:]) + 1:
+                total = sum(tree.adjusted[c] for c in children(tree, i))
+                assert total <= tree.adjusted[i] + 1e-9
 
     def test_never_raises_counts_below_depth_one(self):
         rnd = random.Random(32)
@@ -266,10 +258,8 @@ class TestConsistentEstimates:
             tree = TestConsolidate._random_tree(rnd)
             flat = consolidate(tree)
             consistent_estimates(tree, flat)
-            for node in tree.nodes():
-                if node.parent is None or node.depth <= 1:
-                    continue
-                assert node.adjusted_count <= node.fitted_count + 1e-12
+            deep = tree.depth > 1
+            assert (tree.adjusted[deep] <= tree.fitted[deep] + 1e-12).all()
 
     def test_end_to_end_on_noisy_tree(self):
         rnd = random.Random(8)
@@ -282,26 +272,26 @@ class TestConsistentEstimates:
         tree = build_noisy_tree(db, universe, params, RandomSource(77))
         flat = consolidate(tree)
         consistent_estimates(tree, flat)
-        for node in tree.nodes():
-            if node.parent is not None:
-                assert node.fitted_count is not None
-                assert node.adjusted_count is not None
+        assert not np.isnan(tree.fitted[1:]).any()
+        assert not np.isnan(tree.adjusted[1:]).any()
 
 
 class TestOrderViolations:
     def test_counts_and_logs_breaks(self, caplog):
         # An expected statistic of every run: counted, not logged as a warning.
         tree = build_manual_tree({0: {1: {}}}, {(0,): 1.0, (0, 1): 5.0})
-        parent = tree.root.children[0]
-        child = parent.children[0]
-        parent.adjusted_count = 1.0
-        child.adjusted_count = 5.0
+        parent = children(tree, 0)[0]
+        child = children(tree, parent)[0]
+        tree.adjusted = np.zeros(len(tree))
+        tree.adjusted[[parent, child]] = [1.0, 5.0]
         with caplog.at_level(logging.WARNING):
             assert order_violations(tree) == 1
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_clean_tree_reports_zero(self):
         tree = build_manual_tree({0: {1: {}}}, {(0,): 5.0, (0, 1): 1.0})
-        tree.root.children[0].adjusted_count = 5.0
-        tree.root.children[0].children[0].adjusted_count = 1.0
+        parent = children(tree, 0)[0]
+        child = children(tree, parent)[0]
+        tree.adjusted = np.zeros(len(tree))
+        tree.adjusted[[parent, child]] = [5.0, 1.0]
         assert order_violations(tree) == 0

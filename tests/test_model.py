@@ -14,7 +14,6 @@ from dptraj.model import (
     TrajectoryDb,
     UnknownLocationError,
     encode_timestamped,
-    is_prefix,
     load_db,
     load_universe,
     write_db,
@@ -220,38 +219,6 @@ class TestWrite:
     def test_invalid_id_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_db(make_db([(5,)]), make_universe(2), str(tmp_path / "x.txt"))
-
-
-class TestIsPrefix:
-    def test_sample_cases(self):
-        assert is_prefix((0, 1), (0, 1, 3, 2))
-        assert not is_prefix((0, 3), (0, 1, 3, 2))
-
-    def test_reflexive(self):
-        t = (4, 4, 2)
-        assert is_prefix(t, t)
-
-    def test_random_properties(self):
-        rnd = random.Random(99)
-        trajs = [
-            tuple(rnd.randrange(5) for _ in range(rnd.randint(1, 6))) for _ in range(80)
-        ]
-        for t in trajs:
-            assert is_prefix(t, t)
-        for s in trajs:
-            for t in trajs:
-                if is_prefix(s, t) and is_prefix(t, s):
-                    assert s == t  # antisymmetry
-                for u in trajs:
-                    if is_prefix(s, t) and is_prefix(t, u):
-                        assert is_prefix(s, u)  # transitivity
-
-    def test_true_prefix_of_every_extension(self):
-        rnd = random.Random(7)
-        for _ in range(50):
-            s = tuple(rnd.randrange(4) for _ in range(rnd.randint(1, 5)))
-            ext = s + tuple(rnd.randrange(4) for _ in range(rnd.randint(0, 4)))
-            assert is_prefix(s, ext)
 
 
 class TestEncodeTimestamped:

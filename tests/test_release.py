@@ -12,7 +12,7 @@ from dptraj.release import generate_release, release_stats
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_db, make_universe
-from oracles import array_tree
+from oracles import array_tree, children
 
 
 def manual_tree(counts, universe_size=10):
@@ -103,16 +103,11 @@ class TestGenerateRelease:
         consistent_estimates(tree, flat)
         for use_inference in (False, True):
             release = generate_release(tree, use_inference)
+            counts = tree.adjusted if use_inference else tree.noisy
             expected = 0
-            for node in tree.nodes():
-                if node.parent is None:
-                    continue
-                value = node.adjusted_count if use_inference else node.noisy_count
-                child_sum = sum(
-                    (c.adjusted_count if use_inference else c.noisy_count)
-                    for c in node.children
-                )
-                expected += max(0, int(np.rint(value - child_sum)))
+            for i in range(1, len(tree)):
+                child_sum = sum(counts[c] for c in children(tree, i))
+                expected += max(0, int(np.rint(counts[i] - child_sum)))
             assert len(release) == expected
 
     def test_variants_share_one_tree(self):
@@ -125,9 +120,9 @@ class TestGenerateRelease:
         params = PrivacyParams(epsilon=2.0, height=3)
         _, tree_a = sanitize(db, universe, params, RandomSource(12), "basic")
         _, tree_b = sanitize(db, universe, params, RandomSource(12), "full")
-        sig_a = [(n.location, n.noisy_count) for n in tree_a.nodes() if n.parent is not None]
-        sig_b = [(n.location, n.noisy_count) for n in tree_b.nodes() if n.parent is not None]
-        assert sig_a == sig_b
+        assert np.array_equal(tree_a.parent, tree_b.parent)
+        assert np.array_equal(tree_a.location, tree_b.location)
+        assert np.array_equal(tree_a.noisy, tree_b.noisy, equal_nan=True)
 
 
 class TestReleaseStats:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 
 from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource, ZeroNoiseSource
-from dptraj.tree import TreeNode, build_noisy_tree, dump_tree, node_prefix
+from dptraj.tree import build_noisy_tree, dump_tree
 
 from conftest import make_db, make_universe
-from oracles import build_exact_tree
+from oracles import build_exact_tree, children, prefixes
 
 
-def _child(node, loc):
-    for c in node.children:
-        if c.location == loc:
+def _child(tree, i, loc):
+    for c in children(tree, i):
+        if tree.location[c] == loc:
             return c
     raise AssertionError(f"no child with location {loc}")
 
@@ -30,21 +31,24 @@ class TestExactTree:
     def test_sample_level_one(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
-        counts = {universe.token_of(c.location): c.true_count for c in tree.root.children}
+        counts = {
+            universe.token_of(int(tree.location[c])): int(tree.true_count[c])
+            for c in children(tree, 0)
+        }
         assert counts == {"L1": 5, "L3": 3}
 
     def test_sample_deep_counts(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
-        l1 = _child(tree.root, universe.id_of("L1"))
-        l1_l2 = _child(l1, universe.id_of("L2"))
-        assert l1_l2.true_count == 5
-        l1_l2_l3 = _child(l1_l2, universe.id_of("L3"))
-        assert l1_l2_l3.true_count == 2
+        l1 = _child(tree, 0, universe.id_of("L1"))
+        l1_l2 = _child(tree, l1, universe.id_of("L2"))
+        assert tree.true_count[l1_l2] == 5
+        l1_l2_l3 = _child(tree, l1_l2, universe.id_of("L3"))
+        assert tree.true_count[l1_l2_l3] == 2
 
     def test_empty_db(self):
         tree = build_exact_tree(TrajectoryDb(()), make_universe(3))
-        assert tree.root.children == []
+        assert children(tree, 0) == []
         assert len(tree) == 1
 
     def test_every_distinct_prefix_present(self):
@@ -52,47 +56,42 @@ class TestExactTree:
         for _ in range(10):
             db, universe = _random_db(rnd)
             tree = build_exact_tree(db, universe)
-            prefixes = set()
+            expected = set()
             for t in db:
                 for i in range(1, len(t) + 1):
-                    prefixes.add(t[:i])
-            found = {node_prefix(n) for n in tree.nodes() if n.parent is not None}
-            assert found == prefixes
+                    expected.add(t[:i])
+            rows = prefixes(tree)
+            assert set(rows[1:]) == expected
             # and counts match a direct scan
-            for node in tree.nodes():
-                if node.parent is None:
-                    continue
-                p = node_prefix(node)
-                assert node.true_count == sum(1 for t in db if t[: len(p)] == p)
+            for p, count in zip(rows[1:], tree.true_count[1:].tolist()):
+                assert count == sum(1 for t in db if t[: len(p)] == p)
 
 
 class TestNodePrefix:
+    """A row's prefix, spelled by the parent and location columns."""
+
     def test_depth_one(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
-        child = tree.root.children[0]
-        assert node_prefix(child) == (child.location,)
+        child = children(tree, 0)[0]
+        assert prefixes(tree)[child] == (tree.location[child],)
 
     def test_deep_path(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
         ids = [universe.id_of(t) for t in ("L1", "L2", "L4")]
-        node = _child(_child(_child(tree.root, ids[0]), ids[1]), ids[2])
-        assert node_prefix(node) == tuple(ids)
-
-    def test_root_rejected(self, sample_db):
-        db, universe = sample_db
-        tree = build_exact_tree(db, universe)
-        with pytest.raises(ValueError):
-            node_prefix(tree.root)
+        node = _child(tree, _child(tree, _child(tree, 0, ids[0]), ids[1]), ids[2])
+        assert prefixes(tree)[node] == tuple(ids)
 
     def test_length_equals_depth(self):
         rnd = random.Random(17)
         db, universe = _random_db(rnd)
-        tree = build_exact_tree(db, universe)
-        for node in tree.nodes():
-            if node.parent is not None:
-                assert len(node_prefix(node)) == node.depth
+        params = PrivacyParams(epsilon=3.0, height=5)
+        for tree in (
+            build_exact_tree(db, universe),
+            build_noisy_tree(db, universe, params, RandomSource(17), expand_empty=True),
+        ):
+            assert [len(p) for p in prefixes(tree)] == tree.depth.tolist()
 
 
 class TestNoisyTree:
@@ -106,40 +105,33 @@ class TestNoisyTree:
         params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
 
         def signature(tree):
-            return sorted(
-                (node_prefix(n), n.noisy_count) for n in tree.nodes() if n.parent is not None
-            )
+            return sorted(zip(prefixes(tree)[1:], tree.noisy[1:].tolist()))
 
         for db, universe in cases:
             noisy = build_noisy_tree(db, universe, params, ZeroNoiseSource())
             exact = build_exact_tree(db, universe, max_depth=params.height)
             assert signature(noisy) == signature(exact)
-            for node in noisy.nodes():
-                if node.parent is not None:
-                    assert node.noisy_count == float(node.true_count)
+            assert (noisy.noisy[1:] == noisy.true_count[1:]).all()
 
     def test_kept_nodes_clear_threshold(self, sample_db):
         db, universe = sample_db
         params = PrivacyParams(epsilon=2.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(13))
-        for node in tree.nodes():
-            if node.parent is not None:
-                assert node.noisy_count >= params.threshold
+        assert (tree.noisy[1:] >= params.threshold).all()
 
     def test_depth_bounded_by_height(self):
         rnd = random.Random(3)
         db, universe = _random_db(rnd, max_len=9)
         params = PrivacyParams(epsilon=8.0, height=4)
         tree = build_noisy_tree(db, universe, params, RandomSource(1))
-        assert max(n.depth for n in tree.nodes()) <= 4
+        assert tree.depth.max() <= 4
 
     def test_truncation_in_zero_noise_mode(self):
         db = make_db([(0, 1, 2, 3, 0, 1)])
         universe = make_universe(4)
         params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=0.0)
         tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
-        prefixes = {node_prefix(n) for n in tree.nodes() if n.parent is not None}
-        assert prefixes == {(0,), (0, 1), (0, 1, 2)}
+        assert set(prefixes(tree)[1:]) == {(0,), (0, 1), (0, 1, 2)}
 
     def test_level_trajectory_sets_disjoint_and_nested(self):
         # In count form: each node counts exactly the records under its prefix,
@@ -148,14 +140,13 @@ class TestNoisyTree:
         db, universe = _random_db(rnd)
         params = PrivacyParams(epsilon=6.0, height=4)
         tree = build_noisy_tree(db, universe, params, RandomSource(2))
-        for node in tree.nodes():
-            if node.empty_born:
-                continue
-            if node.parent is not None:
-                p = node_prefix(node)
-                assert node.true_count == sum(1 for t in db if t[: len(p)] == p)
-            child_total = sum(c.true_count for c in node.children if not c.empty_born)
-            assert child_total <= node.true_count
+        rows = prefixes(tree)
+        count = tree.true_count.tolist()
+        for i, p in enumerate(rows):
+            if i and not count[i]:
+                continue  # empty-born
+            assert count[i] == sum(1 for t in db if t[: len(p)] == p)
+            assert sum(count[c] for c in children(tree, i)) <= count[i]
 
     def test_empty_born_are_leaves_by_default(self):
         db = make_db([(0,)] * 50)
@@ -163,12 +154,11 @@ class TestNoisyTree:
         params = PrivacyParams(epsilon=10.0, height=3)
         # plenty of empty candidates over 3 levels; some seed spawns a few
         tree = build_noisy_tree(db, universe, params, RandomSource(0))
-        empty_nodes = [n for n in tree.nodes() if n.empty_born]
-        assert empty_nodes, "expected at least one empty-born node for this seed"
-        for node in empty_nodes:
-            assert node.children == []
-            assert node.true_count == 0
-            assert node.noisy_count >= params.threshold
+        empty_nodes = np.flatnonzero(tree.true_count[1:] == 0) + 1
+        assert len(empty_nodes), "expected at least one empty-born node for this seed"
+        for i in empty_nodes:
+            assert children(tree, i) == []
+            assert tree.noisy[i] >= params.threshold
 
     def test_expand_empty_grows_their_subtrees(self):
         db = make_db([(0,)] * 50)
@@ -179,9 +169,8 @@ class TestNoisyTree:
             db, universe, params, RandomSource(0), expand_empty=True
         )
         def empty_child_count(tree):
-            return sum(
-                len(n.children) for n in tree.nodes() if n.empty_born
-            )
+            return tree.n_children[1:][tree.true_count[1:] == 0].sum()
+
         assert empty_child_count(base) == 0
         assert empty_child_count(expanded) > 0
 
@@ -191,8 +180,8 @@ class TestNoisyTree:
             db, universe = _random_db(rnd)
             params = PrivacyParams(epsilon=5.0, height=3)
             tree = build_noisy_tree(db, universe, params, RandomSource(seed))
-            for node in tree.nodes():
-                locations = [c.location for c in node.children]
+            for i in range(len(tree)):
+                locations = tree.location[children(tree, i)].tolist()
                 assert len(locations) == len(set(locations))
 
     def test_same_seed_repeats(self):
@@ -201,11 +190,9 @@ class TestNoisyTree:
         params = PrivacyParams(epsilon=4.0, height=4)
 
         def signature(tree):
-            return [
-                (node_prefix(n), n.noisy_count, n.empty_born)
-                for n in tree.nodes()
-                if n.parent is not None
-            ]
+            return list(
+                zip(prefixes(tree)[1:], tree.noisy[1:].tolist(), tree.true_count[1:].tolist())
+            )
 
         one = signature(build_noisy_tree(db, universe, params, RandomSource(6)))
         two = signature(build_noisy_tree(db, universe, params, RandomSource(6)))
@@ -213,13 +200,16 @@ class TestNoisyTree:
         assert one == two
         assert one != other
 
-    def test_budget_ledger_attached(self, sample_db):
+    def test_node_rows_are_plain_values(self, sample_db):
         db, universe = sample_db
-        params = PrivacyParams(epsilon=1.5, height=5)
-        tree = build_noisy_tree(db, universe, params, RandomSource(3))
-        ledger = tree.ledger
-        assert ledger.height == 5
-        assert ledger.conserved
+        params = PrivacyParams(epsilon=1.0, height=3)
+        tree = build_noisy_tree(db, universe, params, RandomSource(3), expand_empty=True)
+        rows = list(tree.nodes())
+        assert rows[0].parent is None
+        assert [r.parent for r in rows[1:]] == tree.parent[1:].tolist()
+        assert [r.depth for r in rows] == tree.depth.tolist()
+        assert [r.empty_born for r in rows[1:]] == (tree.true_count[1:] == 0).tolist()
+        json.dumps(rows)  # numpy scalars would not serialize
 
     def test_no_per_record_state_after_build(self, sample_db):
         db, universe = sample_db
@@ -229,7 +219,7 @@ class TestNoisyTree:
             if isinstance(value, np.ndarray):
                 assert value.shape == (len(tree),), name
             else:
-                assert name in ("universe", "params") or value is None, name
+                assert name == "universe" or value is None, name
 
 
 class TestDump:
@@ -273,8 +263,8 @@ class TestFlatten:
         tree = build_exact_tree(db, universe)
         seen = set()
         for idx in range(len(tree) - 1, -1, -1):
-            for child in TreeNode(tree, idx).children:
-                assert child.index in seen
+            for child in children(tree, idx):
+                assert child in seen
             seen.add(idx)
 
     @pytest.mark.parametrize("expand_empty", [False, True])
@@ -293,9 +283,8 @@ class TestFlatten:
             assert (parent < rows).all()
             assert (tree.depth[1:] == tree.depth[parent] + 1).all()
             assert (tree.n_children == np.bincount(parent, minlength=n)).all()
-            assert (tree.empty_born[1:] == (tree.true_count[1:] == 0)).all()
             if not expand_empty:
-                assert (tree.n_children[tree.empty_born] == 0).all()
+                assert (tree.n_children[1:][tree.true_count[1:] == 0] == 0).all()
             # preorder: each row's parent is the previous row or one of its ancestors
             for i in range(1, n):
                 up = i - 1
