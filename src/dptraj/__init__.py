@@ -25,7 +25,6 @@ from .privacy import (
     BudgetLedger,
     PrivacyParams,
     RandomSource,
-    ZeroNoiseSource,
     budget_ledger,
     sample_pass_count,
     sample_passing_noisy_count,

@@ -118,6 +118,8 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     )
     for line in budget_ledger(params).describe():
         print(line)
+    if args.universe is None:  # a domain read off the data voids the epsilon claim
+        print("privacy.claim=none reason=derived_universe")
     print(f"tree.nodes={len(tree) - 1} tree.empty_born={int((tree.true_count[1:] == 0).sum())}")
     if args.variant == "full":
         print(f"inference.order_violations={order_violations(tree)}")

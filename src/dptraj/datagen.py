@@ -101,7 +101,7 @@ def generate(config: GenConfig) -> tuple[TrajectoryDb, LocationUniverse]:
     width = len(str(max(config.n_locations - 1, 1)))
     universe = LocationUniverse(tuple(f"L{i:0{width}d}" for i in range(config.n_locations)))
     if config.n_records == 0:
-        return TrajectoryDb(()), universe
+        return TrajectoryDb.of(()), universe
 
     lengths = np.minimum(
         rng.geometric(1.0 / config.avg_len, size=config.n_records), config.max_len
@@ -130,4 +130,4 @@ def generate(config: GenConfig) -> tuple[TrajectoryDb, LocationUniverse]:
             ridden = min(len(record), len(route))
             record[:ridden] = route[:ridden]
         trajectories.append(tuple(record))
-    return TrajectoryDb(tuple(trajectories)), universe
+    return TrajectoryDb.of(trajectories), universe

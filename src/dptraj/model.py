@@ -1,17 +1,20 @@
 """Core trajectory-database types and the plain-text file format.
 
 A trajectory is an ordered list of location ids (repeats allowed, including
-consecutive ones); a database is a multiset of trajectories. Locations are
-opaque string tokens interned against a fixed universe.
+consecutive ones); a database is a multiset of trajectories, which every
+stage reads as weighted entries. Locations are opaque string tokens interned
+against a fixed universe.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
+
+import numpy as np
 
 Trajectory = tuple[int, ...]
 
@@ -57,23 +60,53 @@ class LocationUniverse:
         return self.tokens[loc_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryDb:
-    """Multiset of trajectories; duplicates are kept with their multiplicity."""
+    """Multiset of trajectories, held as entries and per-record codes.
 
-    trajectories: tuple[Trajectory, ...]
+    Record ``i`` is ``entries[codes[i]]``, so ``codes`` keeps the records'
+    order and ``weights[e]`` is how many records entry ``e`` stands for (at
+    least one). Entries need not be distinct: readers sum weights, so a
+    record split over two equal entries reads as one entry carrying both.
+    """
+
+    entries: tuple[Trajectory, ...]
+    codes: np.ndarray
 
     def __post_init__(self) -> None:
-        trajectories = tuple(self.trajectories)
-        if any(not t for t in trajectories):
+        entries = tuple(self.entries)
+        if not all(entries):
             raise ValueError("trajectories must have at least one location")
-        object.__setattr__(self, "trajectories", trajectories)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.intp))
+        weights = self.weights  # bincount rejects negative codes
+        if len(weights) != len(entries) or not weights.all():
+            raise ValueError(f"codes must name each of the {len(entries)} entries at least once")
+
+    @classmethod
+    def of(cls, records: Iterable[Iterable[int]]) -> TrajectoryDb:
+        """The records in order, one entry per distinct record."""
+        index: dict[Trajectory, int] = {}
+        codes = np.fromiter((index.setdefault(tuple(r), len(index)) for r in records), np.intp)
+        return cls(tuple(index), codes)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.codes)
 
-    def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self.trajectories)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrajectoryDb):
+            return NotImplemented
+        return self.trajectories == other.trajectories
+
+    @property
+    def weights(self) -> np.ndarray:
+        """How many records each entry stands for."""
+        return np.bincount(self.codes, minlength=len(self.entries))
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """Every record, in order (repeats of one entry are the same tuple)."""
+        return tuple(map(self.entries.__getitem__, self.codes.tolist()))
 
 
 def encode_timestamped(pairs: Iterable[tuple[str, object]]) -> list[str]:
@@ -133,25 +166,27 @@ def write_universe(universe: LocationUniverse, path: str) -> None:
 _READ_BLOCK = 1 << 22
 
 
-def _read_records(path: str, parse: Callable[[list[str]], Trajectory]) -> list[Trajectory]:
+def _read_records(path: str, parse: Callable[[list[str]], Trajectory]) -> TrajectoryDb:
     """One trajectory per line of ``path``; ``parse`` maps a line's tokens to ids.
 
-    Within a block of lines, each distinct line is split and parsed once and
-    its repetitions share that tuple. ``parse`` raises ``KeyError`` with the
-    offending token for a token it cannot map.
+    Within a block of lines, each distinct line is split and parsed once into
+    one entry that its repetitions share. ``parse`` raises ``KeyError`` with
+    the offending token for a token it cannot map.
     """
-    records: list[Trajectory] = []
+    entries: list[Trajectory] = []
+    codes = array("q")  # grows in place, then becomes the code array without a copy
     lines_before = 0
     with _open_text(path) as fh:
         while lines := fh.readlines(_READ_BLOCK):
             # The cache dies with its block: line strings kept across blocks
             # would sit among the record tuples and leave the allocator's
             # pools fragmented once freed (+30 MB RSS after loading 400k
-            # mostly distinct records).
-            cache: dict[str, Trajectory] = {}
+            # mostly distinct records). A line repeated in a later block
+            # becomes a second entry.
+            cache: dict[str, int] = {}
             for line in lines:
-                record = cache.get(line)
-                if record is None:
+                code = cache.get(line)
+                if code is None:
                     # A bad line raises at its first occurrence in the file,
                     # which is then also its first in this block.
                     tokens = line.split()
@@ -165,10 +200,11 @@ def _read_records(path: str, parse: Callable[[list[str]], Trajectory]) -> list[T
                         raise UnknownLocationError(
                             f"{path}:{lineno}: unknown location {exc.args[0]!r}"
                         ) from None
-                    cache[line] = record
-                records.append(record)
+                    code = cache[line] = len(entries)
+                    entries.append(record)
+                codes.append(code)
             lines_before += len(lines)
-    return records
+    return TrajectoryDb(tuple(entries), np.frombuffer(codes, dtype=np.int64))
 
 
 def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, LocationUniverse]:
@@ -183,8 +219,7 @@ def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, 
     if universe_path is not None:
         universe = load_universe(universe_path)
         lookup = universe._index.__getitem__
-        records = _read_records(path, lambda tokens: tuple(map(lookup, tokens)))
-        return TrajectoryDb(tuple(records)), universe
+        return _read_records(path, lambda tokens: tuple(map(lookup, tokens))), universe
 
     index: dict[str, int] = {}
 
@@ -194,29 +229,38 @@ def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, 
                 index[t] = len(index)
         return tuple(map(index.__getitem__, tokens))
 
-    records = _read_records(path, intern)
+    db = _read_records(path, intern)
     warnings.warn(
         f"location universe derived from {path!r}; supply a public universe file "
         "for a data-independent output domain",
         UserWarning,
         stacklevel=2,
     )
-    return TrajectoryDb(tuple(records)), LocationUniverse(tuple(index))
+    return db, LocationUniverse(tuple(index))
 
 
 def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
     """Write one trajectory per line, tokens space-separated, LF endings.
 
     Round-trips with :func:`load_db`: loading the written file reproduces the
-    database as a multiset (and preserves record order). A run of equal
-    consecutive records is formatted once.
+    records in order. Each entry is formatted once, and a run of equal
+    consecutive codes is written as one repeated line.
     """
     tokens = universe.tokens
     size = len(tokens)
+    low, high = min(map(min, db.entries), default=0), max(map(max, db.entries), default=0)
+    if db.entries and not 0 <= low <= high < size:
+        raise ValueError(f"location ids span {low}..{high}, outside universe of size {size}")
+    codes = db.codes
+    firsts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    if len(codes):
+        firsts = np.append(0, firsts)  # the first record of each run
+    runs = np.diff(firsts, append=len(codes))
+    weights = db.weights.tolist()
+    lines: dict[int, str] = {}  # kept only for entries whose records span several runs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for traj, run in groupby(db.trajectories):
-            for loc_id in traj:
-                if not 0 <= loc_id < size:
-                    raise ValueError(f"location id {loc_id} outside universe of size {size}")
-            line = " ".join([tokens[i] for i in traj]) + "\n"
-            fh.write(line * sum(1 for _ in run))
+        for code, run in zip(codes[firsts].tolist(), runs.tolist()):
+            line = lines.get(code) or " ".join([tokens[i] for i in db.entries[code]]) + "\n"
+            if run < weights[code]:
+                lines[code] = line
+            fh.write(line * run)

@@ -139,28 +139,6 @@ class RandomSource:
         return np.random.default_rng(np.random.SeedSequence((self.seed, len(key), *key)))
 
 
-class _ZeroNoiseStream:
-    """Stands in for a Generator; forces Laplace noise to 0 and spawns no empty nodes."""
-
-    def random(self, size=None):
-        if size is None:
-            return 0.5
-        return np.full(size, 0.5)
-
-    def binomial(self, n: int, p: float) -> int:
-        return 0
-
-
-class ZeroNoiseSource(RandomSource):
-    """Degenerate source for end-to-end identity checks of the pipeline."""
-
-    def __init__(self):
-        super().__init__(0)
-
-    def stream(self, *key: int) -> _ZeroNoiseStream:  # type: ignore[override]
-        return _ZeroNoiseStream()
-
-
 def laplace_noise(scale: float, rng, size=None):
     """Laplace(scale) sample(s) by inverse transform, u uniform in (-1/2, 1/2]."""
     if scale <= 0:

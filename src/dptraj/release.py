@@ -1,8 +1,11 @@
-"""Materialize a sanitized trajectory database from a prefix tree."""
+"""Materialize a sanitized trajectory database from a prefix tree.
+
+The release holds one entry per node that terminates records, weighted by
+how many it terminates.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +20,8 @@ def generate_release(
     """Emit the database encoded by the tree's counts.
 
     Each non-root node terminates ``round(count - sum of child counts)``
-    trajectories (clamped at zero, halves rounded to even); that many copies
-    of its prefix are appended, visiting nodes in postorder. With
+    trajectories (clamped at zero, halves rounded to even): its prefix becomes
+    one entry standing for that many records, nodes taken in postorder. With
     ``use_inference`` the adjusted counts are read, otherwise the raw noisy
     counts ("basic" variant); both run on the same tree so the two variants
     share one set of random draws.
@@ -47,15 +50,12 @@ def generate_release(
         internal.tolist(), tree.parent[internal].tolist(), tree.location[internal].tolist()
     ):
         prefix[i] = prefix[up] + (loc,)
-    released: list[tuple[int, ...]] = []
     emitting = np.flatnonzero(terminated)[::-1]  # postorder
-    for up, loc, copies in zip(
-        tree.parent[emitting].tolist(),
-        tree.location[emitting].tolist(),
-        terminated[emitting].tolist(),
-    ):
-        released.extend([prefix[up] + (loc,)] * copies)
-    return TrajectoryDb(tuple(released))
+    entries = [
+        prefix[up] + (loc,)
+        for up, loc in zip(tree.parent[emitting].tolist(), tree.location[emitting].tolist())
+    ]
+    return TrajectoryDb(entries, np.repeat(np.arange(len(entries)), terminated[emitting]))
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,10 @@ class ReleaseStats:
 
 
 def release_stats(db: TrajectoryDb) -> ReleaseStats:
-    lengths = Counter(len(t) for t in db)
-    locations: set[int] = set()
-    for t in db:
-        locations.update(t)
+    lengths = np.fromiter(map(len, db.entries), dtype=np.intp, count=len(db.entries))
+    histogram = np.bincount(lengths, weights=db.weights).astype(np.int64)
     return ReleaseStats(
         records=len(db),
-        length_histogram=dict(sorted(lengths.items())),
-        distinct_locations=len(locations),
+        length_histogram={n: c for n, c in enumerate(histogram.tolist()) if c},
+        distinct_locations=len(set().union(*db.entries)),
     )

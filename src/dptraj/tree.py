@@ -11,11 +11,11 @@ not expanded further unless ``expand_empty`` is set; full symmetric expansion
 multiplies the node count by roughly ``0.03 * len(universe)`` per level and is
 only practical for small universes.
 
-Only distinct records and their multiplicities matter, so the builder sorts
-the distinct records (truncated to the tree height) once. The records under
-any prefix then fill one contiguous row range: a node is its row range, and
-its children are the runs of equal next location inside it, each found by
-one binary search; a child's true count is a difference of running totals.
+The builder sorts the database's entries, truncated to the tree height, once;
+equal rows (from truncation or repeated entries) just sit side by side. The
+records under any prefix fill one contiguous row range: a node is its row
+range, and its children are the runs of equal next location inside it, each
+found by one binary search; a true count is a difference of running totals.
 Nodes go straight into the tree's preorder arrays as they are made; those
 arrays are the tree's interface, read and written directly by inference,
 release and the CLI.
@@ -23,16 +23,14 @@ release and the CLI.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import LocationUniverse, Trajectory, TrajectoryDb
+from .model import LocationUniverse, TrajectoryDb
 from .privacy import (
     PrivacyParams,
     RandomSource,
@@ -90,21 +88,6 @@ class PrefixTree:
         return map(NodeRow, parent, self.depth.tolist(), empty_born)
 
 
-def _distinct_records(
-    trajectories: tuple[Trajectory, ...], height: int
-) -> tuple[list[Trajectory], list[int]]:
-    """Distinct records truncated to ``height``, sorted, and their running total.
-
-    ``cum[j] - cum[i]`` is the number of input records in ``rows[i:j]``. In
-    sorted order the records under any prefix fill one contiguous range of
-    rows: the one that ends at the prefix first, then one run per next location.
-    """
-    multiplicity = Counter(map(itemgetter(slice(height)), trajectories))
-    rows = sorted(multiplicity)
-    cum = [0, *accumulate(map(multiplicity.__getitem__, rows))]
-    return rows, cum
-
-
 def build_noisy_tree(
     db: TrajectoryDb,
     universe: LocationUniverse,
@@ -118,7 +101,10 @@ def build_noisy_tree(
     the result depends only on (db, universe, params, source seed) and not on
     the order in which nodes are expanded.
     """
-    rows, cum = _distinct_records(db.trajectories, params.height)
+    rows = [t[: params.height] for t in db.entries]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    cum = [0, *accumulate(db.weights[order].tolist())]  # cum[j] - cum[i]: records in rows[i:j]
+    rows = list(map(rows.__getitem__, order))
     universe_size = len(universe)
     scale = params.noise_scale
     theta = params.threshold
@@ -143,9 +129,9 @@ def build_noisy_tree(
         if d == params.height:
             continue
         rng = source.stream(*path)
-        # One run of rows per next location; a row ending here sorts first and is skipped.
+        # One run of rows per next location; rows ending here sort first and are skipped.
         runs: list[tuple[int, int, int]] = []
-        i = lo + 1 if lo < hi and len(rows[lo]) == d else lo
+        i = bisect_right(rows, path, lo, hi)
         while i < hi:
             loc = rows[i][d]
             j = bisect_left(rows, path + (loc + 1,), i, hi)

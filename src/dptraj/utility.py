@@ -35,7 +35,7 @@ def eval_count_query(db: TrajectoryDb, query: CountQuery) -> int:
     if not query:
         raise ValueError("count query needs at least one location")
     wanted = frozenset(query)
-    return sum(1 for t in db if wanted.issubset(t))
+    return sum(w for t, w in zip(db.entries, db.weights.tolist()) if wanted.issubset(t))
 
 
 def relative_error(true_count: int, noisy_count: int, sanity: float) -> float:
@@ -82,25 +82,23 @@ def generate_workload(
 
 
 class PresenceIndex:
-    """Bit-packed location -> distinct-record presence matrix for bulk query answering.
+    """Bit-packed location -> entry presence matrix for bulk query answering.
 
     Equivalent to :func:`eval_count_query` record scans, after one indexing
-    pass over the database's distinct records: a query is an AND of its
-    locations' bit rows, and the answer is the summed multiplicity of the
-    records whose bit survives.
+    pass over the database's entries: a query is an AND of its locations' bit
+    rows, and the answer is the summed weight of the entries whose bit
+    survives.
     """
 
     _CHUNK = 65536  # records per packing block; multiple of 8 keeps bytes aligned
 
     def __init__(self, db: TrajectoryDb, universe_size: int):
-        multiplicity = Counter(db.trajectories)
-        distinct = list(multiplicity)
-        n = len(distinct)
-        self.records = len(db)
-        self.weights = np.fromiter(multiplicity.values(), dtype=np.int64, count=n)
+        entries = db.entries
+        n = len(entries)
+        self.weights = db.weights
         self._bits = np.zeros((universe_size, (n + 7) // 8), dtype=np.uint8)
         for start in range(0, n, self._CHUNK):
-            chunk = distinct[start : start + self._CHUNK]
+            chunk = entries[start : start + self._CHUNK]
             lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
             locations = np.fromiter(
                 itertools.chain.from_iterable(chunk), dtype=np.int64, count=int(lengths.sum())
@@ -154,10 +152,6 @@ class SeqPattern:
     support: int
 
 
-def _pattern_sort_key(pattern: SeqPattern):
-    return (-pattern.support, len(pattern.locations), pattern.locations)
-
-
 def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[SeqPattern]:
     """The k most frequent sequential patterns, mined by projected-database search.
 
@@ -171,10 +165,8 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
         raise ValueError(f"k must be >= 1, got {k!r}")
     if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len!r}")
-    # Identical records share one projection entry with a multiplicity weight.
-    multiplicity = Counter(db.trajectories)
-    sequences = list(multiplicity.keys())
-    weights = list(multiplicity.values())
+    sequences = db.entries
+    weights = db.weights.tolist()
 
     # Min-heap of the current best k; entries ordered worst-first. Within
     # equal support and length, lexicographically larger patterns must pop

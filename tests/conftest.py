@@ -1,6 +1,8 @@
+import os
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -8,7 +10,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from dptraj.model import LocationUniverse, TrajectoryDb, load_db  # noqa: E402
+from dptraj import model  # noqa: E402
+from dptraj.model import (  # noqa: E402
+    LocationUniverse,
+    TrajectoryDb,
+    load_db,
+    write_db,
+    write_universe,
+)
 
 # Small transit-style database used as a hand-checked oracle throughout the
 # suite; expected values in tests were counted directly from these lines.
@@ -39,10 +48,20 @@ def sample_db(sample_file):
     return db, universe
 
 
-def make_db(rows):
-    """Build a database straight from id tuples."""
-    return TrajectoryDb(tuple(tuple(r) for r in rows))
-
-
 def make_universe(size):
     return LocationUniverse(tuple(f"L{i}" for i in range(size)))
+
+
+def load_in_blocks(rows, universe, block, directory):
+    """``rows`` written to a file in ``directory`` and read back ``block`` characters at a time.
+
+    Small blocks split the repeats of a record between blocks, so the loaded
+    database holds that record as several entries.
+    """
+    data = os.path.join(directory, "split.txt")
+    universe_path = os.path.join(directory, "split-universe.txt")
+    write_db(TrajectoryDb.of(rows), universe, data)
+    write_universe(universe, universe_path)
+    with mock.patch.object(model, "_READ_BLOCK", block):
+        db, _ = load_db(data, universe_path)
+    return db

@@ -5,7 +5,30 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from dptraj.model import LocationUniverse, TrajectoryDb
+from dptraj.privacy import RandomSource
 from dptraj.tree import PrefixTree
+
+
+class _ZeroNoiseStream:
+    """Stands in for a Generator; forces Laplace noise to 0 and spawns no empty nodes."""
+
+    def random(self, size=None):
+        if size is None:
+            return 0.5
+        return np.full(size, 0.5)
+
+    def binomial(self, n: int, p: float) -> int:
+        return 0
+
+
+class ZeroNoiseSource(RandomSource):
+    """Degenerate source for end-to-end identity checks of the pipeline."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def stream(self, *key: int) -> _ZeroNoiseStream:  # type: ignore[override]
+        return _ZeroNoiseStream()
 
 
 def array_tree(

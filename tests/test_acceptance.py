@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from dptraj.datagen import GenConfig, generate
+from dptraj.model import TrajectoryDb
 from dptraj.pipeline import sanitize
 from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
-    ZeroNoiseSource,
     budget_ledger,
     sample_pass_count,
     sample_passing_noisy_count,
@@ -33,8 +33,8 @@ from dptraj.privacy import (
 from dptraj.release import generate_release
 from dptraj.utility import evaluate_workload, fsp_metrics, generate_workload, mine_top_k
 
-from conftest import make_db, make_universe
-from oracles import isotonic_fit, isotonic_fit_minmax
+from conftest import make_universe
+from oracles import ZeroNoiseSource, isotonic_fit, isotonic_fit_minmax
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -99,7 +99,7 @@ def test_criterion_1_zero_noise_identity():
             tuple(rnd.randrange(universe_size) for _ in range(rnd.randint(1, 8)))
             for _ in range(rnd.randint(1, 500))
         ]
-        cases.append((make_db(rows), make_universe(universe_size)))
+        cases.append((TrajectoryDb.of(rows), make_universe(universe_size)))
     started = time.perf_counter()
     for db, universe in cases:
         release, _ = sanitize(db, universe, params, source, variant="full")

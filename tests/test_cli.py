@@ -43,6 +43,7 @@ class TestSanitize:
         assert "release.records=" in result.stdout
         assert "budget.total epsilon=4 conserved=true" in result.stdout
         assert "seed=11" in result.stdout
+        assert "privacy.claim=" not in result.stdout
 
     def test_root_only_tree_releases_nothing(self, tmp_path):
         data = tmp_path / "empty.txt"
@@ -172,6 +173,7 @@ class TestSanitize:
         assert result.returncode == 0, result.stderr
         assert "universe" in result.stderr  # data-derived domain warning
         assert out.exists()
+        assert "privacy.claim=none reason=derived_universe" in result.stdout.splitlines()
 
     def test_theta_mult_and_expand_empty_flags(self, tmp_path, sample_paths):
         data, universe = sample_paths

@@ -39,26 +39,26 @@ class TestGenerate:
         db, universe = generate(config)
         assert len(db) == 800
         assert len(universe) == 15
-        assert all(0 <= loc < 15 for t in db for loc in t)
+        assert all(0 <= loc < 15 for t in db.trajectories for loc in t)
 
     def test_mean_length_tracks_target(self):
         config = GenConfig(
             n_locations=1012, n_records=120_000, avg_len=6.7, max_len=121, seed=7
         )
         db, _ = generate(config)
-        mean = sum(len(t) for t in db) / len(db)
+        mean = sum(len(t) for t in db.trajectories) / len(db)
         assert abs(mean - 6.7) / 6.7 < 0.05
 
     def test_max_length_enforced(self):
         config = GenConfig(n_locations=10, n_records=3000, avg_len=5, max_len=8, seed=2)
         db, _ = generate(config)
-        assert max(len(t) for t in db) <= 8
+        assert max(len(t) for t in db.trajectories) <= 8
 
     def test_uniform_when_unskewed_and_unplanted(self):
         config = GenConfig(n_locations=10, n_records=5000, avg_len=4, max_len=20, seed=3)
         db, _ = generate(config)
         counts = [0] * 10
-        for t in db:
+        for t in db.trajectories:
             for loc in t:
                 counts[loc] += 1
         total = sum(counts)
@@ -78,7 +78,7 @@ class TestGenerate:
 
         def head_share(db):
             counts = [0] * 50
-            for t in db:
+            for t in db.trajectories:
                 for loc in t:
                     counts[loc] += 1
             return sum(sorted(counts, reverse=True)[:5]) / sum(counts)
@@ -111,7 +111,7 @@ class TestGenerate:
             return False
 
         for route in routes:
-            supporters = sum(1 for t in db if contains(t, route))
+            supporters = sum(1 for t in db.trajectories if contains(t, route))
             # ~200 records per route planted; only trips long enough to ride
             # the whole line support the full route pattern
             assert supporters >= 0.04 * len(db)

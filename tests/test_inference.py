@@ -11,10 +11,11 @@ from dptraj.inference import (
     consolidate,
     order_violations,
 )
+from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.tree import build_noisy_tree
 
-from conftest import make_db, make_universe
+from conftest import make_universe
 from oracles import array_tree, children, isotonic_fit, isotonic_fit_minmax, isotonic_upper_minmax
 
 
@@ -266,7 +267,7 @@ class TestConsistentEstimates:
         rows = [
             tuple(rnd.randrange(8) for _ in range(rnd.randint(1, 6))) for _ in range(300)
         ]
-        db = make_db(rows)
+        db = TrajectoryDb.of(rows)
         universe = make_universe(8)
         params = PrivacyParams(epsilon=2.0, height=4)
         tree = build_noisy_tree(db, universe, params, RandomSource(77))

@@ -19,8 +19,10 @@ from dptraj.model import (
     write_db,
     write_universe,
 )
+from dptraj.release import release_stats
+from dptraj.utility import mine_top_k
 
-from conftest import SAMPLE_LINES, make_db, make_universe
+from conftest import SAMPLE_LINES, load_in_blocks, make_universe
 
 
 class TestLoad:
@@ -135,7 +137,7 @@ class TestLoad:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.warns(UserWarning):
             db, universe = load_db(str(path))
-        assert [" ".join(universe.tokens[i] for i in t) for t in db] == lines
+        assert [" ".join(universe.tokens[i] for i in t) for t in db.trajectories] == lines
         path.write_text("\n".join(lines) + "\nA D\n\n", encoding="utf-8")
         uni = tmp_path / "u.txt"
         uni.write_text("A\nB\nC\n", encoding="utf-8")
@@ -154,12 +156,12 @@ class TestWrite:
 
     def test_empty_db(self, tmp_path):
         out = tmp_path / "out.txt"
-        write_db(TrajectoryDb(()), make_universe(3), str(out))
+        write_db(TrajectoryDb.of(()), make_universe(3), str(out))
         assert out.read_text(encoding="utf-8") == ""
 
     def test_duplicates_preserved(self, tmp_path):
         universe = make_universe(2)
-        db = make_db([(0, 1), (0, 1), (0, 1)])
+        db = TrajectoryDb.of([(0, 1), (0, 1), (0, 1)])
         out = tmp_path / "out.txt"
         write_db(db, universe, str(out))
         uni_path = tmp_path / "u.txt"
@@ -177,7 +179,7 @@ class TestWrite:
                 tuple(rnd.randrange(12) for _ in range(rnd.randint(1, 9)))
                 for _ in range(rnd.randint(0, 60))
             ]
-            db = make_db(rows)
+            db = TrajectoryDb.of(rows)
             out = tmp_path / f"db{trial}.txt"
             write_db(db, universe, str(out))
             loaded, _ = load_db(str(out), str(uni_path))
@@ -187,7 +189,7 @@ class TestWrite:
         universe = make_universe(4)
         rows = [(0, 1), (2,), (0, 1), (3, 3), (0, 1), (0, 1), (2,), (3, 3)]
         out = tmp_path / "out.txt"
-        write_db(make_db(rows), universe, str(out))
+        write_db(TrajectoryDb.of(rows), universe, str(out))
         assert out.read_text(encoding="utf-8") == "L0 L1\nL2\nL0 L1\nL3 L3\nL0 L1\nL0 L1\nL2\nL3 L3\n"
         uni_path = tmp_path / "u.txt"
         write_universe(universe, str(uni_path))
@@ -211,14 +213,47 @@ class TestWrite:
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out.txt")
             uni_path = os.path.join(tmp, "u.txt")
-            write_db(make_db(rows), universe, out)
+            write_db(TrajectoryDb.of(rows), universe, out)
             write_universe(universe, uni_path)
             loaded, _ = load_db(out, uni_path)
         assert loaded.trajectories == tuple(rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.integers(0, 9), max_size=40),
+        st.integers(1, 12),
+    )
+    def test_split_entries_read_like_distinct_records(self, distinct, picks, block):
+        # Blocks of a few characters split a record's repeats into several
+        # entries; every reader must still see the same records.
+        rows = [distinct[i % len(distinct)] for i in picks]
+        with tempfile.TemporaryDirectory() as tmp:
+            db = load_in_blocks(rows, make_universe(4), block, tmp)
+        assert db.trajectories == tuple(rows)
+        assert db.weights.sum() == len(db)
+        reference = TrajectoryDb.of(db.trajectories)
+        assert mine_top_k(db, 20) == mine_top_k(reference, 20)
+        assert release_stats(db) == release_stats(reference)
+
     def test_invalid_id_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_db(make_db([(5,)]), make_universe(2), str(tmp_path / "x.txt"))
+            write_db(TrajectoryDb.of([(5,)]), make_universe(2), str(tmp_path / "x.txt"))
+
+
+class TestTrajectoryDb:
+    def test_entries_and_codes_are_checked(self):
+        entries = ((0,), (1, 2))
+        assert TrajectoryDb(entries, [1, 0, 1]).weights.tolist() == [1, 2]
+        for codes in ([0, 2], [-1, 0], [0, 0]):  # out of range, negative, entry unused
+            with pytest.raises(ValueError):
+                TrajectoryDb(entries, codes)
+        with pytest.raises(ValueError):
+            TrajectoryDb(((0,), ()), [0, 1])
 
 
 class TestEncodeTimestamped:

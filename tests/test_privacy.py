@@ -10,12 +10,13 @@ from scipy import stats
 from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
-    ZeroNoiseSource,
     budget_ledger,
     laplace_noise,
     sample_pass_count,
     sample_passing_noisy_count,
 )
+
+from oracles import ZeroNoiseSource
 
 
 class TestPrivacyParams:

@@ -7,12 +7,12 @@ import pytest
 from dptraj.inference import consistent_estimates, consolidate
 from dptraj.model import TrajectoryDb
 from dptraj.pipeline import sanitize
-from dptraj.privacy import PrivacyParams, RandomSource, ZeroNoiseSource
+from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.release import generate_release, release_stats
 from dptraj.tree import build_noisy_tree
 
-from conftest import make_db, make_universe
-from oracles import array_tree, children
+from conftest import make_universe
+from oracles import ZeroNoiseSource, array_tree, children
 
 
 def manual_tree(counts, universe_size=10):
@@ -65,7 +65,7 @@ class TestGenerateRelease:
                 tuple(rnd.randrange(universe_size) for _ in range(rnd.randint(1, 6)))
                 for _ in range(rnd.randint(1, 120))
             ]
-            db = make_db(rows)
+            db = TrajectoryDb.of(rows)
             universe = make_universe(universe_size)
             params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
             for variant in ("basic", "full"):
@@ -73,7 +73,7 @@ class TestGenerateRelease:
                 assert Counter(release.trajectories) == Counter(db.trajectories)
 
     def test_zero_noise_truncates_to_height(self):
-        db = make_db([(0, 1, 2, 3), (0, 1)])
+        db = TrajectoryDb.of([(0, 1, 2, 3), (0, 1)])
         universe = make_universe(4)
         params = PrivacyParams(epsilon=1.0, height=2, theta_multiplier=0.0)
         release, _ = sanitize(db, universe, params, ZeroNoiseSource(), "basic")
@@ -84,18 +84,18 @@ class TestGenerateRelease:
         rows = [
             tuple(rnd.randrange(5) for _ in range(rnd.randint(1, 9))) for _ in range(200)
         ]
-        db = make_db(rows)
+        db = TrajectoryDb.of(rows)
         universe = make_universe(5)
         params = PrivacyParams(epsilon=5.0, height=3)
         release, _ = sanitize(db, universe, params, RandomSource(5), "full")
-        assert all(len(t) <= 3 for t in release)
+        assert all(len(t) <= 3 for t in release.trajectories)
 
     def test_multiplicity_conservation(self):
         rnd = random.Random(6)
         rows = [
             tuple(rnd.randrange(6) for _ in range(rnd.randint(1, 5))) for _ in range(150)
         ]
-        db = make_db(rows)
+        db = TrajectoryDb.of(rows)
         universe = make_universe(6)
         params = PrivacyParams(epsilon=3.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(9))
@@ -115,7 +115,7 @@ class TestGenerateRelease:
         rows = [
             tuple(rnd.randrange(6) for _ in range(rnd.randint(1, 5))) for _ in range(100)
         ]
-        db = make_db(rows)
+        db = TrajectoryDb.of(rows)
         universe = make_universe(6)
         params = PrivacyParams(epsilon=2.0, height=3)
         _, tree_a = sanitize(db, universe, params, RandomSource(12), "basic")
@@ -134,7 +134,7 @@ class TestReleaseStats:
         assert stats.distinct_locations == 4
 
     def test_empty_db(self):
-        stats = release_stats(TrajectoryDb(()))
+        stats = release_stats(TrajectoryDb.of(()))
         assert stats.records == 0
         assert stats.length_histogram == {}
         assert stats.distinct_locations == 0
@@ -144,5 +144,5 @@ class TestReleaseStats:
         rows = [
             tuple(rnd.randrange(4) for _ in range(rnd.randint(1, 7))) for _ in range(90)
         ]
-        stats = release_stats(make_db(rows))
+        stats = release_stats(TrajectoryDb.of(rows))
         assert sum(stats.length_histogram.values()) == stats.records == 90

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from dptraj.model import TrajectoryDb
-from dptraj.privacy import PrivacyParams, RandomSource, ZeroNoiseSource
+from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.tree import build_noisy_tree, dump_tree
 
-from conftest import make_db, make_universe
-from oracles import build_exact_tree, children, prefixes
+from conftest import load_in_blocks, make_universe
+from oracles import ZeroNoiseSource, build_exact_tree, children, prefixes
 
 
 def _child(tree, i, loc):
@@ -24,7 +24,7 @@ def _random_db(rnd, max_records=60, universe_size=6, max_len=7):
         tuple(rnd.randrange(universe_size) for _ in range(rnd.randint(1, max_len)))
         for _ in range(rnd.randint(1, max_records))
     ]
-    return make_db(rows), make_universe(universe_size)
+    return TrajectoryDb.of(rows), make_universe(universe_size)
 
 
 class TestExactTree:
@@ -47,7 +47,7 @@ class TestExactTree:
         assert tree.true_count[l1_l2_l3] == 2
 
     def test_empty_db(self):
-        tree = build_exact_tree(TrajectoryDb(()), make_universe(3))
+        tree = build_exact_tree(TrajectoryDb.of(()), make_universe(3))
         assert children(tree, 0) == []
         assert len(tree) == 1
 
@@ -57,14 +57,14 @@ class TestExactTree:
             db, universe = _random_db(rnd)
             tree = build_exact_tree(db, universe)
             expected = set()
-            for t in db:
+            for t in db.trajectories:
                 for i in range(1, len(t) + 1):
                     expected.add(t[:i])
             rows = prefixes(tree)
             assert set(rows[1:]) == expected
             # and counts match a direct scan
             for p, count in zip(rows[1:], tree.true_count[1:].tolist()):
-                assert count == sum(1 for t in db if t[: len(p)] == p)
+                assert count == sum(1 for t in db.trajectories if t[: len(p)] == p)
 
 
 class TestNodePrefix:
@@ -95,13 +95,17 @@ class TestNodePrefix:
 
 
 class TestNoisyTree:
-    def test_zero_noise_matches_exact(self, sample_db):
+    def test_zero_noise_matches_exact(self, sample_db, tmp_path):
         rnd = random.Random(31)
         cases = [sample_db]
         for _ in range(8):
             db, universe = _random_db(rnd, universe_size=4, max_len=9)
             # repeat some records so distinct rows carry multiplicities > 1
-            cases.append((make_db([*db, *rnd.choices(db.trajectories, k=20)]), universe))
+            rows = [*db.trajectories, *rnd.choices(db.trajectories, k=20)]
+            cases.append((TrajectoryDb.of(rows), universe))
+            # read back in small blocks, repeats also split into several entries
+            cases.append((load_in_blocks(rows, universe, 16, tmp_path), universe))
+        assert any(len(set(db.entries)) < len(db.entries) for db, _ in cases)
         params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
 
         def signature(tree):
@@ -127,7 +131,7 @@ class TestNoisyTree:
         assert tree.depth.max() <= 4
 
     def test_truncation_in_zero_noise_mode(self):
-        db = make_db([(0, 1, 2, 3, 0, 1)])
+        db = TrajectoryDb.of([(0, 1, 2, 3, 0, 1)])
         universe = make_universe(4)
         params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=0.0)
         tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
@@ -145,11 +149,11 @@ class TestNoisyTree:
         for i, p in enumerate(rows):
             if i and not count[i]:
                 continue  # empty-born
-            assert count[i] == sum(1 for t in db if t[: len(p)] == p)
+            assert count[i] == sum(1 for t in db.trajectories if t[: len(p)] == p)
             assert sum(count[c] for c in children(tree, i)) <= count[i]
 
     def test_empty_born_are_leaves_by_default(self):
-        db = make_db([(0,)] * 50)
+        db = TrajectoryDb.of([(0,)] * 50)
         universe = make_universe(30)
         params = PrivacyParams(epsilon=10.0, height=3)
         # plenty of empty candidates over 3 levels; some seed spawns a few
@@ -161,7 +165,7 @@ class TestNoisyTree:
             assert tree.noisy[i] >= params.threshold
 
     def test_expand_empty_grows_their_subtrees(self):
-        db = make_db([(0,)] * 50)
+        db = TrajectoryDb.of([(0,)] * 50)
         universe = make_universe(30)
         params = PrivacyParams(epsilon=10.0, height=3)
         base = build_noisy_tree(db, universe, params, RandomSource(0))
@@ -245,7 +249,7 @@ class TestDump:
             assert "." in line.split()[-1]
 
     def test_empty_tree_dump(self):
-        tree = build_exact_tree(TrajectoryDb(()), make_universe(2))
+        tree = build_exact_tree(TrajectoryDb.of(()), make_universe(2))
         assert dump_tree(tree) == ""
 
 

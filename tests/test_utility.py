@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from dptraj.model import TrajectoryDb
 from dptraj.utility import (
     PresenceIndex,
     SeqPattern,
@@ -15,13 +16,13 @@ from dptraj.utility import (
     relative_error,
 )
 
-from conftest import make_db, make_universe
+from conftest import load_in_blocks, make_universe
 
 
 def brute_force_top_k(db, k, max_len=3):
     """Enumerate every subsequence pattern up to max_len by direct scans."""
     support = Counter()
-    for t in db:
+    for t in db.trajectories:
         seen = set()
         for length in range(1, max_len + 1):
             for combo in itertools.combinations(range(len(t)), length):
@@ -52,7 +53,7 @@ class TestCountQuery:
             eval_count_query(db, frozenset())
 
     def test_order_and_multiplicity_ignored(self):
-        db = make_db([(1, 0, 1, 1), (0, 1), (1, 0)])
+        db = TrajectoryDb.of([(1, 0, 1, 1), (0, 1), (1, 0)])
         q = frozenset({0, 1})
         assert eval_count_query(db, q) == 3
 
@@ -64,7 +65,7 @@ class TestCountQuery:
                 tuple(rnd.randrange(size) for _ in range(rnd.randint(1, 8)))
                 for _ in range(rnd.randint(1, 300))
             ]
-            db = make_db(rows)
+            db = TrajectoryDb.of(rows)
             index = PresenceIndex(db, size)
             for _ in range(30):
                 q = frozenset(
@@ -73,10 +74,11 @@ class TestCountQuery:
                 assert index.count(q) == eval_count_query(db, q)
 
     @pytest.mark.parametrize("chunk", [PresenceIndex._CHUNK, 8, 16])
-    def test_index_agrees_with_scan_on_duplicates(self, monkeypatch, chunk):
+    def test_index_agrees_with_scan_on_duplicates(self, monkeypatch, chunk, tmp_path):
         # Few distinct records (a count that is not a multiple of 8), each
         # repeated many times in shuffled order; small packing blocks make the
-        # distinct records span several blocks, the last one partial.
+        # distinct records span several blocks, the last one partial. Read back
+        # in small blocks, the records also split into several entries each.
         monkeypatch.setattr(PresenceIndex, "_CHUNK", chunk)
         rnd = random.Random(23)
         size = 9
@@ -87,14 +89,15 @@ class TestCountQuery:
         assert len(distinct) == 37
         rows = [t for t in distinct for _ in range(rnd.randint(1, 40))]
         rnd.shuffle(rows)
-        db = make_db(rows)
-        index = PresenceIndex(db, size)
-        assert len(index.weights) == 37
-        assert index.weights.sum() == len(db)
-        for q_len in range(1, 5):
-            for q in itertools.combinations(range(size), q_len):
-                q = frozenset(q)
-                assert index.count(q) == eval_count_query(db, q)
+        db = TrajectoryDb.of(rows)
+        split = load_in_blocks(rows, make_universe(size), 64, tmp_path)
+        assert len(db.entries) == 37 < len(split.entries)
+        for index in (PresenceIndex(db, size), PresenceIndex(split, size)):
+            assert index.weights.sum() == len(db)
+            for q_len in range(1, 5):
+                for q in itertools.combinations(range(size), q_len):
+                    q = frozenset(q)
+                    assert index.count(q) == eval_count_query(db, q)
 
 
 class TestRelativeError:
@@ -177,12 +180,12 @@ class TestMineTopK:
                 tuple(rnd.randrange(size) for _ in range(rnd.randint(1, 6)))
                 for _ in range(rnd.randint(5, 200))
             ]
-            db = make_db(rows)
+            db = TrajectoryDb.of(rows)
             for k in (1, 5, 20):
                 assert mine_top_k(db, k, max_len=3) == brute_force_top_k(db, k)
 
     def test_duplicate_records_count_individually(self):
-        db = make_db([(0, 1)] * 4 + [(1, 0)])
+        db = TrajectoryDb.of([(0, 1)] * 4 + [(1, 0)])
         top = mine_top_k(db, 3)
         supports = {p.locations: p.support for p in top}
         assert supports[(0,)] == 5
@@ -190,20 +193,20 @@ class TestMineTopK:
         assert supports[(0, 1)] == 4
 
     def test_short_result_flagged(self, caplog):
-        db = make_db([(0,), (0,)])
+        db = TrajectoryDb.of([(0,), (0,)])
         with caplog.at_level("WARNING"):
             patterns = mine_top_k(db, 10)
         assert len(patterns) == 1
         assert "10" in caplog.text
 
     def test_max_len_below_one_rejected(self):
-        db = make_db([(0, 1)] * 3)
+        db = TrajectoryDb.of([(0, 1)] * 3)
         for max_len in (0, -2):
             with pytest.raises(ValueError, match="max_len"):
                 mine_top_k(db, 5, max_len=max_len)
 
     def test_max_len_respected(self):
-        db = make_db([(0, 1, 2, 3)] * 5)
+        db = TrajectoryDb.of([(0, 1, 2, 3)] * 5)
         patterns = mine_top_k(db, 50, max_len=2)
         assert max(len(p.locations) for p in patterns) == 2
 
