@@ -18,7 +18,8 @@ import os
 import secrets
 import sys
 import time
-from typing import Iterable
+from dataclasses import fields
+from typing import Iterable, get_type_hints
 
 from .datagen import GenConfig, generate
 from .inference import order_violations
@@ -187,19 +188,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
         with open(args.config, encoding="utf-8") as fh:
             config_values.update(json.load(fh))
-    flag_values = {
-        "n_locations": args.n_locations,
-        "n_records": args.n_records,
-        "avg_len": args.avg_len,
-        "max_len": args.max_len,
-        "n_planted_routes": args.n_planted_routes,
-        "planted_fraction": args.planted_fraction,
-        "route_length": args.route_length,
-        "route_skew": args.route_skew,
-        "zipf_skew": args.zipf_skew,
-        "seed": args.seed,
-    }
-    config_values.update({k: v for k, v in flag_values.items() if v is not None})
+    for f in fields(GenConfig):
+        if getattr(args, f.name) is not None:
+            config_values[f.name] = getattr(args, f.name)
     if "seed" not in config_values or config_values["seed"] is None:
         config_values["seed"] = _resolve_seed(None)
     config = GenConfig(**config_values)
@@ -275,16 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--universe-out", default=None, dest="universe_out")
     p.add_argument("--config", default=None, help="JSON file with GenConfig fields")
-    p.add_argument("--n-locations", type=int, default=None, dest="n_locations")
-    p.add_argument("--n-records", type=int, default=None, dest="n_records")
-    p.add_argument("--avg-len", type=float, default=None, dest="avg_len")
-    p.add_argument("--max-len", type=int, default=None, dest="max_len")
-    p.add_argument("--n-planted-routes", type=int, default=None, dest="n_planted_routes")
-    p.add_argument("--planted-fraction", type=float, default=None, dest="planted_fraction")
-    p.add_argument("--route-length", type=int, default=None, dest="route_length")
-    p.add_argument("--route-skew", type=float, default=None, dest="route_skew")
-    p.add_argument("--zipf-skew", type=float, default=None, dest="zipf_skew")
-    p.add_argument("--seed", type=int, default=None)
+    types = get_type_hints(GenConfig)
+    for f in fields(GenConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("stats", help="length histogram of a trajectory file")

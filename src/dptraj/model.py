@@ -151,6 +151,8 @@ def load_universe(path: str) -> LocationUniverse:
             tok = line.strip()
             if not tok:
                 raise DataFormatError(f"{path}:{lineno}: blank line in universe file")
+            if len(tok.split()) > 1:
+                raise DataFormatError(f"{path}:{lineno}: more than one token on a universe line")
             tokens.append(tok)
     return LocationUniverse(tuple(tokens))
 

@@ -90,23 +90,20 @@ class PresenceIndex:
     survives.
     """
 
-    _CHUNK = 65536  # records per packing block; multiple of 8 keeps bytes aligned
-
     def __init__(self, db: TrajectoryDb, universe_size: int):
         entries = db.entries
         n = len(entries)
         self.weights = db.weights
+        lengths = np.fromiter(map(len, entries), dtype=np.int64, count=n)
+        locations = np.fromiter(
+            itertools.chain.from_iterable(entries), dtype=np.int64, count=int(lengths.sum())
+        )
+        ids = np.repeat(np.arange(n), lengths)
         self._bits = np.zeros((universe_size, (n + 7) // 8), dtype=np.uint8)
-        for start in range(0, n, self._CHUNK):
-            chunk = entries[start : start + self._CHUNK]
-            lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-            locations = np.fromiter(
-                itertools.chain.from_iterable(chunk), dtype=np.int64, count=int(lengths.sum())
-            )
-            block = np.zeros((universe_size, len(chunk)), dtype=bool)
-            block[locations, np.repeat(np.arange(len(chunk)), lengths)] = True
-            packed = np.packbits(block, axis=1)
-            self._bits[:, start // 8 : start // 8 + packed.shape[1]] = packed
+        # Entry i is bit i % 8, counted from the top, of byte i // 8: unpackbits's
+        # order. uint8 values keep ``at`` off its slower casting path.
+        masks = (128 >> (ids & 7)).astype(np.uint8)
+        np.bitwise_or.at(self._bits, (locations, ids >> 3), masks)
 
     def count(self, query: CountQuery) -> int:
         if not query:
@@ -153,13 +150,22 @@ class SeqPattern:
 
 
 def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[SeqPattern]:
-    """The k most frequent sequential patterns, mined by projected-database search.
+    """The k most frequent sequential patterns, mined best-first over projections.
 
     A record supports a pattern when the pattern occurs in it as an
     order-preserving (not necessarily contiguous) subsequence; each record
     counts once. Ties break deterministically: higher support, then shorter
     pattern, then lexicographically smaller location ids. If fewer than k
     patterns occur at all, all of them are returned and a warning is logged.
+
+    Candidates wait in one heap keyed by that order. A pattern's one-location
+    extensions have at most its support and are one location longer, so none
+    sorts before it: popping in key order yields the result in order, and the
+    first k pops are the top k. A candidate carries its parent's projection
+    (the records that hold the parent, each with the position just past the
+    parent's earliest occurrence) and is projected only when popped. With p
+    patterns popped, only the k - p best candidates can still be popped, so
+    the heap is cut to those whenever it grows past twice that many.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
@@ -168,62 +174,38 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
     sequences = db.entries
     weights = db.weights.tolist()
 
-    # Min-heap of the current best k; entries ordered worst-first. Within
-    # equal support and length, lexicographically larger patterns must pop
-    # first, hence the negated location tuple (lengths tie, so element-wise
-    # negation reverses the order safely).
-    heap: list[tuple[int, int, tuple[int, ...], Trajectory]] = []
+    def project(rows: list[int], starts: list[int], loc: int) -> tuple[list[int], list[int]]:
+        kept_rows, kept_starts = [], []
+        for rec, pos in zip(rows, starts):
+            seq = sequences[rec]
+            if loc in seq[pos:]:
+                kept_rows.append(rec)
+                kept_starts.append(seq.index(loc, pos) + 1)
+        return kept_rows, kept_starts
 
-    def admit(support: int, locations: Trajectory) -> None:
-        entry = (support, -len(locations), tuple(-x for x in locations), locations)
-        if len(heap) < k:
-            heapq.heappush(heap, entry)
-        elif entry[:3] > heap[0][:3]:
-            heapq.heapreplace(heap, entry)
-
-    def extension_counts(projection: list[tuple[int, int]]) -> Counter:
-        counts: Counter = Counter()
-        for rec, pos in projection:
-            weight = weights[rec]
-            for loc in set(sequences[rec][pos:]):
-                counts[loc] += weight
-        return counts
-
-    def project(
-        projection: list[tuple[int, int]], loc: int
-    ) -> list[tuple[int, int]]:
-        result = []
-        for rec, pos in projection:
-            try:
-                found = sequences[rec].index(loc, pos)
-            except ValueError:
-                continue
-            result.append((rec, found + 1))
-        return result
-
-    def search(projection: list[tuple[int, int]], pattern: Trajectory) -> None:
-        counts = extension_counts(projection)
-        for loc, support in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            candidate = pattern + (loc,)
-            if len(heap) == k and support < heap[0][0]:
-                break  # later extensions only have lower support
-            admit(support, candidate)
-            if max_len is not None and len(candidate) >= max_len:
-                continue
-            # Descend only if a longer pattern could still displace the worst
-            # kept one: longer means it loses support/length ties.
-            if len(heap) == k:
-                worst_support, worst_neg_len = heap[0][0], heap[0][1]
-                if support < worst_support:
-                    break
-                if support == worst_support and -(len(candidate) + 1) < worst_neg_len:
-                    continue
-            search(project(projection, loc), candidate)
-
-    root_projection = [(rec, 0) for rec in range(len(sequences))]
-    search(root_projection, ())
-    result = sorted(heap, key=lambda e: (-e[0], -e[1], e[3]))
-    patterns = [SeqPattern(locations=e[3], support=e[0]) for e in result]
+    heap: list = []
+    patterns: list[SeqPattern] = []
+    pattern: Trajectory = ()
+    rows, starts = list(range(len(sequences))), [0] * len(sequences)
+    while True:
+        if max_len is None or len(pattern) < max_len:
+            counts: Counter = Counter()
+            for rec, pos in zip(rows, starts):
+                weight = weights[rec]
+                for loc in set(sequences[rec][pos:]):
+                    counts[loc] += weight
+            for loc, support in counts.items():
+                heapq.heappush(heap, (-support, len(pattern) + 1, pattern + (loc,), rows, starts))
+            left = k - len(patterns)
+            if len(heap) > 2 * left:
+                heap = heapq.nsmallest(left, heap)
+        if not heap:
+            break
+        neg_support, _, pattern, parent_rows, parent_starts = heapq.heappop(heap)
+        patterns.append(SeqPattern(locations=pattern, support=-neg_support))
+        if len(patterns) == k:
+            break
+        rows, starts = project(parent_rows, parent_starts, pattern[-1])
     if len(patterns) < k:
         logger.warning("only %d patterns with support >= 1; requested top %d", len(patterns), k)
     return patterns

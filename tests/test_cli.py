@@ -163,6 +163,17 @@ class TestSanitize:
         )
         assert result.returncode == 3
 
+    def test_universe_line_with_two_tokens_is_data_error(self, tmp_path, sample_paths):
+        data, _ = sample_paths
+        universe = tmp_path / "u.txt"
+        universe.write_text("L1 L2\nL3\nL4\n", encoding="utf-8")
+        result = run_cli(
+            "sanitize", "--input", data, "--output", tmp_path / "o.txt",
+            "--epsilon", "1.0", "--seed", "0", "--universe", universe,
+        )
+        assert result.returncode == 1
+        assert f"{universe}:1" in result.stderr
+
     def test_derived_universe_warns_but_runs(self, tmp_path, sample_paths):
         data, _ = sample_paths
         out = tmp_path / "release.txt"

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptraj.model import TrajectoryDb
 from dptraj.utility import (
@@ -73,13 +75,11 @@ class TestCountQuery:
                 )
                 assert index.count(q) == eval_count_query(db, q)
 
-    @pytest.mark.parametrize("chunk", [PresenceIndex._CHUNK, 8, 16])
-    def test_index_agrees_with_scan_on_duplicates(self, monkeypatch, chunk, tmp_path):
-        # Few distinct records (a count that is not a multiple of 8), each
-        # repeated many times in shuffled order; small packing blocks make the
-        # distinct records span several blocks, the last one partial. Read back
-        # in small blocks, the records also split into several entries each.
-        monkeypatch.setattr(PresenceIndex, "_CHUNK", chunk)
+    def test_index_agrees_with_scan_on_duplicates(self, tmp_path):
+        # Few distinct records (a count that is not a multiple of 8, so the
+        # last bitmap byte is partial), each repeated many times in shuffled
+        # order. Read back in small blocks, the records also split into
+        # several entries each.
         rnd = random.Random(23)
         size = 9
         distinct = {
@@ -181,8 +181,31 @@ class TestMineTopK:
                 for _ in range(rnd.randint(5, 200))
             ]
             db = TrajectoryDb.of(rows)
+            longest = max(map(len, rows))
             for k in (1, 5, 20):
                 assert mine_top_k(db, k, max_len=3) == brute_force_top_k(db, k)
+                assert mine_top_k(db, k) == brute_force_top_k(db, k, max_len=longest)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda size: st.lists(
+                st.lists(st.integers(0, size - 1), min_size=1, max_size=5).map(tuple),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.lists(st.integers(0, 9), min_size=1, max_size=40),
+        st.integers(1, 60),
+        st.one_of(st.none(), st.integers(1, 3)),
+    )
+    def test_matches_brute_force_under_ties(self, pool, picks, k, max_len):
+        # Few locations and records drawn with repetition from a small pool:
+        # many patterns share a support, so the tie order decides the list.
+        rows = [pool[i % len(pool)] for i in picks]
+        db = TrajectoryDb.of(rows)
+        expected = brute_force_top_k(db, k, max_len=max_len or max(map(len, rows)))
+        assert mine_top_k(db, k, max_len) == expected
 
     def test_duplicate_records_count_individually(self):
         db = TrajectoryDb.of([(0, 1)] * 4 + [(1, 0)])
