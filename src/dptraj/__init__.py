@@ -20,7 +20,6 @@ from .model import (
     write_db,
     write_universe,
 )
-from .pipeline import sanitize
 from .privacy import (
     BudgetLedger,
     PrivacyParams,
@@ -29,7 +28,7 @@ from .privacy import (
     sample_pass_count,
     sample_passing_noisy_count,
 )
-from .release import ReleaseStats, generate_release, release_stats
+from .release import ReleaseStats, generate_release, release_stats, sanitize
 from .tree import PrefixTree, build_noisy_tree, dump_tree
 from .utility import (
     CountQuery,

@@ -30,9 +30,8 @@ from .model import (
     write_db,
     write_universe,
 )
-from .pipeline import VARIANTS, sanitize
 from .privacy import PrivacyParams, RandomSource, budget_ledger
-from .release import release_stats
+from .release import VARIANTS, release_stats, sanitize
 from .tree import dump_tree
 from .utility import (
     DEFAULT_SANITY_FRACTION,
@@ -156,6 +155,8 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
 
 def cmd_eval_fsp(args: argparse.Namespace) -> int:
     raw, universe = load_db(args.raw, args.universe)
+    if not len(raw):
+        raise DataFormatError(f"{args.raw}: raw database is empty")
     sanitized, _ = load_db(args.sanitized, args.universe)
     k_values = sorted({int(v) for v in args.topk.split(",") if v.strip()})
     if not k_values or k_values[0] < 1:

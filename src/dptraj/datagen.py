@@ -118,16 +118,18 @@ def generate(config: GenConfig) -> tuple[TrajectoryDb, LocationUniverse]:
         for record, route_idx in zip(chosen.tolist(), assignment.tolist()):
             planted_at[record] = routes[route_idx]
 
-    flat = rng.choice(config.n_locations, size=int(lengths.sum()), p=weights).tolist()
+    flat = rng.choice(config.n_locations, size=int(lengths.sum()), p=weights)
     offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
 
-    trajectories: list[tuple[int, ...]] = []
-    for i in range(config.n_records):
-        record = flat[offsets[i] : offsets[i + 1]]
-        route = planted_at.get(i)
-        if route is not None:
-            # ride the line for the trip length; wander past the terminus
-            ridden = min(len(record), len(route))
-            record[:ridden] = route[:ridden]
-        trajectories.append(tuple(record))
-    return TrajectoryDb.of(trajectories), universe
+    def records():
+        # One record at a time, straight into the deduplicating database.
+        for i in range(config.n_records):
+            record = flat[offsets[i] : offsets[i + 1]].tolist()
+            route = planted_at.get(i)
+            if route is not None:
+                # ride the line for the trip length; wander past the terminus
+                ridden = min(len(record), len(route))
+                record[:ridden] = route[:ridden]
+            yield record
+
+    return TrajectoryDb.of(records()), universe

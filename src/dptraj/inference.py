@@ -98,8 +98,7 @@ def consistent_estimates(tree: PrefixTree, flat: PrefixTree | None = None) -> Pr
     fitted = tree.fitted.copy()
     fitted[0] = 0.0
 
-    child_fitted_sum = np.zeros(n)
-    np.add.at(child_fitted_sum, tree.parent[1:], fitted[1:])
+    child_fitted_sum = np.bincount(tree.parent[1:], fitted[1:], minlength=n)
 
     adjusted = np.empty(n)
     adjusted[0] = 0.0
@@ -117,8 +116,8 @@ def consistent_estimates(tree: PrefixTree, flat: PrefixTree | None = None) -> Pr
     return tree
 
 
-def order_violations(tree: PrefixTree, tolerance: float = 1e-9) -> int:
-    """Count child nodes whose adjusted count exceeds their parent's.
+def order_violations(tree: PrefixTree) -> int:
+    """Count child nodes whose adjusted count exceeds their parent's by more than 1e-9.
 
     Down-path monotonicity is not enforced by the two passes. Nodes without an
     adjusted count are not counted.
@@ -127,4 +126,4 @@ def order_violations(tree: PrefixTree, tolerance: float = 1e-9) -> int:
         return 0
     child = np.flatnonzero(tree.depth >= 2)
     adjusted = tree.adjusted
-    return int(np.count_nonzero(adjusted[child] > adjusted[tree.parent[child]] + tolerance))
+    return int(np.count_nonzero(adjusted[child] > adjusted[tree.parent[child]] + 1e-9))

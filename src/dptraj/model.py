@@ -65,13 +65,15 @@ class TrajectoryDb:
     """Multiset of trajectories, held as entries and per-record codes.
 
     Record ``i`` is ``entries[codes[i]]``, so ``codes`` keeps the records'
-    order and ``weights[e]`` is how many records entry ``e`` stands for (at
-    least one). Entries need not be distinct: readers sum weights, so a
-    record split over two equal entries reads as one entry carrying both.
+    order, and ``weights[e]``, counted once at construction, is how many
+    records entry ``e`` stands for (at least one). Entries need not be
+    distinct: readers sum weights, so a record split over two equal entries
+    reads as one entry carrying both.
     """
 
     entries: tuple[Trajectory, ...]
     codes: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
@@ -79,9 +81,10 @@ class TrajectoryDb:
             raise ValueError("trajectories must have at least one location")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.intp))
-        weights = self.weights  # bincount rejects negative codes
+        weights = np.bincount(self.codes, minlength=len(entries))  # rejects negative codes
         if len(weights) != len(entries) or not weights.all():
             raise ValueError(f"codes must name each of the {len(entries)} entries at least once")
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def of(cls, records: Iterable[Iterable[int]]) -> TrajectoryDb:
@@ -97,11 +100,6 @@ class TrajectoryDb:
         if not isinstance(other, TrajectoryDb):
             return NotImplemented
         return self.trajectories == other.trajectories
-
-    @property
-    def weights(self) -> np.ndarray:
-        """How many records each entry stands for."""
-        return np.bincount(self.codes, minlength=len(self.entries))
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:

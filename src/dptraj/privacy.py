@@ -47,37 +47,30 @@ class PrivacyParams:
             raise ValueError(
                 f"theta multiplier must be finite and >= 0, got {self.theta_multiplier!r}"
             )
-        per_level = self.epsilon / self.height
-        if per_level < sys.float_info.min:  # a subnormal share makes the noise scale overflow
+        if self.per_level < sys.float_info.min:  # a subnormal share makes the noise scale overflow
             raise ValueError(
                 f"epsilon {self.epsilon!r} is too small to split over {self.height} levels"
             )
-        # std of Laplace(scale) is scale * sqrt(2)
-        threshold = self.theta_multiplier * math.sqrt(2.0) * COUNT_SENSITIVITY / per_level
-        object.__setattr__(self, "_per_level", per_level)
-        object.__setattr__(self, "_threshold", threshold)
-        object.__setattr__(
-            self, "_pass_probability", math.exp(-per_level * threshold / COUNT_SENSITIVITY) / 2.0
-        )
 
     @property
     def per_level(self) -> float:
         """Budget spent on each tree level."""
-        return self._per_level
+        return self.epsilon / self.height
 
     @property
     def noise_scale(self) -> float:
         """Laplace scale for one noisy count at one level."""
-        return COUNT_SENSITIVITY / self._per_level
+        return COUNT_SENSITIVITY / self.per_level
 
     @property
     def threshold(self) -> float:
-        return self._threshold
+        # std of Laplace(scale) is scale * sqrt(2)
+        return self.theta_multiplier * math.sqrt(2.0) * COUNT_SENSITIVITY / self.per_level
 
     @property
     def pass_probability(self) -> float:
         """Probability that a zero-count candidate's noisy count clears the threshold."""
-        return self._pass_probability
+        return math.exp(-self.per_level * self.threshold / COUNT_SENSITIVITY) / 2.0
 
 
 @dataclass(frozen=True)
@@ -168,12 +161,10 @@ def sample_pass_count(m: int, params: PrivacyParams, rng) -> int:
     return int(rng.binomial(m, params.pass_probability))
 
 
-def sample_passing_noisy_count(params: PrivacyParams, rng, size=None):
-    """Noisy count for a zero-count candidate conditioned on clearing the threshold.
+def sample_passing_noisy_count(params: PrivacyParams, rng, size: int) -> np.ndarray:
+    """``size`` noisy counts for zero-count candidates conditioned on clearing the threshold.
 
     The conditional law is the threshold plus an exponential with rate equal
     to the per-level budget; sampled as ``threshold - log(1 - u) / rate``.
     """
-    u = rng.random() if size is None else rng.random(size)
-    log1p = math.log1p if size is None else np.log1p
-    return params.threshold - log1p(-u) / params.per_level
+    return params.threshold - np.log1p(-rng.random(size)) / params.per_level

@@ -1,7 +1,8 @@
-"""Materialize a sanitized trajectory database from a prefix tree.
+"""End-to-end sanitization: noisy tree, optional inference, release.
 
-The release holds one entry per node that terminates records, weighted by
-how many it terminates.
+:func:`sanitize` runs the three steps; :func:`generate_release` materializes
+the sanitized database from the tree, one entry per node that terminates
+records, weighted by how many it terminates.
 """
 
 from __future__ import annotations
@@ -10,8 +11,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrajectoryDb
-from .tree import PrefixTree
+from .inference import consistent_estimates, consolidate
+from .model import LocationUniverse, TrajectoryDb
+from .privacy import PrivacyParams, RandomSource
+from .tree import PrefixTree, build_noisy_tree
+
+VARIANTS = ("basic", "full")
+
+
+def sanitize(
+    db: TrajectoryDb,
+    universe: LocationUniverse,
+    params: PrivacyParams,
+    source: RandomSource,
+    variant: str = "full",
+    expand_empty: bool = False,
+) -> tuple[TrajectoryDb, PrefixTree]:
+    """Sanitize ``db`` and return the release together with the tree behind it.
+
+    ``variant="basic"`` releases straight from the noisy counts;
+    ``variant="full"`` runs the consistency passes first.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    tree = build_noisy_tree(db, universe, params, source, expand_empty=expand_empty)
+    if variant == "full":
+        consolidate(tree)
+        consistent_estimates(tree)
+    release = generate_release(tree, use_inference=(variant == "full"))
+    return release, tree
 
 
 def generate_release(
@@ -28,7 +56,6 @@ def generate_release(
 
     ``flat`` is ignored; callers may pass on what ``consolidate`` returns.
     """
-    n = len(tree)
     if use_inference:
         if tree.adjusted is None or np.isnan(tree.adjusted[1:]).any():
             raise ValueError("adjusted counts missing; run the inference passes first")
@@ -37,8 +64,7 @@ def generate_release(
         counts = tree.noisy.copy()
     counts[0] = 0.0
 
-    child_sum = np.zeros(n)
-    np.add.at(child_sum, tree.parent[1:], counts[1:])
+    child_sum = np.bincount(tree.parent[1:], counts[1:], minlength=len(tree))
     terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64)
     terminated[0] = 0
 

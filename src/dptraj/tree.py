@@ -11,11 +11,12 @@ not expanded further unless ``expand_empty`` is set; full symmetric expansion
 multiplies the node count by roughly ``0.03 * len(universe)`` per level and is
 only practical for small universes.
 
-The builder sorts the database's entries, truncated to the tree height, once;
-equal rows (from truncation or repeated entries) just sit side by side. The
-records under any prefix fill one contiguous row range: a node is its row
-range, and its children are the runs of equal next location inside it, each
-found by one binary search; a true count is a difference of running totals.
+The builder sorts the database's entries once; repeated entries just sit
+side by side, and locations past the tree height only order rows the tree
+cannot tell apart. The records under any prefix fill one contiguous row
+range: a node is its row range, and its children are the runs of equal next
+location inside it, each found by one binary search; a true count is a
+difference of running totals.
 Nodes go straight into the tree's preorder arrays as they are made; those
 arrays are the tree's interface, read and written directly by inference,
 release and the CLI.
@@ -101,10 +102,9 @@ def build_noisy_tree(
     the result depends only on (db, universe, params, source seed) and not on
     the order in which nodes are expanded.
     """
-    rows = [t[: params.height] for t in db.entries]
-    order = sorted(range(len(rows)), key=rows.__getitem__)
+    order = sorted(range(len(db.entries)), key=db.entries.__getitem__)
     cum = [0, *accumulate(db.weights[order].tolist())]  # cum[j] - cum[i]: records in rows[i:j]
-    rows = list(map(rows.__getitem__, order))
+    rows = list(map(db.entries.__getitem__, order))
     universe_size = len(universe)
     scale = params.noise_scale
     theta = params.threshold

@@ -51,7 +51,6 @@ class QueryWorkload:
 
     subsets: tuple[tuple[CountQuery, ...], ...]
     max_lengths: tuple[int, ...]
-    seed: int
 
 
 def generate_workload(
@@ -78,7 +77,7 @@ def generate_workload(
             queries.append(frozenset(rng.choice(size, size=length, replace=False).tolist()))
         subsets.append(tuple(queries))
         max_lengths.append(max_len)
-    return QueryWorkload(subsets=tuple(subsets), max_lengths=tuple(max_lengths), seed=seed)
+    return QueryWorkload(subsets=tuple(subsets), max_lengths=tuple(max_lengths))
 
 
 class PresenceIndex:

@@ -22,7 +22,6 @@ import pytest
 
 from dptraj.datagen import GenConfig, generate
 from dptraj.model import TrajectoryDb
-from dptraj.pipeline import sanitize
 from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
@@ -30,7 +29,7 @@ from dptraj.privacy import (
     sample_pass_count,
     sample_passing_noisy_count,
 )
-from dptraj.release import generate_release
+from dptraj.release import generate_release, sanitize
 from dptraj.utility import evaluate_workload, fsp_metrics, generate_workload, mine_top_k
 
 from conftest import make_universe

@@ -364,6 +364,19 @@ class TestEvalFsp:
         )
         assert result.returncode == 2
 
+    def test_empty_raw_is_data_error(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "fsp.csv"
+        result = run_cli(
+            "eval-fsp", "--raw", empty, "--sanitized", data, "--universe", universe,
+            "--topk", "5", "--output", out,
+        )
+        assert result.returncode == 1
+        assert "raw database is empty" in result.stderr
+        assert not out.exists()
+
 
 class TestGenAndStats:
     def test_gen_writes_loadable_corpus(self, tmp_path):

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from dptraj.datagen import GenConfig, generate, planted_routes
+from dptraj.model import write_db
 from dptraj.utility import mine_top_k
 
 
@@ -126,3 +129,49 @@ class TestGenerate:
         margin = 150
         mined = {p.locations for p in mine_top_k(db, len(routes) + margin)}
         assert routes <= mined
+
+
+class TestPinnedCorpus:
+    """``write_db`` bytes of small corpora at fixed seeds.
+
+    Any change to a draw, to the record order or to how a planted route
+    overrides a record's first stops shows up here.
+    """
+
+    RECIPES = {
+        "routes_longer_than_max_len": (
+            dict(
+                n_locations=30, n_records=300, avg_len=3, max_len=5,
+                n_planted_routes=3, route_length=8, planted_fraction=0.5,
+                zipf_skew=0.5, seed=11,
+            ),
+            "cebf001de5fc557ea7a705c5337cec4fd8e7da91c32b8d6772954d6bf85afeb9",
+        ),
+        "no_planted_routes": (
+            dict(n_locations=25, n_records=400, avg_len=4, max_len=10, zipf_skew=1.0, seed=12),
+            "f346d8406023a4a2e41cb08024f711b468d62a37714c614d45f2475e3649ed75",
+        ),
+        "all_records_planted": (
+            dict(
+                n_locations=40, n_records=300, avg_len=4, max_len=9,
+                n_planted_routes=4, route_length=5, planted_fraction=1.0,
+                route_skew=0.7, seed=13,
+            ),
+            "b4f0046e9316269c3b8adc64faf73c5ce1462b160f41e6fb0ed353ab9662ef92",
+        ),
+        "single_record": (
+            dict(
+                n_locations=10, n_records=1, avg_len=3, max_len=6,
+                n_planted_routes=1, route_length=4, planted_fraction=1.0, seed=14,
+            ),
+            "af1790d2b7cbab15895beedfcc487842a90a45b8b7d268bc2d3ee5b010987a33",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECIPES))
+    def test_corpus_digest(self, tmp_path, name):
+        fields, digest = self.RECIPES[name]
+        db, universe = generate(GenConfig(**fields))
+        path = tmp_path / "corpus.txt"
+        write_db(db, universe, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -159,10 +159,11 @@ class TestPassingNoisyCount:
         params = PrivacyParams(epsilon=2.0, height=2)
 
         class _Zero:
-            def random(self, size=None):
-                return 0.0
+            def random(self, size):
+                return np.zeros(size)
 
-        assert sample_passing_noisy_count(params, _Zero()) == pytest.approx(params.threshold)
+        values = sample_passing_noisy_count(params, _Zero(), size=1)
+        assert values == pytest.approx(params.threshold)
 
     def test_support_above_threshold(self):
         params = PrivacyParams(epsilon=1.0, height=4)

@@ -6,9 +6,8 @@ import pytest
 
 from dptraj.inference import consistent_estimates, consolidate
 from dptraj.model import TrajectoryDb
-from dptraj.pipeline import sanitize
 from dptraj.privacy import PrivacyParams, RandomSource
-from dptraj.release import generate_release, release_stats
+from dptraj.release import generate_release, release_stats, sanitize
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
