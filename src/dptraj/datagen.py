@@ -59,6 +59,10 @@ class GenConfig:
             raise ValueError("seed must be >= 0")
 
 
+#: Records whose tokens and offsets ``generate`` turns into Python lists at a time.
+_BLOCK = 1 << 14
+
+
 def _location_weights(n_locations: int, skew: float) -> np.ndarray:
     weights = (np.arange(1, n_locations + 1, dtype=float)) ** (-skew)
     return weights / weights.sum()
@@ -108,28 +112,34 @@ def generate(config: GenConfig) -> tuple[TrajectoryDb, LocationUniverse]:
     )
     weights = _location_weights(config.n_locations, config.zipf_skew)
 
-    planted_at: dict[int, tuple[int, ...]] = {}
-    if config.n_planted_routes:
-        routes = planted_routes(config)
+    routes = planted_routes(config)
+    # The index of the route each record rides, or -1.
+    route_of = np.full(config.n_records, -1, dtype=np.min_scalar_type(-1 - len(routes)))
+    if routes:
         planted_count = round(config.n_records * config.planted_fraction)
         chosen = rng.choice(config.n_records, size=planted_count, replace=False)
         popularity = _location_weights(len(routes), config.route_skew)
-        assignment = rng.choice(len(routes), size=planted_count, p=popularity)
-        for record, route_idx in zip(chosen.tolist(), assignment.tolist()):
-            planted_at[record] = routes[route_idx]
+        route_of[chosen] = rng.choice(len(routes), size=planted_count, p=popularity)
 
     flat = rng.choice(config.n_locations, size=int(lengths.sum()), p=weights)
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    ends = np.cumsum(lengths)
 
     def records():
-        # One record at a time, straight into the deduplicating database.
-        for i in range(config.n_records):
-            record = flat[offsets[i] : offsets[i + 1]].tolist()
-            route = planted_at.get(i)
-            if route is not None:
-                # ride the line for the trip length; wander past the terminus
-                ridden = min(len(record), len(route))
-                record[:ridden] = route[:ridden]
-            yield record
+        # One record at a time, straight into the deduplicating database;
+        # tokens and offsets become Python lists one block of records at a time.
+        for first in range(0, config.n_records, _BLOCK):
+            block = slice(first, first + _BLOCK)
+            base = ends[first] - lengths[first]
+            tokens = flat[base : ends[block][-1]].tolist()
+            start = 0
+            for end, route_idx in zip((ends[block] - base).tolist(), route_of[block].tolist()):
+                record = tokens[start:end]
+                start = end
+                if route_idx >= 0:
+                    # ride the line for the trip length; wander past the terminus
+                    route = routes[route_idx]
+                    ridden = min(len(record), len(route))
+                    record[:ridden] = route[:ridden]
+                yield record
 
     return TrajectoryDb.of(records()), universe

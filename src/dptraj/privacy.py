@@ -125,11 +125,15 @@ class RandomSource:
         if seed < 0:
             raise ValueError("seed must be non-negative")
         self.seed = seed
+        # The seed's little-endian 32-bit words, as SeedSequence splits an int.
+        self._words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
 
     def stream(self, *key: int) -> np.random.Generator:
-        # The key length is part of the entropy: SeedSequence treats trailing
-        # zero words as no-ops, so (3,) and (3, 0) would otherwise collide.
-        return np.random.default_rng(np.random.SeedSequence((self.seed, len(key), *key)))
+        # Same entropy as SeedSequence((seed, len(key), *key)), without numpy's
+        # per-int coercion. The key length is part of it: SeedSequence treats
+        # trailing zero words as no-ops, so (3,) and (3, 0) would otherwise collide.
+        entropy = np.array([*self._words, len(key), *key], dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def laplace_noise(scale: float, rng, size=None):

@@ -11,22 +11,26 @@ not expanded further unless ``expand_empty`` is set; full symmetric expansion
 multiplies the node count by roughly ``0.03 * len(universe)`` per level and is
 only practical for small universes.
 
-The builder sorts the database's entries once; repeated entries just sit
-side by side, and locations past the tree height only order rows the tree
-cannot tell apart. The records under any prefix fill one contiguous row
-range: a node is its row range, and its children are the runs of equal next
-location inside it, each found by one binary search; a true count is a
-difference of running totals.
-Nodes go straight into the tree's preorder arrays as they are made; those
-arrays are the tree's interface, read and written directly by inference,
-release and the CLI.
+The builder holds the database's entries as one integer matrix, a column
+per depth below the tree height (-1 past a record's end), sorted once with
+``np.lexsort``; repeated entries just sit side by side. The records under
+any prefix fill one contiguous row range: a node is its row range, and its
+children are the runs of equal values in one column of that range.
+Neighbouring rows are compared once for the whole matrix, which gives each
+depth a sorted list of the rows where a run starts; a node bisects that list
+for its range, and rows that end at the node hold -1 and form a first run
+that is skipped. A true count is a difference of running totals. The
+depth-first loop makes each node's draws in a fixed order and records them;
+the empty-born leaves are placed afterwards, in arrays, at their preorder
+rows. Those preorder arrays are the tree's interface, read and written
+directly by inference, release and the CLI.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -39,6 +43,11 @@ from .privacy import (
     sample_pass_count,
     sample_passing_noisy_count,
 )
+
+
+#: Pool slots shuffled together when empty-born leaves are placed: 256
+#: bearing nodes at a time over a universe of 1,024 locations.
+_CELLS = 1 << 18
 
 
 class NodeRow(NamedTuple):
@@ -102,21 +111,30 @@ def build_noisy_tree(
     the result depends only on (db, universe, params, source seed) and not on
     the order in which nodes are expanded.
     """
-    order = sorted(range(len(db.entries)), key=db.entries.__getitem__)
-    cum = [0, *accumulate(db.weights[order].tolist())]  # cum[j] - cum[i]: records in rows[i:j]
-    rows = list(map(db.entries.__getitem__, order))
+    columns, starts, cum = _sorted_columns(db, params.height, len(universe))
+    # Memoryviews let the loop index and bisect the arrays without numpy calls.
+    column_of = list(map(memoryview, columns))
+    start_of = list(map(memoryview, starts))
+    total = memoryview(cum)
     universe_size = len(universe)
     scale = params.noise_scale
     theta = params.threshold
 
+    # Visited nodes, in visit order; a parent is a visit index.
     parent: list[int] = []
     location: list[int] = []
     depth: list[int] = []
     noisy: list[float] = []
     true_count: list[int] = []
-    # A stack item is a node not yet in the arrays:
-    # (parent index, root path, row range lo and hi, true count, noisy count).
-    stack = [(-1, (), 0, len(rows), cum[-1], float("nan"))]
+    # Per visited node that bore empty-born leaves: its visit index, its
+    # data-backed locations and the leaves' slot draws and noisy counts.
+    bearers: list[int] = []
+    taken: list[list[int]] = []
+    slots: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    # A stack item is a node not yet visited:
+    # (parent visit index, root path, row range lo and hi, true count, noisy count).
+    stack = [(-1, (), 0, len(cum) - 1, int(cum[-1]), float("nan"))]
     while stack:
         up, path, lo, hi, count, value = stack.pop()
         node = len(parent)
@@ -129,62 +147,157 @@ def build_noisy_tree(
         if d == params.height:
             continue
         rng = source.stream(*path)
-        # One run of rows per next location; rows ending here sort first and are skipped.
-        runs: list[tuple[int, int, int]] = []
-        i = bisect_right(rows, path, lo, hi)
-        while i < hi:
-            loc = rows[i][d]
-            j = bisect_left(rows, path + (loc + 1,), i, hi)
-            runs.append((loc, i, j))
-            i = j
-        counts = [cum[j] - cum[i] for _, i, j in runs]
-        if len(runs) <= 32:  # scalar draws beat numpy dispatch here
-            draws = [count + laplace_noise(scale, rng) for count in counts]
+        # One run of rows per next location; rows ending here hold -1 and sort first.
+        # A range of at most one row (as at most deep nodes) is at most one run.
+        if hi - lo > 1:
+            first = start_of[d]
+            bounds = first[bisect_left(first, lo) : bisect_left(first, hi)].tolist()
         else:
-            draws = (np.asarray(counts, float) + laplace_noise(scale, rng, size=len(runs))).tolist()
-        kept = [
-            (node, path + (loc,), i, j, count, draw)
-            for (loc, i, j), count, draw in zip(runs, counts, draws)
+            bounds = list(range(lo, hi))
+        column = column_of[d]
+        if bounds and column[bounds[0]] < 0:
+            del bounds[0]
+        locs = [column[i] for i in bounds]
+        bounds.append(hi)
+        if len(locs) <= 32:  # scalar draws beat numpy dispatch here
+            draws = [
+                total[j] - total[i] + laplace_noise(scale, rng) for i, j in zip(bounds, bounds[1:])
+            ]
+        else:
+            counts = np.asarray([total[j] - total[i] for i, j in zip(bounds, bounds[1:])], float)
+            draws = (counts + laplace_noise(scale, rng, size=len(locs))).tolist()
+        stack += [
+            (node, path + (loc,), i, j, total[j] - total[i], draw)
+            for loc, i, j, draw in zip(locs, bounds, bounds[1:], draws)
             if draw >= theta
         ]
-        stack += kept
         # All remaining locations are zero-count candidates; resolve them in one shot.
-        empty_pool_size = universe_size - len(runs)
+        empty_pool_size = universe_size - len(locs)
         passing = sample_pass_count(empty_pool_size, params, rng)
         if not passing:
             continue
-        mask = np.ones(universe_size, dtype=bool)
-        mask[[loc for loc, _, _ in runs]] = False
-        pool = np.flatnonzero(mask)
-        # Partial Fisher-Yates over pool slots: step i swaps slots i and j >= i,
-        # after which slot i holds its sample. Only moved slots are stored.
-        moved: dict[int, int] = {}
-        slots: list[int] = []
-        for i, j in enumerate(rng.integers(np.arange(passing), empty_pool_size).tolist()):
-            slots.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        born = pool[slots].tolist()
-        values = sample_passing_noisy_count(params, rng, size=passing).tolist()
+        drawn = rng.integers(np.arange(passing), empty_pool_size)
+        born_values = sample_passing_noisy_count(params, rng, size=passing)
         if expand_empty:
-            stack += [(node, path + (loc,), hi, hi, 0, v) for loc, v in zip(born, values)]
+            born = _empty_born_locations([locs], [drawn], universe_size)
+            stack += [
+                (node, path + (loc,), hi, hi, 0, v)
+                for loc, v in zip(born.tolist(), born_values.tolist())
+            ]
         else:
-            # Leaves: preorder puts them, last-born first, right after their parent.
-            parent += [node] * passing
-            location += reversed(born)
-            depth += [d + 1] * passing
-            noisy += reversed(values)
-            true_count += [0] * passing
+            bearers.append(node)
+            taken.append(locs)
+            slots.append(drawn)
+            values.append(born_values)
 
-    parents = np.array(parent, dtype=np.int64)
+    del columns, starts, cum, column_of, start_of, total  # the tree's arrays can take their memory
+    # A bearer's leaves follow it in preorder, last-born first, so each
+    # visited node moves down by the number of leaves born before it.
+    bearing = np.array(bearers, dtype=np.int64)
+    born = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
+    n_born = np.zeros(len(parent), dtype=np.int64)
+    n_born[bearing] = born
+    row = np.arange(len(parent)) + np.cumsum(n_born) - n_born
+    # The i-th leaf born to a bearer takes row row[bearer] + born[bearer] - i,
+    # where i is the leaf's index k less the leaves of earlier bearers.
+    shift = np.repeat(row[bearing] + born + np.cumsum(born) - born, born)
+    at = np.concatenate((row, shift - np.arange(len(shift))))
+
+    def place(*parts):  # visited nodes' values, then the leaves', to their preorder rows
+        flat = np.concatenate(parts)
+        out = np.empty_like(flat)
+        out[at] = flat
+        return out
+
+    parent_visit = np.array(parent, dtype=np.int64)
+    parents = place(
+        np.where(parent_visit < 0, -1, row[parent_visit]), np.repeat(row[bearing], born)
+    )
+    depths = np.array(depth, dtype=np.int64)
     return PrefixTree(
         parent=parents,
-        location=np.array(location, dtype=np.int64),
-        depth=np.array(depth, dtype=np.int64),
-        noisy=np.array(noisy, dtype=np.float64),
-        true_count=np.array(true_count, dtype=np.int64),
+        location=place(location, _empty_born_locations(taken, slots, universe_size)),
+        depth=place(depths, np.repeat(depths[bearing] + 1, born)),
+        noisy=place(noisy, *values),
+        true_count=place(true_count, np.zeros(born.sum(), dtype=np.int64)),
         n_children=np.bincount(parents[1:], minlength=len(parents)),
         universe=universe,
     )
+
+
+def _sorted_columns(
+    db: TrajectoryDb, height: int, universe_size: int
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The entries' sorted location matrix by column, its run starts and running totals.
+
+    ``columns[c]`` holds each entry's ``c``-th location, or -1 past its end,
+    for ``c`` below the height. Entries are in lexicographic order, so the
+    entries under any prefix fill one contiguous range. ``starts[c]`` lists,
+    in order, the entries that differ from the one before them in some column
+    up to ``c``: the children of a node at depth ``c`` start at the listed
+    entries of its range. ``cum[j] - cum[i]`` is the number of records in
+    entries ``i:j``.
+    """
+    entries = db.entries
+    lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+    dtype = np.int16 if universe_size <= 1 << 15 else np.int32
+    flat = np.fromiter(chain.from_iterable(entries), dtype=dtype, count=int(lengths.sum()))
+    offsets = np.cumsum(lengths) - lengths
+    columns = np.full((height, len(entries)), -1, dtype=dtype)
+    for c in range(height):  # one column at a time keeps index arrays per entry, not per token
+        rows = np.flatnonzero(lengths > c)
+        columns[c, rows] = flat[offsets[rows] + c]
+    del flat, offsets, lengths
+    order = np.lexsort(columns[::-1])
+    columns = columns[:, order]
+    starts = []
+    differs = np.arange(len(entries)) == 0
+    for column in columns:
+        differs[1:] |= column[1:] != column[:-1]
+        starts.append(np.flatnonzero(differs))
+    return columns, starts, np.concatenate(([0], np.cumsum(db.weights[order])))
+
+
+def _empty_born_locations(
+    taken: list[list[int]], slots: list[np.ndarray], universe_size: int
+) -> np.ndarray:
+    """Locations of empty-born nodes, in birth order, one batch per bearing node.
+
+    A bearer's pool is the universe without its data-backed locations
+    (``taken``, ascending), in ascending order: slot ``s`` is the ``s``-th
+    free location. Its draws ``slots`` are a partial Fisher-Yates shuffle of
+    the pool: step ``i`` swaps pool slots
+    ``i`` and ``slots[i] >= i``, after which slot ``i`` holds the ``i``-th
+    sample. Bearers are shuffled side by side, one step at a time, with
+    about ``_CELLS`` pool slots held at once.
+    """
+    born = [np.empty(0, dtype=np.int64)]
+    chunk = max(1, _CELLS // universe_size)
+    stride = universe_size + 1
+    for a in range(0, len(slots), chunk):
+        drawn, kept = slots[a : a + chunk], taken[a : a + chunk]
+        rows = np.arange(len(drawn))
+        passing = np.fromiter(map(len, drawn), dtype=np.int64, count=len(drawn))
+        drawn_at = np.arange(passing.max()) < passing[:, None]
+        picks = np.zeros(drawn_at.shape, dtype=np.int64)
+        picks[drawn_at] = np.concatenate(drawn)
+        shuffled = np.tile(np.arange(universe_size), (len(drawn), 1))  # slot at each position
+        for i in range(picks.shape[1]):
+            # A bearer with fewer draws reads position 0 here and only scrambles spent positions.
+            j = picks[:, i].copy()
+            picks[:, i] = shuffled[rows, j]
+            shuffled[rows, j] = shuffled[rows, i]
+        # The s-th free location is s plus the number of taken locations t_q
+        # (q-th smallest, from 0) with t_q - q <= s.
+        n_taken = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+        firsts = np.cumsum(n_taken) - n_taken
+        flat = np.fromiter(chain.from_iterable(kept), dtype=np.int64, count=n_taken.sum())
+        shifted = np.repeat(rows * stride + firsts, n_taken) + flat - np.arange(len(flat))
+        slot = picks[drawn_at]
+        bearer = np.repeat(rows, passing)
+        below = np.searchsorted(shifted, bearer * stride + slot, side="right") - firsts[bearer]
+        born.append(slot + below)
+    return np.concatenate(born)
 
 
 def dump_tree(tree: PrefixTree) -> str:

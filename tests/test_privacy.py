@@ -255,3 +255,14 @@ class TestRandomSource:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RandomSource(-1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("key", [(), (0,), (3, 0), (1011, 5, 7)])
+    def test_stream_seeds_like_seed_sequence_of_seed_and_key(self, seed, key):
+        # Streams must stay those of SeedSequence((seed, len(key), *key)), or
+        # every release made at a fixed seed would change.
+        expected = np.random.default_rng(np.random.SeedSequence((seed, len(key), *key)))
+        stream = RandomSource(seed).stream(*key)
+        assert np.array_equal(stream.random(8), expected.random(8))
+        low = np.arange(4)
+        assert np.array_equal(stream.integers(low, 1012), expected.integers(low, 1012))

@@ -1,15 +1,24 @@
 import json
 import random
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.tree import build_noisy_tree, dump_tree
 
 from conftest import load_in_blocks, make_universe
-from oracles import ZeroNoiseSource, build_exact_tree, children, prefixes
+from oracles import (
+    ZeroNoiseSource,
+    build_exact_tree,
+    children,
+    prefixes,
+    reference_noisy_tree,
+)
 
 
 def _child(tree, i, loc):
@@ -25,6 +34,40 @@ def _random_db(rnd, max_records=60, universe_size=6, max_len=7):
         for _ in range(rnd.randint(1, max_records))
     ]
     return TrajectoryDb.of(rows), make_universe(universe_size)
+
+
+_TREE_FIELDS = ("parent", "location", "depth", "noisy", "true_count", "n_children")
+
+
+def _assert_same_tree(tree, reference):
+    for name in _TREE_FIELDS:
+        got, want = getattr(tree, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@st.composite
+def _build_cases(draw):
+    """A database read back in small blocks, and the parameters to build its tree with.
+
+    Records run past the height, and repeats are split over several entries.
+    Expanding empty-born nodes multiplies the tree by about 0.43 * universe
+    per level at theta multiplier 0.1, so those cases stay small.
+    """
+    expand_empty = draw(st.booleans())
+    universe_size = draw(st.integers(1, 10 if expand_empty else 60))
+    height = draw(st.integers(1, 4 if expand_empty else 7))
+    record = st.lists(st.integers(0, universe_size - 1), min_size=1, max_size=height + 3)
+    distinct = draw(st.lists(record.map(tuple), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=40))
+    rows = [distinct[i] for i in picks]
+    params = PrivacyParams(
+        epsilon=draw(st.sampled_from([0.5, 2.0, 20.0])),
+        height=height,
+        theta_multiplier=draw(st.sampled_from([0.1, 2.0])),
+    )
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)))
+    return rows, make_universe(universe_size), params, seed, expand_empty, draw(st.integers(4, 64))
 
 
 class TestExactTree:
@@ -224,6 +267,35 @@ class TestNoisyTree:
                 assert value.shape == (len(tree),), name
             else:
                 assert name == "universe" or value is None, name
+
+
+class TestAgainstReference:
+    """The sorted-matrix build makes the draws the one-node-at-a-time reference makes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_build_cases())
+    def test_arrays_equal_reference(self, case):
+        rows, universe, params, seed, expand_empty, block = case
+        with tempfile.TemporaryDirectory() as directory:
+            db = load_in_blocks(rows, universe, block, directory)
+        tree = build_noisy_tree(db, universe, params, RandomSource(seed), expand_empty)
+        reference = reference_noisy_tree(db, universe, params, RandomSource(seed), expand_empty)
+        _assert_same_tree(tree, reference)
+
+    def test_wide_universe(self):
+        # Location ids past the int16 range must survive the location matrix.
+        rnd = random.Random(11)
+        universe = make_universe(40_000)
+        distinct = [
+            tuple(rnd.choice([rnd.randrange(32_768, 40_000), rnd.randrange(8)]) for _ in range(5))
+            for _ in range(20)
+        ]
+        db = TrajectoryDb.of(rnd.choices(distinct, k=300))
+        params = PrivacyParams(epsilon=8.0, height=3)
+        tree = build_noisy_tree(db, universe, params, RandomSource(5))
+        _assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
+        backed = tree.location[1:][tree.true_count[1:] > 0]
+        assert backed.max() > 32_767
 
 
 class TestDump:
