@@ -25,6 +25,8 @@ from .datagen import GenConfig, generate
 from .inference import order_violations
 from .model import (
     DataFormatError,
+    LocationUniverse,
+    TrajectoryDb,
     UnknownLocationError,
     load_db,
     write_db,
@@ -128,12 +130,18 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval_count(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
+def _load_inputs(args: argparse.Namespace) -> tuple[TrajectoryDb, TrajectoryDb, LocationUniverse]:
+    """The evaluators' ``--raw`` (not empty) and ``--sanitized`` databases, and the universe."""
     raw, universe = load_db(args.raw, args.universe)
     if not len(raw):
         raise DataFormatError(f"{args.raw}: raw database is empty")
     sanitized, _ = load_db(args.sanitized, args.universe)
+    return raw, sanitized, universe
+
+
+def cmd_eval_count(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args.seed)
+    raw, sanitized, universe = _load_inputs(args)
     workload = generate_workload(universe, args.height, args.queries_per_subset, seed)
     sanity = args.sanity_fraction * len(raw)
     started = time.perf_counter()
@@ -154,10 +162,7 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_fsp(args: argparse.Namespace) -> int:
-    raw, universe = load_db(args.raw, args.universe)
-    if not len(raw):
-        raise DataFormatError(f"{args.raw}: raw database is empty")
-    sanitized, _ = load_db(args.sanitized, args.universe)
+    raw, sanitized, _ = _load_inputs(args)
     k_values = sorted({int(v) for v in args.topk.split(",") if v.strip()})
     if not k_values or k_values[0] < 1:
         raise ValueError(f"--topk needs positive integers, got {args.topk!r}")

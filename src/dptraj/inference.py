@@ -40,23 +40,6 @@ def _isotonic_rows(rows: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(max_mean[:, ::-1], axis=1)[:, ::-1]
 
 
-def _leaf_paths(tree: PrefixTree) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf-to-root node-index matrix (rows padded with -1) and row lengths."""
-    leaf_idx = np.flatnonzero((tree.n_children == 0) & (tree.depth > 0))
-    lengths = tree.depth[leaf_idx]
-    max_len = int(lengths.max()) if len(lengths) else 0
-    paths = np.full((len(leaf_idx), max_len), -1, dtype=np.int64)
-    if len(leaf_idx):
-        paths[:, 0] = leaf_idx
-        cur = leaf_idx
-        for step in range(1, max_len):
-            nxt = np.where(cur >= 0, tree.parent[np.maximum(cur, 0)], -1)
-            nxt = np.where(nxt == 0, -1, nxt)  # stop below the virtual root
-            paths[:, step] = nxt
-            cur = nxt
-    return paths, lengths
-
-
 def consolidate(tree: PrefixTree) -> PrefixTree:
     """Fill ``tree.fitted`` for every non-root node; return the tree.
 
@@ -64,7 +47,8 @@ def consolidate(tree: PrefixTree) -> PrefixTree:
     is the mean of its isotonic estimates over those paths.
     """
     n = len(tree)
-    paths, lengths = _leaf_paths(tree)
+    leaves = np.flatnonzero((tree.n_children == 0) & (tree.depth > 0))
+    paths, lengths = tree.paths(leaves), tree.depth[leaves]
     sums = np.zeros(n)
     hits = np.zeros(n, dtype=np.int64)
     for length in np.unique(lengths):

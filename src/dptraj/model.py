@@ -1,9 +1,9 @@
 """Core trajectory-database types and the plain-text file format.
 
 A trajectory is an ordered list of location ids (repeats allowed, including
-consecutive ones); a database is a multiset of trajectories, which every
-stage reads as weighted entries. Locations are opaque string tokens interned
-against a fixed universe.
+consecutive ones); a database is a multiset of trajectories, held as weighted
+entries whose location ids lie end to end in one token array. Locations are
+opaque string tokens interned against a fixed universe.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -64,34 +66,42 @@ class LocationUniverse:
 class TrajectoryDb:
     """Multiset of trajectories, held as entries and per-record codes.
 
-    Record ``i`` is ``entries[codes[i]]``, so ``codes`` keeps the records'
-    order, and ``weights[e]``, counted once at construction, is how many
-    records entry ``e`` stands for (at least one). Entries need not be
-    distinct: readers sum weights, so a record split over two equal entries
-    reads as one entry carrying both.
+    Entry ``e`` is ``tokens[offsets[e]:offsets[e + 1]]``: the entries' location
+    ids lie end to end in one int32 array, and ``offsets`` (int64, one longer
+    than the entry count) marks where each starts. Record ``i`` is entry
+    ``codes[i]``, so ``codes`` keeps the records' order, and ``weights[e]``,
+    counted once at construction, is how many records entry ``e`` stands for
+    (at least one). Entries need not be distinct: readers sum weights, so a
+    record split over two equal entries reads as one entry carrying both.
     """
 
-    entries: tuple[Trajectory, ...]
+    tokens: np.ndarray
+    offsets: np.ndarray
     codes: np.ndarray
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if not all(entries):
+        tokens = np.asarray(self.tokens, dtype=np.int32)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if not len(offsets) or offsets[0] != 0 or offsets[-1] != len(tokens):
+            raise ValueError(f"offsets must run from 0 to the {len(tokens)} tokens")
+        if (np.diff(offsets) < 1).any():
             raise ValueError("trajectories must have at least one location")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.intp))
-        weights = np.bincount(self.codes, minlength=len(entries))  # rejects negative codes
-        if len(weights) != len(entries) or not weights.all():
-            raise ValueError(f"codes must name each of the {len(entries)} entries at least once")
-        object.__setattr__(self, "weights", weights)
+        if len(tokens) and tokens.min() < 0:
+            raise ValueError("location ids must be >= 0")
+        codes, n = np.asarray(self.codes, dtype=np.intp), len(offsets) - 1
+        weights = np.bincount(codes, minlength=n)  # rejects negative codes
+        if len(weights) != n or not weights.all():
+            raise ValueError(f"codes must name each of the {n} entries at least once")
+        vars(self).update(tokens=tokens, offsets=offsets, codes=codes, weights=weights)  # frozen
 
     @classmethod
     def of(cls, records: Iterable[Iterable[int]]) -> TrajectoryDb:
         """The records in order, one entry per distinct record."""
         index: dict[Trajectory, int] = {}
         codes = np.fromiter((index.setdefault(tuple(r), len(index)) for r in records), np.intp)
-        return cls(tuple(index), codes)
+        offsets = np.cumsum([0, *map(len, index)])
+        return cls(np.fromiter(chain.from_iterable(index), np.int32, offsets[-1]), offsets, codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -100,6 +110,17 @@ class TrajectoryDb:
         if not isinstance(other, TrajectoryDb):
             return NotImplemented
         return self.trajectories == other.trajectories
+
+    @cached_property
+    def entries(self) -> tuple[Trajectory, ...]:
+        """Every entry as a tuple, for readers that loop in Python.
+
+        Each location id is one int object, which ``in`` and ``index`` match by identity.
+        """
+        ids = list(range(int(self.tokens.max(initial=-1)) + 1))
+        flat = list(map(ids.__getitem__, self.tokens.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -166,22 +187,19 @@ def write_universe(universe: LocationUniverse, path: str) -> None:
 _READ_BLOCK = 1 << 22
 
 
-def _read_records(path: str, parse: Callable[[list[str]], Trajectory]) -> TrajectoryDb:
+def _read_records(path: str, parse: Callable[[list[str]], Iterable[int]]) -> TrajectoryDb:
     """One trajectory per line of ``path``; ``parse`` maps a line's tokens to ids.
 
     Within a block of lines, each distinct line is split and parsed once into
     one entry that its repetitions share. ``parse`` raises ``KeyError`` with
     the offending token for a token it cannot map.
     """
-    entries: list[Trajectory] = []
-    codes = array("q")  # grows in place, then becomes the code array without a copy
+    # Each grows in place, then becomes its numpy array without a copy.
+    tokens, offsets, codes = array("i"), array("q", [0]), array("q")
     lines_before = 0
     with _open_text(path) as fh:
         while lines := fh.readlines(_READ_BLOCK):
-            # The cache dies with its block: line strings kept across blocks
-            # would sit among the record tuples and leave the allocator's
-            # pools fragmented once freed (+30 MB RSS after loading 400k
-            # mostly distinct records). A line repeated in a later block
+            # The cache dies with its block: a line repeated in a later block
             # becomes a second entry.
             cache: dict[str, int] = {}
             for line in lines:
@@ -189,22 +207,22 @@ def _read_records(path: str, parse: Callable[[list[str]], Trajectory]) -> Trajec
                 if code is None:
                     # A bad line raises at its first occurrence in the file,
                     # which is then also its first in this block.
-                    tokens = line.split()
-                    if not tokens:
+                    words = line.split()
+                    if not words:
                         lineno = lines_before + lines.index(line) + 1
                         raise DataFormatError(f"{path}:{lineno}: blank line")
                     try:
-                        record = parse(tokens)
+                        tokens.extend(parse(words))
                     except KeyError as exc:
                         lineno = lines_before + lines.index(line) + 1
                         raise UnknownLocationError(
                             f"{path}:{lineno}: unknown location {exc.args[0]!r}"
                         ) from None
-                    code = cache[line] = len(entries)
-                    entries.append(record)
+                    code = cache[line] = len(offsets) - 1
+                    offsets.append(len(tokens))
                 codes.append(code)
             lines_before += len(lines)
-    return TrajectoryDb(tuple(entries), np.frombuffer(codes, dtype=np.int64))
+    return TrajectoryDb(tokens, offsets, codes)
 
 
 def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, LocationUniverse]:
@@ -219,15 +237,12 @@ def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, 
     if universe_path is not None:
         universe = load_universe(universe_path)
         lookup = universe._index.__getitem__
-        return _read_records(path, lambda tokens: tuple(map(lookup, tokens))), universe
+        return _read_records(path, lambda tokens: map(lookup, tokens)), universe
 
     index: dict[str, int] = {}
 
-    def intern(tokens: list[str]) -> Trajectory:
-        for t in tokens:
-            if t not in index:
-                index[t] = len(index)
-        return tuple(map(index.__getitem__, tokens))
+    def intern(tokens: list[str]) -> list[int]:
+        return [index.setdefault(t, len(index)) for t in tokens]
 
     db = _read_records(path, intern)
     warnings.warn(
@@ -246,11 +261,10 @@ def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
     records in order. Each entry is formatted once, and a run of equal
     consecutive codes is written as one repeated line.
     """
-    tokens = universe.tokens
-    size = len(tokens)
-    low, high = min(map(min, db.entries), default=0), max(map(max, db.entries), default=0)
-    if db.entries and not 0 <= low <= high < size:
-        raise ValueError(f"location ids span {low}..{high}, outside universe of size {size}")
+    if db.tokens.max(initial=-1) >= len(universe):  # ids are never negative
+        raise ValueError(f"location id {db.tokens.max()} outside universe of size {len(universe)}")
+    words = np.array(universe.tokens, dtype=object)[db.tokens].tolist()
+    bounds = db.offsets.tolist()
     codes = db.codes
     firsts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     if len(codes):
@@ -260,7 +274,7 @@ def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
     lines: dict[int, str] = {}  # kept only for entries whose records span several runs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for code, run in zip(codes[firsts].tolist(), runs.tolist()):
-            line = lines.get(code) or " ".join([tokens[i] for i in db.entries[code]]) + "\n"
+            line = lines.get(code) or " ".join(words[bounds[code] : bounds[code + 1]]) + "\n"
             if run < weights[code]:
                 lines[code] = line
             fh.write(line * run)

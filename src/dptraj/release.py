@@ -68,20 +68,13 @@ def generate_release(
     terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64)
     terminated[0] = 0
 
-    # Prefixes of the internal nodes, parents first (preorder); a released
-    # node's prefix is its parent's plus its own location.
-    prefix: dict[int, tuple[int, ...]] = {0: ()}
-    internal = np.flatnonzero(tree.n_children[1:]) + 1
-    for i, up, loc in zip(
-        internal.tolist(), tree.parent[internal].tolist(), tree.location[internal].tolist()
-    ):
-        prefix[i] = prefix[up] + (loc,)
     emitting = np.flatnonzero(terminated)[::-1]  # postorder
-    entries = [
-        prefix[up] + (loc,)
-        for up, loc in zip(tree.parent[emitting].tolist(), tree.location[emitting].tolist())
-    ]
-    return TrajectoryDb(entries, np.repeat(np.arange(len(entries)), terminated[emitting]))
+    paths = tree.paths(emitting)[:, ::-1]  # root first, after the padding
+    return TrajectoryDb(
+        tree.location[paths[paths >= 0]],
+        np.concatenate(([0], np.cumsum(tree.depth[emitting]))),
+        np.repeat(np.arange(len(emitting)), terminated[emitting]),
+    )
 
 
 @dataclass(frozen=True)
@@ -92,10 +85,9 @@ class ReleaseStats:
 
 
 def release_stats(db: TrajectoryDb) -> ReleaseStats:
-    lengths = np.fromiter(map(len, db.entries), dtype=np.intp, count=len(db.entries))
-    histogram = np.bincount(lengths, weights=db.weights).astype(np.int64)
+    histogram = np.bincount(np.diff(db.offsets), weights=db.weights).astype(np.int64)
     return ReleaseStats(
         records=len(db),
         length_histogram={n: c for n, c in enumerate(histogram.tolist()) if c},
-        distinct_locations=len(set().union(*db.entries)),
+        distinct_locations=len(np.unique(db.tokens)),
     )

@@ -11,19 +11,20 @@ not expanded further unless ``expand_empty`` is set; full symmetric expansion
 multiplies the node count by roughly ``0.03 * len(universe)`` per level and is
 only practical for small universes.
 
-The builder holds the database's entries as one integer matrix, a column
-per depth below the tree height (-1 past a record's end), sorted once with
-``np.lexsort``; repeated entries just sit side by side. The records under
-any prefix fill one contiguous row range: a node is its row range, and its
-children are the runs of equal values in one column of that range.
-Neighbouring rows are compared once for the whole matrix, which gives each
-depth a sorted list of the rows where a run starts; a node bisects that list
-for its range, and rows that end at the node hold -1 and form a first run
-that is skipped. A true count is a difference of running totals. The
+The builder cuts the database's token array into one integer matrix of its
+entries, a column per depth below the tree height (-1 past a record's end),
+sorted once with ``np.lexsort``; repeated entries sit side by side. The
+records under any prefix fill one contiguous row range: a node is its row
+range, and its children are the runs of equal values in one column of that
+range. Neighbouring rows are compared once for the whole matrix, which gives
+each depth a sorted list of the rows where a run starts; a node bisects that
+list for its range, and rows that end at the node hold -1 and form a first
+run that is skipped. A true count is a difference of running totals. The
 depth-first loop makes each node's draws in a fixed order and records them;
 the empty-born leaves are placed afterwards, in arrays, at their preorder
 rows. Those preorder arrays are the tree's interface, read and written
-directly by inference, release and the CLI.
+directly by inference, release and the CLI, which get root paths from
+:meth:`PrefixTree.paths`.
 """
 
 from __future__ import annotations
@@ -96,6 +97,19 @@ class PrefixTree:
         empty_born = (self.true_count == 0).tolist()
         empty_born[0] = False
         return map(NodeRow, parent, self.depth.tolist(), empty_born)
+
+    def paths(self, nodes: np.ndarray) -> np.ndarray:
+        """Int32 rows of the non-root nodes' ancestors: node, parent, ..., depth-1 node, -1 padding.
+
+        ``paths[:, ::-1]`` reads each path root first, after its padding.
+        """
+        # up[i] is i's parent, or -1 below the root; the appended slot keeps -1 at -1.
+        up = np.append(np.where(self.depth > 1, self.parent, -1), -1).astype(np.int32)
+        paths = np.empty((len(nodes), int(self.depth[nodes].max(initial=0))), dtype=np.int32)
+        for column in paths.T:
+            column[:] = nodes
+            nodes = up[nodes]
+        return paths
 
 
 def build_noisy_tree(
@@ -238,20 +252,16 @@ def _sorted_columns(
     entries of its range. ``cum[j] - cum[i]`` is the number of records in
     entries ``i:j``.
     """
-    entries = db.entries
-    lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+    lengths = np.diff(db.offsets)
     dtype = np.int16 if universe_size <= 1 << 15 else np.int32
-    flat = np.fromiter(chain.from_iterable(entries), dtype=dtype, count=int(lengths.sum()))
-    offsets = np.cumsum(lengths) - lengths
-    columns = np.full((height, len(entries)), -1, dtype=dtype)
+    columns = np.full((height, len(lengths)), -1, dtype=dtype)
     for c in range(height):  # one column at a time keeps index arrays per entry, not per token
         rows = np.flatnonzero(lengths > c)
-        columns[c, rows] = flat[offsets[rows] + c]
-    del flat, offsets, lengths
+        columns[c, rows] = db.tokens[db.offsets[rows] + c]
     order = np.lexsort(columns[::-1])
     columns = columns[:, order]
     starts = []
-    differs = np.arange(len(entries)) == 0
+    differs = np.arange(len(lengths)) == 0
     for column in columns:
         differs[1:] |= column[1:] != column[:-1]
         starts.append(np.flatnonzero(differs))

@@ -9,7 +9,6 @@ into the release.
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 import math
 from collections import Counter
@@ -90,19 +89,13 @@ class PresenceIndex:
     """
 
     def __init__(self, db: TrajectoryDb, universe_size: int):
-        entries = db.entries
-        n = len(entries)
         self.weights = db.weights
-        lengths = np.fromiter(map(len, entries), dtype=np.int64, count=n)
-        locations = np.fromiter(
-            itertools.chain.from_iterable(entries), dtype=np.int64, count=int(lengths.sum())
-        )
-        ids = np.repeat(np.arange(n), lengths)
-        self._bits = np.zeros((universe_size, (n + 7) // 8), dtype=np.uint8)
+        ids = np.repeat(np.arange(len(db.weights)), np.diff(db.offsets))
+        self._bits = np.zeros((universe_size, (len(db.weights) + 7) // 8), dtype=np.uint8)
         # Entry i is bit i % 8, counted from the top, of byte i // 8: unpackbits's
         # order. uint8 values keep ``at`` off its slower casting path.
         masks = (128 >> (ids & 7)).astype(np.uint8)
-        np.bitwise_or.at(self._bits, (locations, ids >> 3), masks)
+        np.bitwise_or.at(self._bits, (db.tokens, ids >> 3), masks)
 
     def count(self, query: CountQuery) -> int:
         if not query:

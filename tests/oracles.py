@@ -80,6 +80,15 @@ def array_tree(
     )
 
 
+def entries_db(entries: Sequence[tuple[int, ...]], codes: Sequence[int]) -> TrajectoryDb:
+    """The database whose entries are the given tuples, record ``i`` being ``entries[codes[i]]``."""
+    return TrajectoryDb(
+        np.array([loc for entry in entries for loc in entry], dtype=np.int32),
+        np.cumsum([0, *map(len, entries)]),
+        codes,
+    )
+
+
 def prefixes(tree: PrefixTree) -> list[tuple[int, ...]]:
     """The root path of every row, indexed by row; the root's is ``()``.
 
@@ -220,6 +229,33 @@ def reference_noisy_tree(
         n_children=np.bincount(parents[1:], minlength=len(parents)),
         universe=universe,
     )
+
+
+def reference_release(tree: PrefixTree, use_inference: bool) -> TrajectoryDb:
+    """The release built from one prefix tuple per internal node.
+
+    Counts as ``generate_release`` counts them; prefixes are extended parents
+    first, and each emitting node's entry is its parent's prefix plus its own
+    location, nodes taken in postorder.
+    """
+    counts = (tree.adjusted if use_inference else tree.noisy).copy()
+    counts[0] = 0.0
+    child_sum = np.bincount(tree.parent[1:], counts[1:], minlength=len(tree))
+    terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64)
+    terminated[0] = 0
+
+    prefix: dict[int, tuple[int, ...]] = {0: ()}
+    internal = np.flatnonzero(tree.n_children[1:]) + 1
+    for i, up, loc in zip(
+        internal.tolist(), tree.parent[internal].tolist(), tree.location[internal].tolist()
+    ):
+        prefix[i] = prefix[up] + (loc,)
+    emitting = np.flatnonzero(terminated)[::-1]
+    entries = [
+        prefix[up] + (loc,)
+        for up, loc in zip(tree.parent[emitting].tolist(), tree.location[emitting].tolist())
+    ]
+    return entries_db(entries, np.repeat(np.arange(len(entries)), terminated[emitting]))
 
 
 def isotonic_fit(values: Sequence[float]) -> list[float]:

@@ -247,13 +247,23 @@ class TestWrite:
 
 class TestTrajectoryDb:
     def test_entries_and_codes_are_checked(self):
-        entries = ((0,), (1, 2))
-        assert TrajectoryDb(entries, [1, 0, 1]).weights.tolist() == [1, 2]
+        tokens, offsets = [0, 1, 2], [0, 1, 3]
+        db = TrajectoryDb(tokens, offsets, [1, 0, 1])
+        assert db.entries == ((0,), (1, 2))
+        assert db.weights.tolist() == [1, 2]
+        for bad in ([1, 2, 3], [0, 1, 2]):  # not from 0, not to the end of the tokens
+            with pytest.raises(ValueError, match="offsets"):
+                TrajectoryDb(tokens, bad, [0, 1])
+        with pytest.raises(ValueError, match="at least one location"):
+            TrajectoryDb(tokens, [0, 1, 1, 3], [0, 1, 2])
         for codes in ([0, 2], [-1, 0], [0, 0]):  # out of range, negative, entry unused
             with pytest.raises(ValueError):
-                TrajectoryDb(entries, codes)
-        with pytest.raises(ValueError):
-            TrajectoryDb(((0,), ()), [0, 1])
+                TrajectoryDb(tokens, offsets, codes)
+
+    def test_entries_share_one_int_per_location(self):
+        db = TrajectoryDb.of([(300, 301), (301, 300, 300)])
+        first, second = db.entries
+        assert first[0] is second[1] is second[2] and first[1] is second[0]
 
 
 class TestEncodeTimestamped:

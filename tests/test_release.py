@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptraj.inference import consistent_estimates, consolidate
 from dptraj.model import TrajectoryDb
@@ -11,7 +13,7 @@ from dptraj.release import generate_release, release_stats, sanitize
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
-from oracles import ZeroNoiseSource, array_tree, children
+from oracles import ZeroNoiseSource, array_tree, children, reference_release
 
 
 def manual_tree(counts, universe_size=10):
@@ -122,6 +124,42 @@ class TestGenerateRelease:
         assert np.array_equal(tree_a.parent, tree_b.parent)
         assert np.array_equal(tree_a.location, tree_b.location)
         assert np.array_equal(tree_a.noisy, tree_b.noisy, equal_nan=True)
+
+
+@st.composite
+def _release_trees(draw):
+    """A noisy tree of a random small database, or a root-only tree.
+
+    Expanding empty-born nodes multiplies the tree by the universe size per
+    level, so those cases stay small.
+    """
+    expand_empty = draw(st.booleans())
+    universe = make_universe(draw(st.integers(1, 5 if expand_empty else 30)))
+    if draw(st.integers(0, 9)) == 0:
+        return array_tree((), universe)
+    height = draw(st.integers(1, 3 if expand_empty else 6))
+    record = st.lists(st.integers(0, len(universe) - 1), min_size=1, max_size=height + 2)
+    db = TrajectoryDb.of(draw(st.lists(record, max_size=30)))
+    params = PrivacyParams(
+        epsilon=draw(st.sampled_from([0.5, 2.0, 20.0])),
+        height=height,
+        theta_multiplier=draw(st.sampled_from([0.1, 2.0])),
+    )
+    source = RandomSource(draw(st.integers(0, 2**32 - 1)))
+    return build_noisy_tree(db, universe, params, source, expand_empty=expand_empty)
+
+
+class TestReleaseOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(_release_trees())
+    def test_matches_prefix_dict_release(self, tree):
+        consistent_estimates(consolidate(tree))
+        for use_inference in (False, True):
+            release = generate_release(tree, use_inference)
+            reference = reference_release(tree, use_inference)
+            assert release.entries == reference.entries
+            np.testing.assert_array_equal(release.codes, reference.codes)
+            np.testing.assert_array_equal(release.weights, reference.weights)
 
 
 class TestReleaseStats:
