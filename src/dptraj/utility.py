@@ -11,8 +11,9 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -79,33 +80,100 @@ def generate_workload(
     return QueryWorkload(subsets=tuple(subsets), max_lengths=tuple(max_lengths))
 
 
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[starts[i], starts[i] + lengths[i])`` laid end to end.
+
+    Returns ``(owner, index)``: ``index`` runs through every range in order,
+    and ``owner[j]`` (int32) is the ``i`` whose range ``index[j]`` belongs to.
+    """
+    owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(len(index))
+    return owner, index
+
+
+#: Candidate entries gathered at once when answering many queries; a larger
+#: batch only holds more memory while it is tested.
+_BATCH_CANDIDATES = 1 << 16
+
+
 class PresenceIndex:
-    """Bit-packed location -> entry presence matrix for bulk query answering.
+    """Per-location posting lists over a database's entries, for bulk count queries.
 
     Equivalent to :func:`eval_count_query` record scans, after one indexing
-    pass over the database's entries: a query is an AND of its locations' bit
-    rows, and the answer is the summed weight of the entries whose bit
-    survives.
+    pass over the database's tokens. Location ``l``'s posting list holds the
+    entries that visit it, ascending, and its bit-packed row tells whether a
+    given entry visits it. A query takes its rarest location's posting list
+    as candidates, keeps those whose bit is set in each of its other
+    locations' rows, and sums the weights of the survivors.
     """
 
     def __init__(self, db: TrajectoryDb, universe_size: int):
+        if db.tokens.max(initial=-1) >= universe_size:  # ids are never negative
+            raise ValueError(
+                f"location id {db.tokens.max()} outside universe of size {universe_size}"
+            )
         self.weights = db.weights
-        ids = np.repeat(np.arange(len(db.weights)), np.diff(db.offsets))
-        self._bits = np.zeros((universe_size, (len(db.weights) + 7) // 8), dtype=np.uint8)
-        # Entry i is bit i % 8, counted from the top, of byte i // 8: unpackbits's
-        # order. uint8 values keep ``at`` off its slower casting path.
-        masks = (128 >> (ids & 7)).astype(np.uint8)
-        np.bitwise_or.at(self._bits, (db.tokens, ids >> 3), masks)
+        n = len(db.weights)
+        # One key per (location, entry) visit: sorted, location l's keys fill
+        # [l * n, (l + 1) * n) and a repeated visit equals the key before it.
+        keys = db.tokens.astype(np.int64)
+        keys *= n
+        keys += np.repeat(np.arange(n), np.diff(db.offsets))
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        self._bounds = np.searchsorted(keys, np.arange(universe_size + 1) * n)
+        self._lengths = np.diff(self._bounds)
+        keys %= max(n, 1)
+        self._postings = keys.astype(np.int32)
+        del keys
+        self._bits = np.zeros((universe_size, (n + 7) // 8), dtype=np.uint8)
+        # Entry i is bit i % 8, counted from the top, of byte i // 8. uint8
+        # values keep ``at`` off its slower casting path.
+        locations = np.repeat(np.arange(universe_size, dtype=np.int32), self._lengths)
+        masks = (128 >> (self._postings & 7)).astype(np.uint8)
+        np.bitwise_or.at(self._bits, (locations, self._postings >> 3), masks)
 
     def count(self, query: CountQuery) -> int:
-        if not query:
+        """One query's count, answered as a batch of one."""
+        return int(self.counts([query])[0])
+
+    def counts(self, queries: Sequence[CountQuery]) -> np.ndarray:
+        """Every query's count, the queries answered together in batches."""
+        sizes = np.fromiter(map(len, queries), np.intp, len(queries))
+        if not sizes.all():
             raise ValueError("count query needs at least one location")
-        ids = iter(query)
-        acc = self._bits[next(ids)]
-        for loc in ids:
-            acc = acc & self._bits[loc]
-        present = np.unpackbits(acc, count=len(self.weights)).view(bool)
-        return int(self.weights[present].sum())
+        locations = np.fromiter(chain.from_iterable(queries), np.intp, sizes.sum())
+        lengths = self._lengths[locations]
+        # Each query's locations, rarest first.
+        order = np.lexsort((lengths, np.repeat(np.arange(len(sizes)), sizes)))
+        locations, lengths = locations[order], lengths[order]
+        firsts = np.cumsum(sizes) - sizes
+        gathered = np.cumsum(lengths[firsts])  # candidates up to and including each query
+        answers = np.zeros(len(queries), dtype=np.int64)
+        lo = 0
+        while lo < len(queries):
+            budget = (gathered[lo - 1] if lo else 0) + _BATCH_CANDIDATES
+            hi = max(int(np.searchsorted(gathered, budget, "right")), lo + 1)
+            rarest = locations[firsts[lo:hi]]
+            query, at = _spans(self._bounds[rarest], lengths[firsts[lo:hi]])
+            entries = self._postings[at]
+            query += lo
+            for column in range(1, int(sizes[lo:hi].max())):
+                if not len(query):
+                    break
+                tested = np.flatnonzero(sizes[query] > column)
+                e = entries[tested]
+                bits = self._bits[locations[firsts[query[tested]] + column], e >> 3]
+                keep = np.ones(len(query), dtype=bool)
+                keep[tested[(bits & (128 >> (e & 7))) == 0]] = False
+                query, entries = query[keep], entries[keep]
+            totals = np.bincount(query - lo, weights=self.weights[entries], minlength=hi - lo)
+            answers[lo:hi] = totals.astype(np.int64)
+            lo = hi
+        return answers
 
 
 def evaluate_workload(
@@ -117,7 +185,8 @@ def evaluate_workload(
 ) -> list[float]:
     """Average relative error per workload subset.
 
-    The sanity bound defaults to 0.1% of the raw database size.
+    The sanity bound defaults to 0.1% of the raw database size. Each subset's
+    queries are answered together on each database.
     """
     if sanity is None:
         sanity = DEFAULT_SANITY_FRACTION * len(raw)
@@ -126,9 +195,8 @@ def evaluate_workload(
 
     averages = []
     for queries in workload.subsets:
-        errors = [
-            relative_error(raw_index.count(q), sanitized_index.count(q), sanity) for q in queries
-        ]
+        pairs = zip(raw_index.counts(queries).tolist(), sanitized_index.counts(queries).tolist())
+        errors = [relative_error(true, noisy, sanity) for true, noisy in pairs]
         averages.append(sum(errors) / len(errors))
     return averages
 
@@ -139,6 +207,47 @@ class SeqPattern:
 
     locations: Trajectory
     support: int
+
+
+def _extensions(
+    db: TrajectoryDb, ids: np.ndarray, skips: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Every one-location extension of a projected pattern, by location.
+
+    The projection is ``ids``, the entries that hold the pattern, and
+    ``skips``, how many of each entry's tokens its earliest occurrence ends
+    after. Returns every location's support and run length, and the
+    extensions' projections as one ``family`` of two arrays, location by
+    location: each run is one extension's projection.
+    """
+    starts = db.offsets[ids] + skips
+    lengths = db.offsets[ids + 1] - starts
+    rows, at = _spans(starts, lengths)
+    keys = db.tokens[at].astype(np.int64)
+    del at
+    # Unique keys: by location, then by (row, position) as gathered. The
+    # arrays are as long as every remaining token, so they are reused in
+    # place and dropped as soon as they are spent.
+    total = max(len(keys), 1)
+    keys *= total
+    keys += np.arange(len(keys))
+    keys.sort()
+    flat = keys % total
+    keys //= total
+    rows = rows[flat]
+    # A (location, row) pair's first key is the location's earliest occurrence in the row.
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (rows[1:] != rows[:-1])
+    rows = rows[first]
+    after = flat[first]
+    del flat
+    locs = keys[first]
+    del keys
+    after -= (np.cumsum(lengths) - lengths)[rows]
+    after += skips[rows]
+    after += 1
+    support = np.bincount(locs, weights=db.weights[ids[rows]]).astype(np.int64)
+    return support, np.bincount(locs), (ids[rows], after.astype(np.int32))
 
 
 def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[SeqPattern]:
@@ -153,51 +262,49 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
     Candidates wait in one heap keyed by that order. A pattern's one-location
     extensions have at most its support and are one location longer, so none
     sorts before it: popping in key order yields the result in order, and the
-    first k pops are the top k. A candidate carries its parent's projection
-    (the records that hold the parent, each with the position just past the
-    parent's earliest occurrence) and is projected only when popped. With p
-    patterns popped, only the k - p best candidates can still be popped, so
-    the heap is cut to those whenever it grows past twice that many.
+    first k pops are the top k. With p patterns popped, only the k - p best
+    candidates can still be popped, so the heap is cut to those whenever it
+    grows past twice that many, and a popped pattern pushes only its k - p
+    best extensions.
+
+    A pattern's projection (PrefixSpan's pseudo-projection) is the entries
+    that hold it, each with the position just past its earliest occurrence;
+    both fit int32. A popped pattern sorts the tokens after those positions
+    by (location, entry) and keeps each pair's first: one weighted
+    ``bincount`` gives every extension's support, and each location's run is
+    that extension's projection, sliced out when the extension is popped.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len!r}")
-    sequences = db.entries
-    weights = db.weights.tolist()
-
-    def project(rows: list[int], starts: list[int], loc: int) -> tuple[list[int], list[int]]:
-        kept_rows, kept_starts = [], []
-        for rec, pos in zip(rows, starts):
-            seq = sequences[rec]
-            if loc in seq[pos:]:
-                kept_rows.append(rec)
-                kept_starts.append(seq.index(loc, pos) + 1)
-        return kept_rows, kept_starts
-
     heap: list = []
     patterns: list[SeqPattern] = []
     pattern: Trajectory = ()
-    rows, starts = list(range(len(sequences))), [0] * len(sequences)
+    ids, skips = np.arange(len(db.weights), dtype=np.int32), np.zeros(len(db.weights), np.int32)
     while True:
+        left = k - len(patterns)
         if max_len is None or len(pattern) < max_len:
-            counts: Counter = Counter()
-            for rec, pos in zip(rows, starts):
-                weight = weights[rec]
-                for loc in set(sequences[rec][pos:]):
-                    counts[loc] += weight
-            for loc, support in counts.items():
-                heapq.heappush(heap, (-support, len(pattern) + 1, pattern + (loc,), rows, starts))
-            left = k - len(patterns)
+            support, runs, family = _extensions(db, ids, skips)
+            run_ends = np.cumsum(runs)
+            children = np.flatnonzero(runs)
+            children = children[np.lexsort((children, -support[children]))[:left]]
+            for loc, count, lo, hi in zip(
+                children.tolist(),
+                support[children].tolist(),
+                (run_ends - runs)[children].tolist(),
+                run_ends[children].tolist(),
+            ):
+                heapq.heappush(heap, (-count, len(pattern) + 1, pattern + (loc,), family, lo, hi))
             if len(heap) > 2 * left:
                 heap = heapq.nsmallest(left, heap)
         if not heap:
             break
-        neg_support, _, pattern, parent_rows, parent_starts = heapq.heappop(heap)
+        neg_support, _, pattern, (family_ids, family_skips), lo, hi = heapq.heappop(heap)
         patterns.append(SeqPattern(locations=pattern, support=-neg_support))
         if len(patterns) == k:
             break
-        rows, starts = project(parent_rows, parent_starts, pattern[-1])
+        ids, skips = family_ids[lo:hi], family_skips[lo:hi]
     if len(patterns) < k:
         logger.warning("only %d patterns with support >= 1; requested top %d", len(patterns), k)
     return patterns

@@ -239,6 +239,24 @@ class TestEvalCount:
         assert result.returncode == 1
         assert "raw database is empty" in result.stderr
 
+    def test_empty_sanitized_scores_every_query_as_missed(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "count.csv"
+        result = run_cli(
+            "eval-count", "--raw", data, "--sanitized", empty, "--universe", universe,
+            "--height", "4", "--queries-per-subset", "5", "--seed", "1", "--output", out,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            "subset,max_query_len,queries,epsilon,height,variant,sanity,avg_relative_error",
+            "1,1,5,,4,,0.008000,1.000000",
+            "2,2,5,,4,,0.008000,1.000000",
+            "3,3,5,,4,,0.008000,0.600000",
+            "4,4,5,,4,,0.008000,0.400000",
+        ]
+
     def test_non_finite_sanity_fraction_is_param_error(self, tmp_path, sample_paths):
         data, universe = sample_paths
         for value in ("nan", "inf", "0", "-0.5"):
@@ -363,6 +381,24 @@ class TestEvalFsp:
             "--universe", universe, "--topk", "0",
         )
         assert result.returncode == 2
+
+    def test_empty_sanitized_mines_nothing(self, tmp_path, sample_paths):
+        data, universe = sample_paths
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "fsp.csv"
+        result = run_cli(
+            "eval-fsp", "--raw", data, "--sanitized", empty, "--universe", universe,
+            "--topk", "3,5", "--output", out,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            "k,epsilon,height,variant,true_positives,false_positives,false_drops,"
+            "mined_raw,mined_sanitized",
+            "3,,,,0,0,3,3,0",
+            "5,,,,0,0,5,5,0",
+        ]
+        assert "only 0 patterns" in result.stderr
 
     def test_empty_raw_is_data_error(self, tmp_path, sample_paths):
         data, universe = sample_paths

@@ -1,11 +1,13 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dptraj import utility
 from dptraj.model import TrajectoryDb
 from dptraj.utility import (
     PresenceIndex,
@@ -99,6 +101,51 @@ class TestCountQuery:
                     q = frozenset(q)
                     assert index.count(q) == eval_count_query(db, q)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=9).map(tuple),
+            max_size=12,
+        ),
+        st.lists(st.integers(0, 11), max_size=40),
+        st.lists(
+            st.one_of(
+                st.frozensets(st.integers(0, 5), min_size=1, max_size=6),
+                st.frozensets(st.integers(0, 13), min_size=1, max_size=12),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.sampled_from([1, 5, 1 << 16]),
+        st.sampled_from([None, 16, 64]),
+    )
+    def test_batched_and_single_answers_match_scan(
+        self, tmp_path_factory, pool, picks, queries, batch, block
+    ):
+        # Records use locations 0-5 of a 14-location universe: queries of
+        # length 1-12 also name locations no record visits, and half of them
+        # keep to the visited ones, whose answers are rarely zero. An empty pool is
+        # a database with no entries, a one-record pool one with a single
+        # entry; reading back in small blocks splits an entry's repeats.
+        rows = [pool[i % len(pool)] for i in picks] if pool else []
+        db = TrajectoryDb.of(rows)
+        if block is not None:
+            db = load_in_blocks(rows, make_universe(14), block, tmp_path_factory.mktemp("split"))
+        expected = [eval_count_query(TrajectoryDb.of(rows), q) for q in queries]
+        with mock.patch.object(utility, "_BATCH_CANDIDATES", batch):
+            index = PresenceIndex(db, 14)
+            assert index.counts(queries).tolist() == expected
+            assert [index.count(q) for q in queries] == expected
+
+    def test_index_rejects_ids_outside_universe(self):
+        with pytest.raises(ValueError, match="outside universe of size 3"):
+            PresenceIndex(TrajectoryDb.of([(0, 5)]), 3)
+
+    def test_batch_rejects_an_empty_query(self, sample_db):
+        db, _ = sample_db
+        with pytest.raises(ValueError, match="at least one location"):
+            PresenceIndex(db, 4).counts([frozenset({0}), frozenset()])
+
 
 class TestRelativeError:
     def test_plain_arithmetic(self):
@@ -186,26 +233,52 @@ class TestMineTopK:
                 assert mine_top_k(db, k, max_len=3) == brute_force_top_k(db, k)
                 assert mine_top_k(db, k) == brute_force_top_k(db, k, max_len=longest)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(
-        st.integers(2, 4).flatmap(
-            lambda size: st.lists(
-                st.lists(st.integers(0, size - 1), min_size=1, max_size=5).map(tuple),
-                min_size=1,
-                max_size=6,
+        st.tuples(st.integers(2, 4), st.booleans()).flatmap(
+            lambda shape: st.tuples(
+                st.lists(
+                    st.lists(
+                        st.integers(0, shape[0] - 1),
+                        min_size=13 if shape[1] else 1,
+                        max_size=16 if shape[1] else 5,
+                    ).map(tuple),
+                    max_size=6,
+                ),
+                # Brute force enumerates position subsets, so records longer
+                # than 12 are checked up to length-3 patterns only.
+                st.integers(1, 3) if shape[1] else st.one_of(st.none(), st.integers(1, 3)),
             )
         ),
-        st.lists(st.integers(0, 9), min_size=1, max_size=40),
-        st.integers(1, 60),
-        st.one_of(st.none(), st.integers(1, 3)),
+        st.lists(st.integers(0, 9), max_size=40),
+        st.one_of(st.integers(1, 60), st.just(2000)),
+        st.sampled_from([None, 24]),
     )
-    def test_matches_brute_force_under_ties(self, pool, picks, k, max_len):
+    def test_matches_brute_force_under_ties(
+        self, tmp_path_factory, caplog, case, picks, k, block
+    ):
         # Few locations and records drawn with repetition from a small pool:
         # many patterns share a support, so the tie order decides the list.
-        rows = [pool[i % len(pool)] for i in picks]
+        # Locations repeat inside records, some records are longer than 12,
+        # an empty pool is an empty database, k = 2000 outnumbers every
+        # pattern that occurs, and reading back in small blocks splits an
+        # entry's repeats.
+        pool, max_len = case
+        rows = [pool[i % len(pool)] for i in picks] if pool else []
         db = TrajectoryDb.of(rows)
-        expected = brute_force_top_k(db, k, max_len=max_len or max(map(len, rows)))
-        assert mine_top_k(db, k, max_len) == expected
+        if block is not None:
+            db = load_in_blocks(rows, make_universe(4), block, tmp_path_factory.mktemp("split"))
+        longest = max(map(len, rows), default=1)
+        expected = brute_force_top_k(TrajectoryDb.of(rows), k, max_len=max_len or longest)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="dptraj.utility"):
+            assert mine_top_k(db, k, max_len) == expected
+        assert ("requested top" in caplog.text) == (len(expected) < k)
+        assert rows or expected == []
 
     def test_duplicate_records_count_individually(self):
         db = TrajectoryDb.of([(0, 1)] * 4 + [(1, 0)])
