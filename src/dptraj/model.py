@@ -113,12 +113,8 @@ class TrajectoryDb:
 
     @cached_property
     def entries(self) -> tuple[Trajectory, ...]:
-        """Every entry as a tuple, for readers that loop in Python.
-
-        Each location id is one int object, which ``in`` and ``index`` match by identity.
-        """
-        ids = list(range(int(self.tokens.max(initial=-1)) + 1))
-        flat = list(map(ids.__getitem__, self.tokens.tolist()))
+        """Every entry as a tuple, for readers that loop in Python."""
+        flat = self.tokens.tolist()
         bounds = self.offsets.tolist()
         return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
@@ -126,6 +122,18 @@ class TrajectoryDb:
     def trajectories(self) -> tuple[Trajectory, ...]:
         """Every record, in order (repeats of one entry are the same tuple)."""
         return tuple(map(self.entries.__getitem__, self.codes.tolist()))
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[starts[i], starts[i] + lengths[i])`` laid end to end.
+
+    Returns ``(owner, index)``: ``index`` runs through every range in order,
+    and ``owner[j]`` (int32) is the ``i`` whose range ``index[j]`` belongs to.
+    """
+    owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(len(index))
+    return owner, index
 
 
 def encode_timestamped(pairs: Iterable[tuple[str, object]]) -> list[str]:

@@ -1,42 +1,37 @@
 """Prefix-tree construction: the noisy, thresholded prefix tree of a database.
 
-The noisy builder expands nodes depth first. At each expanded node every
-universe location is a candidate child: candidates backed by at least one
-trajectory get an individually noised count and survive only above the
-threshold, while the (typically many) zero-count candidates are resolved in
-one shot -- a binomial draw decides how many pass, and those are placed on
-uniformly chosen empty locations with counts drawn from the passing-count
-distribution. Nodes born from empty candidates carry no trajectories and are
-not expanded further unless ``expand_empty`` is set; full symmetric expansion
-multiplies the node count by roughly ``0.03 * len(universe)`` per level and is
-only practical for small universes.
+At each expanded node every universe location is a candidate child:
+candidates backed by at least one trajectory get an individually noised count
+and survive only above the threshold, while the (typically many) zero-count
+candidates are resolved in one shot -- a binomial draw decides how many pass,
+and those are placed on uniformly chosen empty locations with counts drawn
+from the passing-count distribution. Nodes born from empty candidates carry
+no trajectories and are not expanded further unless ``expand_empty`` is set;
+full symmetric expansion multiplies the node count by roughly
+``0.03 * len(universe)`` per level and is only practical for small universes.
 
 The builder cuts the database's token array into one integer matrix of its
 entries, a column per depth below the tree height (-1 past a record's end),
 sorted once with ``np.lexsort``; repeated entries sit side by side. The
-records under any prefix fill one contiguous row range: a node is its row
-range, and its children are the runs of equal values in one column of that
-range. Neighbouring rows are compared once for the whole matrix, which gives
-each depth a sorted list of the rows where a run starts; a node bisects that
-list for its range, and rows that end at the node hold -1 and form a first
-run that is skipped. A true count is a difference of running totals. The
-depth-first loop makes each node's draws in a fixed order and records them;
-the empty-born leaves are placed afterwards, in arrays, at their preorder
-rows. Those preorder arrays are the tree's interface, read and written
-directly by inference, release and the CLI, which get root paths from
-:meth:`PrefixTree.paths`.
+records under any prefix fill one contiguous row range, and a node's children
+are the runs of equal values in one column of that range. The tree grows one
+depth at a time: one ``searchsorted`` finds the runs of every frontier node,
+true counts are differences of running totals, a loop over the frontier makes
+only the draws (each node's from its own stream, in a fixed order), and array
+steps keep children, place empty-born ones and pick the next frontier. The
+rows are laid out in preorder at the end. Those arrays are the tree's
+interface, read and written directly by inference, release and the CLI, which
+get root paths from :meth:`PrefixTree.paths`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import LocationUniverse, TrajectoryDb
+from .model import LocationUniverse, TrajectoryDb, _spans
 from .privacy import (
     PrivacyParams,
     RandomSource,
@@ -46,8 +41,8 @@ from .privacy import (
 )
 
 
-#: Pool slots shuffled together when empty-born leaves are placed: 256
-#: bearing nodes at a time over a universe of 1,024 locations.
+#: Pool slots shuffled together when empty-born nodes are placed: 256
+#: expanded nodes at a time over a universe of 1,024 locations.
 _CELLS = 1 << 18
 
 
@@ -126,115 +121,92 @@ def build_noisy_tree(
     the order in which nodes are expanded.
     """
     columns, starts, cum = _sorted_columns(db, params.height, len(universe))
-    # Memoryviews let the loop index and bisect the arrays without numpy calls.
-    column_of = list(map(memoryview, columns))
-    start_of = list(map(memoryview, starts))
-    total = memoryview(cum)
     universe_size = len(universe)
     scale = params.noise_scale
-    theta = params.threshold
+    # Per depth, the nodes born there: parent (its index one depth up),
+    # location, noisy count and true count, siblings in birth order.
+    levels = [(np.zeros(1, dtype=np.int64), np.full(1, -1), np.full(1, np.nan), cum[-1:])]
+    # The frontier: each node's index at its depth, root path and row range.
+    at, paths = np.zeros(1, dtype=np.int64), [()]
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, len(cum) - 1)
+    for d in range(params.height):
+        # A node's child runs start at the listed rows of its range; rows
+        # ending at the node hold -1 and form a first run that is skipped.
+        first = starts[d]
+        a = np.searchsorted(first, lo)
+        owner, run = _spans(a, np.searchsorted(first, hi) - a)
+        begin, end = first[run], np.append(first, len(cum) - 1)[run + 1]
+        loc = columns[d][begin].astype(np.int64)
+        backed = loc >= 0
+        owner, begin, end, loc = owner[backed], begin[backed], end[backed], loc[backed]
+        counts = cum[end] - cum[begin]
+        runs = np.bincount(owner, minlength=len(paths))
+        noise: list[float] = []
+        passing: list[int] = []
+        slots = [np.empty(0, dtype=np.int64)]
+        values = [np.empty(0)]  # arrays: an int or float object per draw would fragment the heap
+        for path, k in zip(paths, runs.tolist()):
+            rng = source.stream(*path)
+            if k <= 32:  # scalar draws beat numpy dispatch here
+                noise += [laplace_noise(scale, rng) for _ in range(k)]
+            else:
+                noise += laplace_noise(scale, rng, size=k).tolist()
+            # All remaining locations are zero-count candidates; resolve them in one shot.
+            n = sample_pass_count(universe_size - k, params, rng)
+            passing.append(n)
+            if n:
+                slots.append(rng.integers(np.arange(n), universe_size - k))
+                values.append(sample_passing_noisy_count(params, rng, size=n))
+        draws = counts + np.array(noise)
+        kept = draws >= params.threshold
+        n_born = np.array(passing, dtype=np.int64)
+        born = _empty_born_locations(loc, runs, n_born, np.concatenate(slots), universe_size)
+        # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
+        empty = np.zeros(len(born), dtype=np.int64)
+        pos = np.concatenate((owner[kept], np.repeat(np.arange(len(paths)), n_born)))
+        location = np.concatenate((loc[kept], born))
+        true = np.concatenate((counts[kept], empty))
+        levels.append((at[pos], location, np.concatenate((draws[kept], *values)), true))
+        # The next frontier; empty-born nodes hold no rows, so their range is empty.
+        at = np.flatnonzero((expand_empty | (true > 0)) & (d + 1 < params.height))
+        paths = [paths[i] + (child,) for i, child in zip(pos[at].tolist(), location[at].tolist())]
+        lo = np.concatenate((begin[kept], empty))[at]
+        hi = np.concatenate((end[kept], empty))[at]
+    del columns, starts, cum  # the tree's arrays can take their memory
+    return _preorder(levels, universe)
 
-    # Visited nodes, in visit order; a parent is a visit index.
-    parent: list[int] = []
-    location: list[int] = []
-    depth: list[int] = []
-    noisy: list[float] = []
-    true_count: list[int] = []
-    # Per visited node that bore empty-born leaves: its visit index, its
-    # data-backed locations and the leaves' slot draws and noisy counts.
-    bearers: list[int] = []
-    taken: list[list[int]] = []
-    slots: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    # A stack item is a node not yet visited:
-    # (parent visit index, root path, row range lo and hi, true count, noisy count).
-    stack = [(-1, (), 0, len(cum) - 1, int(cum[-1]), float("nan"))]
-    while stack:
-        up, path, lo, hi, count, value = stack.pop()
-        node = len(parent)
-        d = len(path)
-        parent.append(up)
-        location.append(path[-1] if path else -1)
-        depth.append(d)
-        noisy.append(value)
-        true_count.append(count)
-        if d == params.height:
-            continue
-        rng = source.stream(*path)
-        # One run of rows per next location; rows ending here hold -1 and sort first.
-        # A range of at most one row (as at most deep nodes) is at most one run.
-        if hi - lo > 1:
-            first = start_of[d]
-            bounds = first[bisect_left(first, lo) : bisect_left(first, hi)].tolist()
-        else:
-            bounds = list(range(lo, hi))
-        column = column_of[d]
-        if bounds and column[bounds[0]] < 0:
-            del bounds[0]
-        locs = [column[i] for i in bounds]
-        bounds.append(hi)
-        if len(locs) <= 32:  # scalar draws beat numpy dispatch here
-            draws = [
-                total[j] - total[i] + laplace_noise(scale, rng) for i, j in zip(bounds, bounds[1:])
-            ]
-        else:
-            counts = np.asarray([total[j] - total[i] for i, j in zip(bounds, bounds[1:])], float)
-            draws = (counts + laplace_noise(scale, rng, size=len(locs))).tolist()
-        stack += [
-            (node, path + (loc,), i, j, total[j] - total[i], draw)
-            for loc, i, j, draw in zip(locs, bounds, bounds[1:], draws)
-            if draw >= theta
-        ]
-        # All remaining locations are zero-count candidates; resolve them in one shot.
-        empty_pool_size = universe_size - len(locs)
-        passing = sample_pass_count(empty_pool_size, params, rng)
-        if not passing:
-            continue
-        drawn = rng.integers(np.arange(passing), empty_pool_size)
-        born_values = sample_passing_noisy_count(params, rng, size=passing)
-        if expand_empty:
-            born = _empty_born_locations([locs], [drawn], universe_size)
-            stack += [
-                (node, path + (loc,), hi, hi, 0, v)
-                for loc, v in zip(born.tolist(), born_values.tolist())
-            ]
-        else:
-            bearers.append(node)
-            taken.append(locs)
-            slots.append(drawn)
-            values.append(born_values)
 
-    del columns, starts, cum, column_of, start_of, total  # the tree's arrays can take their memory
-    # A bearer's leaves follow it in preorder, last-born first, so each
-    # visited node moves down by the number of leaves born before it.
-    bearing = np.array(bearers, dtype=np.int64)
-    born = np.fromiter(map(len, slots), dtype=np.int64, count=len(slots))
-    n_born = np.zeros(len(parent), dtype=np.int64)
-    n_born[bearing] = born
-    row = np.arange(len(parent)) + np.cumsum(n_born) - n_born
-    # The i-th leaf born to a bearer takes row row[bearer] + born[bearer] - i,
-    # where i is the leaf's index k less the leaves of earlier bearers.
-    shift = np.repeat(row[bearing] + born + np.cumsum(born) - born, born)
-    at = np.concatenate((row, shift - np.arange(len(shift))))
+def _preorder(levels: list[tuple[np.ndarray, ...]], universe: LocationUniverse) -> PrefixTree:
+    """The tree whose nodes at depth ``d`` are ``levels[d]``, one row per node in preorder.
 
-    def place(*parts):  # visited nodes' values, then the leaves', to their preorder rows
-        flat = np.concatenate(parts)
-        out = np.empty_like(flat)
-        out[at] = flat
-        return out
-
-    parent_visit = np.array(parent, dtype=np.int64)
-    parents = place(
-        np.where(parent_visit < 0, -1, row[parent_visit]), np.repeat(row[bearing], born)
-    )
-    depths = np.array(depth, dtype=np.int64)
+    ``levels[d]`` holds each node's parent (its index in ``levels[d - 1]``;
+    0 for the root), location, noisy count and true count, with siblings in
+    birth order. Siblings take rows last-born first: a node's row is its
+    parent's row, plus one, plus the subtree sizes of its later-born siblings.
+    """
+    size = [np.ones(len(level[0]), dtype=np.int64) for level in levels]
+    for d in range(len(levels) - 1, 0, -1):
+        size[d - 1] += np.bincount(levels[d][0], size[d], len(size[d - 1])).astype(np.int64)
+    n = int(size[0][0])
+    parent, location, depth, true_count = (np.empty(n, dtype=np.int64) for _ in range(4))
+    noisy = np.empty(n)
+    above = np.full(1, -1)  # the rows one depth up; the root's parent is -1
+    for d, (up, loc, value, count) in enumerate(levels):
+        order = np.argsort(up, kind="stable")  # each parent's children side by side
+        sizes = np.cumsum(size[d][order])
+        last = np.searchsorted(up[order], up[order], side="right") - 1
+        row = np.empty(len(up), dtype=np.int64)
+        row[order] = above[up[order]] + 1 + sizes[last] - sizes
+        parent[row], location[row], depth[row] = above[up], loc, d
+        noisy[row], true_count[row] = value, count
+        above = row
     return PrefixTree(
-        parent=parents,
-        location=place(location, _empty_born_locations(taken, slots, universe_size)),
-        depth=place(depths, np.repeat(depths[bearing] + 1, born)),
-        noisy=place(noisy, *values),
-        true_count=place(true_count, np.zeros(born.sum(), dtype=np.int64)),
-        n_children=np.bincount(parents[1:], minlength=len(parents)),
+        parent=parent,
+        location=location,
+        depth=depth,
+        noisy=noisy,
+        true_count=true_count,
+        n_children=np.bincount(parent[1:], minlength=n),
         universe=universe,
     )
 
@@ -269,43 +241,46 @@ def _sorted_columns(
 
 
 def _empty_born_locations(
-    taken: list[list[int]], slots: list[np.ndarray], universe_size: int
+    locs: np.ndarray, runs: np.ndarray, passing: np.ndarray, slots: np.ndarray, universe_size: int
 ) -> np.ndarray:
-    """Locations of empty-born nodes, in birth order, one batch per bearing node.
+    """Locations of empty-born nodes, in birth order, for each expanded node in turn.
 
-    A bearer's pool is the universe without its data-backed locations
-    (``taken``, ascending), in ascending order: slot ``s`` is the ``s``-th
-    free location. Its draws ``slots`` are a partial Fisher-Yates shuffle of
-    the pool: step ``i`` swaps pool slots
-    ``i`` and ``slots[i] >= i``, after which slot ``i`` holds the ``i``-th
-    sample. Bearers are shuffled side by side, one step at a time, with
-    about ``_CELLS`` pool slots held at once.
+    Node ``b`` owns the next ``runs[b]`` of ``locs``, its data-backed
+    locations (ascending), and the next ``passing[b]`` of ``slots``, the slot
+    draws of the empty-born children it bears (if any). Its pool is the
+    universe without its data-backed locations, in ascending order: slot
+    ``s`` is the ``s``-th free location. Its draws are a partial Fisher-Yates
+    shuffle of the pool: step ``i`` swaps pool slots ``i`` and
+    ``slots[i] >= i``, after which slot ``i`` holds the ``i``-th sample.
+    Nodes are shuffled side by side, one step at a time, with about
+    ``_CELLS`` pool slots held at once.
     """
     born = [np.empty(0, dtype=np.int64)]
     chunk = max(1, _CELLS // universe_size)
     stride = universe_size + 1
-    for a in range(0, len(slots), chunk):
-        drawn, kept = slots[a : a + chunk], taken[a : a + chunk]
-        rows = np.arange(len(drawn))
-        passing = np.fromiter(map(len, drawn), dtype=np.int64, count=len(drawn))
-        drawn_at = np.arange(passing.max()) < passing[:, None]
+    run_at = np.concatenate(([0], np.cumsum(runs)))
+    slot_at = np.concatenate(([0], np.cumsum(passing)))
+    for a in range(0, len(passing), chunk):
+        b = min(a + chunk, len(passing))
+        drawn, n_taken = passing[a:b], runs[a:b]
+        rows = np.arange(b - a)
+        drawn_at = np.arange(drawn.max()) < drawn[:, None]
         picks = np.zeros(drawn_at.shape, dtype=np.int64)
-        picks[drawn_at] = np.concatenate(drawn)
-        shuffled = np.tile(np.arange(universe_size), (len(drawn), 1))  # slot at each position
+        picks[drawn_at] = slots[slot_at[a] : slot_at[b]]
+        shuffled = np.tile(np.arange(universe_size), (b - a, 1))  # slot at each position
         for i in range(picks.shape[1]):
-            # A bearer with fewer draws reads position 0 here and only scrambles spent positions.
+            # A node with fewer draws reads position 0 here and only scrambles spent positions.
             j = picks[:, i].copy()
             picks[:, i] = shuffled[rows, j]
             shuffled[rows, j] = shuffled[rows, i]
         # The s-th free location is s plus the number of taken locations t_q
         # (q-th smallest, from 0) with t_q - q <= s.
-        n_taken = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
-        firsts = np.cumsum(n_taken) - n_taken
-        flat = np.fromiter(chain.from_iterable(kept), dtype=np.int64, count=n_taken.sum())
-        shifted = np.repeat(rows * stride + firsts, n_taken) + flat - np.arange(len(flat))
+        firsts = run_at[a:b] - run_at[a]
+        taken = locs[run_at[a] : run_at[b]]
+        shifted = np.repeat(rows * stride + firsts, n_taken) + taken - np.arange(len(taken))
         slot = picks[drawn_at]
-        bearer = np.repeat(rows, passing)
-        below = np.searchsorted(shifted, bearer * stride + slot, side="right") - firsts[bearer]
+        owner = np.repeat(rows, drawn)
+        below = np.searchsorted(shifted, owner * stride + slot, side="right") - firsts[owner]
         born.append(slot + below)
     return np.concatenate(born)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import LocationUniverse, Trajectory, TrajectoryDb
+from .model import LocationUniverse, Trajectory, TrajectoryDb, _spans
 
 logger = logging.getLogger(__name__)
 
@@ -78,18 +78,6 @@ def generate_workload(
         subsets.append(tuple(queries))
         max_lengths.append(max_len)
     return QueryWorkload(subsets=tuple(subsets), max_lengths=tuple(max_lengths))
-
-
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ranges ``[starts[i], starts[i] + lengths[i])`` laid end to end.
-
-    Returns ``(owner, index)``: ``index`` runs through every range in order,
-    and ``owner[j]`` (int32) is the ``i`` whose range ``index[j]`` belongs to.
-    """
-    owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
-    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    index += np.arange(len(index))
-    return owner, index
 
 
 #: Candidate entries gathered at once when answering many queries; a larger

@@ -260,11 +260,6 @@ class TestTrajectoryDb:
             with pytest.raises(ValueError):
                 TrajectoryDb(tokens, offsets, codes)
 
-    def test_entries_share_one_int_per_location(self):
-        db = TrajectoryDb.of([(300, 301), (301, 300, 300)])
-        first, second = db.entries
-        assert first[0] is second[1] is second[2] and first[1] is second[0]
-
 
 class TestEncodeTimestamped:
     def test_pairs_become_composite_tokens(self):

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dptraj.model import TrajectoryDb
@@ -274,6 +274,15 @@ class TestAgainstReference:
 
     @settings(max_examples=150, deadline=None)
     @given(_build_cases())
+    # An empty database: only empty-born nodes, grown to the height.
+    @example(([], make_universe(5), PrivacyParams(2.0, 3, 0.1), 7, True, 16))
+    # The frontier is empty from depth 3 on, below the height of 6.
+    @example(([(0, 1)] * 5, make_universe(4), PrivacyParams(20.0, 6), 7, False, 16))
+    # Height 1; a one-location universe.
+    @example(([(0, 1), (1,), (2, 0)], make_universe(3), PrivacyParams(2.0, 1, 0.1), 7, False, 16))
+    @example(([(0,), (0, 0, 0), (0, 0)], make_universe(1), PrivacyParams(2.0, 3, 0.1), 7, True, 8))
+    # Every record runs past the height.
+    @example(([(0, 1, 2), (1, 0, 3, 3)], make_universe(4), PrivacyParams(20.0, 2), 7, False, 8))
     def test_arrays_equal_reference(self, case):
         rows, universe, params, seed, expand_empty, block = case
         with tempfile.TemporaryDirectory() as directory:
@@ -281,6 +290,19 @@ class TestAgainstReference:
         tree = build_noisy_tree(db, universe, params, RandomSource(seed), expand_empty)
         reference = reference_noisy_tree(db, universe, params, RandomSource(seed), expand_empty)
         _assert_same_tree(tree, reference)
+
+    @pytest.mark.parametrize("expand_empty", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_shuffle_chunks(self, monkeypatch, chunk, expand_empty):
+        # Shuffling `chunk` nodes at a time splits one depth's bearers over several chunks.
+        db, universe = _random_db(random.Random(13), max_records=60, universe_size=12, max_len=5)
+        monkeypatch.setattr("dptraj.tree._CELLS", chunk * len(universe))
+        params = PrivacyParams(epsilon=2.0, height=3, theta_multiplier=0.1)
+        tree = build_noisy_tree(db, universe, params, RandomSource(3), expand_empty)
+        reference = reference_noisy_tree(db, universe, params, RandomSource(3), expand_empty)
+        _assert_same_tree(tree, reference)
+        bearers = np.unique(tree.parent[1:][tree.true_count[1:] == 0])
+        assert np.bincount(tree.depth[bearers]).max() > 2 * chunk
 
     def test_wide_universe(self):
         # Location ids past the int16 range must survive the location matrix.
