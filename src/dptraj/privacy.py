@@ -113,11 +113,12 @@ def budget_ledger(params: PrivacyParams) -> BudgetLedger:
 
 
 class RandomSource:
-    """Deterministic generator factory with sub-streams keyed by tree path.
+    """Deterministic generator factory with sub-streams keyed by integers.
 
-    Two sources with the same seed yield identical streams for identical keys,
-    so a tree's draws do not depend on the order in which its nodes are
-    expanded.
+    Two sources with the same seed yield identical streams for identical keys.
+    The tree builder keys one stream by each depth and hands its draws out in
+    a canonical order, so a tree's draws do not depend on the order of the
+    input records.
     """
 
     def __init__(self, seed: int):
@@ -154,15 +155,16 @@ def laplace_noise(scale: float, rng, size=None):
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
-def sample_pass_count(m: int, params: PrivacyParams, rng) -> int:
+def sample_pass_count(m, params: PrivacyParams, rng):
     """Number of m zero-count candidates whose noisy count would clear the threshold.
 
     Equivalent to running the m independent noisy-count checks and counting
-    the passes, but in one binomial draw.
+    the passes, but in one binomial draw. ``m`` may be an array of pool
+    sizes; then one count is drawn for each, in one call.
     """
-    if m < 0:
+    if np.any(np.less(m, 0)):
         raise ValueError(f"candidate count must be >= 0, got {m!r}")
-    return int(rng.binomial(m, params.pass_probability))
+    return rng.binomial(m, params.pass_probability)
 
 
 def sample_passing_noisy_count(params: PrivacyParams, rng, size: int) -> np.ndarray:

@@ -16,12 +16,12 @@ sorted once with ``np.lexsort``; repeated entries sit side by side. The
 records under any prefix fill one contiguous row range, and a node's children
 are the runs of equal values in one column of that range. The tree grows one
 depth at a time: one ``searchsorted`` finds the runs of every frontier node,
-true counts are differences of running totals, a loop over the frontier makes
-only the draws (each node's from its own stream, in a fixed order), and array
-steps keep children, place empty-born ones and pick the next frontier. The
-rows are laid out in preorder at the end. Those arrays are the tree's
-interface, read and written directly by inference, release and the CLI, which
-get root paths from :meth:`PrefixTree.paths`.
+true counts are differences of running totals, one stream per depth makes
+every draw of the depth in four vector calls, handed out in the frontier's
+canonical order, and array steps keep children, place empty-born ones and
+pick the next frontier. The rows are laid out in preorder at the end. Those
+arrays are the tree's interface, read and written directly by inference,
+release and the CLI, which get root paths from :meth:`PrefixTree.paths`.
 """
 
 from __future__ import annotations
@@ -116,20 +116,24 @@ def build_noisy_tree(
 ) -> PrefixTree:
     """Thresholded noisy prefix tree of height at most ``params.height``.
 
-    Each node's randomness comes from a sub-stream keyed by its root path, so
-    the result depends only on (db, universe, params, source seed) and not on
-    the order in which nodes are expanded.
+    Depth ``d`` draws from one stream, ``source.stream(d)``, in four vector
+    calls that hand the draws to the frontier's candidates in a canonical
+    order: data-backed frontier nodes in the sorted matrix's path order, then
+    empty-born ones. So the result depends only on the multiset of records,
+    the universe, the parameters and the source seed, not on the order of the
+    records.
     """
     columns, starts, cum = _sorted_columns(db, params.height, len(universe))
     universe_size = len(universe)
-    scale = params.noise_scale
     # Per depth, the nodes born there: parent (its index one depth up),
     # location, noisy count and true count, siblings in birth order.
     levels = [(np.zeros(1, dtype=np.int64), np.full(1, -1), np.full(1, np.nan), cum[-1:])]
-    # The frontier: each node's index at its depth, root path and row range.
-    at, paths = np.zeros(1, dtype=np.int64), [()]
+    # The frontier: each node's index at its depth and row range.
+    at = np.zeros(1, dtype=np.int64)
     lo, hi = np.zeros(1, dtype=np.int64), np.full(1, len(cum) - 1)
     for d in range(params.height):
+        if not len(at):
+            break
         # A node's child runs start at the listed rows of its range; rows
         # ending at the node hold -1 and form a first run that is skipped.
         first = starts[d]
@@ -140,36 +144,28 @@ def build_noisy_tree(
         backed = loc >= 0
         owner, begin, end, loc = owner[backed], begin[backed], end[backed], loc[backed]
         counts = cum[end] - cum[begin]
-        runs = np.bincount(owner, minlength=len(paths))
-        noise: list[float] = []
-        passing: list[int] = []
-        slots = [np.empty(0, dtype=np.int64)]
-        values = [np.empty(0)]  # arrays: an int or float object per draw would fragment the heap
-        for path, k in zip(paths, runs.tolist()):
-            rng = source.stream(*path)
-            if k <= 32:  # scalar draws beat numpy dispatch here
-                noise += [laplace_noise(scale, rng) for _ in range(k)]
-            else:
-                noise += laplace_noise(scale, rng, size=k).tolist()
-            # All remaining locations are zero-count candidates; resolve them in one shot.
-            n = sample_pass_count(universe_size - k, params, rng)
-            passing.append(n)
-            if n:
-                slots.append(rng.integers(np.arange(n), universe_size - k))
-                values.append(sample_passing_noisy_count(params, rng, size=n))
-        draws = counts + np.array(noise)
+        runs = np.bincount(owner, minlength=len(at))
+        # The depth's draws, in this order: noise for every data-backed
+        # candidate (frontier order, then ascending location); how many of
+        # each node's zero-count candidates pass; the pool slot of each
+        # empty-born child; and its noisy count.
+        rng = source.stream(d)
+        draws = counts + laplace_noise(params.noise_scale, rng, size=len(counts))
+        pool = universe_size - runs
+        n_born = sample_pass_count(pool, params, rng)
+        bearer, rank = _spans(np.zeros_like(n_born), n_born)
+        slots = rng.integers(rank, pool[bearer])
+        values = sample_passing_noisy_count(params, rng, size=len(slots))
         kept = draws >= params.threshold
-        n_born = np.array(passing, dtype=np.int64)
-        born = _empty_born_locations(loc, runs, n_born, np.concatenate(slots), universe_size)
+        born = _empty_born_locations(loc, runs, n_born, slots, universe_size)
         # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
         empty = np.zeros(len(born), dtype=np.int64)
-        pos = np.concatenate((owner[kept], np.repeat(np.arange(len(paths)), n_born)))
+        pos = np.concatenate((owner[kept], bearer))
         location = np.concatenate((loc[kept], born))
         true = np.concatenate((counts[kept], empty))
-        levels.append((at[pos], location, np.concatenate((draws[kept], *values)), true))
+        levels.append((at[pos], location, np.concatenate((draws[kept], values)), true))
         # The next frontier; empty-born nodes hold no rows, so their range is empty.
-        at = np.flatnonzero((expand_empty | (true > 0)) & (d + 1 < params.height))
-        paths = [paths[i] + (child,) for i, child in zip(pos[at].tolist(), location[at].tolist())]
+        at = np.flatnonzero(expand_empty | (true > 0))
         lo = np.concatenate((begin[kept], empty))[at]
         hi = np.concatenate((end[kept], empty))[at]
     del columns, starts, cum  # the tree's arrays can take their memory
@@ -265,9 +261,10 @@ def _empty_born_locations(
         drawn, n_taken = passing[a:b], runs[a:b]
         rows = np.arange(b - a)
         drawn_at = np.arange(drawn.max()) < drawn[:, None]
-        picks = np.zeros(drawn_at.shape, dtype=np.int64)
+        picks = np.zeros(drawn_at.shape, dtype=np.int32)  # slots are below the universe size
         picks[drawn_at] = slots[slot_at[a] : slot_at[b]]
-        shuffled = np.tile(np.arange(universe_size), (b - a, 1))  # slot at each position
+        # The slot at each position.
+        shuffled = np.tile(np.arange(universe_size, dtype=np.int32), (b - a, 1))
         for i in range(picks.shape[1]):
             # A node with fewer draws reads position 0 here and only scrambles spent positions.
             j = picks[:, i].copy()

@@ -25,8 +25,11 @@ class _ZeroNoiseStream:
             return 0.5
         return np.full(size, 0.5)
 
-    def binomial(self, n: int, p: float) -> int:
-        return 0
+    def binomial(self, n, p: float) -> np.ndarray:
+        return np.zeros(np.shape(n), dtype=np.int64)
+
+    def integers(self, low, high) -> np.ndarray:
+        return np.asarray(low)
 
 
 class ZeroNoiseSource(RandomSource):
@@ -141,94 +144,70 @@ def reference_noisy_tree(
     source: RandomSource,
     expand_empty: bool = False,
 ) -> PrefixTree:
-    """The noisy tree built one node at a time over sorted record tuples.
+    """The noisy tree built one level at a time over sorted record tuples.
 
-    Makes the same draws in the same order as ``build_noisy_tree``, but finds
-    child runs by bisecting tuples and places each empty-born node as soon as
-    it is drawn, with a dict-based partial Fisher-Yates shuffle.
+    Makes the same draws in the same order as ``build_noisy_tree``, one
+    stream per depth, but finds child runs by bisecting tuples and places
+    empty-born nodes with a dict-based partial Fisher-Yates shuffle.
     """
     order = sorted(range(len(db.entries)), key=db.entries.__getitem__)
     cum = [0, *accumulate(db.weights[order].tolist())]  # cum[j] - cum[i]: records in rows[i:j]
     rows = list(map(db.entries.__getitem__, order))
     universe_size = len(universe)
-    scale = params.noise_scale
-    theta = params.threshold
 
-    parent: list[int] = []
-    location: list[int] = []
-    depth: list[int] = []
-    noisy: list[float] = []
-    true_count: list[int] = []
-    # A stack item is a node not yet in the arrays:
-    # (parent index, root path, row range lo and hi, true count, noisy count).
-    stack = [(-1, (), 0, len(rows), cum[-1], float("nan"))]
-    while stack:
-        up, path, lo, hi, count, value = stack.pop()
-        node = len(parent)
-        d = len(path)
-        parent.append(up)
-        location.append(path[-1] if path else -1)
-        depth.append(d)
-        noisy.append(value)
-        true_count.append(count)
-        if d == params.height:
-            continue
-        rng = source.stream(*path)
-        # One run of rows per next location; rows ending here sort first and are skipped.
-        runs: list[tuple[int, int, int]] = []
-        i = bisect_right(rows, path, lo, hi)
-        while i < hi:
-            loc = rows[i][d]
-            j = bisect_left(rows, path + (loc + 1,), i, hi)
-            runs.append((loc, i, j))
-            i = j
-        counts = [cum[j] - cum[i] for _, i, j in runs]
-        if len(runs) <= 32:
-            draws = [count + laplace_noise(scale, rng) for count in counts]
-        else:
-            draws = (np.asarray(counts, float) + laplace_noise(scale, rng, size=len(runs))).tolist()
-        kept = [
-            (node, path + (loc,), i, j, count, draw)
-            for (loc, i, j), count, draw in zip(runs, counts, draws)
-            if draw >= theta
-        ]
-        stack += kept
-        empty_pool_size = universe_size - len(runs)
-        passing = sample_pass_count(empty_pool_size, params, rng)
-        if not passing:
-            continue
-        mask = np.ones(universe_size, dtype=bool)
-        mask[[loc for loc, _, _ in runs]] = False
-        pool = np.flatnonzero(mask)
-        # Partial Fisher-Yates over pool slots: step i swaps slots i and j >= i,
-        # after which slot i holds its sample. Only moved slots are stored.
-        moved: dict[int, int] = {}
-        slots: list[int] = []
-        for i, j in enumerate(rng.integers(np.arange(passing), empty_pool_size).tolist()):
-            slots.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        born = pool[slots].tolist()
-        values = sample_passing_noisy_count(params, rng, size=passing).tolist()
-        if expand_empty:
-            stack += [(node, path + (loc,), hi, hi, 0, v) for loc, v in zip(born, values)]
-        else:
-            # Leaves: preorder puts them, last-born first, right after their parent.
-            parent += [node] * passing
-            location += reversed(born)
-            depth += [d + 1] * passing
-            noisy += reversed(values)
-            true_count += [0] * passing
+    # (prefix, noisy count, true count), parents first and siblings in birth order.
+    nodes: list[tuple[tuple[int, ...], float, int]] = [((), float("nan"), cum[-1])]
+    # Nodes to expand, as (root path, row range lo and hi): data-backed nodes
+    # in path order, then empty-born ones in their parents' order.
+    frontier = [((), 0, len(rows))]
+    for d in range(params.height):
+        if not frontier:
+            break
+        # Per frontier node, one run of rows per next location; rows ending
+        # at the node sort first and are skipped.
+        runs: list[list[tuple[int, int, int]]] = []
+        for path, lo, hi in frontier:
+            runs.append([])
+            i = bisect_right(rows, path, lo, hi)
+            while i < hi:
+                loc = rows[i][d]
+                j = bisect_left(rows, path + (loc + 1,), i, hi)
+                runs[-1].append((loc, i, j))
+                i = j
+        rng = source.stream(d)
+        candidates = [(path, run) for (path, _, _), own in zip(frontier, runs) for run in own]
+        noise = laplace_noise(params.noise_scale, rng, size=len(candidates)).tolist()
+        pools = [universe_size - len(own) for own in runs]
+        passing = sample_pass_count(pools, params, rng).tolist()
+        low = np.array([i for n in passing for i in range(n)], dtype=np.int64)
+        high = np.array([m for m, n in zip(pools, passing) for _ in range(n)], dtype=np.int64)
+        slots = iter(rng.integers(low, high).tolist())
+        values = iter(sample_passing_noisy_count(params, rng, size=len(low)).tolist())
 
-    parents = np.array(parent, dtype=np.int64)
-    return PrefixTree(
-        parent=parents,
-        location=np.array(location, dtype=np.int64),
-        depth=np.array(depth, dtype=np.int64),
-        noisy=np.array(noisy, dtype=np.float64),
-        true_count=np.array(true_count, dtype=np.int64),
-        n_children=np.bincount(parents[1:], minlength=len(parents)),
-        universe=universe,
-    )
+        next_frontier = []
+        for (path, (loc, i, j)), e in zip(candidates, noise):
+            count = cum[j] - cum[i]
+            if count + e >= params.threshold:
+                nodes.append((path + (loc,), count + e, count))
+                next_frontier.append((path + (loc,), i, j))
+        for (path, _, hi), own, n in zip(frontier, runs, passing):
+            if not n:
+                continue
+            mask = np.ones(universe_size, dtype=bool)
+            mask[[loc for loc, _, _ in own]] = False
+            pool = np.flatnonzero(mask).tolist()
+            # Partial Fisher-Yates over pool slots: step i swaps slots i and j >= i,
+            # after which slot i holds its sample. Only moved slots are stored.
+            moved: dict[int, int] = {}
+            for i in range(n):
+                j = next(slots)
+                child = path + (pool[moved.get(j, j)],)
+                moved[j] = moved.get(i, i)
+                nodes.append((child, next(values), 0))
+                if expand_empty:
+                    next_frontier.append((child, hi, hi))
+        frontier = next_frontier
+    return array_tree(nodes, universe)
 
 
 def reference_release(tree: PrefixTree, use_inference: bool) -> TrajectoryDb:

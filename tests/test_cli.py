@@ -287,30 +287,30 @@ class TestEvalCount:
 class TestPinnedRelease:
     """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus.
 
-    The digests were recorded before the tree moved to preorder arrays; any
-    change to a draw, to the child order or to the inference arithmetic shows
-    up here.
+    The digests were recorded when the builder moved to one stream per tree
+    depth; any change to a draw, to the child order or to the inference
+    arithmetic shows up here.
     """
 
     CORPUS = "07c4cdd7e0a9fc577e9780745ca9237fd28e5f9231508c99029ae90894e17310"
     RUNS = {
         # flags: (release digest, --dump-tree digest)
         ("--variant", "full"): (
-            "bd9c894d2818525b54cca342231d050a2d97df40496d7d9291ab0c28486a1d43",
-            "c722e98df88cd603e5a9bc7c9fcd280be9d0a9a1c4164c45a4dd32ad832bf677",
+            "d62e4e030b1530a6b9caf28cba4dad836ff10f47b7248f3dbcd3be44cda4efbd",
+            "6d9a31caeea69ad7b3d379bebab144cfb818bb6eccd76965c99f7af5d7362c2a",
         ),
         ("--variant", "basic"): (
-            "caa36ad34721054f8f01be045f90b86962c77066d2510d836bd1e4d945692c61",
-            "c722e98df88cd603e5a9bc7c9fcd280be9d0a9a1c4164c45a4dd32ad832bf677",
+            "fe12f8f4553eb82bd91f804ba673cb097a95466ca9d44808956f40277f73a407",
+            "6d9a31caeea69ad7b3d379bebab144cfb818bb6eccd76965c99f7af5d7362c2a",
         ),
         ("--expand-empty",): (
-            "661b99c089947364f5520176e4e97c666e92757cb6c3b7d0d6b16546749b0a5c",
-            "4dea79050959720a65717f9806f8974bc027a63051818ff69abc336c07ccf633",
+            "1eb99ced5afc5b9cfa977ec28058369a5989ee565347bc19dc0372665456d80d",
+            "5533bec257812e8152cb71c420d378499a4dd66ed3e23b665eca7850b28ddd19",
         ),
         # ~43% of empty candidates pass, so the one-shot sampler's swaps collide.
         ("--theta-mult", "0.1"): (
-            "50ddeeef6613774743c0977534056b7203df7d2e0a08c41bb87153928acee06a",
-            "ac2b2450866e4d7383889f6b2ccbfb91a2eb0b8044311439e874c58aa5e7a90b",
+            "a8d78d01777079983e8fc1cd5b9b32fbe29bd0f85d22e04137eaedc0feb9241d",
+            "6ea2446e273f62e26e818de871b07b073c06e9955627b724aabacbea32b8bb75",
         ),
     }
 

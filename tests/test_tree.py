@@ -269,8 +269,61 @@ class TestNoisyTree:
                 assert name == "universe" or value is None, name
 
 
+class _CountingSource(RandomSource):
+    """Records the key of every stream it opens."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.keys = []
+
+    def stream(self, *key):
+        self.keys.append(key)
+        return super().stream(*key)
+
+
+class TestDrawAssignment:
+    """Each depth draws from one stream, in an order fixed by the records' multiset."""
+
+    def test_record_order_and_blocks_leave_the_tree_unchanged(self, tmp_path):
+        rnd = random.Random(19)
+        db, universe = _random_db(rnd, max_records=80, universe_size=8, max_len=6)
+        rows = [*db.trajectories, *rnd.choices(db.trajectories, k=40)]
+        shuffled = rnd.sample(rows, len(rows))
+        assert shuffled != rows
+        params = PrivacyParams(epsilon=2.0, height=4, theta_multiplier=0.1)
+        for expand_empty in (False, True):
+            trees = [
+                build_noisy_tree(other, universe, params, RandomSource(8), expand_empty)
+                for other in (
+                    TrajectoryDb.of(rows),
+                    TrajectoryDb.of(shuffled),
+                    load_in_blocks(shuffled, universe, 16, tmp_path),
+                )
+            ]
+            assert (trees[0].true_count[1:] == 0).any()
+            for tree in trees[1:]:
+                _assert_same_tree(tree, trees[0])
+
+    @pytest.mark.parametrize(
+        "rows, height, theta, expand_empty",
+        [
+            ([(0, 1)] * 5, 6, 2.0, False),  # the frontier is empty from depth 3 on
+            ([(0, 1, 2, 3)] * 40 + [(1, 2)] * 40, 3, 2.0, False),
+            ([(0,)] * 5, 4, 0.1, True),  # empty-born nodes carry the frontier past the data
+        ],
+    )
+    def test_one_stream_per_expanded_depth(self, rows, height, theta, expand_empty):
+        universe = make_universe(4)
+        params = PrivacyParams(epsilon=20.0, height=height, theta_multiplier=theta)
+        source = _CountingSource(7)
+        tree = build_noisy_tree(TrajectoryDb.of(rows), universe, params, source, expand_empty)
+        expanded = tree.depth[(tree.true_count > 0) | expand_empty]
+        depths = min(height, int(expanded.max()) + 1)
+        assert source.keys == [(d,) for d in range(depths)]
+
+
 class TestAgainstReference:
-    """The sorted-matrix build makes the draws the one-node-at-a-time reference makes."""
+    """The sorted-matrix build makes the draws the one-level-at-a-time reference makes."""
 
     @settings(max_examples=150, deadline=None)
     @given(_build_cases())
