@@ -55,7 +55,7 @@ def consolidate(tree: PrefixTree) -> PrefixTree:
         rows = np.flatnonzero(lengths == length)
         for start in range(0, len(rows), _ROW_CHUNK):
             block = rows[start : start + _ROW_CHUNK]
-            idx = paths[block, :length]
+            idx = paths[block, length - 1 :: -1]  # leaf first
             fits = _isotonic_rows(tree.noisy[idx])
             np.add.at(sums, idx.ravel(), fits.ravel())
             np.add.at(hits, idx.ravel(), 1)

@@ -137,18 +137,13 @@ class RandomSource:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def laplace_noise(scale: float, rng, size=None):
-    """Laplace(scale) sample(s) by inverse transform, u uniform in (-1/2, 1/2]."""
+def laplace_noise(scale: float, rng, size: int) -> np.ndarray:
+    """``size`` Laplace(scale) samples by inverse transform, u uniform in (-1/2, 1/2]."""
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale!r}")
-    if size is None:
-        u = 0.5 - rng.random()
-        while u == 0.5:  # rng.random() hit exactly 0.0; would map to +inf
-            u = 0.5 - rng.random()
-        return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
     u = 0.5 - rng.random(size)
     while True:
-        degenerate = u == 0.5
+        degenerate = u == 0.5  # rng.random() hit exactly 0.0; would map to +inf
         if not degenerate.any():
             break
         u[degenerate] = 0.5 - rng.random(int(degenerate.sum()))

@@ -49,7 +49,8 @@ def generate_release(
 
     Each non-root node terminates ``round(count - sum of child counts)``
     trajectories (clamped at zero, halves rounded to even): its prefix becomes
-    one entry standing for that many records, nodes taken in postorder. With
+    one entry standing for that many records, nodes taken in postorder with
+    siblings in birth order (sorting their root paths gives it). With
     ``use_inference`` the adjusted counts are read, otherwise the raw noisy
     counts ("basic" variant); both run on the same tree so the two variants
     share one set of random draws.
@@ -68,10 +69,14 @@ def generate_release(
     terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64)
     terminated[0] = 0
 
-    emitting = np.flatnonzero(terminated)[::-1]  # postorder
-    paths = tree.paths(emitting)[:, ::-1]  # root first, after the padding
+    emitting = np.flatnonzero(terminated)
+    paths = tree.paths(emitting)
+    if len(emitting):  # with nothing to emit, the paths have no column to sort by
+        # Padding sorts after every row, so this is a postorder, siblings in birth order.
+        order = np.lexsort(paths.T[::-1])
+        emitting, paths = emitting[order], paths[order]
     return TrajectoryDb(
-        tree.location[paths[paths >= 0]],
+        tree.location[paths[paths < len(tree)]],
         np.concatenate(([0], np.cumsum(tree.depth[emitting]))),
         np.repeat(np.arange(len(emitting)), terminated[emitting]),
     )

@@ -19,9 +19,10 @@ depth at a time: one ``searchsorted`` finds the runs of every frontier node,
 true counts are differences of running totals, one stream per depth makes
 every draw of the depth in four vector calls, handed out in the frontier's
 canonical order, and array steps keep children, place empty-born ones and
-pick the next frontier. The rows are laid out in preorder at the end. Those
-arrays are the tree's interface, read and written directly by inference,
-release and the CLI, which get root paths from :meth:`PrefixTree.paths`.
+pick the next frontier. Each depth's nodes are appended to the tree's rows as
+they are made. Those arrays are the tree's interface, read and written
+directly by inference, release and the CLI, which get root paths from
+:meth:`PrefixTree.paths`.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ class PrefixTree:
     """A prefix tree held as one array per node field, one row per node.
 
     Row 0 is the root, with no location, parent or measured count (-1, -1,
-    NaN). Rows are in preorder with siblings last-born first, so reading them
-    backwards is a postorder that visits siblings in birth order.
+    NaN). Rows are in level order: each depth's rows are contiguous, and
+    within a depth they are in the build's order, so siblings sit in birth
+    order and every parent's row comes before its children's.
     ``true_count`` is the number of input records under a node; it is never
     written to any output. A data-backed node always has a record under it,
     so the non-root nodes with a zero true count are the empty-born ones.
@@ -82,7 +84,7 @@ class PrefixTree:
         return len(self.parent)
 
     def nodes(self) -> Iterator[NodeRow]:
-        """Every row in preorder, root first (whose ``parent`` is ``None``).
+        """Every row in level order, root first (whose ``parent`` is ``None``).
 
         Kept for the manifest walk replayed by ``perfbench/traced.py``; other
         code reads the arrays.
@@ -94,16 +96,17 @@ class PrefixTree:
         return map(NodeRow, parent, self.depth.tolist(), empty_born)
 
     def paths(self, nodes: np.ndarray) -> np.ndarray:
-        """Int32 rows of the non-root nodes' ancestors: node, parent, ..., depth-1 node, -1 padding.
+        """Int32 root paths of the non-root nodes, one row each.
 
-        ``paths[:, ::-1]`` reads each path root first, after its padding.
+        Column ``c`` holds the node's ancestor at depth ``c + 1`` (the node
+        itself at its own depth); columns past its depth hold ``len(self)``.
         """
-        # up[i] is i's parent, or -1 below the root; the appended slot keeps -1 at -1.
-        up = np.append(np.where(self.depth > 1, self.parent, -1), -1).astype(np.int32)
-        paths = np.empty((len(nodes), int(self.depth[nodes].max(initial=0))), dtype=np.int32)
-        for column in paths.T:
-            column[:] = nodes
-            nodes = up[nodes]
+        depth = self.depth[nodes]
+        paths = np.full((len(nodes), int(depth.max(initial=0))), len(self), dtype=np.int32)
+        for c in reversed(range(paths.shape[1])):
+            below = depth > c  # the nodes with an ancestor at depth c + 1
+            paths[below, c] = nodes[below]
+            nodes = np.where(below, self.parent[nodes], nodes)
         return paths
 
 
@@ -125,11 +128,12 @@ def build_noisy_tree(
     """
     columns, starts, cum = _sorted_columns(db, params.height, len(universe))
     universe_size = len(universe)
-    # Per depth, the nodes born there: parent (its index one depth up),
+    # Per depth, the nodes born there: parent (its index in the tree),
     # location, noisy count and true count, siblings in birth order.
-    levels = [(np.zeros(1, dtype=np.int64), np.full(1, -1), np.full(1, np.nan), cum[-1:])]
-    # The frontier: each node's index at its depth and row range.
-    at = np.zeros(1, dtype=np.int64)
+    levels = [(np.full(1, -1), np.full(1, -1), np.full(1, np.nan), cum[-1:])]
+    # The frontier: each node's index in the tree and its range of sorted
+    # rows; ``size`` nodes are made so far.
+    at, size = np.zeros(1, dtype=np.int64), 1
     lo, hi = np.zeros(1, dtype=np.int64), np.full(1, len(cum) - 1)
     for d in range(params.height):
         if not len(at):
@@ -165,44 +169,19 @@ def build_noisy_tree(
         true = np.concatenate((counts[kept], empty))
         levels.append((at[pos], location, np.concatenate((draws[kept], values)), true))
         # The next frontier; empty-born nodes hold no rows, so their range is empty.
-        at = np.flatnonzero(expand_empty | (true > 0))
-        lo = np.concatenate((begin[kept], empty))[at]
-        hi = np.concatenate((end[kept], empty))[at]
+        grow = np.flatnonzero(expand_empty | (true > 0))
+        lo = np.concatenate((begin[kept], empty))[grow]
+        hi = np.concatenate((end[kept], empty))[grow]
+        at, size = size + grow, size + len(true)
     del columns, starts, cum  # the tree's arrays can take their memory
-    return _preorder(levels, universe)
-
-
-def _preorder(levels: list[tuple[np.ndarray, ...]], universe: LocationUniverse) -> PrefixTree:
-    """The tree whose nodes at depth ``d`` are ``levels[d]``, one row per node in preorder.
-
-    ``levels[d]`` holds each node's parent (its index in ``levels[d - 1]``;
-    0 for the root), location, noisy count and true count, with siblings in
-    birth order. Siblings take rows last-born first: a node's row is its
-    parent's row, plus one, plus the subtree sizes of its later-born siblings.
-    """
-    size = [np.ones(len(level[0]), dtype=np.int64) for level in levels]
-    for d in range(len(levels) - 1, 0, -1):
-        size[d - 1] += np.bincount(levels[d][0], size[d], len(size[d - 1])).astype(np.int64)
-    n = int(size[0][0])
-    parent, location, depth, true_count = (np.empty(n, dtype=np.int64) for _ in range(4))
-    noisy = np.empty(n)
-    above = np.full(1, -1)  # the rows one depth up; the root's parent is -1
-    for d, (up, loc, value, count) in enumerate(levels):
-        order = np.argsort(up, kind="stable")  # each parent's children side by side
-        sizes = np.cumsum(size[d][order])
-        last = np.searchsorted(up[order], up[order], side="right") - 1
-        row = np.empty(len(up), dtype=np.int64)
-        row[order] = above[up[order]] + 1 + sizes[last] - sizes
-        parent[row], location[row], depth[row] = above[up], loc, d
-        noisy[row], true_count[row] = value, count
-        above = row
+    parent, location, noisy, true_count = map(np.concatenate, zip(*levels))
     return PrefixTree(
         parent=parent,
         location=location,
-        depth=depth,
+        depth=np.repeat(np.arange(len(levels)), [len(level[0]) for level in levels]),
         noisy=noisy,
         true_count=true_count,
-        n_children=np.bincount(parent[1:], minlength=n),
+        n_children=np.bincount(parent[1:], minlength=len(parent)),
         universe=universe,
     )
 
@@ -290,7 +269,7 @@ def dump_tree(tree: PrefixTree) -> str:
     """
     parent = tree.parent.tolist()
     children: list[list[int]] = [[] for _ in parent]
-    for i in range(len(parent) - 1, 0, -1):  # siblings are stored last-born first
+    for i in range(1, len(parent)):
         children[parent[i]].append(i)
     lines: list[str] = []
     stack = children[0][::-1]

@@ -20,9 +20,7 @@ from dptraj.tree import PrefixTree
 class _ZeroNoiseStream:
     """Stands in for a Generator; forces Laplace noise to 0 and spawns no empty nodes."""
 
-    def random(self, size=None):
-        if size is None:
-            return 0.5
+    def random(self, size) -> np.ndarray:
         return np.full(size, 0.5)
 
     def binomial(self, n, p: float) -> np.ndarray:
@@ -48,36 +46,23 @@ def array_tree(
 ) -> PrefixTree:
     """Array tree from ``(prefix, noisy count, true count)`` triples.
 
-    A prefix's parent prefix must come earlier in ``nodes``; siblings are born
-    in the order listed. The empty prefix, if given, sets the root's counts.
-    Rows are laid out as the builder lays them out: preorder, last-born
-    sibling first.
+    Every prefix's parent prefix must be listed too; siblings are born in the
+    order listed. The empty prefix, if given, sets the root's counts. Rows are
+    laid out as the builder lays them out: by depth, in the listed order
+    within a depth.
     """
     counts = {(): (float("nan"), 0)}
-    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}
     for prefix, noisy, true in nodes:
         counts[prefix] = (float(noisy), true)
-        if prefix:
-            children[prefix[:-1]].append(prefix)
-            children[prefix] = []
-    parent, location, depth, noisy_col, true_col = [], [], [], [], []
-    stack = [(-1, ())]
-    while stack:
-        up, prefix = stack.pop()
-        index = len(parent)
-        parent.append(up)
-        location.append(prefix[-1] if prefix else -1)
-        depth.append(len(prefix))
-        noisy_col.append(counts[prefix][0])
-        true_col.append(counts[prefix][1])
-        stack += [(index, child) for child in children[prefix]]
-    parents = np.array(parent, dtype=np.int64)
+    order = sorted(counts, key=len)  # stable: the listed order within a depth
+    row = {prefix: i for i, prefix in enumerate(order)}
+    parents = np.array([row[prefix[:-1]] if prefix else -1 for prefix in order], dtype=np.int64)
     return PrefixTree(
         parent=parents,
-        location=np.array(location, dtype=np.int64),
-        depth=np.array(depth, dtype=np.int64),
-        noisy=np.array(noisy_col, dtype=np.float64),
-        true_count=np.array(true_col, dtype=np.int64),
+        location=np.array([prefix[-1] if prefix else -1 for prefix in order], dtype=np.int64),
+        depth=np.array([len(prefix) for prefix in order], dtype=np.int64),
+        noisy=np.array([counts[prefix][0] for prefix in order], dtype=np.float64),
+        true_count=np.array([counts[prefix][1] for prefix in order], dtype=np.int64),
         n_children=np.bincount(parents[1:], minlength=len(parents)),
         universe=universe,
     )
@@ -104,8 +89,8 @@ def prefixes(tree: PrefixTree) -> list[tuple[int, ...]]:
 
 
 def children(tree: PrefixTree, i: int) -> list[int]:
-    """Rows whose parent is row ``i``, in birth order (rows hold them last-born first)."""
-    return np.flatnonzero(tree.parent == i)[::-1].tolist()
+    """Rows whose parent is row ``i``, in birth order (the order of their rows)."""
+    return np.flatnonzero(tree.parent == i).tolist()
 
 
 def build_exact_tree(
@@ -211,30 +196,32 @@ def reference_noisy_tree(
 
 
 def reference_release(tree: PrefixTree, use_inference: bool) -> TrajectoryDb:
-    """The release built from one prefix tuple per internal node.
+    """The release built by a recursive walk over the tree's child lists.
 
-    Counts as ``generate_release`` counts them; prefixes are extended parents
-    first, and each emitting node's entry is its parent's prefix plus its own
-    location, nodes taken in postorder.
+    Counts as ``generate_release`` counts them; each node's prefix extends
+    its parent's, and a node is emitted after its children's subtrees, which
+    are walked in birth order: a postorder found without sorting rows.
     """
     counts = (tree.adjusted if use_inference else tree.noisy).copy()
     counts[0] = 0.0
     child_sum = np.bincount(tree.parent[1:], counts[1:], minlength=len(tree))
-    terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64)
-    terminated[0] = 0
+    terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64).tolist()
 
-    prefix: dict[int, tuple[int, ...]] = {0: ()}
-    internal = np.flatnonzero(tree.n_children[1:]) + 1
-    for i, up, loc in zip(
-        internal.tolist(), tree.parent[internal].tolist(), tree.location[internal].tolist()
-    ):
-        prefix[i] = prefix[up] + (loc,)
-    emitting = np.flatnonzero(terminated)[::-1]
-    entries = [
-        prefix[up] + (loc,)
-        for up, loc in zip(tree.parent[emitting].tolist(), tree.location[emitting].tolist())
-    ]
-    return entries_db(entries, np.repeat(np.arange(len(entries)), terminated[emitting]))
+    kids: list[list[int]] = [[] for _ in range(len(tree))]
+    for i, up in enumerate(tree.parent[1:].tolist(), start=1):
+        kids[up].append(i)
+    entries: list[tuple[int, ...]] = []
+    weights: list[int] = []
+
+    def walk(i: int, prefix: tuple[int, ...]) -> None:
+        for child in kids[i]:
+            walk(child, prefix + (int(tree.location[child]),))
+        if i and terminated[i]:
+            entries.append(prefix)
+            weights.append(terminated[i])
+
+    walk(0, ())
+    return entries_db(entries, np.repeat(np.arange(len(entries)), weights))
 
 
 def isotonic_fit(values: Sequence[float]) -> list[float]:

@@ -52,6 +52,12 @@ class TestGenerateRelease:
         release = generate_release(tree, use_inference=False)
         # subtree of 0 first (its deepest nodes first), then sibling 2
         assert release.trajectories == ((0, 1), (0, 1), (0,), (0,), (0,), (2,))
+        # Three levels under two depth-1 subtrees, whose rows interleave by depth.
+        tree = manual_tree({(0,): 5.0, (2,): 4.0, (0, 1): 3.0, (2, 3): 2.0, (0, 1, 4): 1.0})
+        release = generate_release(tree, use_inference=False)
+        assert release.trajectories == (
+            ((0, 1, 4),) + ((0, 1),) * 2 + ((0,),) * 2 + ((2, 3),) * 2 + ((2,),) * 2
+        )
 
     def test_inference_counts_require_inference_passes(self):
         tree = manual_tree({(0,): 1.0})

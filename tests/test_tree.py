@@ -401,7 +401,7 @@ class TestDump:
 
 
 class TestFlatten:
-    """The tree's rows: preorder, parents first, last-born sibling first."""
+    """The tree's rows: level order, parents first, siblings in birth order."""
 
     def test_parents_precede_children(self, sample_db):
         db, universe = sample_db
@@ -418,8 +418,22 @@ class TestFlatten:
                 assert child in seen
             seen.add(idx)
 
+    def test_paths_are_root_first(self, sample_db):
+        db, universe = sample_db
+        tree = build_exact_tree(db, universe)
+        nodes = np.arange(len(tree) - 1, 0, -1)
+        paths = tree.paths(nodes)
+        assert paths.shape == (len(nodes), tree.depth.max())
+        want = prefixes(tree)
+        for node, path in zip(nodes, paths):
+            depth = tree.depth[node]
+            assert path[depth - 1] == node
+            assert (path[depth:] == len(tree)).all()
+            assert tuple(tree.location[path[:depth]]) == want[node]
+        assert tree.paths(nodes[:0]).shape == (0, 0)
+
     @pytest.mark.parametrize("expand_empty", [False, True])
-    def test_builder_rows_are_a_preorder(self, expand_empty):
+    def test_builder_rows_are_in_level_order(self, expand_empty):
         rnd = random.Random(41)
         for seed in range(6):
             db, universe = _random_db(rnd, max_records=80, universe_size=10)
@@ -428,17 +442,17 @@ class TestFlatten:
                 db, universe, params, RandomSource(seed), expand_empty=expand_empty
             )
             n = len(tree)
-            rows = np.arange(1, n)
             parent = tree.parent[1:]
             assert tree.parent[0] == -1 and tree.depth[0] == 0
-            assert (parent < rows).all()
+            assert (np.diff(tree.depth) >= 0).all()
+            assert (parent < np.arange(1, n)).all()
             assert (tree.depth[1:] == tree.depth[parent] + 1).all()
             assert (tree.n_children == np.bincount(parent, minlength=n)).all()
             if not expand_empty:
                 assert (tree.n_children[1:][tree.true_count[1:] == 0] == 0).all()
-            # preorder: each row's parent is the previous row or one of its ancestors
-            for i in range(1, n):
-                up = i - 1
-                while up != tree.parent[i]:
-                    assert up > 0, f"row {i} is not in its parent's subtree"
-                    up = tree.parent[up]
+            # Under each parent: data-backed children in ascending location, then empty-born.
+            for i in np.flatnonzero(tree.n_children):
+                rows = children(tree, i)
+                backed = tree.true_count[rows] > 0
+                assert not (~backed[:-1] & backed[1:]).any()
+                assert (np.diff(tree.location[rows][backed]) > 0).all()
