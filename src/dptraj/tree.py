@@ -15,14 +15,14 @@ entries, a column per depth below the tree height (-1 past a record's end),
 sorted once with ``np.lexsort``; repeated entries sit side by side. The
 records under any prefix fill one contiguous row range, and a node's children
 are the runs of equal values in one column of that range. The tree grows one
-depth at a time: one ``searchsorted`` finds the runs of every frontier node,
-true counts are differences of running totals, one stream per depth makes
-every draw of the depth in four vector calls, handed out in the frontier's
-canonical order, and array steps keep children, place empty-born ones and
+depth at a time: the depth's run starts are found when the build reaches it,
+one ``searchsorted`` finds the runs of every frontier node, true counts are
+differences of running totals, one stream makes every draw of the depth in
+four vector calls, and array steps keep children, place empty-born ones and
 pick the next frontier. Each depth's nodes are appended to the tree's rows as
 they are made. Those arrays are the tree's interface, read and written
-directly by inference, release and the CLI, which get root paths from
-:meth:`PrefixTree.paths`.
+directly by inference, release, the CLI and :func:`dump_tree`; one sort of
+the root paths from :meth:`PrefixTree.paths` orders a release or a dump.
 """
 
 from __future__ import annotations
@@ -126,8 +126,12 @@ def build_noisy_tree(
     the universe, the parameters and the source seed, not on the order of the
     records.
     """
-    columns, starts, cum = _sorted_columns(db, params.height, len(universe))
+    columns, cum = _sorted_columns(db, params.height, len(universe))
     universe_size = len(universe)
+    # Entry i starts a run at depth d if it differs from entry i - 1 in some
+    # column up to d; entry 0 always does, and entry len(cum) - 1 ends the last run.
+    differs = np.zeros(len(cum), dtype=bool)
+    differs[[0, -1]] = True
     # Per depth, the nodes born there: parent (its index in the tree),
     # location, noisy count and true count, siblings in birth order.
     levels = [(np.full(1, -1), np.full(1, -1), np.full(1, np.nan), cum[-1:])]
@@ -138,12 +142,13 @@ def build_noisy_tree(
     for d in range(params.height):
         if not len(at):
             break
-        # A node's child runs start at the listed rows of its range; rows
-        # ending at the node hold -1 and form a first run that is skipped.
-        first = starts[d]
+        # The depth's runs; a node's children are the runs in its range, where
+        # rows ending at the node hold -1 and form a first run that is skipped.
+        differs[1:-1] |= columns[d][1:] != columns[d][:-1]
+        first = np.flatnonzero(differs)
         a = np.searchsorted(first, lo)
         owner, run = _spans(a, np.searchsorted(first, hi) - a)
-        begin, end = first[run], np.append(first, len(cum) - 1)[run + 1]
+        begin, end = first[run], first[run + 1]
         loc = columns[d][begin].astype(np.int64)
         backed = loc >= 0
         owner, begin, end, loc = owner[backed], begin[backed], end[backed], loc[backed]
@@ -173,7 +178,7 @@ def build_noisy_tree(
         lo = np.concatenate((begin[kept], empty))[grow]
         hi = np.concatenate((end[kept], empty))[grow]
         at, size = size + grow, size + len(true)
-    del columns, starts, cum  # the tree's arrays can take their memory
+    del columns, differs, first, cum  # the tree's arrays can take their memory
     parent, location, noisy, true_count = map(np.concatenate, zip(*levels))
     return PrefixTree(
         parent=parent,
@@ -188,16 +193,14 @@ def build_noisy_tree(
 
 def _sorted_columns(
     db: TrajectoryDb, height: int, universe_size: int
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The entries' sorted location matrix by column, its run starts and running totals.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries' sorted location matrix by column, and its running totals.
 
     ``columns[c]`` holds each entry's ``c``-th location, or -1 past its end,
     for ``c`` below the height. Entries are in lexicographic order, so the
-    entries under any prefix fill one contiguous range. ``starts[c]`` lists,
-    in order, the entries that differ from the one before them in some column
-    up to ``c``: the children of a node at depth ``c`` start at the listed
-    entries of its range. ``cum[j] - cum[i]`` is the number of records in
-    entries ``i:j``.
+    entries under any prefix fill one contiguous range, and the children of
+    a node at depth ``c`` are the runs of equal ``columns[c]`` in its range.
+    ``cum[j] - cum[i]`` is the number of records in entries ``i:j``.
     """
     lengths = np.diff(db.offsets)
     dtype = np.int16 if universe_size <= 1 << 15 else np.int32
@@ -206,13 +209,7 @@ def _sorted_columns(
         rows = np.flatnonzero(lengths > c)
         columns[c, rows] = db.tokens[db.offsets[rows] + c]
     order = np.lexsort(columns[::-1])
-    columns = columns[:, order]
-    starts = []
-    differs = np.arange(len(lengths)) == 0
-    for column in columns:
-        differs[1:] |= column[1:] != column[:-1]
-        starts.append(np.flatnonzero(differs))
-    return columns, starts, np.concatenate(([0], np.cumsum(db.weights[order])))
+    return columns[:, order], np.concatenate(([0], np.cumsum(db.weights[order])))
 
 
 def _empty_born_locations(
@@ -230,7 +227,9 @@ def _empty_born_locations(
     Nodes are shuffled side by side, one step at a time, with about
     ``_CELLS`` pool slots held at once.
     """
-    born = [np.empty(0, dtype=np.int64)]
+    if not len(slots):  # no child is empty-born (always so over an empty universe)
+        return np.empty(0, dtype=np.int64)
+    born = []
     chunk = max(1, _CELLS // universe_size)
     stride = universe_size + 1
     run_at = np.concatenate(([0], np.cumsum(runs)))
@@ -264,18 +263,17 @@ def _empty_born_locations(
 def dump_tree(tree: PrefixTree) -> str:
     """Debug outline: one node per line, depth-indented token and noisy count.
 
-    Children follow their parent in birth order. True counts never appear
-    here; the dump is safe to share alongside a release.
+    Nodes are in preorder, children in birth order: sorting the root paths,
+    padding first, puts each node before its subtree and siblings in row
+    order. True counts never appear; the dump is safe to share with a release.
     """
-    parent = tree.parent.tolist()
-    children: list[list[int]] = [[] for _ in parent]
-    for i in range(1, len(parent)):
-        children[parent[i]].append(i)
-    lines: list[str] = []
-    stack = children[0][::-1]
-    while stack:
-        i = stack.pop()
-        token = tree.universe.token_of(int(tree.location[i]))
-        lines.append(f"{'  ' * (int(tree.depth[i]) - 1)}{token} {tree.noisy[i]:.2f}")
-        stack += reversed(children[i])
-    return "\n".join(lines) + ("\n" if lines else "")
+    nodes = np.arange(1, len(tree))
+    if not len(nodes):  # a root-only tree's paths have no column to sort by
+        return ""
+    paths = tree.paths(nodes)
+    paths[paths == len(tree)] = -1
+    nodes = nodes[np.lexsort(paths.T[::-1])]
+    indent_by_depth = np.array(["  " * d for d in range(tree.depth.max())], dtype=object)
+    indent = indent_by_depth[tree.depth[nodes] - 1].tolist()
+    tokens = np.array(tree.universe.tokens, dtype=object)[tree.location[nodes]].tolist()
+    return "".join(map("{}{} {:.2f}\n".format, indent, tokens, tree.noisy[nodes].tolist()))

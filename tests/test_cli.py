@@ -61,6 +61,19 @@ class TestSanitize:
             assert "release.records=0 " in result.stdout
             assert out.read_bytes() == b""
 
+    def test_empty_input_with_derived_universe_releases_nothing(self, tmp_path):
+        data = tmp_path / "empty.txt"
+        data.write_text("", encoding="utf-8")
+        out, dump = tmp_path / "release.txt", tmp_path / "tree.txt"
+        result = run_cli(
+            "sanitize", "--input", data, "--output", out, "--epsilon", "1.0",
+            "--seed", "1", "--dump-tree", dump,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "privacy.claim=none reason=derived_universe" in result.stdout.splitlines()
+        assert "universe=0" in result.stdout
+        assert out.read_bytes() == b"" and dump.read_bytes() == b""
+
     def test_deterministic_given_seed(self, tmp_path, sample_paths):
         # threshold works out to 2.0 for this budget/height split
         data, universe = sample_paths

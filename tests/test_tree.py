@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
+from dptraj.release import VARIANTS, sanitize
 from dptraj.tree import build_noisy_tree, dump_tree
 
 from conftest import load_in_blocks, make_universe
@@ -258,6 +259,17 @@ class TestNoisyTree:
         assert [r.empty_born for r in rows[1:]] == (tree.true_count[1:] == 0).tolist()
         json.dumps(rows)  # numpy scalars would not serialize
 
+    @pytest.mark.parametrize("expand_empty", [False, True])
+    def test_empty_universe_gives_root_only_tree(self, expand_empty):
+        db, universe = TrajectoryDb.of(()), make_universe(0)
+        params = PrivacyParams(epsilon=1.0, height=3)
+        for variant in VARIANTS:
+            release, tree = sanitize(
+                db, universe, params, RandomSource(5), variant, expand_empty=expand_empty
+            )
+            assert len(tree) == 1 and len(release) == 0 and len(release.tokens) == 0
+            assert dump_tree(tree) == ""
+
     def test_no_per_record_state_after_build(self, sample_db):
         db, universe = sample_db
         params = PrivacyParams(epsilon=1.0, height=3)
@@ -399,6 +411,38 @@ class TestDump:
         tree = build_exact_tree(TrajectoryDb.of(()), make_universe(2))
         assert dump_tree(tree) == ""
 
+    @pytest.mark.parametrize("expand_empty", [False, True])
+    def test_lines_are_a_preorder_walk(self, expand_empty):
+        rnd = random.Random(43)
+        interleaved = 0
+        for seed in range(6):
+            db, universe = _random_db(rnd, max_records=80, universe_size=8)
+            params = PrivacyParams(epsilon=3.0, height=4, theta_multiplier=0.3)
+            tree = build_noisy_tree(
+                db, universe, params, RandomSource(seed), expand_empty=expand_empty
+            )
+            order = _preorder_walk(tree)
+            assert dump_tree(tree).splitlines() == [_dump_line(tree, i) for i in order]
+            interleaved += order != list(range(1, len(tree)))
+        assert interleaved  # some trees' level rows are not already a preorder
+
+    def test_root_only_tree_dumps_nothing(self, sample_db):
+        db, universe = sample_db
+        params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=1000.0)
+        tree = build_noisy_tree(db, universe, params, RandomSource(0))
+        assert len(tree) == 1 and _preorder_walk(tree) == []
+        assert dump_tree(tree) == ""
+
+
+def _preorder_walk(tree, i=0):
+    """The rows below row ``i``, each followed by its subtree, children in birth order."""
+    return [row for c in children(tree, i) for row in (c, *_preorder_walk(tree, c))]
+
+
+def _dump_line(tree, i):
+    token = tree.universe.tokens[tree.location[i]]
+    return f"{'  ' * (tree.depth[i] - 1)}{token} {tree.noisy[i]:.2f}"
+
 
 class TestFlatten:
     """The tree's rows: level order, parents first, siblings in birth order."""
@@ -408,15 +452,6 @@ class TestFlatten:
         tree = build_exact_tree(db, universe)
         for idx in range(1, len(tree)):
             assert tree.parent[idx] < idx
-
-    def test_postorder_visits_children_first(self, sample_db):
-        db, universe = sample_db
-        tree = build_exact_tree(db, universe)
-        seen = set()
-        for idx in range(len(tree) - 1, -1, -1):
-            for child in children(tree, idx):
-                assert child in seen
-            seen.add(idx)
 
     def test_paths_are_root_first(self, sample_db):
         db, universe = sample_db
