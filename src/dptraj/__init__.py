@@ -14,7 +14,6 @@ from .model import (
     Trajectory,
     TrajectoryDb,
     UnknownLocationError,
-    encode_timestamped,
     load_db,
     load_universe,
     write_db,
@@ -28,7 +27,7 @@ from .privacy import (
     sample_pass_count,
     sample_passing_noisy_count,
 )
-from .release import ReleaseStats, generate_release, release_stats, sanitize
+from .release import ReleaseStats, generate_release, release_stats, release_tree, sanitize
 from .tree import PrefixTree, build_noisy_tree, dump_tree
 from .utility import (
     CountQuery,

@@ -33,8 +33,8 @@ from .model import (
     write_universe,
 )
 from .privacy import PrivacyParams, RandomSource, budget_ledger
-from .release import VARIANTS, release_stats, sanitize
-from .tree import dump_tree
+from .release import VARIANTS, release_stats, release_tree
+from .tree import build_noisy_tree, dump_tree
 from .utility import (
     DEFAULT_SANITY_FRACTION,
     evaluate_workload,
@@ -97,22 +97,20 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         epsilon=args.epsilon, height=args.height, theta_multiplier=args.theta_mult
     )
     db, universe = load_db(args.input, args.universe)
+    records = len(db)
     started = time.perf_counter()
-    release, tree = sanitize(
-        db,
-        universe,
-        params,
-        RandomSource(seed),
-        variant=args.variant,
-        expand_empty=args.expand_empty,
-    )
+    # The steps of ``sanitize``, with the input freed once the tree is built:
+    # the later steps read only the tree.
+    tree = build_noisy_tree(db, universe, params, RandomSource(seed), args.expand_empty)
+    del db
+    release = release_tree(tree, use_inference=(args.variant == "full"))
     elapsed = time.perf_counter() - started
     write_db(release, universe, args.output)
     if args.dump_tree:
         with open(args.dump_tree, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dump_tree(tree))
 
-    print(f"input={args.input} records={len(db)} universe={len(universe)}")
+    print(f"input={args.input} records={records} universe={len(universe)}")
     print(
         f"epsilon={params.epsilon:g} height={params.height} theta={params.threshold:.6g} "
         f"theta_mult={params.theta_multiplier:g} variant={args.variant} seed={seed} "

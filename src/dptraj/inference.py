@@ -24,7 +24,11 @@ import numpy as np
 
 from .tree import PrefixTree
 
-_ROW_CHUNK = 131072
+#: Path cells fitted per block. A block of ``rows`` paths of one length
+#: holds about six float64 arrays of that many cells (the gathered counts,
+#: the isotonic fit's running sums and maxima, and the fit), so this bounds
+#: them to about 6 MB together, whatever the leaf count.
+_BLOCK_CELLS = 1 << 17
 
 
 def _isotonic_rows(rows: np.ndarray) -> np.ndarray:
@@ -53,8 +57,9 @@ def consolidate(tree: PrefixTree) -> PrefixTree:
     hits = np.zeros(n, dtype=np.int64)
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
-        for start in range(0, len(rows), _ROW_CHUNK):
-            block = rows[start : start + _ROW_CHUNK]
+        step = max(1, _BLOCK_CELLS // length)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
             idx = paths[block, length - 1 :: -1]  # leaf first
             fits = _isotonic_rows(tree.noisy[idx])
             np.add.at(sums, idx.ravel(), fits.ravel())

@@ -56,11 +56,6 @@ class LocationUniverse:
         except KeyError:
             raise UnknownLocationError(f"unknown location {token!r}") from None
 
-    def token_of(self, loc_id: int) -> str:
-        if not 0 <= loc_id < len(self.tokens):
-            raise ValueError(f"location id {loc_id} outside universe of size {len(self.tokens)}")
-        return self.tokens[loc_id]
-
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryDb:
@@ -134,26 +129,6 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndar
     index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     index += np.arange(len(index))
     return owner, index
-
-
-def encode_timestamped(pairs: Iterable[tuple[str, object]]) -> list[str]:
-    """Fold one record of (location, timestamp) pairs into composite tokens.
-
-    Each pair becomes the single token ``loc@ts`` so that timestamped records
-    flow through the ordinary interning and sanitization pipeline unchanged.
-    Timestamps must already be discretized by the caller and non-decreasing
-    within the record.
-    """
-    tokens: list[str] = []
-    prev: object | None = None
-    for loc, ts in pairs:
-        if prev is not None and ts < prev:  # type: ignore[operator]
-            raise DataFormatError(f"timestamps decrease within record: {prev!r} -> {ts!r}")
-        prev = ts
-        tokens.append(f"{loc}@{ts}")
-    if not tokens:
-        raise DataFormatError("record has no location-timestamp pairs")
-    return tokens
 
 
 @contextmanager

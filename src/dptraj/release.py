@@ -1,8 +1,10 @@
 """End-to-end sanitization: noisy tree, optional inference, release.
 
-:func:`sanitize` runs the three steps; :func:`generate_release` materializes
-the sanitized database from the tree, one entry per node that terminates
-records, weighted by how many it terminates.
+:func:`sanitize` builds the tree and hands it to :func:`release_tree`, which
+runs the other two steps and reads nothing but the tree, so a caller that
+builds the tree itself can drop the input first; :func:`generate_release`
+materializes the sanitized database from the tree, one entry per node that
+terminates records, weighted by how many it terminates.
 """
 
 from __future__ import annotations
@@ -35,11 +37,15 @@ def sanitize(
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     tree = build_noisy_tree(db, universe, params, source, expand_empty=expand_empty)
-    if variant == "full":
+    return release_tree(tree, use_inference=(variant == "full")), tree
+
+
+def release_tree(tree: PrefixTree, use_inference: bool) -> TrajectoryDb:
+    """The release of a built tree, after the consistency passes with ``use_inference``."""
+    if use_inference:
         consolidate(tree)
         consistent_estimates(tree)
-    release = generate_release(tree, use_inference=(variant == "full"))
-    return release, tree
+    return generate_release(tree, use_inference)
 
 
 def generate_release(
@@ -76,7 +82,7 @@ def generate_release(
         order = np.lexsort(paths.T[::-1])
         emitting, paths = emitting[order], paths[order]
     return TrajectoryDb(
-        tree.location[paths[paths < len(tree)]],
+        tree.location.astype(np.int32)[paths[paths < len(tree)]],  # the db's width: no recopy
         np.concatenate(([0], np.cumsum(tree.depth[emitting]))),
         np.repeat(np.arange(len(emitting)), terminated[emitting]),
     )

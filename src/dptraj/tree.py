@@ -127,7 +127,6 @@ def build_noisy_tree(
     records.
     """
     columns, cum = _sorted_columns(db, params.height, len(universe))
-    universe_size = len(universe)
     # Entry i starts a run at depth d if it differs from entry i - 1 in some
     # column up to d; entry 0 always does, and entry len(cum) - 1 ends the last run.
     differs = np.zeros(len(cum), dtype=bool)
@@ -142,43 +141,12 @@ def build_noisy_tree(
     for d in range(params.height):
         if not len(at):
             break
-        # The depth's runs; a node's children are the runs in its range, where
-        # rows ending at the node hold -1 and form a first run that is skipped.
-        differs[1:-1] |= columns[d][1:] != columns[d][:-1]
-        first = np.flatnonzero(differs)
-        a = np.searchsorted(first, lo)
-        owner, run = _spans(a, np.searchsorted(first, hi) - a)
-        begin, end = first[run], first[run + 1]
-        loc = columns[d][begin].astype(np.int64)
-        backed = loc >= 0
-        owner, begin, end, loc = owner[backed], begin[backed], end[backed], loc[backed]
-        counts = cum[end] - cum[begin]
-        runs = np.bincount(owner, minlength=len(at))
-        # The depth's draws, in this order: noise for every data-backed
-        # candidate (frontier order, then ascending location); how many of
-        # each node's zero-count candidates pass; the pool slot of each
-        # empty-born child; and its noisy count.
-        rng = source.stream(d)
-        draws = counts + laplace_noise(params.noise_scale, rng, size=len(counts))
-        pool = universe_size - runs
-        n_born = sample_pass_count(pool, params, rng)
-        bearer, rank = _spans(np.zeros_like(n_born), n_born)
-        slots = rng.integers(rank, pool[bearer])
-        values = sample_passing_noisy_count(params, rng, size=len(slots))
-        kept = draws >= params.threshold
-        born = _empty_born_locations(loc, runs, n_born, slots, universe_size)
-        # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
-        empty = np.zeros(len(born), dtype=np.int64)
-        pos = np.concatenate((owner[kept], bearer))
-        location = np.concatenate((loc[kept], born))
-        true = np.concatenate((counts[kept], empty))
-        levels.append((at[pos], location, np.concatenate((draws[kept], values)), true))
-        # The next frontier; empty-born nodes hold no rows, so their range is empty.
-        grow = np.flatnonzero(expand_empty | (true > 0))
-        lo = np.concatenate((begin[kept], empty))[grow]
-        hi = np.concatenate((end[kept], empty))[grow]
-        at, size = size + grow, size + len(true)
-    del columns, differs, first, cum  # the tree's arrays can take their memory
+        (pos, *level), grow, lo, hi = _next_depth(
+            columns[d], differs, cum, lo, hi, len(universe), params, source.stream(d), expand_empty
+        )
+        levels.append((at[pos], *level))
+        at, size = size + grow, size + len(pos)
+    del columns, differs, cum  # the tree's arrays can take their memory
     parent, location, noisy, true_count = map(np.concatenate, zip(*levels))
     return PrefixTree(
         parent=parent,
@@ -189,6 +157,52 @@ def build_noisy_tree(
         n_children=np.bincount(parent[1:], minlength=len(parent)),
         universe=universe,
     )
+
+
+def _next_depth(
+    column: np.ndarray, differs: np.ndarray, cum: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    universe_size: int, params: PrivacyParams, rng: np.random.Generator, expand_empty: bool,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """One depth of :func:`build_noisy_tree`, below the frontier rows ``lo:hi``.
+
+    Returns the depth's nodes (parent's place on the frontier, location, noisy
+    and true count), which of them form the next frontier, and their ``lo``
+    and ``hi``. Its temporaries die on return, before the next depth's exist.
+    """
+    # The depth's runs; a node's children are the runs in its range, where
+    # rows ending at the node hold -1 and form a first run that is skipped.
+    differs[1:-1] |= column[1:] != column[:-1]
+    first = np.flatnonzero(differs)
+    a = np.searchsorted(first, lo)
+    owner, run = _spans(a, np.searchsorted(first, hi) - a)
+    begin, end = first[run], first[run + 1]
+    loc = column[begin].astype(np.int64)
+    backed = loc >= 0
+    owner, begin, end, loc = owner[backed], begin[backed], end[backed], loc[backed]
+    counts = cum[end] - cum[begin]
+    runs = np.bincount(owner, minlength=len(lo))
+    # The depth's draws, in this order: noise for every data-backed
+    # candidate (frontier order, then ascending location); how many of
+    # each node's zero-count candidates pass; the pool slot of each
+    # empty-born child; and its noisy count.
+    draws = counts + laplace_noise(params.noise_scale, rng, size=len(counts))
+    pool = universe_size - runs
+    n_born = sample_pass_count(pool, params, rng)
+    bearer, rank = _spans(np.zeros_like(n_born), n_born)
+    slots = rng.integers(rank, pool[bearer])
+    values = sample_passing_noisy_count(params, rng, size=len(slots))
+    kept = draws >= params.threshold
+    born = _empty_born_locations(loc, runs, n_born, slots, universe_size)
+    # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
+    empty = np.zeros(len(born), dtype=np.int64)
+    pos = np.concatenate((owner[kept], bearer))
+    location = np.concatenate((loc[kept], born))
+    true = np.concatenate((counts[kept], empty))
+    # The next frontier; empty-born nodes hold no rows, so their range is empty.
+    grow = np.flatnonzero(expand_empty | (true > 0))
+    lo = np.concatenate((begin[kept], empty))[grow]
+    hi = np.concatenate((end[kept], empty))[grow]
+    return (pos, location, np.concatenate((draws[kept], values)), true), grow, lo, hi
 
 
 def _sorted_columns(
@@ -209,7 +223,9 @@ def _sorted_columns(
         rows = np.flatnonzero(lengths > c)
         columns[c, rows] = db.tokens[db.offsets[rows] + c]
     order = np.lexsort(columns[::-1])
-    return columns[:, order], np.concatenate(([0], np.cumsum(db.weights[order])))
+    for column in columns:  # in place: a copy of one column at a time, not of the matrix
+        column[:] = column[order]
+    return columns, np.concatenate(([0], np.cumsum(db.weights[order])))
 
 
 def _empty_born_locations(

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,60 @@ class TestSanitize:
         assert result.returncode == 0, result.stderr
         assert "theta_mult=0.5" in result.stdout
         assert "expand_empty=true" in result.stdout
+
+
+class TestSanitizeStages:
+    """The CLI runs ``sanitize``'s steps, and drops its input once the tree is built."""
+
+    def test_input_is_freed_before_consolidate(self, tmp_path, sample_paths, monkeypatch, capsys):
+        from dptraj import cli, release
+
+        data, universe = sample_paths
+        loaded, alive = [], []
+        load_db, consolidate = cli.load_db, release.consolidate
+
+        def tracked_load_db(*args):
+            db, universe = load_db(*args)
+            loaded.append(weakref.ref(db))
+            return db, universe
+
+        def checked_consolidate(tree):
+            alive.append(loaded[0]() is not None)
+            return consolidate(tree)
+
+        monkeypatch.setattr(cli, "load_db", tracked_load_db)
+        monkeypatch.setattr(release, "consolidate", checked_consolidate)
+        assert cli.main(
+            ["sanitize", "--input", str(data), "--universe", str(universe),
+             "--output", str(tmp_path / "release.txt"), "--epsilon", "4.0", "--height", "3",
+             "--seed", "11"]
+        ) == 0
+        assert "records=8 " in capsys.readouterr().out
+        assert alive == [False]
+
+    def test_release_matches_library_sanitize(self, tmp_path):
+        from dptraj import GenConfig, PrivacyParams, RandomSource, generate, sanitize
+        from dptraj.model import write_db, write_universe
+
+        db, universe = generate(
+            GenConfig(n_locations=30, n_records=3000, avg_len=4, max_len=8, zipf_skew=0.8, seed=4)
+        )
+        corpus, universe_path = tmp_path / "corpus.txt", tmp_path / "universe.txt"
+        write_db(db, universe, str(corpus))
+        write_universe(universe, str(universe_path))
+        for variant in ("full", "basic"):
+            out, expected = tmp_path / f"{variant}.txt", tmp_path / f"{variant}-library.txt"
+            result = run_cli(
+                "sanitize", "--input", corpus, "--universe", universe_path, "--output", out,
+                "--epsilon", "1.0", "--height", "6", "--seed", "9", "--variant", variant,
+            )
+            assert result.returncode == 0, result.stderr
+            release, _ = sanitize(
+                db, universe, PrivacyParams(epsilon=1.0, height=6), RandomSource(9), variant
+            )
+            assert len(release)
+            write_db(release, universe, str(expected))
+            assert out.read_bytes() == expected.read_bytes(), variant
 
 
 class TestEvalCount:

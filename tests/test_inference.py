@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from dptraj import inference
 from dptraj.inference import (
     _isotonic_rows,
     consistent_estimates,
@@ -159,6 +160,21 @@ class TestConsolidate:
             expected = self._brute_consolidate(tree)
             for i in range(1, len(tree)):
                 assert tree.fitted[i] == pytest.approx(expected[i], abs=1e-9)
+
+    def test_block_size_leaves_fitted_bit_identical(self, monkeypatch):
+        rnd = random.Random(11)
+        rows = [[rnd.randrange(6) for _ in range(rnd.randint(1, 4))] for _ in range(600)]
+        params = PrivacyParams(epsilon=2.0, height=4)
+        tree = build_noisy_tree(TrajectoryDb.of(rows), make_universe(6), params, RandomSource(3))
+        leaves = np.flatnonzero((tree.n_children == 0) & (tree.depth > 0))
+        lengths, per_length = np.unique(tree.depth[leaves], return_counts=True)
+        assert len(lengths) >= 3
+        assert (per_length > 7 // lengths).all()  # every length spans several 7-cell blocks
+        fitted = []
+        for cells in (1, 7, inference._BLOCK_CELLS):
+            monkeypatch.setattr(inference, "_BLOCK_CELLS", cells)
+            fitted.append(consolidate(tree).fitted.tobytes())
+        assert fitted[0] == fitted[1] == fitted[2]
 
     @staticmethod
     def _random_tree(rnd, max_nodes=30):

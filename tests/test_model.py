@@ -13,7 +13,6 @@ from dptraj.model import (
     LocationUniverse,
     TrajectoryDb,
     UnknownLocationError,
-    encode_timestamped,
     load_db,
     load_universe,
     write_db,
@@ -262,30 +261,14 @@ class TestTrajectoryDb:
 
 
 class TestEncodeTimestamped:
-    def test_pairs_become_composite_tokens(self):
-        assert encode_timestamped([("L1", "T1"), ("L2", "T2")]) == ["L1@T1", "L2@T2"]
-
-    def test_single_pair(self):
-        assert encode_timestamped([("L9", 4)]) == ["L9@4"]
-
-    def test_decreasing_timestamps_rejected(self):
-        with pytest.raises(DataFormatError):
-            encode_timestamped([("L1", 2), ("L2", 1)])
-
-    def test_equal_timestamps_allowed(self):
-        assert encode_timestamped([("A", 1), ("B", 1)]) == ["A@1", "B@1"]
-
-    def test_empty_record_rejected(self):
-        with pytest.raises(DataFormatError):
-            encode_timestamped([])
+    """Timestamped records: each (location, timestamp) pair is one ``loc@ts`` token."""
 
     def test_tokens_intern_as_distinct_universe_entries(self, tmp_path):
-        tokens = encode_timestamped([("L1", "T1"), ("L2", "T2")])
         path = tmp_path / "d.txt"
-        path.write_text(" ".join(tokens) + "\n", encoding="utf-8")
+        path.write_text("L1@T1 L2@T2\n", encoding="utf-8")
         with pytest.warns(UserWarning):
             db, universe = load_db(str(path))
-        assert len(universe) == 2
+        assert sorted(universe.tokens) == ["L1@T1", "L2@T2"]
         assert len(db.trajectories[0]) == 2
 
 
@@ -297,7 +280,7 @@ class TestUniverse:
     def test_id_token_round_trip(self):
         universe = make_universe(5)
         for i in range(5):
-            assert universe.id_of(universe.token_of(i)) == i
+            assert universe.id_of(universe.tokens[i]) == i
 
     def test_unknown_token(self):
         with pytest.raises(UnknownLocationError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dptraj.inference import consistent_estimates, consolidate
 from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
-from dptraj.release import generate_release, release_stats, sanitize
+from dptraj.release import VARIANTS, generate_release, release_stats, release_tree, sanitize
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
@@ -130,6 +130,23 @@ class TestGenerateRelease:
         assert np.array_equal(tree_a.parent, tree_b.parent)
         assert np.array_equal(tree_a.location, tree_b.location)
         assert np.array_equal(tree_a.noisy, tree_b.noisy, equal_nan=True)
+
+    def test_release_tree_is_sanitize_after_the_build(self):
+        rnd = random.Random(13)
+        rows = [
+            tuple(rnd.randrange(6) for _ in range(rnd.randint(1, 5))) for _ in range(200)
+        ]
+        db = TrajectoryDb.of(rows)
+        universe = make_universe(6)
+        params = PrivacyParams(epsilon=2.0, height=4)
+        for variant in VARIANTS:
+            release, tree = sanitize(db, universe, params, RandomSource(14), variant)
+            built = build_noisy_tree(db, universe, params, RandomSource(14))
+            assert built.fitted is None and built.adjusted is None
+            assert release_tree(built, use_inference=(variant == "full")) == release
+            assert (built.adjusted is None) == (variant == "basic")
+            if variant == "full":
+                assert np.array_equal(built.adjusted, tree.adjusted)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestExactTree:
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
         counts = {
-            universe.token_of(int(tree.location[c])): int(tree.true_count[c])
+            universe.tokens[tree.location[c]]: int(tree.true_count[c])
             for c in children(tree, 0)
         }
         assert counts == {"L1": 5, "L3": 3}
@@ -279,6 +280,15 @@ class TestNoisyTree:
                 assert value.shape == (len(tree),), name
             else:
                 assert name == "universe" or value is None, name
+
+    def test_tree_keeps_nothing_of_the_input(self):
+        db = TrajectoryDb.of([(0, 1, 2), (0, 1), (2, 0), (0, 1, 2)] * 10)
+        refs = [weakref.ref(db), *map(weakref.ref, (db.tokens, db.offsets, db.codes, db.weights))]
+        params = PrivacyParams(epsilon=5.0, height=3)
+        tree = build_noisy_tree(db, make_universe(3), params, RandomSource(3))
+        del db
+        assert len(tree) > 1
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class _CountingSource(RandomSource):
