@@ -101,7 +101,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     # The steps of ``sanitize``, with the input freed once the tree is built:
     # the later steps read only the tree.
-    tree = build_noisy_tree(db, universe, params, RandomSource(seed), args.expand_empty)
+    tree = build_noisy_tree(db, universe, params, RandomSource(seed))
     del db
     release = release_tree(tree, use_inference=(args.variant == "full"))
     elapsed = time.perf_counter() - started
@@ -113,8 +113,8 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     print(f"input={args.input} records={records} universe={len(universe)}")
     print(
         f"epsilon={params.epsilon:g} height={params.height} theta={params.threshold:.6g} "
-        f"theta_mult={params.theta_multiplier:g} variant={args.variant} seed={seed} "
-        f"expand_empty={str(args.expand_empty).lower()}"
+        f"theta_expand={params.expand_threshold(len(universe)):.6g} "
+        f"theta_mult={params.theta_multiplier:g} variant={args.variant} seed={seed}"
     )
     for line in budget_ledger(params).describe():
         print(line)
@@ -234,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", default=None, help="public universe file, one token per line")
     p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--theta-mult", type=float, default=2.0, dest="theta_mult")
-    p.add_argument("--expand-empty", action="store_true", dest="expand_empty")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
     p.set_defaults(func=cmd_sanitize)
 

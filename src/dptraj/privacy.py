@@ -23,11 +23,11 @@ COUNT_SENSITIVITY = 1.0
 class PrivacyParams:
     """Total budget, tree height, and the derived per-level quantities.
 
-    ``threshold`` is ``theta_multiplier`` times the standard deviation of the
-    per-level Laplace noise; candidate nodes whose noisy count falls below it
-    are dropped. The default multiplier of 2 keeps roughly 3% of empty
-    candidates regardless of the budget split. ``theta_multiplier=0`` disables
-    thresholding (useful only for noise-free pipeline checks).
+    Candidates whose noisy count is below ``threshold`` (``theta_multiplier``
+    noise standard deviations) are dropped, and a kept node is expanded iff its
+    noisy count reaches :meth:`expand_threshold`, where an empty-born node has
+    half an expanded child on average: the tree's shape depends only on noisy
+    counts. ``theta_multiplier=0`` disables both, for noise-free checks.
     """
 
     epsilon: float
@@ -66,6 +66,10 @@ class PrivacyParams:
     def threshold(self) -> float:
         # std of Laplace(scale) is scale * sqrt(2)
         return self.theta_multiplier * math.sqrt(2.0) * COUNT_SENSITIVITY / self.per_level
+
+    def expand_threshold(self, universe_size: int) -> float:
+        """Noisy count that expands a kept node: ln|U| / per_level, or 0 if thresholds are off."""
+        return math.log(max(universe_size, 1)) / self.per_level if self.theta_multiplier else 0.0
 
     @property
     def pass_probability(self) -> float:

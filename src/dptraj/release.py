@@ -27,7 +27,6 @@ def sanitize(
     params: PrivacyParams,
     source: RandomSource,
     variant: str = "full",
-    expand_empty: bool = False,
 ) -> tuple[TrajectoryDb, PrefixTree]:
     """Sanitize ``db`` and return the release together with the tree behind it.
 
@@ -36,7 +35,7 @@ def sanitize(
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    tree = build_noisy_tree(db, universe, params, source, expand_empty=expand_empty)
+    tree = build_noisy_tree(db, universe, params, source)
     return release_tree(tree, use_inference=(variant == "full")), tree
 
 

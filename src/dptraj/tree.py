@@ -5,10 +5,8 @@ candidates backed by at least one trajectory get an individually noised count
 and survive only above the threshold, while the (typically many) zero-count
 candidates are resolved in one shot -- a binomial draw decides how many pass,
 and those are placed on uniformly chosen empty locations with counts drawn
-from the passing-count distribution. Nodes born from empty candidates carry
-no trajectories and are not expanded further unless ``expand_empty`` is set;
-full symmetric expansion multiplies the node count by roughly
-``0.03 * len(universe)`` per level and is only practical for small universes.
+from the passing-count distribution. Any kept node is expanded iff its noisy
+count reaches ``PrivacyParams.expand_threshold``: the shape reads no true count.
 
 The builder cuts the database's token array into one integer matrix of its
 entries, a column per depth below the tree height (-1 past a record's end),
@@ -115,16 +113,15 @@ def build_noisy_tree(
     universe: LocationUniverse,
     params: PrivacyParams,
     source: RandomSource,
-    expand_empty: bool = False,
 ) -> PrefixTree:
     """Thresholded noisy prefix tree of height at most ``params.height``.
 
-    Depth ``d`` draws from one stream, ``source.stream(d)``, in four vector
-    calls that hand the draws to the frontier's candidates in a canonical
-    order: data-backed frontier nodes in the sorted matrix's path order, then
-    empty-born ones. So the result depends only on the multiset of records,
-    the universe, the parameters and the source seed, not on the order of the
-    records.
+    The root, and each kept node whose noisy count reaches
+    ``params.expand_threshold(len(universe))``, is expanded. Depth ``d`` draws
+    from one stream, ``source.stream(d)``, in four vector calls that hand the
+    draws to the frontier's candidates in a canonical order: data-backed
+    frontier nodes in the sorted matrix's path order, then empty-born ones, so
+    the tree does not depend on the order of the records.
     """
     columns, cum = _sorted_columns(db, params.height, len(universe))
     # Entry i starts a run at depth d if it differs from entry i - 1 in some
@@ -142,7 +139,7 @@ def build_noisy_tree(
         if not len(at):
             break
         (pos, *level), grow, lo, hi = _next_depth(
-            columns[d], differs, cum, lo, hi, len(universe), params, source.stream(d), expand_empty
+            columns[d], differs, cum, lo, hi, len(universe), params, source.stream(d)
         )
         levels.append((at[pos], *level))
         at, size = size + grow, size + len(pos)
@@ -161,7 +158,7 @@ def build_noisy_tree(
 
 def _next_depth(
     column: np.ndarray, differs: np.ndarray, cum: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    universe_size: int, params: PrivacyParams, rng: np.random.Generator, expand_empty: bool,
+    universe_size: int, params: PrivacyParams, rng: np.random.Generator,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """One depth of :func:`build_noisy_tree`, below the frontier rows ``lo:hi``.
 
@@ -197,12 +194,12 @@ def _next_depth(
     empty = np.zeros(len(born), dtype=np.int64)
     pos = np.concatenate((owner[kept], bearer))
     location = np.concatenate((loc[kept], born))
-    true = np.concatenate((counts[kept], empty))
+    noisy = np.concatenate((draws[kept], values))
     # The next frontier; empty-born nodes hold no rows, so their range is empty.
-    grow = np.flatnonzero(expand_empty | (true > 0))
+    grow = np.flatnonzero(noisy >= params.expand_threshold(universe_size))
     lo = np.concatenate((begin[kept], empty))[grow]
     hi = np.concatenate((end[kept], empty))[grow]
-    return (pos, location, np.concatenate((draws[kept], values)), true), grow, lo, hi
+    return (pos, location, noisy, np.concatenate((counts[kept], empty))), grow, lo, hi
 
 
 def _sorted_columns(

@@ -127,18 +127,19 @@ def reference_noisy_tree(
     universe: LocationUniverse,
     params: PrivacyParams,
     source: RandomSource,
-    expand_empty: bool = False,
 ) -> PrefixTree:
     """The noisy tree built one level at a time over sorted record tuples.
 
     Makes the same draws in the same order as ``build_noisy_tree``, one
     stream per depth, but finds child runs by bisecting tuples and places
-    empty-born nodes with a dict-based partial Fisher-Yates shuffle.
+    empty-born nodes with a dict-based partial Fisher-Yates shuffle. A kept
+    node is expanded iff its noisy count reaches the expand threshold.
     """
     order = sorted(range(len(db.entries)), key=db.entries.__getitem__)
     cum = [0, *accumulate(db.weights[order].tolist())]  # cum[j] - cum[i]: records in rows[i:j]
     rows = list(map(db.entries.__getitem__, order))
     universe_size = len(universe)
+    theta_expand = params.expand_threshold(universe_size)
 
     # (prefix, noisy count, true count), parents first and siblings in birth order.
     nodes: list[tuple[tuple[int, ...], float, int]] = [((), float("nan"), cum[-1])]
@@ -174,7 +175,8 @@ def reference_noisy_tree(
             count = cum[j] - cum[i]
             if count + e >= params.threshold:
                 nodes.append((path + (loc,), count + e, count))
-                next_frontier.append((path + (loc,), i, j))
+                if count + e >= theta_expand:
+                    next_frontier.append((path + (loc,), i, j))
         for (path, _, hi), own, n in zip(frontier, runs, passing):
             if not n:
                 continue
@@ -188,8 +190,9 @@ def reference_noisy_tree(
                 j = next(slots)
                 child = path + (pool[moved.get(j, j)],)
                 moved[j] = moved.get(i, i)
-                nodes.append((child, next(values), 0))
-                if expand_empty:
+                value = next(values)
+                nodes.append((child, value, 0))
+                if value >= theta_expand:
                     next_frontier.append((child, hi, hi))
         frontier = next_frontier
     return array_tree(nodes, universe)

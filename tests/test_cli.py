@@ -200,17 +200,18 @@ class TestSanitize:
         assert out.exists()
         assert "privacy.claim=none reason=derived_universe" in result.stdout.splitlines()
 
-    def test_theta_mult_and_expand_empty_flags(self, tmp_path, sample_paths):
+    def test_theta_mult_flag_and_expand_threshold(self, tmp_path, sample_paths):
         data, universe = sample_paths
         out = tmp_path / "release.txt"
         result = run_cli(
             "sanitize", "--input", data, "--output", out, "--epsilon", "4.0",
             "--height", "3", "--seed", "2", "--universe", universe,
-            "--theta-mult", "0.5", "--expand-empty",
+            "--theta-mult", "0.5",
         )
         assert result.returncode == 0, result.stderr
-        assert "theta_mult=0.5" in result.stdout
-        assert "expand_empty=true" in result.stdout
+        assert "theta_mult=0.5" in result.stdout.split()
+        # ln(4 locations) / (4.0 / 3 per level)
+        assert "theta_expand=1.03972" in result.stdout.split()
 
 
 class TestSanitizeStages:
@@ -355,30 +356,26 @@ class TestEvalCount:
 class TestPinnedRelease:
     """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus.
 
-    The digests were recorded when the builder moved to one stream per tree
-    depth; any change to a draw, to the child order or to the inference
-    arithmetic shows up here.
+    The digests were recorded when the expansion rule moved to noisy counts;
+    any change to a draw, to the child order, to which nodes are expanded or
+    to the inference arithmetic shows up here.
     """
 
     CORPUS = "07c4cdd7e0a9fc577e9780745ca9237fd28e5f9231508c99029ae90894e17310"
     RUNS = {
         # flags: (release digest, --dump-tree digest)
         ("--variant", "full"): (
-            "d62e4e030b1530a6b9caf28cba4dad836ff10f47b7248f3dbcd3be44cda4efbd",
-            "6d9a31caeea69ad7b3d379bebab144cfb818bb6eccd76965c99f7af5d7362c2a",
+            "77d8699b2254b87a473712e19e6bdb918eee85d04ac83208f8e019c2c526b176",
+            "79b1056c58343b43d7dfd17e6a87dc1bf4a6b4a53f890ed50383f7fbe3e5aec5",
         ),
         ("--variant", "basic"): (
-            "fe12f8f4553eb82bd91f804ba673cb097a95466ca9d44808956f40277f73a407",
-            "6d9a31caeea69ad7b3d379bebab144cfb818bb6eccd76965c99f7af5d7362c2a",
-        ),
-        ("--expand-empty",): (
-            "1eb99ced5afc5b9cfa977ec28058369a5989ee565347bc19dc0372665456d80d",
-            "5533bec257812e8152cb71c420d378499a4dd66ed3e23b665eca7850b28ddd19",
+            "c69ab33773d474e8212b119f971259bdf06ef7f4b70eee8861c44bf9fa455fb9",
+            "79b1056c58343b43d7dfd17e6a87dc1bf4a6b4a53f890ed50383f7fbe3e5aec5",
         ),
         # ~43% of empty candidates pass, so the one-shot sampler's swaps collide.
         ("--theta-mult", "0.1"): (
-            "a8d78d01777079983e8fc1cd5b9b32fbe29bd0f85d22e04137eaedc0feb9241d",
-            "6ea2446e273f62e26e818de871b07b073c06e9955627b724aabacbea32b8bb75",
+            "04ab46b588cb53821e9563ae7568c1732e0988ac820811299aebb82d9b8f99b1",
+            "5ad3a59bdab2dcd256707ebcf7a013ccb300e386b1a864e2ff864f31b3c6f270",
         ),
     }
 

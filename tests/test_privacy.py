@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from dptraj.model import TrajectoryDb
 from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
@@ -15,7 +16,9 @@ from dptraj.privacy import (
     sample_pass_count,
     sample_passing_noisy_count,
 )
+from dptraj.tree import build_noisy_tree
 
+from conftest import make_universe
 from oracles import ZeroNoiseSource
 
 
@@ -92,6 +95,58 @@ class TestPrivacyParams:
         params = PrivacyParams(epsilon=1.0, height=4, theta_multiplier=0.0)
         assert params.threshold == 0.0
         assert params.pass_probability == pytest.approx(0.5)
+
+    def test_expand_threshold(self):
+        params = PrivacyParams(epsilon=1.0, height=12)
+        assert params.expand_threshold(1012) == pytest.approx(12 * math.log(1012))  # 83.04
+        # An expanded empty-born node: each of |U| zero-count candidates passes and
+        # reaches the expand threshold with probability 1 / (2|U|), half a child in all.
+        above = math.exp(-params.per_level * (params.expand_threshold(1012) - params.threshold))
+        assert 1012 * params.pass_probability * above == pytest.approx(0.5)
+        # Below the threshold, so every kept node is expanded, iff |U| <= 16.
+        assert [params.expand_threshold(u) < params.threshold for u in (16, 17)] == [True, False]
+        assert params.expand_threshold(0) == params.expand_threshold(1) == 0.0
+        zero = PrivacyParams(epsilon=1.0, height=12, theta_multiplier=0.0)
+        assert zero.expand_threshold(1012) == 0.0
+
+
+class TestNeighbouringAudit:
+    """The tree's shape is epsilon-DP, checked on a pair of neighbouring databases.
+
+    After StatDP (Ding et al., "Detecting Violations of Differential Privacy",
+    CCS 2018): estimate an event's probability on D and on D' from fixed seeds,
+    and require the Clopper-Pearson lower bound on either probability to be at
+    most e^epsilon times the upper bound on the other.
+    """
+
+    RUNS = 10_000
+    ALPHA = 1e-3  # each Clopper-Pearson interval is a 99.9% two-sided one
+
+    def _bounds(self, hits):
+        n, k = self.RUNS, hits
+        low = stats.beta.ppf(self.ALPHA / 2, k, n - k + 1) if k else 0.0
+        high = stats.beta.ppf(1 - self.ALPHA / 2, k + 1, n - k) if k < n else 1.0
+        return low, high
+
+    def test_expanded_node_reveals_no_record(self):
+        # Event: node (0,) exists and has a child. Under a rule on true counts it
+        # occurs only when a record backs (0,).
+        universe = make_universe(64)
+        params = PrivacyParams(epsilon=1.0, height=2)
+
+        def hits(db):
+            total = 0
+            for seed in range(self.RUNS):
+                tree = build_noisy_tree(db, universe, params, RandomSource(seed))
+                node = np.flatnonzero((tree.depth == 1) & (tree.location == 0))
+                total += bool(len(node)) and tree.n_children[node[0]] > 0
+            return total
+
+        (low, high), (low_other, high_other) = map(
+            self._bounds, (hits(TrajectoryDb.of([(0,)])), hits(TrajectoryDb.of(())))
+        )
+        assert low <= math.exp(params.epsilon) * high_other
+        assert low_other <= math.exp(params.epsilon) * high
 
 
 class TestLaplace:

@@ -153,14 +153,13 @@ class TestGenerateRelease:
 def _release_trees(draw):
     """A noisy tree of a random small database, or a root-only tree.
 
-    Expanding empty-born nodes multiplies the tree by the universe size per
-    level, so those cases stay small.
+    Universes fall on both sides of 16 locations, at or below which every kept
+    node is expanded at the default theta multiplier.
     """
-    expand_empty = draw(st.booleans())
-    universe = make_universe(draw(st.integers(1, 5 if expand_empty else 30)))
+    universe = make_universe(draw(st.integers(1, 30)))
     if draw(st.integers(0, 9)) == 0:
         return array_tree((), universe)
-    height = draw(st.integers(1, 3 if expand_empty else 6))
+    height = draw(st.integers(1, 6))
     record = st.lists(st.integers(0, len(universe) - 1), min_size=1, max_size=height + 2)
     db = TrajectoryDb.of(draw(st.lists(record, max_size=30)))
     params = PrivacyParams(
@@ -169,7 +168,7 @@ def _release_trees(draw):
         theta_multiplier=draw(st.sampled_from([0.1, 2.0])),
     )
     source = RandomSource(draw(st.integers(0, 2**32 - 1)))
-    return build_noisy_tree(db, universe, params, source, expand_empty=expand_empty)
+    return build_noisy_tree(db, universe, params, source)
 
 
 class TestReleaseOracle:

@@ -53,12 +53,11 @@ def _build_cases(draw):
     """A database read back in small blocks, and the parameters to build its tree with.
 
     Records run past the height, and repeats are split over several entries.
-    Expanding empty-born nodes multiplies the tree by about 0.43 * universe
-    per level at theta multiplier 0.1, so those cases stay small.
+    Universes fall on both sides of 16 locations, at or below which every kept
+    node is expanded at the default theta multiplier.
     """
-    expand_empty = draw(st.booleans())
-    universe_size = draw(st.integers(1, 10 if expand_empty else 60))
-    height = draw(st.integers(1, 4 if expand_empty else 7))
+    universe_size = draw(st.integers(1, 60))
+    height = draw(st.integers(1, 7))
     record = st.lists(st.integers(0, universe_size - 1), min_size=1, max_size=height + 3)
     distinct = draw(st.lists(record.map(tuple), min_size=1, max_size=12))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=40))
@@ -69,7 +68,7 @@ def _build_cases(draw):
         theta_multiplier=draw(st.sampled_from([0.1, 2.0])),
     )
     seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)))
-    return rows, make_universe(universe_size), params, seed, expand_empty, draw(st.integers(4, 64))
+    return rows, make_universe(universe_size), params, seed, draw(st.integers(4, 64))
 
 
 class TestExactTree:
@@ -134,7 +133,7 @@ class TestNodePrefix:
         params = PrivacyParams(epsilon=3.0, height=5)
         for tree in (
             build_exact_tree(db, universe),
-            build_noisy_tree(db, universe, params, RandomSource(17), expand_empty=True),
+            build_noisy_tree(db, universe, params, RandomSource(17)),
         ):
             assert [len(p) for p in prefixes(tree)] == tree.depth.tolist()
 
@@ -197,31 +196,41 @@ class TestNoisyTree:
             assert count[i] == sum(1 for t in db.trajectories if t[: len(p)] == p)
             assert sum(count[c] for c in children(tree, i)) <= count[i]
 
-    def test_empty_born_are_leaves_by_default(self):
+    def test_only_nodes_at_expand_threshold_have_children(self):
         db = TrajectoryDb.of([(0,)] * 50)
         universe = make_universe(30)
         params = PrivacyParams(epsilon=10.0, height=3)
-        # plenty of empty candidates over 3 levels; some seed spawns a few
+        theta_expand = params.expand_threshold(len(universe))
+        assert theta_expand > params.threshold
+        unexpanded = 0
+        for seed in range(6):
+            tree = build_noisy_tree(db, universe, params, RandomSource(seed))
+            assert (tree.noisy[1:] >= params.threshold).all()
+            parents = np.flatnonzero(tree.n_children[1:]) + 1
+            assert (tree.noisy[parents] >= theta_expand).all()
+            unexpanded += (tree.noisy[1:] < theta_expand).sum()
+        assert unexpanded  # kept nodes in [threshold, theta_expand) were left leaves
+
+    def test_empty_born_over_expand_threshold_grow_subtrees(self):
+        db = TrajectoryDb.of([(0,)] * 50)
+        universe = make_universe(30)
+        params = PrivacyParams(epsilon=10.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(0))
-        empty_nodes = np.flatnonzero(tree.true_count[1:] == 0) + 1
-        assert len(empty_nodes), "expected at least one empty-born node for this seed"
-        for i in empty_nodes:
-            assert children(tree, i) == []
-            assert tree.noisy[i] >= params.threshold
+        empty_born = np.flatnonzero(tree.true_count[1:] == 0) + 1
+        grown = empty_born[tree.n_children[empty_born] > 0]
+        assert len(grown), "expected an empty-born node with children for this seed"
+        assert (tree.noisy[grown] >= params.expand_threshold(len(universe))).all()
 
-    def test_expand_empty_grows_their_subtrees(self):
-        db = TrajectoryDb.of([(0,)] * 50)
-        universe = make_universe(30)
-        params = PrivacyParams(epsilon=10.0, height=3)
-        base = build_noisy_tree(db, universe, params, RandomSource(0))
-        expanded = build_noisy_tree(
-            db, universe, params, RandomSource(0), expand_empty=True
-        )
-        def empty_child_count(tree):
-            return tree.n_children[1:][tree.true_count[1:] == 0].sum()
-
-        assert empty_child_count(base) == 0
-        assert empty_child_count(expanded) > 0
+    def test_narrow_universe_expands_every_kept_node(self):
+        # Without noise each node counts 3, over the threshold 2 * sqrt(2). The expand
+        # threshold ln|U| is below the threshold iff |U| <= 16, and over 30 locations is 3.4.
+        db = TrajectoryDb.of([(0, 1, 2)] * 3)
+        params = PrivacyParams(epsilon=3.0, height=3)
+        for size, depth in ((16, 3), (30, 1)):
+            universe = make_universe(size)
+            assert (params.expand_threshold(size) < params.threshold) == (size == 16)
+            tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
+            assert tree.depth.max() == depth and (tree.noisy[1:] == 3).all()
 
     def test_children_locations_distinct(self):
         rnd = random.Random(77)
@@ -252,7 +261,7 @@ class TestNoisyTree:
     def test_node_rows_are_plain_values(self, sample_db):
         db, universe = sample_db
         params = PrivacyParams(epsilon=1.0, height=3)
-        tree = build_noisy_tree(db, universe, params, RandomSource(3), expand_empty=True)
+        tree = build_noisy_tree(db, universe, params, RandomSource(3))
         rows = list(tree.nodes())
         assert rows[0].parent is None
         assert [r.parent for r in rows[1:]] == tree.parent[1:].tolist()
@@ -260,21 +269,19 @@ class TestNoisyTree:
         assert [r.empty_born for r in rows[1:]] == (tree.true_count[1:] == 0).tolist()
         json.dumps(rows)  # numpy scalars would not serialize
 
-    @pytest.mark.parametrize("expand_empty", [False, True])
-    def test_empty_universe_gives_root_only_tree(self, expand_empty):
+    @pytest.mark.parametrize("thresholded", [False, True])
+    def test_empty_universe_gives_root_only_tree(self, thresholded):
         db, universe = TrajectoryDb.of(()), make_universe(0)
-        params = PrivacyParams(epsilon=1.0, height=3)
+        params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=2.0 * thresholded)
         for variant in VARIANTS:
-            release, tree = sanitize(
-                db, universe, params, RandomSource(5), variant, expand_empty=expand_empty
-            )
+            release, tree = sanitize(db, universe, params, RandomSource(5), variant)
             assert len(tree) == 1 and len(release) == 0 and len(release.tokens) == 0
             assert dump_tree(tree) == ""
 
     def test_no_per_record_state_after_build(self, sample_db):
         db, universe = sample_db
         params = PrivacyParams(epsilon=1.0, height=3)
-        tree = build_noisy_tree(db, universe, params, RandomSource(3), expand_empty=True)
+        tree = build_noisy_tree(db, universe, params, RandomSource(3))
         for name, value in vars(tree).items():
             if isinstance(value, np.ndarray):
                 assert value.shape == (len(tree),), name
@@ -313,33 +320,33 @@ class TestDrawAssignment:
         shuffled = rnd.sample(rows, len(rows))
         assert shuffled != rows
         params = PrivacyParams(epsilon=2.0, height=4, theta_multiplier=0.1)
-        for expand_empty in (False, True):
-            trees = [
-                build_noisy_tree(other, universe, params, RandomSource(8), expand_empty)
-                for other in (
-                    TrajectoryDb.of(rows),
-                    TrajectoryDb.of(shuffled),
-                    load_in_blocks(shuffled, universe, 16, tmp_path),
-                )
-            ]
-            assert (trees[0].true_count[1:] == 0).any()
-            for tree in trees[1:]:
-                _assert_same_tree(tree, trees[0])
+        trees = [
+            build_noisy_tree(other, universe, params, RandomSource(8))
+            for other in (
+                TrajectoryDb.of(rows),
+                TrajectoryDb.of(shuffled),
+                load_in_blocks(shuffled, universe, 16, tmp_path),
+            )
+        ]
+        assert (trees[0].n_children[trees[0].true_count == 0] > 0).any()
+        for tree in trees[1:]:
+            _assert_same_tree(tree, trees[0])
 
     @pytest.mark.parametrize(
-        "rows, height, theta, expand_empty",
+        "rows, height, theta, narrow",
         [
-            ([(0, 1)] * 5, 6, 2.0, False),  # the frontier is empty from depth 3 on
+            ([(0, 1)] * 5, 6, 2.0, False),  # the frontier empties below the height
             ([(0, 1, 2, 3)] * 40 + [(1, 2)] * 40, 3, 2.0, False),
             ([(0,)] * 5, 4, 0.1, True),  # empty-born nodes carry the frontier past the data
         ],
     )
-    def test_one_stream_per_expanded_depth(self, rows, height, theta, expand_empty):
-        universe = make_universe(4)
+    def test_one_stream_per_expanded_depth(self, rows, height, theta, narrow):
+        universe = make_universe(4 if narrow else 40)
         params = PrivacyParams(epsilon=20.0, height=height, theta_multiplier=theta)
         source = _CountingSource(7)
-        tree = build_noisy_tree(TrajectoryDb.of(rows), universe, params, source, expand_empty)
-        expanded = tree.depth[(tree.true_count > 0) | expand_empty]
+        tree = build_noisy_tree(TrajectoryDb.of(rows), universe, params, source)
+        expands = tree.noisy >= params.expand_threshold(len(universe))
+        expanded = tree.depth[expands | (tree.depth == 0)]
         depths = min(height, int(expanded.max()) + 1)
         assert source.keys == [(d,) for d in range(depths)]
 
@@ -350,31 +357,35 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(_build_cases())
     # An empty database: only empty-born nodes, grown to the height.
-    @example(([], make_universe(5), PrivacyParams(2.0, 3, 0.1), 7, True, 16))
-    # The frontier is empty from depth 3 on, below the height of 6.
-    @example(([(0, 1)] * 5, make_universe(4), PrivacyParams(20.0, 6), 7, False, 16))
+    @example(([], make_universe(5), PrivacyParams(2.0, 3, 0.1), 5, 16))
+    # The frontier empties below the height of 6.
+    @example(([(0, 1)] * 5, make_universe(4), PrivacyParams(20.0, 6), 7, 16))
     # Height 1; a one-location universe.
-    @example(([(0, 1), (1,), (2, 0)], make_universe(3), PrivacyParams(2.0, 1, 0.1), 7, False, 16))
-    @example(([(0,), (0, 0, 0), (0, 0)], make_universe(1), PrivacyParams(2.0, 3, 0.1), 7, True, 8))
+    @example(([(0, 1), (1,), (2, 0)], make_universe(3), PrivacyParams(2.0, 1, 0.1), 7, 16))
+    @example(([(0,), (0, 0, 0), (0, 0)], make_universe(1), PrivacyParams(2.0, 3, 0.1), 7, 8))
     # Every record runs past the height.
-    @example(([(0, 1, 2), (1, 0, 3, 3)], make_universe(4), PrivacyParams(20.0, 2), 7, False, 8))
+    @example(([(0, 1, 2), (1, 0, 3, 3)], make_universe(4), PrivacyParams(20.0, 2), 7, 8))
+    # Kept nodes below the expand threshold stay leaves.
+    @example(([(0,)] * 50, make_universe(30), PrivacyParams(10.0, 3), 0, 16))
     def test_arrays_equal_reference(self, case):
-        rows, universe, params, seed, expand_empty, block = case
+        rows, universe, params, seed, block = case
         with tempfile.TemporaryDirectory() as directory:
             db = load_in_blocks(rows, universe, block, directory)
-        tree = build_noisy_tree(db, universe, params, RandomSource(seed), expand_empty)
-        reference = reference_noisy_tree(db, universe, params, RandomSource(seed), expand_empty)
+        tree = build_noisy_tree(db, universe, params, RandomSource(seed))
+        reference = reference_noisy_tree(db, universe, params, RandomSource(seed))
         _assert_same_tree(tree, reference)
 
-    @pytest.mark.parametrize("expand_empty", [False, True])
+    @pytest.mark.parametrize("narrow", [False, True])
     @pytest.mark.parametrize("chunk", [1, 3])
-    def test_shuffle_chunks(self, monkeypatch, chunk, expand_empty):
+    def test_shuffle_chunks(self, monkeypatch, chunk, narrow):
         # Shuffling `chunk` nodes at a time splits one depth's bearers over several chunks.
-        db, universe = _random_db(random.Random(13), max_records=60, universe_size=12, max_len=5)
+        db, universe = _random_db(
+            random.Random(13), max_records=200, universe_size=12 if narrow else 24, max_len=5
+        )
         monkeypatch.setattr("dptraj.tree._CELLS", chunk * len(universe))
-        params = PrivacyParams(epsilon=2.0, height=3, theta_multiplier=0.1)
-        tree = build_noisy_tree(db, universe, params, RandomSource(3), expand_empty)
-        reference = reference_noisy_tree(db, universe, params, RandomSource(3), expand_empty)
+        params = PrivacyParams(epsilon=8.0, height=3, theta_multiplier=0.1)
+        tree = build_noisy_tree(db, universe, params, RandomSource(3))
+        reference = reference_noisy_tree(db, universe, params, RandomSource(3))
         _assert_same_tree(tree, reference)
         bearers = np.unique(tree.parent[1:][tree.true_count[1:] == 0])
         assert np.bincount(tree.depth[bearers]).max() > 2 * chunk
@@ -421,16 +432,14 @@ class TestDump:
         tree = build_exact_tree(TrajectoryDb.of(()), make_universe(2))
         assert dump_tree(tree) == ""
 
-    @pytest.mark.parametrize("expand_empty", [False, True])
-    def test_lines_are_a_preorder_walk(self, expand_empty):
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_lines_are_a_preorder_walk(self, narrow):
         rnd = random.Random(43)
         interleaved = 0
         for seed in range(6):
-            db, universe = _random_db(rnd, max_records=80, universe_size=8)
+            db, universe = _random_db(rnd, max_records=80, universe_size=8 if narrow else 30)
             params = PrivacyParams(epsilon=3.0, height=4, theta_multiplier=0.3)
-            tree = build_noisy_tree(
-                db, universe, params, RandomSource(seed), expand_empty=expand_empty
-            )
+            tree = build_noisy_tree(db, universe, params, RandomSource(seed))
             order = _preorder_walk(tree)
             assert dump_tree(tree).splitlines() == [_dump_line(tree, i) for i in order]
             interleaved += order != list(range(1, len(tree)))
@@ -477,15 +486,13 @@ class TestFlatten:
             assert tuple(tree.location[path[:depth]]) == want[node]
         assert tree.paths(nodes[:0]).shape == (0, 0)
 
-    @pytest.mark.parametrize("expand_empty", [False, True])
-    def test_builder_rows_are_in_level_order(self, expand_empty):
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_builder_rows_are_in_level_order(self, narrow):
         rnd = random.Random(41)
         for seed in range(6):
-            db, universe = _random_db(rnd, max_records=80, universe_size=10)
+            db, universe = _random_db(rnd, max_records=80, universe_size=10 if narrow else 30)
             params = PrivacyParams(epsilon=3.0, height=4)
-            tree = build_noisy_tree(
-                db, universe, params, RandomSource(seed), expand_empty=expand_empty
-            )
+            tree = build_noisy_tree(db, universe, params, RandomSource(seed))
             n = len(tree)
             parent = tree.parent[1:]
             assert tree.parent[0] == -1 and tree.depth[0] == 0
@@ -493,8 +500,8 @@ class TestFlatten:
             assert (parent < np.arange(1, n)).all()
             assert (tree.depth[1:] == tree.depth[parent] + 1).all()
             assert (tree.n_children == np.bincount(parent, minlength=n)).all()
-            if not expand_empty:
-                assert (tree.n_children[1:][tree.true_count[1:] == 0] == 0).all()
+            theta_expand = params.expand_threshold(len(universe))
+            assert (tree.noisy[1:][tree.n_children[1:] > 0] >= theta_expand).all()
             # Under each parent: data-backed children in ascending location, then empty-born.
             for i in np.flatnonzero(tree.n_children):
                 rows = children(tree, i)
