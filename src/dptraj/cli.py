@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--universe", default=None, help="public universe file, one token per line")
     p.add_argument("--variant", choices=VARIANTS, default="full")
-    p.add_argument("--theta-mult", type=float, default=2.0, dest="theta_mult")
+    p.add_argument("--theta-mult", type=_positive_float, default=2.0, dest="theta_mult")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
     p.set_defaults(func=cmd_sanitize)
 

@@ -86,14 +86,15 @@ _BATCH_CANDIDATES = 1 << 16
 
 
 class PresenceIndex:
-    """Per-location posting lists over a database's entries, for bulk count queries.
+    """One sorted key per (location, entry) visit, for bulk count queries.
 
     Equivalent to :func:`eval_count_query` record scans, after one indexing
-    pass over the database's tokens. Location ``l``'s posting list holds the
-    entries that visit it, ascending, and its bit-packed row tells whether a
-    given entry visits it. A query takes its rarest location's posting list
-    as candidates, keeps those whose bit is set in each of its other
-    locations' rows, and sums the weights of the survivors.
+    pass over the database's tokens. Over ``n`` entries, entry ``e``'s visit
+    to location ``l`` is the key ``l * n + e``, kept once, so location
+    ``l``'s keys fill ``[l * n, (l + 1) * n)`` in ascending entry order. A
+    query takes its rarest location's keys, modulo ``n``, as candidates,
+    keeps a candidate ``e`` while ``l * n + e`` is found in the keys for each
+    of its other locations ``l``, and sums the weights of the survivors.
     """
 
     def __init__(self, db: TrajectoryDb, universe_size: int):
@@ -103,26 +104,14 @@ class PresenceIndex:
             )
         self.weights = db.weights
         n = len(db.weights)
-        # One key per (location, entry) visit: sorted, location l's keys fill
-        # [l * n, (l + 1) * n) and a repeated visit equals the key before it.
         keys = db.tokens.astype(np.int64)
         keys *= n
         keys += np.repeat(np.arange(n), np.diff(db.offsets))
         keys.sort()
         first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
-        self._bounds = np.searchsorted(keys, np.arange(universe_size + 1) * n)
-        self._lengths = np.diff(self._bounds)
-        keys %= max(n, 1)
-        self._postings = keys.astype(np.int32)
-        del keys
-        self._bits = np.zeros((universe_size, (n + 7) // 8), dtype=np.uint8)
-        # Entry i is bit i % 8, counted from the top, of byte i // 8. uint8
-        # values keep ``at`` off its slower casting path.
-        locations = np.repeat(np.arange(universe_size, dtype=np.int32), self._lengths)
-        masks = (128 >> (self._postings & 7)).astype(np.uint8)
-        np.bitwise_or.at(self._bits, (locations, self._postings >> 3), masks)
+        first[1:] = keys[1:] != keys[:-1]  # a repeated visit equals the key before it
+        self._keys = keys[first]
+        self._bounds = np.searchsorted(self._keys, np.arange(universe_size + 1) * n)
 
     def count(self, query: CountQuery) -> int:
         """One query's count, answered as a batch of one."""
@@ -134,7 +123,8 @@ class PresenceIndex:
         if not sizes.all():
             raise ValueError("count query needs at least one location")
         locations = np.fromiter(chain.from_iterable(queries), np.intp, sizes.sum())
-        lengths = self._lengths[locations]
+        n = len(self.weights)
+        lengths = self._bounds[locations + 1] - self._bounds[locations]
         # Each query's locations, rarest first.
         order = np.lexsort((lengths, np.repeat(np.arange(len(sizes)), sizes)))
         locations, lengths = locations[order], lengths[order]
@@ -147,16 +137,17 @@ class PresenceIndex:
             hi = max(int(np.searchsorted(gathered, budget, "right")), lo + 1)
             rarest = locations[firsts[lo:hi]]
             query, at = _spans(self._bounds[rarest], lengths[firsts[lo:hi]])
-            entries = self._postings[at]
+            entries = self._keys[at] % max(n, 1)
             query += lo
             for column in range(1, int(sizes[lo:hi].max())):
                 if not len(query):
                     break
                 tested = np.flatnonzero(sizes[query] > column)
-                e = entries[tested]
-                bits = self._bits[locations[firsts[query[tested]] + column], e >> 3]
+                wanted = locations[firsts[query[tested]] + column] * n + entries[tested]
+                # A wanted key can sort after every key, so its index is clamped.
+                at = np.searchsorted(self._keys, wanted).clip(max=len(self._keys) - 1)
                 keep = np.ones(len(query), dtype=bool)
-                keep[tested[(bits & (128 >> (e & 7))) == 0]] = False
+                keep[tested[self._keys[at] != wanted]] = False
                 query, entries = query[keep], entries[keep]
             totals = np.bincount(query - lo, weights=self.weights[entries], minlength=hi - lo)
             answers[lo:hi] = totals.astype(np.int64)

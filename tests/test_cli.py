@@ -147,7 +147,8 @@ class TestSanitize:
                 "--seed", "0", "--universe", universe)
         for flags, name in [
             (("--epsilon", "inf"), "epsilon"),
-            (("--epsilon", "1", "--theta-mult", "nan"), "theta multiplier"),
+            (("--epsilon", "1", "--theta-mult", "nan"), "--theta-mult"),
+            (("--epsilon", "1", "--theta-mult", "0"), "--theta-mult"),
         ]:
             result = run_cli(*base, *flags)
             assert result.returncode == 2, flags

@@ -3,8 +3,9 @@ import random
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dptraj import utility
@@ -78,10 +79,9 @@ class TestCountQuery:
                 assert index.count(q) == eval_count_query(db, q)
 
     def test_index_agrees_with_scan_on_duplicates(self, tmp_path):
-        # Few distinct records (a count that is not a multiple of 8, so the
-        # last bitmap byte is partial), each repeated many times in shuffled
-        # order. Read back in small blocks, the records also split into
-        # several entries each.
+        # Few distinct records, each repeated many times in shuffled order.
+        # Read back in small blocks, the records also split into several
+        # entries each.
         rnd = random.Random(23)
         size = 9
         distinct = {
@@ -119,6 +119,9 @@ class TestCountQuery:
         st.sampled_from([1, 5, 1 << 16]),
         st.sampled_from([None, 16, 64]),
     )
+    # Entry 1 visits only location 0, and the key for its visit to location 5,
+    # the highest one visited, sorts after every key in the index.
+    @example(pool=[(5,), (0,)], picks=[0, 1], queries=[frozenset({0, 5})], batch=1, block=None)
     def test_batched_and_single_answers_match_scan(
         self, tmp_path_factory, pool, picks, queries, batch, block
     ):
@@ -136,6 +139,14 @@ class TestCountQuery:
             index = PresenceIndex(db, 14)
             assert index.counts(queries).tolist() == expected
             assert [index.count(q) for q in queries] == expected
+
+    def test_index_holds_no_per_location_rows(self):
+        # One visit per entry: the index is a few arrays of one number per
+        # visit or location, where a bit row per location would be 2 MiB.
+        size = 4096
+        index = PresenceIndex(TrajectoryDb.of([(i,) for i in range(size)]), size)
+        held = sum(v.nbytes for v in vars(index).values() if isinstance(v, np.ndarray))
+        assert held < 256 * 1024
 
     def test_index_rejects_ids_outside_universe(self):
         with pytest.raises(ValueError, match="outside universe of size 3"):
