@@ -165,46 +165,36 @@ def write_universe(universe: LocationUniverse, path: str) -> None:
             fh.write(tok + "\n")
 
 
-#: Size hint, in characters, for each ``readlines`` call: lines are read in
-#: blocks of whole lines rather than one at a time.
-_READ_BLOCK = 1 << 22
+#: Distinct lines the loader's line cache holds before it starts afresh.
+_CACHE_LINES = 1 << 15
 
 
 def _read_records(path: str, parse: Callable[[list[str]], Iterable[int]]) -> TrajectoryDb:
     """One trajectory per line of ``path``; ``parse`` maps a line's tokens to ids.
 
-    Within a block of lines, each distinct line is split and parsed once into
-    one entry that its repetitions share. ``parse`` raises ``KeyError`` with
-    the offending token for a token it cannot map.
+    Repeats of a line share its entry while the line cache, cleared when full,
+    holds the line. ``parse`` raises ``KeyError`` with a token it cannot map.
     """
     # Each grows in place, then becomes its numpy array without a copy.
     tokens, offsets, codes = array("i"), array("q", [0]), array("q")
-    lines_before = 0
+    cache: dict[str, int] = {}
     with _open_text(path) as fh:
-        while lines := fh.readlines(_READ_BLOCK):
-            # The cache dies with its block: a line repeated in a later block
-            # becomes a second entry.
-            cache: dict[str, int] = {}
-            for line in lines:
-                code = cache.get(line)
-                if code is None:
-                    # A bad line raises at its first occurrence in the file,
-                    # which is then also its first in this block.
-                    words = line.split()
-                    if not words:
-                        lineno = lines_before + lines.index(line) + 1
-                        raise DataFormatError(f"{path}:{lineno}: blank line")
-                    try:
-                        tokens.extend(parse(words))
-                    except KeyError as exc:
-                        lineno = lines_before + lines.index(line) + 1
-                        raise UnknownLocationError(
-                            f"{path}:{lineno}: unknown location {exc.args[0]!r}"
-                        ) from None
-                    code = cache[line] = len(offsets) - 1
-                    offsets.append(len(tokens))
-                codes.append(code)
-            lines_before += len(lines)
+        for line in fh:  # line number len(codes) + 1
+            code = cache.get(line)
+            if code is None:
+                words = line.split()
+                if not words:
+                    raise DataFormatError(f"{path}:{len(codes) + 1}: blank line")
+                try:
+                    tokens.extend(parse(words))
+                except KeyError as exc:
+                    msg = f"{path}:{len(codes) + 1}: unknown location {exc.args[0]!r}"
+                    raise UnknownLocationError(msg) from None
+                if len(cache) == _CACHE_LINES:
+                    cache.clear()
+                code = cache[line] = len(offsets) - 1
+                offsets.append(len(tokens))
+            codes.append(code)
     return TrajectoryDb(tokens, offsets, codes)
 
 
@@ -237,12 +227,16 @@ def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, 
     return db, LocationUniverse(tuple(index))
 
 
+#: Lines of a run that ``write_db`` joins into one string.
+_WRITE_LINES = 1 << 12
+
+
 def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
     """Write one trajectory per line, tokens space-separated, LF endings.
 
     Round-trips with :func:`load_db`: loading the written file reproduces the
     records in order. Each entry is formatted once, and a run of equal
-    consecutive codes is written as one repeated line.
+    consecutive codes is written ``_WRITE_LINES`` repeated lines at a time.
     """
     if db.tokens.max(initial=-1) >= len(universe):  # ids are never negative
         raise ValueError(f"location id {db.tokens.max()} outside universe of size {len(universe)}")
@@ -260,4 +254,7 @@ def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
             line = lines.get(code) or " ".join(words[bounds[code] : bounds[code + 1]]) + "\n"
             if run < weights[code]:
                 lines[code] = line
+            while run > _WRITE_LINES:
+                fh.write(line * _WRITE_LINES)
+                run -= _WRITE_LINES
             fh.write(line * run)

@@ -123,6 +123,9 @@ class PresenceIndex:
         if not sizes.all():
             raise ValueError("count query needs at least one location")
         locations = np.fromiter(chain.from_iterable(queries), np.intp, sizes.sum())
+        size = len(self._bounds) - 1
+        if len(outside := locations[(locations < 0) | (locations >= size)]):
+            raise ValueError(f"query location {outside[0]} outside universe of size {size}")
         n = len(self.weights)
         lengths = self._bounds[locations + 1] - self._bounds[locations]
         # Each query's locations, rarest first.

@@ -52,16 +52,16 @@ def make_universe(size):
     return LocationUniverse(tuple(f"L{i}" for i in range(size)))
 
 
-def load_in_blocks(rows, universe, block, directory):
-    """``rows`` written to a file in ``directory`` and read back ``block`` characters at a time.
+def load_split(rows, universe, cache_lines, directory):
+    """``rows`` written to a file in ``directory``, read back with a ``cache_lines``-line cache.
 
-    Small blocks split the repeats of a record between blocks, so the loaded
+    A small cache is cleared between repeats of a record, so the loaded
     database holds that record as several entries.
     """
     data = os.path.join(directory, "split.txt")
     universe_path = os.path.join(directory, "split-universe.txt")
     write_db(TrajectoryDb.of(rows), universe, data)
     write_universe(universe, universe_path)
-    with mock.patch.object(model, "_READ_BLOCK", block):
+    with mock.patch.object(model, "_CACHE_LINES", cache_lines):
         db, _ = load_db(data, universe_path)
     return db

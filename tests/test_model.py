@@ -1,6 +1,7 @@
 import os
 import random
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from dptraj.model import (
 from dptraj.release import release_stats
 from dptraj.utility import mine_top_k
 
-from conftest import SAMPLE_LINES, load_in_blocks, make_universe
+from conftest import SAMPLE_LINES, load_split, make_universe
 
 
 class TestLoad:
@@ -128,14 +129,15 @@ class TestLoad:
             assert load_db(str(crlf)) == expected
 
     def test_small_read_blocks(self, tmp_path, monkeypatch):
-        # Blocks of a few lines each: records and line numbers must come out
-        # right across block boundaries.
-        monkeypatch.setattr(model, "_READ_BLOCK", 8)
+        # A line cache of two lines, cleared many times over: records and
+        # line numbers must come out right across the clears.
+        monkeypatch.setattr(model, "_CACHE_LINES", 2)
         lines = ["A B", "C", "A B", "B C A", "C", "A B"] * 7
         path = tmp_path / "d.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.warns(UserWarning):
             db, universe = load_db(str(path))
+        assert 3 < len(db.entries) < len(lines)
         assert [" ".join(universe.tokens[i] for i in t) for t in db.trajectories] == lines
         path.write_text("\n".join(lines) + "\nA D\n\n", encoding="utf-8")
         uni = tmp_path / "u.txt"
@@ -225,14 +227,14 @@ class TestWrite:
             max_size=6,
         ),
         st.lists(st.integers(0, 9), max_size=40),
-        st.integers(1, 12),
+        st.integers(1, 6),
     )
-    def test_split_entries_read_like_distinct_records(self, distinct, picks, block):
-        # Blocks of a few characters split a record's repeats into several
+    def test_split_entries_read_like_distinct_records(self, distinct, picks, cache_lines):
+        # A line cache of a few lines splits a record's repeats into several
         # entries; every reader must still see the same records.
         rows = [distinct[i % len(distinct)] for i in picks]
         with tempfile.TemporaryDirectory() as tmp:
-            db = load_in_blocks(rows, make_universe(4), block, tmp)
+            db = load_split(rows, make_universe(4), cache_lines, tmp)
         assert db.trajectories == tuple(rows)
         assert db.weights.sum() == len(db)
         reference = TrajectoryDb.of(db.trajectories)
@@ -258,6 +260,41 @@ class TestTrajectoryDb:
         for codes in ([0, 2], [-1, 0], [0, 0]):  # out of range, negative, entry unused
             with pytest.raises(ValueError):
                 TrajectoryDb(tokens, offsets, codes)
+
+
+class TestMemory:
+    """Reading and writing 300,000 copies of one line hold no object per line."""
+
+    LINES = 300_000
+
+    @pytest.fixture()
+    def repeated(self, tmp_path):
+        path, universe_path = tmp_path / "d.txt", tmp_path / "u.txt"
+        path.write_text("L0 L1 L2\n" * self.LINES, encoding="utf-8")
+        write_universe(make_universe(3), str(universe_path))
+        return str(path), str(universe_path)
+
+    @staticmethod
+    def _peak_above_start(fn, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_load_holds_only_the_codes(self, repeated):
+        (db, _), peak = self._peak_above_start(load_db, *repeated)
+        assert len(db) == self.LINES and len(db.entries) == 1
+        assert peak <= db.codes.nbytes + (1 << 20)
+
+    def test_write_holds_no_run_in_one_string(self, repeated, tmp_path):
+        db, universe = load_db(*repeated)
+        out = tmp_path / "out.txt"
+        _, peak = self._peak_above_start(write_db, db, universe, str(out))
+        assert peak <= 1 << 20
+        assert out.read_text(encoding="utf-8") == "L0 L1 L2\n" * self.LINES
 
 
 class TestEncodeTimestamped:

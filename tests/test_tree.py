@@ -13,7 +13,7 @@ from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.release import VARIANTS, sanitize
 from dptraj.tree import build_noisy_tree, dump_tree
 
-from conftest import load_in_blocks, make_universe
+from conftest import load_split, make_universe
 from oracles import (
     ZeroNoiseSource,
     build_exact_tree,
@@ -50,7 +50,7 @@ def _assert_same_tree(tree, reference):
 
 @st.composite
 def _build_cases(draw):
-    """A database read back in small blocks, and the parameters to build its tree with.
+    """A database read back with a small line cache, and the parameters to build its tree with.
 
     Records run past the height, and repeats are split over several entries.
     Universes fall on both sides of 16 locations, at or below which every kept
@@ -68,7 +68,7 @@ def _build_cases(draw):
         theta_multiplier=draw(st.sampled_from([0.1, 2.0])),
     )
     seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)))
-    return rows, make_universe(universe_size), params, seed, draw(st.integers(4, 64))
+    return rows, make_universe(universe_size), params, seed, draw(st.integers(1, 8))
 
 
 class TestExactTree:
@@ -147,8 +147,8 @@ class TestNoisyTree:
             # repeat some records so distinct rows carry multiplicities > 1
             rows = [*db.trajectories, *rnd.choices(db.trajectories, k=20)]
             cases.append((TrajectoryDb.of(rows), universe))
-            # read back in small blocks, repeats also split into several entries
-            cases.append((load_in_blocks(rows, universe, 16, tmp_path), universe))
+            # read back with a small line cache, repeats also split into several entries
+            cases.append((load_split(rows, universe, 2, tmp_path), universe))
         assert any(len(set(db.entries)) < len(db.entries) for db, _ in cases)
         params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
 
@@ -325,7 +325,7 @@ class TestDrawAssignment:
             for other in (
                 TrajectoryDb.of(rows),
                 TrajectoryDb.of(shuffled),
-                load_in_blocks(shuffled, universe, 16, tmp_path),
+                load_split(shuffled, universe, 2, tmp_path),
             )
         ]
         assert (trees[0].n_children[trees[0].true_count == 0] > 0).any()
@@ -357,20 +357,20 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(_build_cases())
     # An empty database: only empty-born nodes, grown to the height.
-    @example(([], make_universe(5), PrivacyParams(2.0, 3, 0.1), 5, 16))
+    @example(([], make_universe(5), PrivacyParams(2.0, 3, 0.1), 5, 2))
     # The frontier empties below the height of 6.
-    @example(([(0, 1)] * 5, make_universe(4), PrivacyParams(20.0, 6), 7, 16))
+    @example(([(0, 1)] * 5, make_universe(4), PrivacyParams(20.0, 6), 7, 2))
     # Height 1; a one-location universe.
-    @example(([(0, 1), (1,), (2, 0)], make_universe(3), PrivacyParams(2.0, 1, 0.1), 7, 16))
-    @example(([(0,), (0, 0, 0), (0, 0)], make_universe(1), PrivacyParams(2.0, 3, 0.1), 7, 8))
+    @example(([(0, 1), (1,), (2, 0)], make_universe(3), PrivacyParams(2.0, 1, 0.1), 7, 2))
+    @example(([(0,), (0, 0, 0), (0, 0)], make_universe(1), PrivacyParams(2.0, 3, 0.1), 7, 1))
     # Every record runs past the height.
-    @example(([(0, 1, 2), (1, 0, 3, 3)], make_universe(4), PrivacyParams(20.0, 2), 7, 8))
+    @example(([(0, 1, 2), (1, 0, 3, 3)], make_universe(4), PrivacyParams(20.0, 2), 7, 1))
     # Kept nodes below the expand threshold stay leaves.
-    @example(([(0,)] * 50, make_universe(30), PrivacyParams(10.0, 3), 0, 16))
+    @example(([(0,)] * 50, make_universe(30), PrivacyParams(10.0, 3), 0, 2))
     def test_arrays_equal_reference(self, case):
-        rows, universe, params, seed, block = case
+        rows, universe, params, seed, cache_lines = case
         with tempfile.TemporaryDirectory() as directory:
-            db = load_in_blocks(rows, universe, block, directory)
+            db = load_split(rows, universe, cache_lines, directory)
         tree = build_noisy_tree(db, universe, params, RandomSource(seed))
         reference = reference_noisy_tree(db, universe, params, RandomSource(seed))
         _assert_same_tree(tree, reference)

@@ -21,7 +21,7 @@ from dptraj.utility import (
     relative_error,
 )
 
-from conftest import load_in_blocks, make_universe
+from conftest import load_split, make_universe
 
 
 def brute_force_top_k(db, k, max_len=3):
@@ -80,8 +80,8 @@ class TestCountQuery:
 
     def test_index_agrees_with_scan_on_duplicates(self, tmp_path):
         # Few distinct records, each repeated many times in shuffled order.
-        # Read back in small blocks, the records also split into several
-        # entries each.
+        # Read back with a small line cache, the records also split into
+        # several entries each.
         rnd = random.Random(23)
         size = 9
         distinct = {
@@ -92,7 +92,7 @@ class TestCountQuery:
         rows = [t for t in distinct for _ in range(rnd.randint(1, 40))]
         rnd.shuffle(rows)
         db = TrajectoryDb.of(rows)
-        split = load_in_blocks(rows, make_universe(size), 64, tmp_path)
+        split = load_split(rows, make_universe(size), 4, tmp_path)
         assert len(db.entries) == 37 < len(split.entries)
         for index in (PresenceIndex(db, size), PresenceIndex(split, size)):
             assert index.weights.sum() == len(db)
@@ -117,23 +117,25 @@ class TestCountQuery:
             max_size=25,
         ),
         st.sampled_from([1, 5, 1 << 16]),
-        st.sampled_from([None, 16, 64]),
+        st.sampled_from([None, 2, 8]),
     )
     # Entry 1 visits only location 0, and the key for its visit to location 5,
     # the highest one visited, sorts after every key in the index.
-    @example(pool=[(5,), (0,)], picks=[0, 1], queries=[frozenset({0, 5})], batch=1, block=None)
+    @example(
+        pool=[(5,), (0,)], picks=[0, 1], queries=[frozenset({0, 5})], batch=1, cache_lines=None
+    )
     def test_batched_and_single_answers_match_scan(
-        self, tmp_path_factory, pool, picks, queries, batch, block
+        self, tmp_path_factory, pool, picks, queries, batch, cache_lines
     ):
         # Records use locations 0-5 of a 14-location universe: queries of
         # length 1-12 also name locations no record visits, and half of them
         # keep to the visited ones, whose answers are rarely zero. An empty pool is
         # a database with no entries, a one-record pool one with a single
-        # entry; reading back in small blocks splits an entry's repeats.
+        # entry; reading back with a small line cache splits an entry's repeats.
         rows = [pool[i % len(pool)] for i in picks] if pool else []
         db = TrajectoryDb.of(rows)
-        if block is not None:
-            db = load_in_blocks(rows, make_universe(14), block, tmp_path_factory.mktemp("split"))
+        if cache_lines is not None:
+            db = load_split(rows, make_universe(14), cache_lines, tmp_path_factory.mktemp("split"))
         expected = [eval_count_query(TrajectoryDb.of(rows), q) for q in queries]
         with mock.patch.object(utility, "_BATCH_CANDIDATES", batch):
             index = PresenceIndex(db, 14)
@@ -151,6 +153,13 @@ class TestCountQuery:
     def test_index_rejects_ids_outside_universe(self):
         with pytest.raises(ValueError, match="outside universe of size 3"):
             PresenceIndex(TrajectoryDb.of([(0, 5)]), 3)
+
+    @pytest.mark.parametrize("location", [-1, 3])
+    def test_batch_names_a_query_location_outside_universe(self, location):
+        index = PresenceIndex(TrajectoryDb.of([(0, 1), (2,)]), 3)
+        queries = [frozenset({0}), frozenset({location, 2})]
+        with pytest.raises(ValueError, match=f"query location {location} outside universe of size 3"):
+            index.counts(queries)
 
     def test_batch_rejects_an_empty_query(self, sample_db):
         db, _ = sample_db
@@ -267,22 +276,22 @@ class TestMineTopK:
         ),
         st.lists(st.integers(0, 9), max_size=40),
         st.one_of(st.integers(1, 60), st.just(2000)),
-        st.sampled_from([None, 24]),
+        st.sampled_from([None, 3]),
     )
     def test_matches_brute_force_under_ties(
-        self, tmp_path_factory, caplog, case, picks, k, block
+        self, tmp_path_factory, caplog, case, picks, k, cache_lines
     ):
         # Few locations and records drawn with repetition from a small pool:
         # many patterns share a support, so the tie order decides the list.
         # Locations repeat inside records, some records are longer than 12,
         # an empty pool is an empty database, k = 2000 outnumbers every
-        # pattern that occurs, and reading back in small blocks splits an
-        # entry's repeats.
+        # pattern that occurs, and reading back with a small line cache
+        # splits an entry's repeats.
         pool, max_len = case
         rows = [pool[i % len(pool)] for i in picks] if pool else []
         db = TrajectoryDb.of(rows)
-        if block is not None:
-            db = load_in_blocks(rows, make_universe(4), block, tmp_path_factory.mktemp("split"))
+        if cache_lines is not None:
+            db = load_split(rows, make_universe(4), cache_lines, tmp_path_factory.mktemp("split"))
         longest = max(map(len, rows), default=1)
         expected = brute_force_top_k(TrajectoryDb.of(rows), k, max_len=max_len or longest)
         caplog.clear()
