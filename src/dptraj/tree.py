@@ -8,19 +8,19 @@ and those are placed on uniformly chosen empty locations with counts drawn
 from the passing-count distribution. Any kept node is expanded iff its noisy
 count reaches ``PrivacyParams.expand_threshold``: the shape reads no true count.
 
-The builder cuts the database's token array into one integer matrix of its
-entries, a column per depth below the tree height (-1 past a record's end),
-sorted once with ``np.lexsort``; repeated entries sit side by side. The
-records under any prefix fill one contiguous row range, and a node's children
-are the runs of equal values in one column of that range. The tree grows one
-depth at a time: the depth's run starts are found when the build reaches it,
-one ``searchsorted`` finds the runs of every frontier node, true counts are
-differences of running totals, one stream makes every draw of the depth in
-four vector calls, and array steps keep children, place empty-born ones and
-pick the next frontier. Each depth's nodes are appended to the tree's rows as
-they are made. Those arrays are the tree's interface, read and written
-directly by inference, release, the CLI and :func:`dump_tree`; one sort of
-the root paths from :meth:`PrefixTree.paths` orders a release or a dump.
+The tree grows one depth at a time. Between depths the builder holds only the
+ids of the entries still under the frontier's data-backed nodes, grouped by
+node, and how many each node holds. A depth sorts those entries by one integer
+key, the node's place on the frontier times the universe size plus the entry's
+location at that depth: the runs of equal keys are the data-backed candidates,
+in frontier order and then by ascending location, and their true counts are
+sums of the entries' weights. One stream makes every draw of the depth in four
+vector calls, array steps keep children, place empty-born ones and pick the
+next frontier, and only the entries of expanded runs whose records go on are
+carried to the next depth. Each depth's nodes are appended to the tree's rows
+as they are made. Those arrays are the tree's interface, read and written
+directly by inference, release, the CLI and :func:`dump_tree`; one sort of the
+root paths from :meth:`PrefixTree.paths` orders a release or a dump.
 """
 
 from __future__ import annotations
@@ -120,30 +120,28 @@ def build_noisy_tree(
     ``params.expand_threshold(len(universe))``, is expanded. Depth ``d`` draws
     from one stream, ``source.stream(d)``, in four vector calls that hand the
     draws to the frontier's candidates in a canonical order: data-backed
-    frontier nodes in the sorted matrix's path order, then empty-born ones, so
-    the tree does not depend on the order of the records.
+    frontier nodes in the lexicographic order of their paths, then empty-born
+    ones, so the tree does not depend on the order of the records.
     """
-    columns, cum = _sorted_columns(db, params.height, len(universe))
-    # Entry i starts a run at depth d if it differs from entry i - 1 in some
-    # column up to d; entry 0 always does, and entry len(cum) - 1 ends the last run.
-    differs = np.zeros(len(cum), dtype=bool)
-    differs[[0, -1]] = True
+    # Each entry's length, clipped to the height: all a depth asks is whether a record goes on.
+    length = np.minimum(np.diff(db.offsets), params.height)
+    length = length.astype(np.min_scalar_type(params.height))
     # Per depth, the nodes born there: parent (its index in the tree),
     # location, noisy count and true count, siblings in birth order.
-    levels = [(np.full(1, -1), np.full(1, -1), np.full(1, np.nan), cum[-1:])]
-    # The frontier: each node's index in the tree and its range of sorted
-    # rows; ``size`` nodes are made so far.
+    levels = [(np.full(1, -1), np.full(1, -1), np.full(1, np.nan), np.full(1, len(db)))]
+    # The frontier: each node's index in the tree, and how many of ``rows``
+    # (the entries under it, grouped by node) it holds; ``size`` nodes are made so far.
     at, size = np.zeros(1, dtype=np.int64), 1
-    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, len(cum) - 1)
+    rows = np.arange(len(length), dtype=np.int32)
+    held = np.full(1, len(rows))
     for d in range(params.height):
         if not len(at):
             break
-        (pos, *level), grow, lo, hi = _next_depth(
-            columns[d], differs, cum, lo, hi, len(universe), params, source.stream(d)
+        (pos, *level), grow, rows, held = _next_depth(
+            db, rows, held, length, d, len(universe), params, source.stream(d)
         )
         levels.append((at[pos], *level))
         at, size = size + grow, size + len(pos)
-    del columns, differs, cum  # the tree's arrays can take their memory
     parent, location, noisy, true_count = map(np.concatenate, zip(*levels))
     return PrefixTree(
         parent=parent,
@@ -157,27 +155,32 @@ def build_noisy_tree(
 
 
 def _next_depth(
-    column: np.ndarray, differs: np.ndarray, cum: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    db: TrajectoryDb, rows: np.ndarray, held: np.ndarray, length: np.ndarray, d: int,
     universe_size: int, params: PrivacyParams, rng: np.random.Generator,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """One depth of :func:`build_noisy_tree`, below the frontier rows ``lo:hi``.
+    """One depth of :func:`build_noisy_tree`, below the frontier.
 
-    Returns the depth's nodes (parent's place on the frontier, location, noisy
-    and true count), which of them form the next frontier, and their ``lo``
-    and ``hi``. Its temporaries die on return, before the next depth's exist.
+    Frontier node ``i`` holds the next ``held[i]`` of ``rows``, the entries
+    under it that go on to depth ``d``. Returns the depth's nodes (parent's
+    place on the frontier, location, noisy and true count), which of them form
+    the next frontier, and the next frontier's ``rows`` and ``held``. Its
+    temporaries die on return, before the next depth's exist.
     """
-    # The depth's runs; a node's children are the runs in its range, where
-    # rows ending at the node hold -1 and form a first run that is skipped.
-    differs[1:-1] |= column[1:] != column[:-1]
-    first = np.flatnonzero(differs)
-    a = np.searchsorted(first, lo)
-    owner, run = _spans(a, np.searchsorted(first, hi) - a)
-    begin, end = first[run], first[run + 1]
-    loc = column[begin].astype(np.int64)
-    backed = loc >= 0
-    owner, begin, end, loc = owner[backed], begin[backed], end[backed], loc[backed]
-    counts = cum[end] - cum[begin]
-    runs = np.bincount(owner, minlength=len(lo))
+    # Sorted by (place on the frontier, location at depth d), a node's
+    # children are runs of equal keys; the order within a run is immaterial.
+    key = db.tokens[db.offsets[rows] + d].astype(np.int64)
+    key += np.repeat(np.arange(len(held), dtype=np.int64) * universe_size, held)
+    order = np.argsort(key)
+    key = key[order]
+    rows = rows[order]
+    del order
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    begin = np.flatnonzero(first)
+    owner, loc = np.divmod(key[begin], universe_size)
+    del key, first
+    counts = np.add.reduceat(db.weights[rows], begin)
+    runs = np.bincount(owner, minlength=len(held))
     # The depth's draws, in this order: noise for every data-backed
     # candidate (frontier order, then ascending location); how many of
     # each node's zero-count candidates pass; the pool slot of each
@@ -195,34 +198,15 @@ def _next_depth(
     pos = np.concatenate((owner[kept], bearer))
     location = np.concatenate((loc[kept], born))
     noisy = np.concatenate((draws[kept], values))
-    # The next frontier; empty-born nodes hold no rows, so their range is empty.
-    grow = np.flatnonzero(noisy >= params.expand_threshold(universe_size))
-    lo = np.concatenate((begin[kept], empty))[grow]
-    hi = np.concatenate((end[kept], empty))[grow]
-    return (pos, location, noisy, np.concatenate((counts[kept], empty))), grow, lo, hi
-
-
-def _sorted_columns(
-    db: TrajectoryDb, height: int, universe_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The entries' sorted location matrix by column, and its running totals.
-
-    ``columns[c]`` holds each entry's ``c``-th location, or -1 past its end,
-    for ``c`` below the height. Entries are in lexicographic order, so the
-    entries under any prefix fill one contiguous range, and the children of
-    a node at depth ``c`` are the runs of equal ``columns[c]`` in its range.
-    ``cum[j] - cum[i]`` is the number of records in entries ``i:j``.
-    """
-    lengths = np.diff(db.offsets)
-    dtype = np.int16 if universe_size <= 1 << 15 else np.int32
-    columns = np.full((height, len(lengths)), -1, dtype=dtype)
-    for c in range(height):  # one column at a time keeps index arrays per entry, not per token
-        rows = np.flatnonzero(lengths > c)
-        columns[c, rows] = db.tokens[db.offsets[rows] + c]
-    order = np.lexsort(columns[::-1])
-    for column in columns:  # in place: a copy of one column at a time, not of the matrix
-        column[:] = column[order]
-    return columns, np.concatenate(([0], np.cumsum(db.weights[order])))
+    # The next frontier. Its rows are those of expanded runs whose records go
+    # on past depth d + 1, still grouped by node; empty-born nodes hold none.
+    expand = params.expand_threshold(universe_size)
+    grow = np.flatnonzero(noisy >= expand)
+    moves = np.repeat(kept & (draws >= expand), np.diff(begin, append=len(rows)))
+    moves &= length[rows] > d + 1
+    held = np.concatenate((np.add.reduceat(moves, begin, dtype=np.int32)[kept], empty))[grow]
+    level = (pos, location, noisy, np.concatenate((counts[kept], empty)))
+    return level, grow, rows[moves], held
 
 
 def _empty_born_locations(
