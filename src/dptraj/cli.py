@@ -114,7 +114,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     print(
         f"epsilon={params.epsilon:g} height={params.height} theta={params.threshold:.6g} "
         f"theta_expand={params.expand_threshold(len(universe)):.6g} "
-        f"theta_mult={params.theta_multiplier:g} variant={args.variant} seed={seed}"
+        f"theta_mult={params.theta_multiplier:g} variant={args.variant}"
     )
     for line in budget_ledger(params).describe():
         print(line)

@@ -3,17 +3,20 @@
 A trajectory is an ordered list of location ids (repeats allowed, including
 consecutive ones); a database is a multiset of trajectories, held as weighted
 entries whose location ids lie end to end in one token array. Locations are
-opaque string tokens interned against a fixed universe.
+opaque string tokens interned against a fixed universe. A trajectory file
+holds one record per line, and reading and writing it round-trips a database
+as a multiset: the lines' order is not kept.
 """
 
 from __future__ import annotations
 
 import warnings
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable
 
 import numpy as np
@@ -59,21 +62,20 @@ class LocationUniverse:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryDb:
-    """Multiset of trajectories, held as entries and per-record codes.
+    """Multiset of trajectories, held as weighted entries.
 
     Entry ``e`` is ``tokens[offsets[e]:offsets[e + 1]]``: the entries' location
     ids lie end to end in one int32 array, and ``offsets`` (int64, one longer
-    than the entry count) marks where each starts. Record ``i`` is entry
-    ``codes[i]``, so ``codes`` keeps the records' order, and ``weights[e]``,
-    counted once at construction, is how many records entry ``e`` stands for
-    (at least one). Entries need not be distinct: readers sum weights, so a
-    record split over two equal entries reads as one entry carrying both.
+    than the entry count) marks where each starts. ``weights[e]`` (int64, at
+    least one) is how many records entry ``e`` stands for, and the records are
+    the entries in order, each repeated by its weight. Entries need not be
+    distinct: readers sum weights, so a record split over two equal entries
+    reads as one entry carrying both. Equality compares the multisets of records.
     """
 
     tokens: np.ndarray
     offsets: np.ndarray
-    codes: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
         tokens = np.asarray(self.tokens, dtype=np.int32)
@@ -84,27 +86,31 @@ class TrajectoryDb:
             raise ValueError("trajectories must have at least one location")
         if len(tokens) and tokens.min() < 0:
             raise ValueError("location ids must be >= 0")
-        codes, n = np.asarray(self.codes, dtype=np.intp), len(offsets) - 1
-        weights = np.bincount(codes, minlength=n)  # rejects negative codes
-        if len(weights) != n or not weights.all():
-            raise ValueError(f"codes must name each of the {n} entries at least once")
-        vars(self).update(tokens=tokens, offsets=offsets, codes=codes, weights=weights)  # frozen
+        weights, n = np.asarray(self.weights, dtype=np.int64), len(offsets) - 1
+        if len(weights) != n or (weights < 1).any():
+            raise ValueError(f"weights must give each of the {n} entries at least 1")
+        vars(self).update(tokens=tokens, offsets=offsets, weights=weights)  # frozen
 
     @classmethod
     def of(cls, records: Iterable[Iterable[int]]) -> TrajectoryDb:
-        """The records in order, one entry per distinct record."""
-        index: dict[Trajectory, int] = {}
-        codes = np.fromiter((index.setdefault(tuple(r), len(index)) for r in records), np.intp)
-        offsets = np.cumsum([0, *map(len, index)])
-        return cls(np.fromiter(chain.from_iterable(index), np.int32, offsets[-1]), offsets, codes)
+        """The records in order, one entry per run of equal consecutive records."""
+        tokens, offsets, weights, last = array("i"), array("q", [0]), [], None
+        for record in map(tuple, records):
+            if record != last:
+                tokens.extend(record)
+                offsets.append(len(tokens))
+                weights.append(0)
+                last = record
+            weights[-1] += 1
+        return cls(tokens, offsets, weights)
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return int(self.weights.sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrajectoryDb):
             return NotImplemented
-        return self.trajectories == other.trajectories
+        return Counter(self.trajectories) == Counter(other.trajectories)
 
     @cached_property
     def entries(self) -> tuple[Trajectory, ...]:
@@ -115,8 +121,8 @@ class TrajectoryDb:
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
-        """Every record, in order (repeats of one entry are the same tuple)."""
-        return tuple(map(self.entries.__getitem__, self.codes.tolist()))
+        """Every record: the entries in order, each repeated by its weight."""
+        return tuple(chain.from_iterable(map(repeat, self.entries, self.weights.tolist())))
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,27 +181,28 @@ def _read_records(path: str, parse: Callable[[list[str]], Iterable[int]]) -> Tra
     Repeats of a line share its entry while the line cache, cleared when full,
     holds the line. ``parse`` raises ``KeyError`` with a token it cannot map.
     """
-    # Each grows in place, then becomes its numpy array without a copy.
-    tokens, offsets, codes = array("i"), array("q", [0]), array("q")
+    # Each grows in place; tokens and offsets become numpy arrays without a copy.
+    tokens, offsets, weights = array("i"), array("q", [0]), []
     cache: dict[str, int] = {}
     with _open_text(path) as fh:
-        for line in fh:  # line number len(codes) + 1
-            code = cache.get(line)
-            if code is None:
+        for line in fh:
+            entry = cache.get(line)
+            if entry is None:
                 words = line.split()
                 if not words:
-                    raise DataFormatError(f"{path}:{len(codes) + 1}: blank line")
+                    raise DataFormatError(f"{path}:{sum(weights) + 1}: blank line")
                 try:
                     tokens.extend(parse(words))
                 except KeyError as exc:
-                    msg = f"{path}:{len(codes) + 1}: unknown location {exc.args[0]!r}"
+                    msg = f"{path}:{sum(weights) + 1}: unknown location {exc.args[0]!r}"
                     raise UnknownLocationError(msg) from None
                 if len(cache) == _CACHE_LINES:
                     cache.clear()
-                code = cache[line] = len(offsets) - 1
+                entry = cache[line] = len(weights)
                 offsets.append(len(tokens))
-            codes.append(code)
-    return TrajectoryDb(tokens, offsets, codes)
+                weights.append(0)
+            weights[entry] += 1
+    return TrajectoryDb(tokens, offsets, weights)
 
 
 def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, LocationUniverse]:
@@ -234,27 +241,19 @@ _WRITE_LINES = 1 << 12
 def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
     """Write one trajectory per line, tokens space-separated, LF endings.
 
-    Round-trips with :func:`load_db`: loading the written file reproduces the
-    records in order. Each entry is formatted once, and a run of equal
-    consecutive codes is written ``_WRITE_LINES`` repeated lines at a time.
+    Round-trips with :func:`load_db` as a multiset: each entry's records are
+    written as one run, in entry order, so a database built by
+    :meth:`TrajectoryDb.of` is written in its records' order. Each entry is
+    formatted once, and written ``_WRITE_LINES`` repeated lines at a time.
     """
     if db.tokens.max(initial=-1) >= len(universe):  # ids are never negative
         raise ValueError(f"location id {db.tokens.max()} outside universe of size {len(universe)}")
     words = np.array(universe.tokens, dtype=object)[db.tokens].tolist()
     bounds = db.offsets.tolist()
-    codes = db.codes
-    firsts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-    if len(codes):
-        firsts = np.append(0, firsts)  # the first record of each run
-    runs = np.diff(firsts, append=len(codes))
-    weights = db.weights.tolist()
-    lines: dict[int, str] = {}  # kept only for entries whose records span several runs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for code, run in zip(codes[firsts].tolist(), runs.tolist()):
-            line = lines.get(code) or " ".join(words[bounds[code] : bounds[code + 1]]) + "\n"
-            if run < weights[code]:
-                lines[code] = line
-            while run > _WRITE_LINES:
+        for lo, hi, weight in zip(bounds, bounds[1:], db.weights.tolist()):
+            line = " ".join(words[lo:hi]) + "\n"
+            while weight > _WRITE_LINES:
                 fh.write(line * _WRITE_LINES)
-                run -= _WRITE_LINES
-            fh.write(line * run)
+                weight -= _WRITE_LINES
+            fh.write(line * weight)

@@ -83,7 +83,7 @@ def generate_release(
     return TrajectoryDb(
         tree.location.astype(np.int32)[paths[paths < len(tree)]],  # the db's width: no recopy
         np.concatenate(([0], np.cumsum(tree.depth[emitting]))),
-        np.repeat(np.arange(len(emitting)), terminated[emitting]),
+        terminated[emitting],
     )
 
 

@@ -68,12 +68,12 @@ def array_tree(
     )
 
 
-def entries_db(entries: Sequence[tuple[int, ...]], codes: Sequence[int]) -> TrajectoryDb:
-    """The database whose entries are the given tuples, record ``i`` being ``entries[codes[i]]``."""
+def entries_db(entries: Sequence[tuple[int, ...]], weights: Sequence[int]) -> TrajectoryDb:
+    """The database whose entry ``e`` is ``entries[e]``, standing for ``weights[e]`` records."""
     return TrajectoryDb(
         np.array([loc for entry in entries for loc in entry], dtype=np.int32),
         np.cumsum([0, *map(len, entries)]),
-        codes,
+        weights,
     )
 
 
@@ -224,7 +224,7 @@ def reference_release(tree: PrefixTree, use_inference: bool) -> TrajectoryDb:
             weights.append(terminated[i])
 
     walk(0, ())
-    return entries_db(entries, np.repeat(np.arange(len(entries)), weights))
+    return entries_db(entries, weights)
 
 
 def isotonic_fit(values: Sequence[float]) -> list[float]:

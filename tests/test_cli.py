@@ -43,7 +43,6 @@ class TestSanitize:
         assert out.exists()
         assert "release.records=" in result.stdout
         assert "budget.total epsilon=4 conserved=true" in result.stdout
-        assert "seed=11" in result.stdout
         assert "privacy.claim=" not in result.stdout
 
     def test_root_only_tree_releases_nothing(self, tmp_path):
@@ -100,13 +99,28 @@ class TestSanitize:
             env_extra={"DPTRAJ_SEED": "3"},
         )
         assert result.returncode == 0, result.stderr
-        assert "seed=3" in result.stdout
         out_flag = tmp_path / "flag.txt"
         run_cli(
             "sanitize", "--input", data, "--output", out_flag, "--epsilon", "2.0",
             "--height", "4", "--seed", "3", "--universe", universe,
         )
         assert out_env.read_bytes() == out_flag.read_bytes()
+
+    def test_seed_is_never_printed(self, tmp_path, sample_paths, monkeypatch):
+        # Whoever holds the seed can redraw every noise value, so it is a key:
+        # not printed whether given by flag, by environment, or drawn.
+        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
+        data, universe = sample_paths
+        ways = [(["--seed", "123456789"], None), ([], {"DPTRAJ_SEED": "987654321"}), ([], None)]
+        for flags, env_extra in ways:
+            result = run_cli(
+                "sanitize", "--input", data, "--output", tmp_path / "o.txt", "--epsilon", "2.0",
+                "--height", "3", "--universe", universe, *flags, env_extra=env_extra,
+            )
+            assert result.returncode == 0, result.stderr
+            for text in (result.stdout, result.stderr):
+                assert "seed=" not in text
+                assert "123456789" not in text and "987654321" not in text
 
     def test_variants_share_tree_but_not_release(self, tmp_path, sample_paths):
         data, universe = sample_paths

@@ -101,8 +101,8 @@ class TestLoad:
             with pytest.warns(UserWarning):
                 db, _ = load_db(str(path))
         t = db.trajectories
-        assert t == ((0, 1), (2,), (0, 1), (0, 1), (2,))
-        assert t[0] is t[2] is t[3] and t[1] is t[4]
+        assert t == ((0, 1), (0, 1), (0, 1), (2,), (2,))  # entries in order, repeated by weight
+        assert t[0] is t[1] is t[2] and t[3] is t[4]
 
     def test_unknown_token_reported_at_first_occurrence(self, tmp_path):
         data = tmp_path / "d.txt"
@@ -138,7 +138,8 @@ class TestLoad:
         with pytest.warns(UserWarning):
             db, universe = load_db(str(path))
         assert 3 < len(db.entries) < len(lines)
-        assert [" ".join(universe.tokens[i] for i in t) for t in db.trajectories] == lines
+        read = [" ".join(universe.tokens[i] for i in t) for t in db.trajectories]
+        assert Counter(read) == Counter(lines)
         path.write_text("\n".join(lines) + "\nA D\n\n", encoding="utf-8")
         uni = tmp_path / "u.txt"
         uni.write_text("A\nB\nC\n", encoding="utf-8")
@@ -149,11 +150,13 @@ class TestLoad:
 
 
 class TestWrite:
-    def test_sample_round_trip_in_order(self, sample_db, tmp_path):
+    def test_sample_round_trip(self, sample_db, tmp_path):
+        # The sample repeats a line, which loads as one entry, so its repeats
+        # are written together: the lines come back as a multiset.
         db, universe = sample_db
         out = tmp_path / "out.txt"
         write_db(db, universe, str(out))
-        assert out.read_text(encoding="utf-8").splitlines() == SAMPLE_LINES
+        assert Counter(out.read_text(encoding="utf-8").splitlines()) == Counter(SAMPLE_LINES)
 
     def test_empty_db(self, tmp_path):
         out = tmp_path / "out.txt"
@@ -195,7 +198,7 @@ class TestWrite:
         uni_path = tmp_path / "u.txt"
         write_universe(universe, str(uni_path))
         loaded, _ = load_db(str(out), str(uni_path))
-        assert loaded.trajectories == tuple(rows)
+        assert Counter(loaded.trajectories) == Counter(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -217,7 +220,7 @@ class TestWrite:
             write_db(TrajectoryDb.of(rows), universe, out)
             write_universe(universe, uni_path)
             loaded, _ = load_db(out, uni_path)
-        assert loaded.trajectories == tuple(rows)
+        assert Counter(loaded.trajectories) == Counter(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -235,9 +238,9 @@ class TestWrite:
         rows = [distinct[i % len(distinct)] for i in picks]
         with tempfile.TemporaryDirectory() as tmp:
             db = load_split(rows, make_universe(4), cache_lines, tmp)
-        assert db.trajectories == tuple(rows)
+        assert Counter(db.trajectories) == Counter(rows)
         assert db.weights.sum() == len(db)
-        reference = TrajectoryDb.of(db.trajectories)
+        reference = TrajectoryDb.of(sorted(rows))  # one entry per distinct record
         assert mine_top_k(db, 20) == mine_top_k(reference, 20)
         assert release_stats(db) == release_stats(reference)
 
@@ -247,19 +250,37 @@ class TestWrite:
 
 
 class TestTrajectoryDb:
-    def test_entries_and_codes_are_checked(self):
+    def test_entries_and_weights_are_checked(self):
         tokens, offsets = [0, 1, 2], [0, 1, 3]
-        db = TrajectoryDb(tokens, offsets, [1, 0, 1])
+        db = TrajectoryDb(tokens, offsets, [1, 2])
         assert db.entries == ((0,), (1, 2))
         assert db.weights.tolist() == [1, 2]
+        assert len(db) == 3
+        assert db.trajectories == ((0,), (1, 2), (1, 2))
         for bad in ([1, 2, 3], [0, 1, 2]):  # not from 0, not to the end of the tokens
             with pytest.raises(ValueError, match="offsets"):
-                TrajectoryDb(tokens, bad, [0, 1])
+                TrajectoryDb(tokens, bad, [1, 1])
         with pytest.raises(ValueError, match="at least one location"):
-            TrajectoryDb(tokens, [0, 1, 1, 3], [0, 1, 2])
-        for codes in ([0, 2], [-1, 0], [0, 0]):  # out of range, negative, entry unused
-            with pytest.raises(ValueError):
-                TrajectoryDb(tokens, offsets, codes)
+            TrajectoryDb(tokens, [0, 1, 1, 3], [1, 1, 1])
+        for weights in ([1], [1, 1, 1], [1, 0], [-1, 2]):  # too few, too many, zero, negative
+            with pytest.raises(ValueError, match="weights"):
+                TrajectoryDb(tokens, offsets, weights)
+
+    def test_of_keeps_order_in_runs(self):
+        db = TrajectoryDb.of([(0, 1), (0, 1), [2], (0, 1), (2,), (2,)])
+        assert db.entries == ((0, 1), (2,), (0, 1), (2,))
+        assert db.weights.tolist() == [2, 1, 1, 2]
+        assert db.trajectories == ((0, 1), (0, 1), (2,), (0, 1), (2,), (2,))
+
+    def test_equal_to_its_records_shuffled(self):
+        rnd = random.Random(5)
+        rows = [tuple(rnd.randrange(4) for _ in range(rnd.randint(1, 4))) for _ in range(200)]
+        shuffled = rows[:]
+        rnd.shuffle(shuffled)
+        db = TrajectoryDb.of(rows)
+        assert db == TrajectoryDb.of(shuffled) == TrajectoryDb.of(sorted(rows))
+        assert db != TrajectoryDb.of(rows[1:])
+        assert db != TrajectoryDb.of(rows + [rows[0]])
 
 
 class TestMemory:
@@ -284,10 +305,10 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_load_holds_only_the_codes(self, repeated):
+    def test_load_holds_nothing_per_line(self, repeated):
         (db, _), peak = self._peak_above_start(load_db, *repeated)
         assert len(db) == self.LINES and len(db.entries) == 1
-        assert peak <= db.codes.nbytes + (1 << 20)
+        assert peak <= 1 << 20
 
     def test_write_holds_no_run_in_one_string(self, repeated, tmp_path):
         db, universe = load_db(*repeated)

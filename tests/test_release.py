@@ -180,7 +180,6 @@ class TestReleaseOracle:
             release = generate_release(tree, use_inference)
             reference = reference_release(tree, use_inference)
             assert release.entries == reference.entries
-            np.testing.assert_array_equal(release.codes, reference.codes)
             np.testing.assert_array_equal(release.weights, reference.weights)
 
 

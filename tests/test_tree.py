@@ -147,7 +147,7 @@ class TestNoisyTree:
             db, universe = _random_db(rnd, universe_size=4, max_len=9)
             # repeat some records so distinct rows carry multiplicities > 1
             rows = [*db.trajectories, *rnd.choices(db.trajectories, k=20)]
-            cases.append((TrajectoryDb.of(rows), universe))
+            cases.append((TrajectoryDb.of(sorted(rows)), universe))
             # read back with a small line cache, repeats also split into several entries
             cases.append((load_split(rows, universe, 2, tmp_path), universe))
         assert any(len(set(db.entries)) < len(db.entries) for db, _ in cases)
@@ -291,7 +291,7 @@ class TestNoisyTree:
 
     def test_tree_keeps_nothing_of_the_input(self):
         db = TrajectoryDb.of([(0, 1, 2), (0, 1), (2, 0), (0, 1, 2)] * 10)
-        refs = [weakref.ref(db), *map(weakref.ref, (db.tokens, db.offsets, db.codes, db.weights))]
+        refs = [weakref.ref(db), *map(weakref.ref, (db.tokens, db.offsets, db.weights))]
         params = PrivacyParams(epsilon=5.0, height=3)
         tree = build_noisy_tree(db, make_universe(3), params, RandomSource(3))
         del db
@@ -414,7 +414,8 @@ class TestMemory:
         # entries its peak above the database read 35 B/entry; a sorted matrix
         # of 12 int16 columns and its lexsort read 62.
         rng = np.random.default_rng(0)
-        db = TrajectoryDb.of(tuple(rng.integers(0, 1_000, n)) for n in rng.integers(1, 13, 20_000))
+        rows = [tuple(rng.integers(0, 1_000, n)) for n in rng.integers(1, 13, 20_000)]
+        db = TrajectoryDb.of(sorted(rows))  # one entry per distinct record
         params = PrivacyParams(epsilon=1.0, height=12)
         tracemalloc.start()
         try:

@@ -91,7 +91,7 @@ class TestCountQuery:
         assert len(distinct) == 37
         rows = [t for t in distinct for _ in range(rnd.randint(1, 40))]
         rnd.shuffle(rows)
-        db = TrajectoryDb.of(rows)
+        db = TrajectoryDb.of(sorted(rows))  # sorted: one run, so one entry, per record
         split = load_split(rows, make_universe(size), 4, tmp_path)
         assert len(db.entries) == 37 < len(split.entries)
         for index in (PresenceIndex(db, size), PresenceIndex(split, size)):
