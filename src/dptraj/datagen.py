@@ -59,10 +59,6 @@ class GenConfig:
             raise ValueError("seed must be >= 0")
 
 
-#: Records whose tokens and offsets ``generate`` turns into Python lists at a time.
-_BLOCK = 1 << 14
-
-
 def _location_weights(n_locations: int, skew: float) -> np.ndarray:
     weights = (np.arange(1, n_locations + 1, dtype=float)) ** (-skew)
     return weights / weights.sum()
@@ -104,9 +100,6 @@ def generate(config: GenConfig) -> tuple[TrajectoryDb, LocationUniverse]:
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     width = len(str(max(config.n_locations - 1, 1)))
     universe = LocationUniverse(tuple(f"L{i:0{width}d}" for i in range(config.n_locations)))
-    if config.n_records == 0:
-        return TrajectoryDb.of(()), universe
-
     lengths = np.minimum(
         rng.geometric(1.0 / config.avg_len, size=config.n_records), config.max_len
     )
@@ -121,25 +114,11 @@ def generate(config: GenConfig) -> tuple[TrajectoryDb, LocationUniverse]:
         popularity = _location_weights(len(routes), config.route_skew)
         route_of[chosen] = rng.choice(len(routes), size=planted_count, p=popularity)
 
-    flat = rng.choice(config.n_locations, size=int(lengths.sum()), p=weights)
-    ends = np.cumsum(lengths)
-
-    def records():
-        # One record at a time, straight into the deduplicating database;
-        # tokens and offsets become Python lists one block of records at a time.
-        for first in range(0, config.n_records, _BLOCK):
-            block = slice(first, first + _BLOCK)
-            base = ends[first] - lengths[first]
-            tokens = flat[base : ends[block][-1]].tolist()
-            start = 0
-            for end, route_idx in zip((ends[block] - base).tolist(), route_of[block].tolist()):
-                record = tokens[start:end]
-                start = end
-                if route_idx >= 0:
-                    # ride the line for the trip length; wander past the terminus
-                    route = routes[route_idx]
-                    ridden = min(len(record), len(route))
-                    record[:ridden] = route[:ridden]
-                yield record
-
-    return TrajectoryDb.of(records()), universe
+    flat = rng.choice(config.n_locations, size=int(lengths.sum()), p=weights).astype(np.int32)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    # A planted record rides its line for the trip length and wanders on past the terminus.
+    riders = np.flatnonzero(route_of >= 0)
+    for stop, located in enumerate(np.array(routes).T):
+        riders = riders[lengths[riders] > stop]
+        flat[offsets[riders] + stop] = located[route_of[riders]]
+    return TrajectoryDb(flat, offsets, np.ones(config.n_records, dtype=np.int64)), universe

@@ -50,9 +50,6 @@ class LocationUniverse:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def id_of(self, token: str) -> int:
         try:
             return self._index[token]
@@ -242,8 +239,9 @@ def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
     """Write one trajectory per line, tokens space-separated, LF endings.
 
     Round-trips with :func:`load_db` as a multiset: each entry's records are
-    written as one run, in entry order, so a database built by
-    :meth:`TrajectoryDb.of` is written in its records' order. Each entry is
+    written as one run, in entry order, so a database that holds its records
+    in order, as :func:`~dptraj.datagen.generate` (one entry per record) and
+    :meth:`TrajectoryDb.of` make them, is written in that order. Each entry is
     formatted once, and written ``_WRITE_LINES`` repeated lines at a time.
     """
     if db.tokens.max(initial=-1) >= len(universe):  # ids are never negative

@@ -15,12 +15,14 @@ key, the node's place on the frontier times the universe size plus the entry's
 location at that depth: the runs of equal keys are the data-backed candidates,
 in frontier order and then by ascending location, and their true counts are
 sums of the entries' weights. One stream makes every draw of the depth in four
-vector calls, array steps keep children, place empty-born ones and pick the
-next frontier, and only the entries of expanded runs whose records go on are
-carried to the next depth. Each depth's nodes are appended to the tree's rows
-as they are made. Those arrays are the tree's interface, read and written
-directly by inference, release, the CLI and :func:`dump_tree`; one sort of the
-root paths from :meth:`PrefixTree.paths` orders a release or a dump.
+vector calls, and array steps keep children and pick the next frontier. One
+partial Fisher-Yates shuffle over the whole depth, a dict holding only the
+moved slots of every expanded node's pool, places the empty-born children.
+Only the entries of expanded runs whose records go on are carried to the next
+depth. Each depth's nodes are appended to the tree's rows as they are made.
+Those arrays are the tree's interface, read and written directly by
+inference, release, the CLI and :func:`dump_tree`; one sort of the root paths
+from :meth:`PrefixTree.paths` orders a release or a dump.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ from .privacy import (
     sample_pass_count,
     sample_passing_noisy_count,
 )
-
-
-#: Pool slots shuffled together when empty-born nodes are placed: 256
-#: expanded nodes at a time over a universe of 1,024 locations.
-_CELLS = 1 << 18
 
 
 class NodeRow(NamedTuple):
@@ -192,7 +189,7 @@ def _next_depth(
     slots = rng.integers(rank, pool[bearer])
     values = sample_passing_noisy_count(params, rng, size=len(slots))
     kept = draws >= params.threshold
-    born = _empty_born_locations(loc, runs, n_born, slots, universe_size)
+    born = _empty_born_locations(loc, runs, bearer, rank, slots, universe_size)
     # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
     empty = np.zeros(len(born), dtype=np.int64)
     pos = np.concatenate((owner[kept], bearer))
@@ -210,51 +207,34 @@ def _next_depth(
 
 
 def _empty_born_locations(
-    locs: np.ndarray, runs: np.ndarray, passing: np.ndarray, slots: np.ndarray, universe_size: int
+    locs: np.ndarray, runs: np.ndarray, bearer: np.ndarray, rank: np.ndarray,
+    slots: np.ndarray, universe_size: int,
 ) -> np.ndarray:
-    """Locations of empty-born nodes, in birth order, for each expanded node in turn.
+    """Locations of the depth's empty-born nodes, in birth order.
 
-    Node ``b`` owns the next ``runs[b]`` of ``locs``, its data-backed
-    locations (ascending), and the next ``passing[b]`` of ``slots``, the slot
-    draws of the empty-born children it bears (if any). Its pool is the
-    universe without its data-backed locations, in ascending order: slot
-    ``s`` is the ``s``-th free location. Its draws are a partial Fisher-Yates
-    shuffle of the pool: step ``i`` swaps pool slots ``i`` and
-    ``slots[i] >= i``, after which slot ``i`` holds the ``i``-th sample.
-    Nodes are shuffled side by side, one step at a time, with about
-    ``_CELLS`` pool slots held at once.
+    Frontier node ``b`` owns the next ``runs[b]`` of ``locs``, its data-backed
+    locations (ascending); its pool is the universe without them, in
+    ascending order, so pool slot ``s`` is the ``s``-th free location.
+    Empty-born child ``k`` is the ``rank[k]``-th drawn from node
+    ``bearer[k]``'s pool by a partial Fisher-Yates shuffle: its step swaps
+    pool slots ``rank[k]`` and ``slots[k] >= rank[k]``, after which slot
+    ``rank[k]`` holds the child's. One dict keyed ``bearer * universe_size +
+    slot`` holds the moved slots of every pool of the depth.
     """
-    if not len(slots):  # no child is empty-born (always so over an empty universe)
-        return np.empty(0, dtype=np.int64)
-    born = []
-    chunk = max(1, _CELLS // universe_size)
+    bearer = bearer.astype(np.int64)  # keys and needles pass 2**31 on big depths
+    base = bearer * universe_size
+    picks, moved = [], {}
+    for i, s in zip((base + rank).tolist(), (base + slots).tolist()):
+        picks.append(moved.get(s, s))
+        moved[s] = moved.pop(i, i)  # step i is the last to read slot i
+    slot = np.array(picks, dtype=np.int64) - base
+    # The s-th free location is s plus the number of taken locations t_q
+    # (q-th smallest of its node's, from 0) with t_q - q <= s.
     stride = universe_size + 1
-    run_at = np.concatenate(([0], np.cumsum(runs)))
-    slot_at = np.concatenate(([0], np.cumsum(passing)))
-    for a in range(0, len(passing), chunk):
-        b = min(a + chunk, len(passing))
-        drawn, n_taken = passing[a:b], runs[a:b]
-        rows = np.arange(b - a)
-        drawn_at = np.arange(drawn.max()) < drawn[:, None]
-        picks = np.zeros(drawn_at.shape, dtype=np.int32)  # slots are below the universe size
-        picks[drawn_at] = slots[slot_at[a] : slot_at[b]]
-        # The slot at each position.
-        shuffled = np.tile(np.arange(universe_size, dtype=np.int32), (b - a, 1))
-        for i in range(picks.shape[1]):
-            # A node with fewer draws reads position 0 here and only scrambles spent positions.
-            j = picks[:, i].copy()
-            picks[:, i] = shuffled[rows, j]
-            shuffled[rows, j] = shuffled[rows, i]
-        # The s-th free location is s plus the number of taken locations t_q
-        # (q-th smallest, from 0) with t_q - q <= s.
-        firsts = run_at[a:b] - run_at[a]
-        taken = locs[run_at[a] : run_at[b]]
-        shifted = np.repeat(rows * stride + firsts, n_taken) + taken - np.arange(len(taken))
-        slot = picks[drawn_at]
-        owner = np.repeat(rows, drawn)
-        below = np.searchsorted(shifted, owner * stride + slot, side="right") - firsts[owner]
-        born.append(slot + below)
-    return np.concatenate(born)
+    firsts = np.cumsum(runs) - runs
+    shifted = np.repeat(np.arange(len(runs)) * stride + firsts, runs) + locs - np.arange(len(locs))
+    below = np.searchsorted(shifted, bearer * stride + slot, side="right") - firsts[bearer]
+    return slot + below
 
 
 def dump_tree(tree: PrefixTree) -> str:

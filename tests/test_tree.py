@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.release import VARIANTS, sanitize
-from dptraj.tree import build_noisy_tree, dump_tree
+from dptraj.tree import _empty_born_locations, build_noisy_tree, dump_tree
 
 from conftest import load_split, make_universe
 from oracles import (
@@ -377,19 +377,17 @@ class TestAgainstReference:
         _assert_same_tree(tree, reference)
 
     @pytest.mark.parametrize("narrow", [False, True])
-    @pytest.mark.parametrize("chunk", [1, 3])
-    def test_shuffle_chunks(self, monkeypatch, chunk, narrow):
-        # Shuffling `chunk` nodes at a time splits one depth's bearers over several chunks.
+    def test_bearers_share_one_shuffle(self, narrow):
+        # Every bearer of a depth draws its empty-born children's slots from one dict.
         db, universe = _random_db(
             random.Random(13), max_records=200, universe_size=12 if narrow else 24, max_len=5
         )
-        monkeypatch.setattr("dptraj.tree._CELLS", chunk * len(universe))
         params = PrivacyParams(epsilon=8.0, height=3, theta_multiplier=0.1)
         tree = build_noisy_tree(db, universe, params, RandomSource(3))
         reference = reference_noisy_tree(db, universe, params, RandomSource(3))
         _assert_same_tree(tree, reference)
         bearers = np.unique(tree.parent[1:][tree.true_count[1:] == 0])
-        assert np.bincount(tree.depth[bearers]).max() > 2 * chunk
+        assert np.bincount(tree.depth[bearers]).max() > 6
 
     def test_wide_universe(self):
         # Location ids past the int16 range must survive the build's sort key.
@@ -405,6 +403,16 @@ class TestAgainstReference:
         _assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
         backed = tree.location[1:][tree.true_count[1:] > 0]
         assert backed.max() > 32_767
+
+    def test_placement_keys_pass_int32(self):
+        # Bearer 2,099 over 2**20 locations keys past 2**31; wrapped, its taken locations vanish.
+        universe_size, n_nodes = 1 << 20, 2100
+        runs = np.zeros(n_nodes, dtype=np.int64)
+        runs[-1] = 2  # the last node holds locations 0 and 1, so its pool slot 5 is location 7
+        bearer = np.full(1, n_nodes - 1, dtype=np.int32)  # as `_spans` gives it
+        rank, slots = np.zeros(1, dtype=np.int64), np.full(1, 5)
+        born = _empty_born_locations(np.arange(2), runs, bearer, rank, slots, universe_size)
+        assert born.tolist() == [7]
 
 
 class TestMemory:
