@@ -389,6 +389,38 @@ class TestAgainstReference:
         bearers = np.unique(tree.parent[1:][tree.true_count[1:] == 0])
         assert np.bincount(tree.depth[bearers]).max() > 6
 
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_shuffle_chunks(self, chunk, narrow):
+        # One dict keyed by bearer keeps pools apart: placing the depth `chunk`
+        # bearers at a time, each chunk with a fresh dict, places it the same,
+        # and so does a plain Fisher-Yates over each bearer's own pool.
+        rnd = np.random.default_rng(13)
+        universe_size, n_nodes = (12 if narrow else 24), 40
+        taken = [np.flatnonzero(rnd.random(universe_size) < 0.3) for _ in range(n_nodes)]
+        runs = np.array([len(t) for t in taken], dtype=np.int64)
+        locs = np.concatenate(taken)
+        n_born = rnd.binomial(universe_size - runs, 0.4)
+        bearer = np.repeat(np.arange(n_nodes, dtype=np.int32), n_born)
+        rank = np.concatenate([np.arange(n) for n in n_born]).astype(np.int64)
+        slots = rnd.integers(rank, (universe_size - runs)[bearer])
+        assert len(np.unique(bearer)) > 2 * chunk
+        whole = _empty_born_locations(locs, runs, bearer, rank, slots, universe_size)
+        parts = []
+        for first in range(0, n_nodes, chunk):
+            part = (bearer >= first) & (bearer < first + chunk)
+            parts.append(_empty_born_locations(
+                locs, runs, bearer[part], rank[part], slots[part], universe_size
+            ))
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        expected = []
+        for b in range(n_nodes):
+            pool = np.setdiff1d(np.arange(universe_size), taken[b])
+            for r, s in zip(rank[bearer == b], slots[bearer == b]):
+                pool[[r, s]] = pool[[s, r]]
+                expected.append(pool[r])
+        assert whole.tolist() == expected
+
     def test_wide_universe(self):
         # Location ids past the int16 range must survive the build's sort key.
         rnd = random.Random(11)
