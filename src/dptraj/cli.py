@@ -1,12 +1,13 @@
 """Command-line front end: generate, sanitize, evaluate, report.
 
-Subcommands write plain text or CSV so runs compose in shell pipelines.
+Subcommands write plain text or CSV so runs compose in shell pipelines, and
+read every trajectory file against one public list of locations, --universe.
 Every command that consumes randomness takes --seed (falling back to the
 DPTRAJ_SEED environment variable, then to a fresh random seed) and is
 bit-reproducible given the same seed and flags.
 
 Exit codes: 0 success, 1 I/O or data-format failure, 2 invalid parameters,
-3 location outside the supplied universe.
+3 location outside the --universe file.
 """
 
 from __future__ import annotations
@@ -118,8 +119,6 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     )
     for line in budget_ledger(params).describe():
         print(line)
-    if args.universe is None:  # a domain read off the data voids the epsilon claim
-        print("privacy.claim=none reason=derived_universe")
     print(f"tree.nodes={len(tree) - 1} tree.empty_born={int((tree.true_count[1:] == 0).sum())}")
     if args.variant == "full":
         print(f"inference.order_violations={order_violations(tree)}")
@@ -231,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--height", type=int, default=12)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--universe", default=None, help="public universe file, one token per line")
+    p.add_argument("--universe", required=True, help="public universe file, one token per line")
     p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--theta-mult", type=_positive_float, default=2.0, dest="theta_mult")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
@@ -240,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-count", help="relative-error report over a random query workload")
     p.add_argument("--raw", required=True)
     p.add_argument("--sanitized", required=True)
-    p.add_argument("--universe", default=None)
+    p.add_argument("--universe", required=True)
     p.add_argument("--height", type=int, default=12)
     p.add_argument("--queries-per-subset", type=int, default=10000, dest="queries_per_subset")
     p.add_argument(
@@ -256,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-fsp", help="top-k sequential-pattern overlap report")
     p.add_argument("--raw", required=True)
     p.add_argument("--sanitized", required=True)
-    p.add_argument("--universe", default=None)
+    p.add_argument("--universe", required=True)
     p.add_argument("--topk", default="100", help="comma-separated k values, e.g. 50,100,200")
     p.add_argument("--max-pattern-len", type=_positive_int, default=None, dest="max_pattern_len")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
@@ -276,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="length histogram of a trajectory file")
     p.add_argument("--input", required=True)
-    p.add_argument("--universe", default=None)
+    p.add_argument("--universe", required=True)
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_stats)
 

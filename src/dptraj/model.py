@@ -3,21 +3,21 @@
 A trajectory is an ordered list of location ids (repeats allowed, including
 consecutive ones); a database is a multiset of trajectories, held as weighted
 entries whose location ids lie end to end in one token array. Locations are
-opaque string tokens interned against a fixed universe. A trajectory file
-holds one record per line, and reading and writing it round-trips a database
-as a multiset: the lines' order is not kept.
+opaque string tokens, and a token's id is its position in a universe file, a
+fixed public list that every trajectory file is read against. A trajectory
+file holds one record per line, and reading and writing it round-trips a
+database as a multiset: the lines' order is not kept.
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -172,12 +172,15 @@ def write_universe(universe: LocationUniverse, path: str) -> None:
 _CACHE_LINES = 1 << 15
 
 
-def _read_records(path: str, parse: Callable[[list[str]], Iterable[int]]) -> TrajectoryDb:
-    """One trajectory per line of ``path``; ``parse`` maps a line's tokens to ids.
+def load_db(path: str, universe_path: str) -> tuple[TrajectoryDb, LocationUniverse]:
+    """Read a trajectory file: one trajectory per line, whitespace-separated tokens.
 
+    Every token must belong to the universe file, whose order gives the ids.
     Repeats of a line share its entry while the line cache, cleared when full,
-    holds the line. ``parse`` raises ``KeyError`` with a token it cannot map.
+    holds the line.
     """
+    universe = load_universe(universe_path)
+    lookup = universe._index.__getitem__
     # Each grows in place; tokens and offsets become numpy arrays without a copy.
     tokens, offsets, weights = array("i"), array("q", [0]), []
     cache: dict[str, int] = {}
@@ -189,7 +192,7 @@ def _read_records(path: str, parse: Callable[[list[str]], Iterable[int]]) -> Tra
                 if not words:
                     raise DataFormatError(f"{path}:{sum(weights) + 1}: blank line")
                 try:
-                    tokens.extend(parse(words))
+                    tokens.extend(map(lookup, words))
                 except KeyError as exc:
                     msg = f"{path}:{sum(weights) + 1}: unknown location {exc.args[0]!r}"
                     raise UnknownLocationError(msg) from None
@@ -199,39 +202,11 @@ def _read_records(path: str, parse: Callable[[list[str]], Iterable[int]]) -> Tra
                 offsets.append(len(tokens))
                 weights.append(0)
             weights[entry] += 1
-    return TrajectoryDb(tokens, offsets, weights)
+    return TrajectoryDb(tokens, offsets, weights), universe
 
 
-def load_db(path: str, universe_path: str | None = None) -> tuple[TrajectoryDb, LocationUniverse]:
-    """Read a trajectory file: one trajectory per line, whitespace-separated tokens.
-
-    When ``universe_path`` is given, every token must belong to it and ids follow
-    the universe file's order. Without it the universe is derived from the data
-    in first-appearance order, which makes the output domain data-dependent; a
-    warning is emitted because a published release should use a fixed public
-    universe.
-    """
-    if universe_path is not None:
-        universe = load_universe(universe_path)
-        lookup = universe._index.__getitem__
-        return _read_records(path, lambda tokens: map(lookup, tokens)), universe
-
-    index: dict[str, int] = {}
-
-    def intern(tokens: list[str]) -> list[int]:
-        return [index.setdefault(t, len(index)) for t in tokens]
-
-    db = _read_records(path, intern)
-    warnings.warn(
-        f"location universe derived from {path!r}; supply a public universe file "
-        "for a data-independent output domain",
-        UserWarning,
-        stacklevel=2,
-    )
-    return db, LocationUniverse(tuple(index))
-
-
-#: Lines of a run that ``write_db`` joins into one string.
+#: Entries that ``write_db`` formats at a time, and lines of a run it joins into one string.
+_WRITE_ENTRIES = 1 << 16
 _WRITE_LINES = 1 << 12
 
 
@@ -241,17 +216,28 @@ def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
     Round-trips with :func:`load_db` as a multiset: each entry's records are
     written as one run, in entry order, so a database that holds its records
     in order, as :func:`~dptraj.datagen.generate` (one entry per record) and
-    :meth:`TrajectoryDb.of` make them, is written in that order. Each entry is
-    formatted once, and written ``_WRITE_LINES`` repeated lines at a time.
+    :meth:`TrajectoryDb.of` make them, is written in that order. Entries are
+    formatted ``_WRITE_ENTRIES`` at a time, each once, and a run is written
+    ``_WRITE_LINES`` repeated lines at a time.
     """
     if db.tokens.max(initial=-1) >= len(universe):  # ids are never negative
         raise ValueError(f"location id {db.tokens.max()} outside universe of size {len(universe)}")
-    words = np.array(universe.tokens, dtype=object)[db.tokens].tolist()
-    bounds = db.offsets.tolist()
+    # Each token with what follows it on its line: a space, or the line's end.
+    spaced, ending = (np.array([t + end for t in universe.tokens], dtype=object) for end in " \n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo, hi, weight in zip(bounds, bounds[1:], db.weights.tolist()):
-            line = " ".join(words[lo:hi]) + "\n"
-            while weight > _WRITE_LINES:
-                fh.write(line * _WRITE_LINES)
-                weight -= _WRITE_LINES
-            fh.write(line * weight)
+        for start in range(0, len(db.weights), _WRITE_ENTRIES):
+            bounds = db.offsets[start : start + _WRITE_ENTRIES + 1]
+            ids = db.tokens[bounds[0] : bounds[-1]]
+            bounds = bounds - bounds[0]
+            words = spaced[ids]
+            words[bounds[1:] - 1] = ending[ids[bounds[1:] - 1]]
+            words, weights = words.tolist(), db.weights[start : start + _WRITE_ENTRIES].tolist()
+            if max(weights) == 1:  # each line once, as ``generate`` makes them
+                fh.write("".join(words))
+                continue
+            for lo, hi, weight in zip(bounds.tolist(), bounds[1:].tolist(), weights):
+                line = "".join(words[lo:hi])
+                while weight > _WRITE_LINES:
+                    fh.write(line * _WRITE_LINES)
+                    weight -= _WRITE_LINES
+                fh.write(line * weight)

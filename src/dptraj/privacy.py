@@ -117,7 +117,7 @@ def budget_ledger(params: PrivacyParams) -> BudgetLedger:
 
 
 class RandomSource:
-    """Deterministic generator factory with sub-streams keyed by integers.
+    """Deterministic generator factory with one sub-stream per integer key.
 
     Two sources with the same seed yield identical streams for identical keys.
     The tree builder keys one stream by each depth and hands its draws out in
@@ -130,15 +130,10 @@ class RandomSource:
         if seed < 0:
             raise ValueError("seed must be non-negative")
         self.seed = seed
-        # The seed's little-endian 32-bit words, as SeedSequence splits an int.
-        self._words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
 
-    def stream(self, *key: int) -> np.random.Generator:
-        # Same entropy as SeedSequence((seed, len(key), *key)), without numpy's
-        # per-int coercion. The key length is part of it: SeedSequence treats
-        # trailing zero words as no-ops, so (3,) and (3, 0) would otherwise collide.
-        entropy = np.array([*self._words, len(key), *key], dtype=np.uint32)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    def stream(self, depth: int) -> np.random.Generator:
+        # The 1 (a key count) is part of every stream's entropy: fixed-seed releases depend on it.
+        return np.random.default_rng(np.random.SeedSequence((self.seed, 1, depth)))
 
 
 def laplace_noise(scale: float, rng, size: int) -> np.ndarray:

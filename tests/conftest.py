@@ -1,6 +1,5 @@
 import os
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -41,11 +40,16 @@ def sample_file(tmp_path):
 
 
 @pytest.fixture()
-def sample_db(sample_file):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        db, universe = load_db(str(sample_file))
-    return db, universe
+def sample_universe_file(tmp_path):
+    """The sample's tokens in first-appearance order, so L1..L4 get ids 0..3."""
+    path = tmp_path / "sample-universe.txt"
+    path.write_text("L1\nL2\nL3\nL4\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
+def sample_db(sample_file, sample_universe_file):
+    return load_db(str(sample_file), str(sample_universe_file))
 
 
 def make_universe(size):

@@ -36,7 +36,7 @@ class ZeroNoiseSource(RandomSource):
     def __init__(self):
         super().__init__(0)
 
-    def stream(self, *key: int) -> _ZeroNoiseStream:  # type: ignore[override]
+    def stream(self, depth: int) -> _ZeroNoiseStream:  # type: ignore[override]
         return _ZeroNoiseStream()
 
 

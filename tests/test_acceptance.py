@@ -142,7 +142,7 @@ def test_criterion_3_one_shot_empty_candidate_process():
     m, trials = 50, 100_000
     started = time.perf_counter()
 
-    process_rng = RandomSource(404).stream()
+    process_rng = RandomSource(404).stream(0)
     pass_counts = np.array(
         [sample_pass_count(m, params, process_rng) for _ in range(trials)]
     )
@@ -150,7 +150,7 @@ def test_criterion_3_one_shot_empty_candidate_process():
         params, process_rng, size=int(pass_counts.sum())
     )
 
-    naive_rng = RandomSource(405).stream()
+    naive_rng = RandomSource(405).stream(0)
     noise = naive_rng.laplace(scale=params.noise_scale, size=(trials, m))
     naive_mask = noise >= params.threshold
     naive_values = noise[naive_mask]

@@ -25,10 +25,29 @@ def run_cli(*args, env_extra=None):
 
 
 @pytest.fixture()
-def sample_paths(tmp_path, sample_file):
-    universe = tmp_path / "universe.txt"
-    universe.write_text("L1\nL2\nL3\nL4\n", encoding="utf-8")
-    return sample_file, universe
+def sample_paths(sample_file, sample_universe_file):
+    return sample_file, sample_universe_file
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sanitize", "--input", "{data}", "--output", "{out}", "--epsilon", "1.0",
+         "--seed", "1", "--dump-tree", "{out}"),
+        ("eval-count", "--raw", "{data}", "--sanitized", "{data}", "--seed", "1",
+         "--output", "{out}"),
+        ("eval-fsp", "--raw", "{data}", "--sanitized", "{data}", "--output", "{out}"),
+        ("stats", "--input", "{data}", "--output", "{out}"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_reader_requires_a_universe(tmp_path, sample_file, args):
+    # Read without a public universe, each file would get its own ids.
+    out = tmp_path / "out"
+    result = run_cli(*(arg.format(data=sample_file, out=out) for arg in args))
+    assert result.returncode == 2
+    assert "--universe" in result.stderr
+    assert result.stdout == "" and not out.exists()
 
 
 class TestSanitize:
@@ -61,16 +80,17 @@ class TestSanitize:
             assert "release.records=0 " in result.stdout
             assert out.read_bytes() == b""
 
-    def test_empty_input_with_derived_universe_releases_nothing(self, tmp_path):
-        data = tmp_path / "empty.txt"
+    def test_empty_input_with_empty_universe_releases_nothing(self, tmp_path):
+        data, universe = tmp_path / "empty.txt", tmp_path / "empty-universe.txt"
         data.write_text("", encoding="utf-8")
+        universe.write_text("", encoding="utf-8")
         out, dump = tmp_path / "release.txt", tmp_path / "tree.txt"
         result = run_cli(
-            "sanitize", "--input", data, "--output", out, "--epsilon", "1.0",
-            "--seed", "1", "--dump-tree", dump,
+            "sanitize", "--input", data, "--universe", universe, "--output", out,
+            "--epsilon", "1.0", "--seed", "1", "--dump-tree", dump,
         )
         assert result.returncode == 0, result.stderr
-        assert "privacy.claim=none reason=derived_universe" in result.stdout.splitlines()
+        assert "tree.nodes=0 " in result.stdout
         assert "universe=0" in result.stdout
         assert out.read_bytes() == b"" and dump.read_bytes() == b""
 
@@ -202,18 +222,6 @@ class TestSanitize:
         )
         assert result.returncode == 1
         assert f"{universe}:1" in result.stderr
-
-    def test_derived_universe_warns_but_runs(self, tmp_path, sample_paths):
-        data, _ = sample_paths
-        out = tmp_path / "release.txt"
-        result = run_cli(
-            "sanitize", "--input", data, "--output", out, "--epsilon", "4.0",
-            "--height", "3", "--seed", "2",
-        )
-        assert result.returncode == 0, result.stderr
-        assert "universe" in result.stderr  # data-derived domain warning
-        assert out.exists()
-        assert "privacy.claim=none reason=derived_universe" in result.stdout.splitlines()
 
     def test_theta_mult_flag_and_expand_threshold(self, tmp_path, sample_paths):
         data, universe = sample_paths

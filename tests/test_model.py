@@ -4,6 +4,7 @@ import tempfile
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,12 +26,20 @@ from dptraj.utility import mine_top_k
 from conftest import SAMPLE_LINES, load_split, make_universe
 
 
+@pytest.fixture()
+def abc_universe(tmp_path):
+    """A universe file of the locations A, B and C, with ids 0, 1 and 2."""
+    path = tmp_path / "abc-universe.txt"
+    path.write_text("A\nB\nC\n", encoding="utf-8")
+    return str(path)
+
+
 class TestLoad:
     def test_sample_file(self, sample_db):
         db, universe = sample_db
         assert len(db) == 8
         assert len(universe) == 4
-        # first-appearance order
+        # the universe file's order
         assert universe.tokens == ("L1", "L2", "L3", "L4")
         assert db.trajectories[0] == (0, 1, 2)
         assert db.trajectories[7] == (2, 0)
@@ -38,8 +47,7 @@ class TestLoad:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("", encoding="utf-8")
-        with pytest.warns(UserWarning):
-            db, universe = load_db(str(path))
+        db, universe = load_db(str(path), str(path))
         assert len(db) == 0
         assert len(universe) == 0
 
@@ -52,15 +60,11 @@ class TestLoad:
         assert len(universe) == 1
         assert db.trajectories == ((0, 0),)
 
-    def test_derived_universe_warns(self, sample_file):
-        with pytest.warns(UserWarning, match="universe"):
-            load_db(str(sample_file))
-
-    def test_blank_line_rejected(self, tmp_path):
+    def test_blank_line_rejected(self, tmp_path, abc_universe):
         path = tmp_path / "d.txt"
         path.write_text("A B\n   \nC\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=":2"):
-            load_db(str(path))
+            load_db(str(path), abc_universe)
 
     def test_unknown_token_with_universe(self, tmp_path):
         data = tmp_path / "d.txt"
@@ -70,36 +74,22 @@ class TestLoad:
         with pytest.raises(UnknownLocationError, match="'B'"):
             load_db(str(data), str(uni))
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, abc_universe):
         with pytest.raises(OSError):
-            load_db(str(tmp_path / "nope.txt"))
+            load_db(str(tmp_path / "nope.txt"), abc_universe)
+        with pytest.raises(OSError):
+            load_db(abc_universe, str(tmp_path / "nope.txt"))
 
-    def test_interning_stable_across_loads(self, sample_file):
-        with pytest.warns(UserWarning):
-            db1, uni1 = load_db(str(sample_file))
-        with pytest.warns(UserWarning):
-            db2, uni2 = load_db(str(sample_file))
-        assert uni1.tokens == uni2.tokens
-        assert db1.trajectories == db2.trajectories
-
-    def test_tabs_and_multiple_spaces(self, tmp_path):
+    def test_tabs_and_multiple_spaces(self, tmp_path, abc_universe):
         path = tmp_path / "d.txt"
         path.write_text("A\t B   C\n", encoding="utf-8")
-        with pytest.warns(UserWarning):
-            db, universe = load_db(str(path))
+        db, universe = load_db(str(path), abc_universe)
         assert db.trajectories == ((0, 1, 2),)
 
-    @pytest.mark.parametrize("with_universe", [False, True])
-    def test_repeated_lines_share_one_tuple(self, tmp_path, with_universe):
+    def test_repeated_lines_share_one_tuple(self, tmp_path, abc_universe):
         path = tmp_path / "d.txt"
         path.write_text("A B\nC\nA B\nA B\nC\n", encoding="utf-8")
-        if with_universe:
-            uni = tmp_path / "u.txt"
-            uni.write_text("A\nB\nC\n", encoding="utf-8")
-            db, _ = load_db(str(path), str(uni))
-        else:
-            with pytest.warns(UserWarning):
-                db, _ = load_db(str(path))
+        db, _ = load_db(str(path), abc_universe)
         t = db.trajectories
         assert t == ((0, 1), (0, 1), (0, 1), (2,), (2,))  # entries in order, repeated by weight
         assert t[0] is t[1] is t[2] and t[3] is t[4]
@@ -112,41 +102,40 @@ class TestLoad:
         with pytest.raises(UnknownLocationError, match=r"d\.txt:2: unknown location 'B'"):
             load_db(str(data), str(uni))
 
-    def test_blank_line_after_cached_lines(self, tmp_path):
+    def test_blank_line_after_cached_lines(self, tmp_path, abc_universe):
         path = tmp_path / "d.txt"
         path.write_text("A B\nC\n" * 500 + "A B\n\nC\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"d\.txt:1002: blank line"):
-            load_db(str(path))
+            load_db(str(path), abc_universe)
 
-    def test_crlf_loads_like_lf(self, tmp_path):
+    def test_crlf_loads_like_lf(self, tmp_path, abc_universe):
         lf = tmp_path / "lf.txt"
         crlf = tmp_path / "crlf.txt"
         lf.write_bytes(b"A B\nC A\nA B\n")
         crlf.write_bytes(b"A B\r\nC A\r\nA B\r\n")
-        with pytest.warns(UserWarning):
-            expected = load_db(str(lf))
-        with pytest.warns(UserWarning):
-            assert load_db(str(crlf)) == expected
+        expected = load_db(str(lf), abc_universe)
+        assert load_db(str(crlf), abc_universe) == expected
+        crlf_universe = tmp_path / "crlf-universe.txt"
+        crlf_universe.write_bytes(b"A\r\nB\r\nC\r\n")
+        assert load_db(str(crlf), str(crlf_universe)) == expected
 
-    def test_small_read_blocks(self, tmp_path, monkeypatch):
+    def test_small_read_blocks(self, tmp_path, monkeypatch, abc_universe):
         # A line cache of two lines, cleared many times over: records and
         # line numbers must come out right across the clears.
         monkeypatch.setattr(model, "_CACHE_LINES", 2)
         lines = ["A B", "C", "A B", "B C A", "C", "A B"] * 7
         path = tmp_path / "d.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.warns(UserWarning):
-            db, universe = load_db(str(path))
+        db, universe = load_db(str(path), abc_universe)
         assert 3 < len(db.entries) < len(lines)
         read = [" ".join(universe.tokens[i] for i in t) for t in db.trajectories]
         assert Counter(read) == Counter(lines)
         path.write_text("\n".join(lines) + "\nA D\n\n", encoding="utf-8")
-        uni = tmp_path / "u.txt"
-        uni.write_text("A\nB\nC\n", encoding="utf-8")
         with pytest.raises(UnknownLocationError, match=r"d\.txt:43: unknown location 'D'"):
-            load_db(str(path), str(uni))
+            load_db(str(path), abc_universe)
+        path.write_text("\n".join(lines) + "\nA C\n\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"d\.txt:44: blank line"):
-            load_db(str(path))
+            load_db(str(path), abc_universe)
 
 
 class TestWrite:
@@ -317,17 +306,29 @@ class TestMemory:
         assert peak <= 1 << 20
         assert out.read_text(encoding="utf-8") == "L0 L1 L2\n" * self.LINES
 
+    def test_write_converts_a_block_of_entries_at_a_time(self, tmp_path):
+        # Four times as many distinct entries must not raise the peak: the
+        # tokens are turned into strings one block of entries at a time.
+        rng = np.random.default_rng(0)
+        universe, peaks = make_universe(1000), []
+        for n in (1 << 16, 1 << 18):
+            offsets = np.arange(0, 4 * n + 1, 4)
+            db = TrajectoryDb(rng.integers(0, 1000, 4 * n), offsets, np.ones(n, dtype=np.int64))
+            out = tmp_path / f"{n}.txt"
+            peaks.append(self._peak_above_start(write_db, db, universe, str(out))[1])
+            assert out.read_text(encoding="utf-8").count("\n") == n
+        assert peaks[1] < 1.5 * peaks[0]
+
 
 class TestEncodeTimestamped:
     """Timestamped records: each (location, timestamp) pair is one ``loc@ts`` token."""
 
     def test_tokens_intern_as_distinct_universe_entries(self, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_text("L1@T1 L2@T2\n", encoding="utf-8")
-        with pytest.warns(UserWarning):
-            db, universe = load_db(str(path))
-        assert sorted(universe.tokens) == ["L1@T1", "L2@T2"]
-        assert len(db.trajectories[0]) == 2
+        path, uni = tmp_path / "d.txt", tmp_path / "u.txt"
+        path.write_text("L1@T1 L2@T2 L1@T2\n", encoding="utf-8")
+        uni.write_text("L1@T1\nL1@T2\nL2@T1\nL2@T2\n", encoding="utf-8")
+        db, universe = load_db(str(path), str(uni))
+        assert db.trajectories == ((0, 3, 1),)
 
 
 class TestUniverse:

@@ -300,15 +300,15 @@ class TestNoisyTree:
 
 
 class _CountingSource(RandomSource):
-    """Records the key of every stream it opens."""
+    """Records the depth of every stream it opens."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.keys = []
+        self.depths = []
 
-    def stream(self, *key):
-        self.keys.append(key)
-        return super().stream(*key)
+    def stream(self, depth):
+        self.depths.append(depth)
+        return super().stream(depth)
 
 
 class TestDrawAssignment:
@@ -349,7 +349,7 @@ class TestDrawAssignment:
         expands = tree.noisy >= params.expand_threshold(len(universe))
         expanded = tree.depth[expands | (tree.depth == 0)]
         depths = min(height, int(expanded.max()) + 1)
-        assert source.keys == [(d,) for d in range(depths)]
+        assert source.depths == list(range(depths))
 
 
 class TestAgainstReference:
