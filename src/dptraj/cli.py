@@ -58,7 +58,7 @@ def _resolve_seed(value: int | None) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"DPTRAJ_SEED must be an integer, got {env!r}") from None
-    return secrets.randbits(63)
+    return secrets.randbits(128)
 
 
 def _positive_int(text: str) -> int:
@@ -154,7 +154,8 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
             for i, (max_len, avg) in enumerate(zip(workload.max_lengths, averages), start=1)
         ),
     )
-    print(f"runtime_seconds={runtime:.3f}", file=sys.stderr)
+    # The seed draws only the public queries, not noise: printed so the workload can be redrawn.
+    print(f"seed={seed} runtime_seconds={runtime:.3f}", file=sys.stderr)
     return 0
 
 
@@ -236,10 +237,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
     p.set_defaults(func=cmd_sanitize)
 
-    p = sub.add_parser("eval-count", help="relative-error report over a random query workload")
-    p.add_argument("--raw", required=True)
-    p.add_argument("--sanitized", required=True)
-    p.add_argument("--universe", required=True)
+    # What both evaluators take; --height is an int for eval-count, a label for eval-fsp.
+    evaluator = argparse.ArgumentParser(add_help=False)
+    evaluator.add_argument("--raw", required=True)
+    evaluator.add_argument("--sanitized", required=True)
+    evaluator.add_argument("--universe", required=True)
+    evaluator.add_argument("--output", default=None, help="CSV path (default stdout)")
+    label = "label echoed into the CSV"
+    evaluator.add_argument("--epsilon", default="", dest="epsilon_label", help=label)
+    evaluator.add_argument("--variant", default="", dest="variant_label", help=label)
+
+    p = sub.add_parser(
+        "eval-count", parents=[evaluator], help="relative-error report over a random query workload"
+    )
     p.add_argument("--height", type=int, default=12)
     p.add_argument("--queries-per-subset", type=int, default=10000, dest="queries_per_subset")
     p.add_argument(
@@ -247,21 +257,14 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="sanity_fraction",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.add_argument("--epsilon", default="", dest="epsilon_label", help="label echoed into the CSV")
-    p.add_argument("--variant", default="", dest="variant_label", help="label echoed into the CSV")
     p.set_defaults(func=cmd_eval_count)
 
-    p = sub.add_parser("eval-fsp", help="top-k sequential-pattern overlap report")
-    p.add_argument("--raw", required=True)
-    p.add_argument("--sanitized", required=True)
-    p.add_argument("--universe", required=True)
+    p = sub.add_parser(
+        "eval-fsp", parents=[evaluator], help="top-k sequential-pattern overlap report"
+    )
     p.add_argument("--topk", default="100", help="comma-separated k values, e.g. 50,100,200")
     p.add_argument("--max-pattern-len", type=_positive_int, default=None, dest="max_pattern_len")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.add_argument("--epsilon", default="", dest="epsilon_label", help="label echoed into the CSV")
-    p.add_argument("--height", default="", dest="height_label", help="label echoed into the CSV")
-    p.add_argument("--variant", default="", dest="variant_label", help="label echoed into the CSV")
+    p.add_argument("--height", default="", dest="height_label", help=label)
     p.set_defaults(func=cmd_eval_fsp)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")

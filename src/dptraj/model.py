@@ -12,12 +12,9 @@ database as a multiset: the lines' order is not kept.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable
 
 import numpy as np
 
@@ -50,12 +47,6 @@ class LocationUniverse:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise UnknownLocationError(f"unknown location {token!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryDb:
@@ -67,7 +58,7 @@ class TrajectoryDb:
     least one) is how many records entry ``e`` stands for, and the records are
     the entries in order, each repeated by its weight. Entries need not be
     distinct: readers sum weights, so a record split over two equal entries
-    reads as one entry carrying both. Equality compares the multisets of records.
+    reads as one entry carrying both.
     """
 
     tokens: np.ndarray
@@ -88,38 +79,15 @@ class TrajectoryDb:
             raise ValueError(f"weights must give each of the {n} entries at least 1")
         vars(self).update(tokens=tokens, offsets=offsets, weights=weights)  # frozen
 
-    @classmethod
-    def of(cls, records: Iterable[Iterable[int]]) -> TrajectoryDb:
-        """The records in order, one entry per run of equal consecutive records."""
-        tokens, offsets, weights, last = array("i"), array("q", [0]), [], None
-        for record in map(tuple, records):
-            if record != last:
-                tokens.extend(record)
-                offsets.append(len(tokens))
-                weights.append(0)
-                last = record
-            weights[-1] += 1
-        return cls(tokens, offsets, weights)
-
     def __len__(self) -> int:
         return int(self.weights.sum())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrajectoryDb):
-            return NotImplemented
-        return Counter(self.trajectories) == Counter(other.trajectories)
-
-    @cached_property
-    def entries(self) -> tuple[Trajectory, ...]:
-        """Every entry as a tuple, for readers that loop in Python."""
-        flat = self.tokens.tolist()
-        bounds = self.offsets.tolist()
-        return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
         """Every record: the entries in order, each repeated by its weight."""
-        return tuple(chain.from_iterable(map(repeat, self.entries, self.weights.tolist())))
+        flat, bounds = self.tokens.tolist(), self.offsets.tolist()
+        entries = (tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(chain.from_iterable(map(repeat, entries, self.weights.tolist())))
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,9 +183,9 @@ def write_db(db: TrajectoryDb, universe: LocationUniverse, path: str) -> None:
 
     Round-trips with :func:`load_db` as a multiset: each entry's records are
     written as one run, in entry order, so a database that holds its records
-    in order, as :func:`~dptraj.datagen.generate` (one entry per record) and
-    :meth:`TrajectoryDb.of` make them, is written in that order. Entries are
-    formatted ``_WRITE_ENTRIES`` at a time, each once, and a run is written
+    in order, as :func:`~dptraj.datagen.generate` makes them (one entry per
+    record), is written in that order. Entries are formatted
+    ``_WRITE_ENTRIES`` at a time, each once, and a run is written
     ``_WRITE_LINES`` repeated lines at a time.
     """
     if db.tokens.max(initial=-1) >= len(universe):  # ids are never negative

@@ -35,7 +35,9 @@ def eval_count_query(db: TrajectoryDb, query: CountQuery) -> int:
     if not query:
         raise ValueError("count query needs at least one location")
     wanted = frozenset(query)
-    return sum(w for t, w in zip(db.entries, db.weights.tolist()) if wanted.issubset(t))
+    flat, bounds = db.tokens.tolist(), db.offsets.tolist()
+    spans = zip(bounds, bounds[1:], db.weights.tolist())
+    return sum(w for lo, hi, w in spans if wanted.issubset(flat[lo:hi]))
 
 
 def relative_error(true_count: int, noisy_count: int, sanity: float) -> float:

@@ -10,13 +10,8 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from dptraj import model  # noqa: E402
-from dptraj.model import (  # noqa: E402
-    LocationUniverse,
-    TrajectoryDb,
-    load_db,
-    write_db,
-    write_universe,
-)
+from dptraj.model import LocationUniverse, load_db, write_db, write_universe  # noqa: E402
+from oracles import records_db  # noqa: E402
 
 # Small transit-style database used as a hand-checked oracle throughout the
 # suite; expected values in tests were counted directly from these lines.
@@ -64,7 +59,7 @@ def load_split(rows, universe, cache_lines, directory):
     """
     data = os.path.join(directory, "split.txt")
     universe_path = os.path.join(directory, "split-universe.txt")
-    write_db(TrajectoryDb.of(rows), universe, data)
+    write_db(records_db(rows), universe, data)
     write_universe(universe, universe_path)
     with mock.patch.object(model, "_CACHE_LINES", cache_lines):
         db, _ = load_db(data, universe_path)

@@ -68,13 +68,37 @@ def array_tree(
     )
 
 
-def entries_db(entries: Sequence[tuple[int, ...]], weights: Sequence[int]) -> TrajectoryDb:
-    """The database whose entry ``e`` is ``entries[e]``, standing for ``weights[e]`` records."""
+def entries_db(entries: Iterable[Sequence[int]], weights: Iterable[int]) -> TrajectoryDb:
+    """The database whose ``e``-th entry is the ``e``-th of ``entries``, standing for
+    the ``e``-th of ``weights`` records.
+
+    ``entries_db(counts, counts.values())`` makes one entry per distinct record
+    of a ``Counter`` of records.
+    """
+    entries = list(entries)
     return TrajectoryDb(
         np.array([loc for entry in entries for loc in entry], dtype=np.int32),
         np.cumsum([0, *map(len, entries)]),
-        weights,
+        list(weights),
     )
+
+
+def records_db(records: Iterable[Sequence[int]]) -> TrajectoryDb:
+    """The records in order, one entry of weight 1 each."""
+    records = list(records)
+    return entries_db(records, [1] * len(records))
+
+
+def db_entries(db: TrajectoryDb) -> list[tuple[int, ...]]:
+    """Every entry of ``db`` as a tuple, in order."""
+    flat, bounds = db.tokens.tolist(), db.offsets.tolist()
+    return [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def assert_same_arrays(got: TrajectoryDb, want: TrajectoryDb) -> None:
+    """``got`` holds the same entries, in the same order and with the same weights, as ``want``."""
+    for name in ("tokens", "offsets", "weights"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def prefixes(tree: PrefixTree) -> list[tuple[int, ...]]:
@@ -135,9 +159,10 @@ def reference_noisy_tree(
     empty-born nodes with a dict-based partial Fisher-Yates shuffle. A kept
     node is expanded iff its noisy count reaches the expand threshold.
     """
-    order = sorted(range(len(db.entries)), key=db.entries.__getitem__)
+    entries = db_entries(db)
+    order = sorted(range(len(entries)), key=entries.__getitem__)
     cum = [0, *accumulate(db.weights[order].tolist())]  # cum[j] - cum[i]: records in rows[i:j]
-    rows = list(map(db.entries.__getitem__, order))
+    rows = list(map(entries.__getitem__, order))
     universe_size = len(universe)
     theta_expand = params.expand_threshold(universe_size)
 

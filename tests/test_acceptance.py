@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from dptraj.datagen import GenConfig, generate
-from dptraj.model import TrajectoryDb
 from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
@@ -33,7 +32,7 @@ from dptraj.release import generate_release, sanitize
 from dptraj.utility import evaluate_workload, fsp_metrics, generate_workload, mine_top_k
 
 from conftest import make_universe
-from oracles import ZeroNoiseSource, isotonic_fit, isotonic_fit_minmax
+from oracles import ZeroNoiseSource, isotonic_fit, isotonic_fit_minmax, records_db
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -98,7 +97,7 @@ def test_criterion_1_zero_noise_identity():
             tuple(rnd.randrange(universe_size) for _ in range(rnd.randint(1, 8)))
             for _ in range(rnd.randint(1, 500))
         ]
-        cases.append((TrajectoryDb.of(rows), make_universe(universe_size)))
+        cases.append((records_db(rows), make_universe(universe_size)))
     started = time.perf_counter()
     for db, universe in cases:
         release, _ = sanitize(db, universe, params, source, variant="full")

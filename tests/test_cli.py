@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -27,6 +29,20 @@ def run_cli(*args, env_extra=None):
 @pytest.fixture()
 def sample_paths(sample_file, sample_universe_file):
     return sample_file, sample_universe_file
+
+
+@pytest.fixture(scope="module")
+def recipe_corpus(tmp_path_factory):
+    """The README recipe corpus, as the CI step makes it: 50 locations, 2,000 records."""
+    directory = tmp_path_factory.mktemp("recipe")
+    corpus, universe = directory / "corpus.txt", directory / "universe.txt"
+    result = run_cli(
+        "gen", "--output", corpus, "--universe-out", universe,
+        "--n-locations", "50", "--n-records", "2000", "--avg-len", "5", "--max-len", "12",
+        "--n-planted-routes", "5", "--zipf-skew", "0.6", "--seed", "1",
+    )
+    assert result.returncode == 0, result.stderr
+    return corpus, universe
 
 
 @pytest.mark.parametrize(
@@ -141,6 +157,49 @@ class TestSanitize:
             for text in (result.stdout, result.stderr):
                 assert "seed=" not in text
                 assert "123456789" not in text and "987654321" not in text
+
+    def test_drawn_seed_has_128_bits(self, monkeypatch):
+        from dptraj.cli import _resolve_seed
+
+        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
+        assert max(_resolve_seed(None).bit_length() for _ in range(64)) > 63
+
+    def test_known_seed_recovers_depth_one_counts(self, tmp_path, recipe_corpus):
+        # Why the seed is a key: with it, the public parameters and the dump,
+        # anyone can redraw depth 0's Laplace vector and subtract it. Its i-th
+        # value goes to the i-th distinct first location in id order.
+        from dptraj import PrivacyParams, RandomSource, load_db
+        from dptraj.privacy import laplace_noise
+
+        corpus, universe_path = recipe_corpus
+        dump = tmp_path / "tree.txt"
+        result = run_cli(
+            "sanitize", "--input", corpus, "--universe", universe_path, "--output",
+            tmp_path / "release.txt", "--epsilon", "1", "--height", "8", "--seed", "42",
+            "--dump-tree", dump,
+        )
+        assert result.returncode == 0, result.stderr
+        db, universe = load_db(str(corpus), str(universe_path))
+        firsts = np.repeat(db.tokens[db.offsets[:-1]], db.weights)
+        locations, counts = np.unique(firsts, return_counts=True)
+        true = {universe.tokens[loc]: n for loc, n in zip(locations.tolist(), counts.tolist())}
+        rank = {token: i for i, token in enumerate(true)}  # ascending location ids
+        depth_one = [
+            line.split() for line in dump.read_text(encoding="utf-8").splitlines()
+            if not line.startswith(" ") and line.split()[0] in true
+        ]
+        params = PrivacyParams(epsilon=1.0, height=8)
+
+        def recovered(seed):
+            noise = laplace_noise(params.noise_scale, RandomSource(seed).stream(0), len(true))
+            return sum(
+                abs(float(noisy) - noise[rank[token]] - true[token]) < 0.01
+                for token, noisy in depth_one
+            )
+
+        assert len(depth_one) >= 20
+        assert recovered(42) == len(depth_one)
+        assert recovered(43) <= 1
 
     def test_variants_share_tree_but_not_release(self, tmp_path, sample_paths):
         data, universe = sample_paths
@@ -374,6 +433,35 @@ class TestEvalCount:
             )
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+    def test_drawn_seed_is_printed_and_redraws_the_workload(
+        self, tmp_path, recipe_corpus, monkeypatch
+    ):
+        # The seed draws only the public queries, so it is printed: a run
+        # without one can be repeated. Raw and sanitized differ, so the CSV
+        # depends on which queries were drawn.
+        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
+        corpus, universe = recipe_corpus
+        sanitized = tmp_path / "half.txt"
+        sanitized.write_text(
+            "".join(corpus.read_text(encoding="utf-8").splitlines(keepends=True)[::2]),
+            encoding="utf-8",
+        )
+        args = (
+            "eval-count", "--raw", corpus, "--sanitized", sanitized, "--universe", universe,
+            "--height", "8", "--queries-per-subset", "50",
+        )
+        drawn = run_cli(*args, "--output", tmp_path / "drawn.csv")
+        assert drawn.returncode == 0, drawn.stderr
+        (seed,) = re.findall(r"^seed=(\d+) runtime_seconds=", drawn.stderr, re.MULTILINE)
+        reports = {}
+        for name, given in (("again", seed), ("next", int(seed) + 1)):
+            result = run_cli(*args, "--seed", given, "--output", tmp_path / f"{name}.csv")
+            assert result.returncode == 0, result.stderr
+            assert f"seed={given} " in result.stderr
+            reports[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert reports["again"] == (tmp_path / "drawn.csv").read_bytes()
+        assert reports["next"] != reports["again"]
 
 
 class TestPinnedRelease:

@@ -12,12 +12,18 @@ from dptraj.inference import (
     consolidate,
     order_violations,
 )
-from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
-from oracles import array_tree, children, isotonic_fit, isotonic_fit_minmax, isotonic_upper_minmax
+from oracles import (
+    array_tree,
+    children,
+    isotonic_fit,
+    isotonic_fit_minmax,
+    isotonic_upper_minmax,
+    records_db,
+)
 
 
 def brute_force_monotone_fit(values):
@@ -165,7 +171,7 @@ class TestConsolidate:
         rnd = random.Random(11)
         rows = [[rnd.randrange(6) for _ in range(rnd.randint(1, 4))] for _ in range(600)]
         params = PrivacyParams(epsilon=2.0, height=4)
-        tree = build_noisy_tree(TrajectoryDb.of(rows), make_universe(6), params, RandomSource(3))
+        tree = build_noisy_tree(records_db(rows), make_universe(6), params, RandomSource(3))
         leaves = np.flatnonzero((tree.n_children == 0) & (tree.depth > 0))
         lengths, per_length = np.unique(tree.depth[leaves], return_counts=True)
         assert len(lengths) >= 3
@@ -283,7 +289,7 @@ class TestConsistentEstimates:
         rows = [
             tuple(rnd.randrange(8) for _ in range(rnd.randint(1, 6))) for _ in range(300)
         ]
-        db = TrajectoryDb.of(rows)
+        db = records_db(rows)
         universe = make_universe(8)
         params = PrivacyParams(epsilon=2.0, height=4)
         tree = build_noisy_tree(db, universe, params, RandomSource(77))

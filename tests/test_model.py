@@ -24,6 +24,7 @@ from dptraj.release import release_stats
 from dptraj.utility import mine_top_k
 
 from conftest import SAMPLE_LINES, load_split, make_universe
+from oracles import entries_db, records_db
 
 
 @pytest.fixture()
@@ -113,11 +114,13 @@ class TestLoad:
         crlf = tmp_path / "crlf.txt"
         lf.write_bytes(b"A B\nC A\nA B\n")
         crlf.write_bytes(b"A B\r\nC A\r\nA B\r\n")
-        expected = load_db(str(lf), abc_universe)
-        assert load_db(str(crlf), abc_universe) == expected
+        expected, universe = load_db(str(lf), abc_universe)
         crlf_universe = tmp_path / "crlf-universe.txt"
         crlf_universe.write_bytes(b"A\r\nB\r\nC\r\n")
-        assert load_db(str(crlf), str(crlf_universe)) == expected
+        for universe_path in (abc_universe, str(crlf_universe)):
+            db, read_universe = load_db(str(crlf), universe_path)
+            assert Counter(db.trajectories) == Counter(expected.trajectories)
+            assert read_universe == universe
 
     def test_small_read_blocks(self, tmp_path, monkeypatch, abc_universe):
         # A line cache of two lines, cleared many times over: records and
@@ -127,7 +130,7 @@ class TestLoad:
         path = tmp_path / "d.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         db, universe = load_db(str(path), abc_universe)
-        assert 3 < len(db.entries) < len(lines)
+        assert 3 < len(db.weights) < len(lines)
         read = [" ".join(universe.tokens[i] for i in t) for t in db.trajectories]
         assert Counter(read) == Counter(lines)
         path.write_text("\n".join(lines) + "\nA D\n\n", encoding="utf-8")
@@ -149,12 +152,12 @@ class TestWrite:
 
     def test_empty_db(self, tmp_path):
         out = tmp_path / "out.txt"
-        write_db(TrajectoryDb.of(()), make_universe(3), str(out))
+        write_db(records_db(()), make_universe(3), str(out))
         assert out.read_text(encoding="utf-8") == ""
 
     def test_duplicates_preserved(self, tmp_path):
         universe = make_universe(2)
-        db = TrajectoryDb.of([(0, 1), (0, 1), (0, 1)])
+        db = entries_db([(0, 1)], [3])
         out = tmp_path / "out.txt"
         write_db(db, universe, str(out))
         uni_path = tmp_path / "u.txt"
@@ -172,7 +175,7 @@ class TestWrite:
                 tuple(rnd.randrange(12) for _ in range(rnd.randint(1, 9)))
                 for _ in range(rnd.randint(0, 60))
             ]
-            db = TrajectoryDb.of(rows)
+            db = records_db(rows)
             out = tmp_path / f"db{trial}.txt"
             write_db(db, universe, str(out))
             loaded, _ = load_db(str(out), str(uni_path))
@@ -182,7 +185,7 @@ class TestWrite:
         universe = make_universe(4)
         rows = [(0, 1), (2,), (0, 1), (3, 3), (0, 1), (0, 1), (2,), (3, 3)]
         out = tmp_path / "out.txt"
-        write_db(TrajectoryDb.of(rows), universe, str(out))
+        write_db(records_db(rows), universe, str(out))
         assert out.read_text(encoding="utf-8") == "L0 L1\nL2\nL0 L1\nL3 L3\nL0 L1\nL0 L1\nL2\nL3 L3\n"
         uni_path = tmp_path / "u.txt"
         write_universe(universe, str(uni_path))
@@ -200,16 +203,19 @@ class TestWrite:
     )
     def test_round_trip_property(self, distinct, picks):
         # Records drawn with repetition from a small pool, so duplicates both
-        # adjacent and scattered are common.
+        # adjacent and scattered are common; written one entry per record and
+        # one weighted entry per distinct record.
         rows = [distinct[i % len(distinct)] for i in picks]
+        counts = Counter(rows)
         universe = make_universe(6)
-        with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "out.txt")
-            uni_path = os.path.join(tmp, "u.txt")
-            write_db(TrajectoryDb.of(rows), universe, out)
-            write_universe(universe, uni_path)
-            loaded, _ = load_db(out, uni_path)
-        assert Counter(loaded.trajectories) == Counter(rows)
+        for db in (records_db(rows), entries_db(counts, counts.values())):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, "out.txt")
+                uni_path = os.path.join(tmp, "u.txt")
+                write_db(db, universe, out)
+                write_universe(universe, uni_path)
+                loaded, _ = load_db(out, uni_path)
+            assert Counter(loaded.trajectories) == counts
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -229,20 +235,21 @@ class TestWrite:
             db = load_split(rows, make_universe(4), cache_lines, tmp)
         assert Counter(db.trajectories) == Counter(rows)
         assert db.weights.sum() == len(db)
-        reference = TrajectoryDb.of(sorted(rows))  # one entry per distinct record
+        counts = Counter(rows)
+        reference = entries_db(counts, counts.values())  # one entry per distinct record
         assert mine_top_k(db, 20) == mine_top_k(reference, 20)
         assert release_stats(db) == release_stats(reference)
 
     def test_invalid_id_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_db(TrajectoryDb.of([(5,)]), make_universe(2), str(tmp_path / "x.txt"))
+            write_db(records_db([(5,)]), make_universe(2), str(tmp_path / "x.txt"))
 
 
 class TestTrajectoryDb:
     def test_entries_and_weights_are_checked(self):
         tokens, offsets = [0, 1, 2], [0, 1, 3]
         db = TrajectoryDb(tokens, offsets, [1, 2])
-        assert db.entries == ((0,), (1, 2))
+        assert db.tokens.tolist() == tokens and db.offsets.tolist() == offsets
         assert db.weights.tolist() == [1, 2]
         assert len(db) == 3
         assert db.trajectories == ((0,), (1, 2), (1, 2))
@@ -254,22 +261,6 @@ class TestTrajectoryDb:
         for weights in ([1], [1, 1, 1], [1, 0], [-1, 2]):  # too few, too many, zero, negative
             with pytest.raises(ValueError, match="weights"):
                 TrajectoryDb(tokens, offsets, weights)
-
-    def test_of_keeps_order_in_runs(self):
-        db = TrajectoryDb.of([(0, 1), (0, 1), [2], (0, 1), (2,), (2,)])
-        assert db.entries == ((0, 1), (2,), (0, 1), (2,))
-        assert db.weights.tolist() == [2, 1, 1, 2]
-        assert db.trajectories == ((0, 1), (0, 1), (2,), (0, 1), (2,), (2,))
-
-    def test_equal_to_its_records_shuffled(self):
-        rnd = random.Random(5)
-        rows = [tuple(rnd.randrange(4) for _ in range(rnd.randint(1, 4))) for _ in range(200)]
-        shuffled = rows[:]
-        rnd.shuffle(shuffled)
-        db = TrajectoryDb.of(rows)
-        assert db == TrajectoryDb.of(shuffled) == TrajectoryDb.of(sorted(rows))
-        assert db != TrajectoryDb.of(rows[1:])
-        assert db != TrajectoryDb.of(rows + [rows[0]])
 
 
 class TestMemory:
@@ -296,7 +287,7 @@ class TestMemory:
 
     def test_load_holds_nothing_per_line(self, repeated):
         (db, _), peak = self._peak_above_start(load_db, *repeated)
-        assert len(db) == self.LINES and len(db.entries) == 1
+        assert len(db) == self.LINES and len(db.weights) == 1
         assert peak <= 1 << 20
 
     def test_write_holds_no_run_in_one_string(self, repeated, tmp_path):
@@ -335,15 +326,6 @@ class TestUniverse:
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(DataFormatError):
             LocationUniverse(("A", "A"))
-
-    def test_id_token_round_trip(self):
-        universe = make_universe(5)
-        for i in range(5):
-            assert universe.id_of(universe.tokens[i]) == i
-
-    def test_unknown_token(self):
-        with pytest.raises(UnknownLocationError):
-            make_universe(2).id_of("nope")
 
     def test_blank_line_in_universe_file(self, tmp_path):
         path = tmp_path / "u.txt"

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from dptraj.model import TrajectoryDb
 from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
@@ -19,7 +18,7 @@ from dptraj.privacy import (
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
-from oracles import ZeroNoiseSource
+from oracles import ZeroNoiseSource, records_db
 
 
 class TestPrivacyParams:
@@ -143,7 +142,7 @@ class TestNeighbouringAudit:
             return total
 
         (low, high), (low_other, high_other) = map(
-            self._bounds, (hits(TrajectoryDb.of([(0,)])), hits(TrajectoryDb.of(())))
+            self._bounds, (hits(records_db([(0,)])), hits(records_db(())))
         )
         assert low <= math.exp(params.epsilon) * high_other
         assert low_other <= math.exp(params.epsilon) * high

@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptraj.inference import consistent_estimates, consolidate
-from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.release import VARIANTS, generate_release, release_stats, release_tree, sanitize
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
-from oracles import ZeroNoiseSource, array_tree, children, reference_release
+from oracles import (
+    ZeroNoiseSource,
+    array_tree,
+    assert_same_arrays,
+    children,
+    records_db,
+    reference_release,
+)
 
 
 def manual_tree(counts, universe_size=10):
@@ -72,7 +78,7 @@ class TestGenerateRelease:
                 tuple(rnd.randrange(universe_size) for _ in range(rnd.randint(1, 6)))
                 for _ in range(rnd.randint(1, 120))
             ]
-            db = TrajectoryDb.of(rows)
+            db = records_db(rows)
             universe = make_universe(universe_size)
             params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
             for variant in ("basic", "full"):
@@ -80,7 +86,7 @@ class TestGenerateRelease:
                 assert Counter(release.trajectories) == Counter(db.trajectories)
 
     def test_zero_noise_truncates_to_height(self):
-        db = TrajectoryDb.of([(0, 1, 2, 3), (0, 1)])
+        db = records_db([(0, 1, 2, 3), (0, 1)])
         universe = make_universe(4)
         params = PrivacyParams(epsilon=1.0, height=2, theta_multiplier=0.0)
         release, _ = sanitize(db, universe, params, ZeroNoiseSource(), "basic")
@@ -91,7 +97,7 @@ class TestGenerateRelease:
         rows = [
             tuple(rnd.randrange(5) for _ in range(rnd.randint(1, 9))) for _ in range(200)
         ]
-        db = TrajectoryDb.of(rows)
+        db = records_db(rows)
         universe = make_universe(5)
         params = PrivacyParams(epsilon=5.0, height=3)
         release, _ = sanitize(db, universe, params, RandomSource(5), "full")
@@ -102,7 +108,7 @@ class TestGenerateRelease:
         rows = [
             tuple(rnd.randrange(6) for _ in range(rnd.randint(1, 5))) for _ in range(150)
         ]
-        db = TrajectoryDb.of(rows)
+        db = records_db(rows)
         universe = make_universe(6)
         params = PrivacyParams(epsilon=3.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(9))
@@ -122,7 +128,7 @@ class TestGenerateRelease:
         rows = [
             tuple(rnd.randrange(6) for _ in range(rnd.randint(1, 5))) for _ in range(100)
         ]
-        db = TrajectoryDb.of(rows)
+        db = records_db(rows)
         universe = make_universe(6)
         params = PrivacyParams(epsilon=2.0, height=3)
         _, tree_a = sanitize(db, universe, params, RandomSource(12), "basic")
@@ -136,14 +142,14 @@ class TestGenerateRelease:
         rows = [
             tuple(rnd.randrange(6) for _ in range(rnd.randint(1, 5))) for _ in range(200)
         ]
-        db = TrajectoryDb.of(rows)
+        db = records_db(rows)
         universe = make_universe(6)
         params = PrivacyParams(epsilon=2.0, height=4)
         for variant in VARIANTS:
             release, tree = sanitize(db, universe, params, RandomSource(14), variant)
             built = build_noisy_tree(db, universe, params, RandomSource(14))
             assert built.fitted is None and built.adjusted is None
-            assert release_tree(built, use_inference=(variant == "full")) == release
+            assert_same_arrays(release_tree(built, use_inference=(variant == "full")), release)
             assert (built.adjusted is None) == (variant == "basic")
             if variant == "full":
                 assert np.array_equal(built.adjusted, tree.adjusted)
@@ -161,7 +167,7 @@ def _release_trees(draw):
         return array_tree((), universe)
     height = draw(st.integers(1, 6))
     record = st.lists(st.integers(0, len(universe) - 1), min_size=1, max_size=height + 2)
-    db = TrajectoryDb.of(draw(st.lists(record, max_size=30)))
+    db = records_db(draw(st.lists(record, max_size=30)))
     params = PrivacyParams(
         epsilon=draw(st.sampled_from([0.5, 2.0, 20.0])),
         height=height,
@@ -179,8 +185,7 @@ class TestReleaseOracle:
         for use_inference in (False, True):
             release = generate_release(tree, use_inference)
             reference = reference_release(tree, use_inference)
-            assert release.entries == reference.entries
-            np.testing.assert_array_equal(release.weights, reference.weights)
+            assert_same_arrays(release, reference)
 
 
 class TestReleaseStats:
@@ -192,7 +197,7 @@ class TestReleaseStats:
         assert stats.distinct_locations == 4
 
     def test_empty_db(self):
-        stats = release_stats(TrajectoryDb.of(()))
+        stats = release_stats(records_db(()))
         assert stats.records == 0
         assert stats.length_histogram == {}
         assert stats.distinct_locations == 0
@@ -202,5 +207,5 @@ class TestReleaseStats:
         rows = [
             tuple(rnd.randrange(4) for _ in range(rnd.randint(1, 7))) for _ in range(90)
         ]
-        stats = release_stats(TrajectoryDb.of(rows))
+        stats = release_stats(records_db(rows))
         assert sum(stats.length_histogram.values()) == stats.records == 90

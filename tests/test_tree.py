@@ -3,13 +3,13 @@ import random
 import tempfile
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dptraj.model import TrajectoryDb
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.release import VARIANTS, sanitize
 from dptraj.tree import _empty_born_locations, build_noisy_tree, dump_tree
@@ -19,7 +19,10 @@ from oracles import (
     ZeroNoiseSource,
     build_exact_tree,
     children,
+    db_entries,
+    entries_db,
     prefixes,
+    records_db,
     reference_noisy_tree,
 )
 
@@ -36,7 +39,7 @@ def _random_db(rnd, max_records=60, universe_size=6, max_len=7):
         tuple(rnd.randrange(universe_size) for _ in range(rnd.randint(1, max_len)))
         for _ in range(rnd.randint(1, max_records))
     ]
-    return TrajectoryDb.of(rows), make_universe(universe_size)
+    return records_db(rows), make_universe(universe_size)
 
 
 _TREE_FIELDS = ("parent", "location", "depth", "noisy", "true_count", "n_children")
@@ -85,14 +88,14 @@ class TestExactTree:
     def test_sample_deep_counts(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
-        l1 = _child(tree, 0, universe.id_of("L1"))
-        l1_l2 = _child(tree, l1, universe.id_of("L2"))
+        l1 = _child(tree, 0, universe.tokens.index("L1"))
+        l1_l2 = _child(tree, l1, universe.tokens.index("L2"))
         assert tree.true_count[l1_l2] == 5
-        l1_l2_l3 = _child(tree, l1_l2, universe.id_of("L3"))
+        l1_l2_l3 = _child(tree, l1_l2, universe.tokens.index("L3"))
         assert tree.true_count[l1_l2_l3] == 2
 
     def test_empty_db(self):
-        tree = build_exact_tree(TrajectoryDb.of(()), make_universe(3))
+        tree = build_exact_tree(records_db(()), make_universe(3))
         assert children(tree, 0) == []
         assert len(tree) == 1
 
@@ -124,7 +127,7 @@ class TestNodePrefix:
     def test_deep_path(self, sample_db):
         db, universe = sample_db
         tree = build_exact_tree(db, universe)
-        ids = [universe.id_of(t) for t in ("L1", "L2", "L4")]
+        ids = [universe.tokens.index(t) for t in ("L1", "L2", "L4")]
         node = _child(tree, _child(tree, _child(tree, 0, ids[0]), ids[1]), ids[2])
         assert prefixes(tree)[node] == tuple(ids)
 
@@ -147,10 +150,11 @@ class TestNoisyTree:
             db, universe = _random_db(rnd, universe_size=4, max_len=9)
             # repeat some records so distinct rows carry multiplicities > 1
             rows = [*db.trajectories, *rnd.choices(db.trajectories, k=20)]
-            cases.append((TrajectoryDb.of(sorted(rows)), universe))
+            counts = Counter(rows)  # one entry per distinct record
+            cases.append((entries_db(counts, counts.values()), universe))
             # read back with a small line cache, repeats also split into several entries
             cases.append((load_split(rows, universe, 2, tmp_path), universe))
-        assert any(len(set(db.entries)) < len(db.entries) for db, _ in cases)
+        assert any(len(set(db_entries(db))) < len(db.weights) for db, _ in cases)
         params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
 
         def signature(tree):
@@ -176,7 +180,7 @@ class TestNoisyTree:
         assert tree.depth.max() <= 4
 
     def test_truncation_in_zero_noise_mode(self):
-        db = TrajectoryDb.of([(0, 1, 2, 3, 0, 1)])
+        db = records_db([(0, 1, 2, 3, 0, 1)])
         universe = make_universe(4)
         params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=0.0)
         tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
@@ -198,7 +202,7 @@ class TestNoisyTree:
             assert sum(count[c] for c in children(tree, i)) <= count[i]
 
     def test_only_nodes_at_expand_threshold_have_children(self):
-        db = TrajectoryDb.of([(0,)] * 50)
+        db = records_db([(0,)] * 50)
         universe = make_universe(30)
         params = PrivacyParams(epsilon=10.0, height=3)
         theta_expand = params.expand_threshold(len(universe))
@@ -213,7 +217,7 @@ class TestNoisyTree:
         assert unexpanded  # kept nodes in [threshold, theta_expand) were left leaves
 
     def test_empty_born_over_expand_threshold_grow_subtrees(self):
-        db = TrajectoryDb.of([(0,)] * 50)
+        db = records_db([(0,)] * 50)
         universe = make_universe(30)
         params = PrivacyParams(epsilon=10.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(0))
@@ -225,7 +229,7 @@ class TestNoisyTree:
     def test_narrow_universe_expands_every_kept_node(self):
         # Without noise each node counts 3, over the threshold 2 * sqrt(2). The expand
         # threshold ln|U| is below the threshold iff |U| <= 16, and over 30 locations is 3.4.
-        db = TrajectoryDb.of([(0, 1, 2)] * 3)
+        db = records_db([(0, 1, 2)] * 3)
         params = PrivacyParams(epsilon=3.0, height=3)
         for size, depth in ((16, 3), (30, 1)):
             universe = make_universe(size)
@@ -272,7 +276,7 @@ class TestNoisyTree:
 
     @pytest.mark.parametrize("thresholded", [False, True])
     def test_empty_universe_gives_root_only_tree(self, thresholded):
-        db, universe = TrajectoryDb.of(()), make_universe(0)
+        db, universe = records_db(()), make_universe(0)
         params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=2.0 * thresholded)
         for variant in VARIANTS:
             release, tree = sanitize(db, universe, params, RandomSource(5), variant)
@@ -290,7 +294,7 @@ class TestNoisyTree:
                 assert name == "universe" or value is None, name
 
     def test_tree_keeps_nothing_of_the_input(self):
-        db = TrajectoryDb.of([(0, 1, 2), (0, 1), (2, 0), (0, 1, 2)] * 10)
+        db = records_db([(0, 1, 2), (0, 1), (2, 0), (0, 1, 2)] * 10)
         refs = [weakref.ref(db), *map(weakref.ref, (db.tokens, db.offsets, db.weights))]
         params = PrivacyParams(epsilon=5.0, height=3)
         tree = build_noisy_tree(db, make_universe(3), params, RandomSource(3))
@@ -324,8 +328,8 @@ class TestDrawAssignment:
         trees = [
             build_noisy_tree(other, universe, params, RandomSource(8))
             for other in (
-                TrajectoryDb.of(rows),
-                TrajectoryDb.of(shuffled),
+                records_db(rows),
+                records_db(shuffled),
                 load_split(shuffled, universe, 2, tmp_path),
             )
         ]
@@ -345,7 +349,7 @@ class TestDrawAssignment:
         universe = make_universe(4 if narrow else 40)
         params = PrivacyParams(epsilon=20.0, height=height, theta_multiplier=theta)
         source = _CountingSource(7)
-        tree = build_noisy_tree(TrajectoryDb.of(rows), universe, params, source)
+        tree = build_noisy_tree(records_db(rows), universe, params, source)
         expands = tree.noisy >= params.expand_threshold(len(universe))
         expanded = tree.depth[expands | (tree.depth == 0)]
         depths = min(height, int(expanded.max()) + 1)
@@ -429,7 +433,7 @@ class TestAgainstReference:
             tuple(rnd.choice([rnd.randrange(32_768, 40_000), rnd.randrange(8)]) for _ in range(5))
             for _ in range(20)
         ]
-        db = TrajectoryDb.of(rnd.choices(distinct, k=300))
+        db = records_db(rnd.choices(distinct, k=300))
         params = PrivacyParams(epsilon=8.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(5))
         _assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
@@ -455,7 +459,8 @@ class TestMemory:
         # of 12 int16 columns and its lexsort read 62.
         rng = np.random.default_rng(0)
         rows = [tuple(rng.integers(0, 1_000, n)) for n in rng.integers(1, 13, 20_000)]
-        db = TrajectoryDb.of(sorted(rows))  # one entry per distinct record
+        counts = Counter(rows)
+        db = entries_db(counts, counts.values())  # one entry per distinct record
         params = PrivacyParams(epsilon=1.0, height=12)
         tracemalloc.start()
         try:
@@ -490,7 +495,7 @@ class TestDump:
             assert "." in line.split()[-1]
 
     def test_empty_tree_dump(self):
-        tree = build_exact_tree(TrajectoryDb.of(()), make_universe(2))
+        tree = build_exact_tree(records_db(()), make_universe(2))
         assert dump_tree(tree) == ""
 
     @pytest.mark.parametrize("narrow", [False, True])

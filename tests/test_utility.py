@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dptraj import utility
-from dptraj.model import TrajectoryDb
 from dptraj.utility import (
     PresenceIndex,
     SeqPattern,
@@ -22,6 +21,7 @@ from dptraj.utility import (
 )
 
 from conftest import load_split, make_universe
+from oracles import entries_db, records_db
 
 
 def brute_force_top_k(db, k, max_len=3):
@@ -40,12 +40,12 @@ def brute_force_top_k(db, k, max_len=3):
 class TestCountQuery:
     def test_sample_pair_query(self, sample_db):
         db, universe = sample_db
-        q = frozenset({universe.id_of("L1"), universe.id_of("L2")})
+        q = frozenset({universe.tokens.index("L1"), universe.tokens.index("L2")})
         assert eval_count_query(db, q) == 6
 
     def test_sample_singleton_query(self, sample_db):
         db, universe = sample_db
-        assert eval_count_query(db, frozenset({universe.id_of("L4")})) == 2
+        assert eval_count_query(db, frozenset({universe.tokens.index("L4")})) == 2
 
     def test_query_matching_nothing(self, sample_db):
         db, universe = sample_db
@@ -58,7 +58,7 @@ class TestCountQuery:
             eval_count_query(db, frozenset())
 
     def test_order_and_multiplicity_ignored(self):
-        db = TrajectoryDb.of([(1, 0, 1, 1), (0, 1), (1, 0)])
+        db = records_db([(1, 0, 1, 1), (0, 1), (1, 0)])
         q = frozenset({0, 1})
         assert eval_count_query(db, q) == 3
 
@@ -70,7 +70,7 @@ class TestCountQuery:
                 tuple(rnd.randrange(size) for _ in range(rnd.randint(1, 8)))
                 for _ in range(rnd.randint(1, 300))
             ]
-            db = TrajectoryDb.of(rows)
+            db = records_db(rows)
             index = PresenceIndex(db, size)
             for _ in range(30):
                 q = frozenset(
@@ -91,9 +91,10 @@ class TestCountQuery:
         assert len(distinct) == 37
         rows = [t for t in distinct for _ in range(rnd.randint(1, 40))]
         rnd.shuffle(rows)
-        db = TrajectoryDb.of(sorted(rows))  # sorted: one run, so one entry, per record
+        counts = Counter(rows)
+        db = entries_db(counts, counts.values())  # one entry per distinct record
         split = load_split(rows, make_universe(size), 4, tmp_path)
-        assert len(db.entries) == 37 < len(split.entries)
+        assert len(db.weights) == 37 < len(split.weights)
         for index in (PresenceIndex(db, size), PresenceIndex(split, size)):
             assert index.weights.sum() == len(db)
             for q_len in range(1, 5):
@@ -133,10 +134,11 @@ class TestCountQuery:
         # a database with no entries, a one-record pool one with a single
         # entry; reading back with a small line cache splits an entry's repeats.
         rows = [pool[i % len(pool)] for i in picks] if pool else []
-        db = TrajectoryDb.of(rows)
+        counts = Counter(rows)
+        db = entries_db(counts, counts.values())  # one entry per distinct record
         if cache_lines is not None:
             db = load_split(rows, make_universe(14), cache_lines, tmp_path_factory.mktemp("split"))
-        expected = [eval_count_query(TrajectoryDb.of(rows), q) for q in queries]
+        expected = [eval_count_query(records_db(rows), q) for q in queries]
         with mock.patch.object(utility, "_BATCH_CANDIDATES", batch):
             index = PresenceIndex(db, 14)
             assert index.counts(queries).tolist() == expected
@@ -146,17 +148,17 @@ class TestCountQuery:
         # One visit per entry: the index is a few arrays of one number per
         # visit or location, where a bit row per location would be 2 MiB.
         size = 4096
-        index = PresenceIndex(TrajectoryDb.of([(i,) for i in range(size)]), size)
+        index = PresenceIndex(records_db([(i,) for i in range(size)]), size)
         held = sum(v.nbytes for v in vars(index).values() if isinstance(v, np.ndarray))
         assert held < 256 * 1024
 
     def test_index_rejects_ids_outside_universe(self):
         with pytest.raises(ValueError, match="outside universe of size 3"):
-            PresenceIndex(TrajectoryDb.of([(0, 5)]), 3)
+            PresenceIndex(records_db([(0, 5)]), 3)
 
     @pytest.mark.parametrize("location", [-1, 3])
     def test_batch_names_a_query_location_outside_universe(self, location):
-        index = PresenceIndex(TrajectoryDb.of([(0, 1), (2,)]), 3)
+        index = PresenceIndex(records_db([(0, 1), (2,)]), 3)
         queries = [frozenset({0}), frozenset({location, 2})]
         with pytest.raises(ValueError, match=f"query location {location} outside universe of size 3"):
             index.counts(queries)
@@ -229,14 +231,14 @@ class TestMineTopK:
     def test_sample_pair_supports(self, sample_db):
         db, universe = sample_db
         patterns = {p.locations: p.support for p in mine_top_k(db, 40)}
-        l1, l2 = universe.id_of("L1"), universe.id_of("L2")
+        l1, l2 = universe.tokens.index("L1"), universe.tokens.index("L2")
         assert patterns[(l1, l2)] == 5
         assert patterns[(l2, l1)] == 2
 
     def test_top_one_breaks_tie_lexicographically(self, sample_db):
         db, universe = sample_db
         top = mine_top_k(db, 1)
-        assert top[0].locations == (universe.id_of("L1"),)
+        assert top[0].locations == (universe.tokens.index("L1"),)
         assert top[0].support == 7
 
     def test_matches_brute_force(self):
@@ -247,7 +249,7 @@ class TestMineTopK:
                 tuple(rnd.randrange(size) for _ in range(rnd.randint(1, 6)))
                 for _ in range(rnd.randint(5, 200))
             ]
-            db = TrajectoryDb.of(rows)
+            db = records_db(rows)
             longest = max(map(len, rows))
             for k in (1, 5, 20):
                 assert mine_top_k(db, k, max_len=3) == brute_force_top_k(db, k)
@@ -289,11 +291,12 @@ class TestMineTopK:
         # splits an entry's repeats.
         pool, max_len = case
         rows = [pool[i % len(pool)] for i in picks] if pool else []
-        db = TrajectoryDb.of(rows)
+        counts = Counter(rows)
+        db = entries_db(counts, counts.values())  # one entry per distinct record
         if cache_lines is not None:
             db = load_split(rows, make_universe(4), cache_lines, tmp_path_factory.mktemp("split"))
         longest = max(map(len, rows), default=1)
-        expected = brute_force_top_k(TrajectoryDb.of(rows), k, max_len=max_len or longest)
+        expected = brute_force_top_k(records_db(rows), k, max_len=max_len or longest)
         caplog.clear()
         with caplog.at_level("WARNING", logger="dptraj.utility"):
             assert mine_top_k(db, k, max_len) == expected
@@ -301,7 +304,7 @@ class TestMineTopK:
         assert rows or expected == []
 
     def test_duplicate_records_count_individually(self):
-        db = TrajectoryDb.of([(0, 1)] * 4 + [(1, 0)])
+        db = records_db([(0, 1)] * 4 + [(1, 0)])
         top = mine_top_k(db, 3)
         supports = {p.locations: p.support for p in top}
         assert supports[(0,)] == 5
@@ -309,20 +312,20 @@ class TestMineTopK:
         assert supports[(0, 1)] == 4
 
     def test_short_result_flagged(self, caplog):
-        db = TrajectoryDb.of([(0,), (0,)])
+        db = records_db([(0,), (0,)])
         with caplog.at_level("WARNING"):
             patterns = mine_top_k(db, 10)
         assert len(patterns) == 1
         assert "10" in caplog.text
 
     def test_max_len_below_one_rejected(self):
-        db = TrajectoryDb.of([(0, 1)] * 3)
+        db = records_db([(0, 1)] * 3)
         for max_len in (0, -2):
             with pytest.raises(ValueError, match="max_len"):
                 mine_top_k(db, 5, max_len=max_len)
 
     def test_max_len_respected(self):
-        db = TrajectoryDb.of([(0, 1, 2, 3)] * 5)
+        db = records_db([(0, 1, 2, 3)] * 5)
         patterns = mine_top_k(db, 50, max_len=2)
         assert max(len(p.locations) for p in patterns) == 2
 
