@@ -4,7 +4,9 @@ Subcommands write plain text or CSV so runs compose in shell pipelines, and
 read every trajectory file against one public list of locations, --universe.
 Every command that consumes randomness takes --seed (falling back to the
 DPTRAJ_SEED environment variable, then to a fresh random seed) and is
-bit-reproducible given the same seed and flags.
+bit-reproducible given the same seed and flags. sanitize's seed is the key to
+its noise: it is never printed, and --seed-out PATH keeps it in an
+owner-only file.
 
 Exit codes: 0 success, 1 I/O or data-format failure, 2 invalid parameters,
 3 location outside the --universe file.
@@ -110,6 +112,12 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     if args.dump_tree:
         with open(args.dump_tree, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dump_tree(tree))
+    if args.seed_out:
+        # The seed is a key: readable by its owner only, from creation on, and never printed.
+        fd = os.open(args.seed_out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o600)  # a file that was there keeps its mode otherwise
+            fh.write(f"{seed}\n")
 
     print(f"input={args.input} records={records} universe={len(universe)}")
     print(
@@ -235,6 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--theta-mult", type=_positive_float, default=2.0, dest="theta_mult")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
+    p.add_argument(
+        "--seed-out", default=None, dest="seed_out", metavar="PATH",
+        help="write the seed used, given or drawn, to PATH (mode 0600); keep it secret",
+    )
     p.set_defaults(func=cmd_sanitize)
 
     # What both evaluators take; --height is an int for eval-count, a label for eval-fsp.

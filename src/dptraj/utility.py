@@ -256,7 +256,8 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
     both fit int32. A popped pattern sorts the tokens after those positions
     by (location, entry) and keeps each pair's first: one weighted
     ``bincount`` gives every extension's support, and each location's run is
-    that extension's projection, sliced out when the extension is popped.
+    that extension's projection. Each pushed extension holds a copy of its
+    run, so the whole family is freed once its best extensions are pushed.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
@@ -269,7 +270,7 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
     while True:
         left = k - len(patterns)
         if max_len is None or len(pattern) < max_len:
-            support, runs, family = _extensions(db, ids, skips)
+            support, runs, (family_ids, family_skips) = _extensions(db, ids, skips)
             run_ends = np.cumsum(runs)
             children = np.flatnonzero(runs)
             children = children[np.lexsort((children, -support[children]))[:left]]
@@ -279,16 +280,17 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
                 (run_ends - runs)[children].tolist(),
                 run_ends[children].tolist(),
             ):
-                heapq.heappush(heap, (-count, len(pattern) + 1, pattern + (loc,), family, lo, hi))
+                projection = family_ids[lo:hi].copy(), family_skips[lo:hi].copy()
+                heapq.heappush(heap, (-count, len(pattern) + 1, pattern + (loc,), projection))
+            del family_ids, family_skips  # freed now: no pushed extension holds a view
             if len(heap) > 2 * left:
                 heap = heapq.nsmallest(left, heap)
         if not heap:
             break
-        neg_support, _, pattern, (family_ids, family_skips), lo, hi = heapq.heappop(heap)
+        neg_support, _, pattern, (ids, skips) = heapq.heappop(heap)
         patterns.append(SeqPattern(locations=pattern, support=-neg_support))
         if len(patterns) == k:
             break
-        ids, skips = family_ids[lo:hi], family_skips[lo:hi]
     if len(patterns) < k:
         logger.warning("only %d patterns with support >= 1; requested top %d", len(patterns), k)
     return patterns

@@ -13,7 +13,8 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, stdin=None):
+    """Run ``dptraj`` with ``args``; ``stdin`` (text) is fed to it through a pipe."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
@@ -23,6 +24,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        input=stdin,
     )
 
 
@@ -157,6 +159,55 @@ class TestSanitize:
             for text in (result.stdout, result.stderr):
                 assert "seed=" not in text
                 assert "123456789" not in text and "987654321" not in text
+
+    def test_seed_out_keeps_a_drawn_seed_for_the_owner(self, tmp_path, sample_paths, monkeypatch):
+        # A drawn seed is written only where asked, owner-only, and reproduces the release.
+        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
+        data, universe = sample_paths
+        args = ("sanitize", "--input", data, "--universe", universe, "--epsilon", "2.0",
+                "--height", "3")
+        seed_file = tmp_path / "seed.txt"
+        drawn = run_cli(*args, "--output", tmp_path / "drawn.txt", "--seed-out", seed_file)
+        assert drawn.returncode == 0, drawn.stderr
+        assert seed_file.stat().st_mode & 0o777 == 0o600
+        seed = seed_file.read_text(encoding="utf-8")
+        assert re.fullmatch(r"\d+\n", seed)
+        for text in (drawn.stdout, drawn.stderr):
+            assert "seed=" not in text and seed.strip() not in text
+        again = run_cli(*args, "--output", tmp_path / "again.txt", "--seed", seed.strip())
+        assert again.returncode == 0, again.stderr
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "drawn.txt").read_bytes()
+        # A given seed is written as given, and an open file loses its wider mode.
+        seed_file.chmod(0o644)
+        given = run_cli(*args, "--output", tmp_path / "given.txt", "--seed", "7",
+                        "--seed-out", seed_file)
+        assert given.returncode == 0, given.stderr
+        assert seed_file.read_text(encoding="utf-8") == "7\n"
+        assert seed_file.stat().st_mode & 0o777 == 0o600
+
+    def test_file_parts_and_a_pipe_give_the_same_outputs(
+        self, tmp_path, recipe_corpus, monkeypatch, capsys
+    ):
+        # Read from the file in forced parts, in process, and from a pipe,
+        # which is always one part: the release and the dump are the same bytes.
+        from dptraj import cli, model
+
+        corpus, universe = recipe_corpus
+        monkeypatch.setattr(model, "_PART_BYTES", 1 << 10)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+        assert len(model._cuts(str(corpus))) == 4
+        flags = ["--universe", str(universe), "--epsilon", "1", "--height", "8", "--seed", "42"]
+        parts, pipe = ((tmp_path / f"{name}.txt", tmp_path / f"{name}-tree.txt")
+                       for name in ("parts", "pipe"))
+        assert cli.main(["sanitize", "--input", str(corpus), *flags, "--output", str(parts[0]),
+                         "--dump-tree", str(parts[1])]) == 0
+        capsys.readouterr()
+        result = run_cli("sanitize", "--input", "/dev/stdin", *flags, "--output", pipe[0],
+                         "--dump-tree", pipe[1], stdin=corpus.read_text(encoding="utf-8"))
+        assert result.returncode == 0, result.stderr
+        for got, want in zip(parts, pipe):
+            assert got.read_bytes() == want.read_bytes()
+        assert parts[0].stat().st_size and parts[1].stat().st_size
 
     def test_drawn_seed_has_128_bits(self, monkeypatch):
         from dptraj.cli import _resolve_seed

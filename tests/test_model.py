@@ -1,8 +1,12 @@
+import gc
 import os
 import random
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,6 +143,163 @@ class TestLoad:
         path.write_text("\n".join(lines) + "\nA C\n\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"d\.txt:44: blank line"):
             load_db(str(path), abc_universe)
+
+
+class TestSplitLoad:
+    """A file read in several parts, forked readers and all, reads as one part does."""
+
+    @pytest.fixture()
+    def split(self, monkeypatch):
+        """Make every file of a few bytes or more read in up to ``cpus`` parts."""
+
+        def force(cpus=4):
+            monkeypatch.setattr(model, "_PART_BYTES", 4)
+            monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+
+        return force
+
+    @staticmethod
+    def one_part(path, universe_path):
+        with mock.patch.object(model, "_usable_cpus", lambda: 1):
+            return load_db(path, universe_path)
+
+    @staticmethod
+    def raised(path, universe_path):
+        with pytest.raises(ValueError) as info:
+            load_db(path, universe_path)
+        return type(info.value), str(info.value)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"A B\nC\nA B\nB C A\nC\nA B\nA\nC C\n" * 5,
+            b"A B\r\nC\r\nA B\r\nB C A\r\nC\r\n" * 5,  # CRLF
+            b"A B\rC\nA B\rB C A\nC\r\nA\rC C\n" * 5,  # lone CRs among the LFs
+            b"A B\nC\nA B\nB C A\nC\nA B\nA\nC C\n" * 5 + b"B A",  # no final newline
+            "A B\nC\n".encode() * 30 + b"  A \t B  \n",
+        ],
+        ids=["lf", "crlf", "lone-cr", "no-final-newline", "spaces"],
+    )
+    def test_parts_hold_the_one_part_multiset(self, tmp_path, abc_universe, split, data):
+        path = tmp_path / "d.txt"
+        path.write_bytes(data)
+        expected, _ = self.one_part(str(path), abc_universe)
+        for cpus in (2, 3, 4):
+            split(cpus)
+            cuts = model._cuts(str(path))
+            assert len(cuts) == cpus + 1 and cuts[-1] == len(data)
+            assert all(data[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
+            db, _ = load_db(str(path), abc_universe)
+            assert Counter(db.trajectories) == Counter(expected.trajectories)
+            assert db.weights.sum() == len(db)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("count_bytes", [1, 2, 1 << 16])
+    def test_every_line_aligned_cut(self, tmp_path, abc_universe, monkeypatch, count_bytes):
+        # Parts cut after each newline in turn, two parts and three, CRs
+        # included; lines are counted in blocks that split CRLF pairs or not.
+        monkeypatch.setattr(model, "_COUNT_BYTES", count_bytes)
+        data = b"A B\r\nC\rA B\nB C A\r\nC\nA B\rA\nC C\r\nB\n"
+        path = tmp_path / "d.txt"
+        path.write_bytes(data)
+        expected, universe = self.one_part(str(path), abc_universe)
+        after = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
+        lookup = universe._index.__getitem__
+        for cuts in [[0, c, len(data)] for c in after] + [[0, *after[1:3], len(data)]]:
+            db = model._load_parts(str(path), lookup, cuts)
+            assert len(db.weights) >= len(expected.weights)
+            assert Counter(db.trajectories) == Counter(expected.trajectories)
+        self.assert_no_child_left()
+
+    def test_pipes_small_files_and_threaded_processes_are_one_part(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"A\n" * 100)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
+        assert model._cuts(str(path)) == []  # under two parts' floor
+        monkeypatch.setattr(model, "_PART_BYTES", 4)
+        assert len(model._cuts(str(path))) == 5
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert model._cuts(str(fifo)) == []  # stat alone: the pipe is not opened
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert model._cuts(str(path)) == []  # a fork would not carry the thread
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(model._cuts(str(path))) == 5
+        monkeypatch.delattr(os, "fork")
+        assert model._cuts(str(path)) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"A D\n", b"\n", b"   \n", b"A \xff B\n"],
+        ids=["unknown-token", "blank-line", "spaces-only", "not-utf8"],
+    )
+    def test_error_in_a_later_part_is_the_one_part_error(self, tmp_path, abc_universe, split, bad):
+        good = b"A B\nC\nB C A\n" * 40
+        path = tmp_path / "d.txt"
+        path.write_bytes(2 * good + bad + good)
+        expected = self.raised(str(path), abc_universe)  # one part: the file is small
+        split(2)
+        cuts = model._cuts(str(path))
+        assert cuts[1] <= 2 * len(good) < cuts[2]  # the bad line lies in the second part
+        assert self.raised(str(path), abc_universe) == expected
+        self.assert_no_child_left()
+
+    def test_blank_line_just_after_a_cut(self, tmp_path, abc_universe, monkeypatch):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"A B\nC\n" * 20 + b"\n" + b"C\n" * 20)
+        expected = self.raised(str(path), abc_universe)
+        assert expected == (DataFormatError, f"{path}:41: blank line")
+        monkeypatch.setattr(model, "_cuts", lambda _: [0, 6 * 20, path.stat().st_size])
+        assert self.raised(str(path), abc_universe) == expected
+        self.assert_no_child_left()
+
+    def test_no_child_and_no_open_file_left(self, tmp_path, abc_universe, split):
+        # The fork also raises no DeprecationWarning about threads, where Python warns of them.
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_bytes(b"A B\nC\n" * 200)
+        bad.write_bytes(b"A B\nC\n" * 200 + b"A D\n")
+        split(3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            db, _ = load_db(str(good), abc_universe)
+            self.assert_no_child_left()
+            with pytest.raises(UnknownLocationError, match=r"bad\.txt:401: unknown location 'D'"):
+                load_db(str(bad), abc_universe)
+            self.assert_no_child_left()
+            gc.collect()
+        assert len(db) == 400
+        assert [str(w.message) for w in caught] == []
+
+    def test_failed_child_is_reaped_and_the_file_read_again(self, tmp_path, abc_universe, split):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"A B\nC\n" * 200)
+        split(3)
+        expected, _ = self.one_part(str(path), abc_universe)
+        calls, parse = [], model._parse_part
+
+        def parse_part(path, lookup, start, end, last):
+            calls.append(os.getpid())
+            if last:
+                os._exit(3)  # a child dies before it sends anything
+            return parse(path, lookup, start, end, last)
+
+        with mock.patch.object(model, "_parse_part", parse_part):
+            db, _ = load_db(str(path), abc_universe)
+        assert calls == [os.getpid()]  # the children's calls happen in their own processes
+        assert Counter(db.trajectories) == Counter(expected.trajectories)
+        assert len(db.weights) == len(expected.weights)  # read again as one part
+        self.assert_no_child_left()
 
 
 class TestWrite:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dptraj import utility
+from dptraj.model import TrajectoryDb
 from dptraj.utility import (
     PresenceIndex,
     SeqPattern,
@@ -302,6 +304,27 @@ class TestMineTopK:
             assert mine_top_k(db, k, max_len) == expected
         assert ("requested top" in caplog.text) == (len(expected) < k)
         assert rows or expected == []
+
+    def test_popped_families_are_freed(self):
+        # 1,000 records, each every one of 60 locations in a random order: a
+        # family (all of a pattern's extensions) is as large as the records
+        # after the pattern. Holding each popped family while one of its
+        # extensions waits in the heap peaked at 4.5 times the root's family
+        # alone; a copy of each kept extension's run stays near it.
+        rng = np.random.default_rng(0)
+        n, size = 1000, 60
+        tokens = np.concatenate([rng.permutation(size) for _ in range(n)])
+        db = TrajectoryDb(tokens, np.arange(0, n * size + 1, size), np.ones(n, dtype=np.int64))
+        peaks = []
+        for k in (1, 200):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert len(mine_top_k(db, k)) == k
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_duplicate_records_count_individually(self):
         db = records_db([(0, 1)] * 4 + [(1, 0)])
