@@ -96,9 +96,7 @@ def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> boo
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    params = PrivacyParams(
-        epsilon=args.epsilon, height=args.height, theta_multiplier=args.theta_mult
-    )
+    params = PrivacyParams(epsilon=args.epsilon, height=args.height)
     db, universe = load_db(args.input, args.universe)
     records = len(db)
     started = time.perf_counter()
@@ -121,9 +119,9 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
 
     print(f"input={args.input} records={records} universe={len(universe)}")
     print(
-        f"epsilon={params.epsilon:g} height={params.height} theta={params.threshold:.6g} "
-        f"theta_expand={params.expand_threshold(len(universe)):.6g} "
-        f"theta_mult={params.theta_multiplier:g} variant={args.variant}"
+        f"epsilon={params.epsilon:g} height={params.height} "
+        f"theta={params.threshold(len(universe)):.6g} "
+        f"theta_expand={params.expand_threshold(len(universe)):.6g} variant={args.variant}"
     )
     for line in budget_ledger(params).describe():
         print(line)
@@ -194,18 +192,9 @@ def cmd_eval_fsp(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config_values = {}
-    if args.config:
-        import json
-
-        with open(args.config, encoding="utf-8") as fh:
-            config_values.update(json.load(fh))
-    for f in fields(GenConfig):
-        if getattr(args, f.name) is not None:
-            config_values[f.name] = getattr(args, f.name)
-    if "seed" not in config_values or config_values["seed"] is None:
-        config_values["seed"] = _resolve_seed(None)
-    config = GenConfig(**config_values)
+    values = {f.name: getattr(args, f.name) for f in fields(GenConfig)}
+    values["seed"] = _resolve_seed(args.seed)
+    config = GenConfig(**{name: v for name, v in values.items() if v is not None})
     db, universe = generate(config)
     write_db(db, universe, args.output)
     if args.universe_out:
@@ -241,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--universe", required=True, help="public universe file, one token per line")
     p.add_argument("--variant", choices=VARIANTS, default="full")
-    p.add_argument("--theta-mult", type=_positive_float, default=2.0, dest="theta_mult")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")
     p.add_argument(
         "--seed-out", default=None, dest="seed_out", metavar="PATH",
@@ -282,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     p.add_argument("--output", required=True)
     p.add_argument("--universe-out", default=None, dest="universe_out")
-    p.add_argument("--config", default=None, help="JSON file with GenConfig fields")
     types = get_type_hints(GenConfig)
     for f in fields(GenConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], default=None)

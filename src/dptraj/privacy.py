@@ -19,20 +19,28 @@ import numpy as np
 COUNT_SENSITIVITY = 1.0
 
 
+#: Expected empty-born children of an expanded node, whatever the universe's size:
+#: a zero-count candidate passes the pruning threshold with probability KAPPA/|U|.
+#: At |U| = 1,012 it puts the threshold three noise standard deviations up.
+KAPPA = 7.27
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Total budget, tree height, and the derived per-level quantities.
 
-    Candidates whose noisy count is below ``threshold`` (``theta_multiplier``
-    noise standard deviations) are dropped, and a kept node is expanded iff its
-    noisy count reaches :meth:`expand_threshold`, where an empty-born node has
-    half an expanded child on average: the tree's shape depends only on noisy
-    counts. ``theta_multiplier=0`` disables both, for noise-free checks.
+    Both thresholds take one form, ln(x) noise scales (ln(x) / per_level), and
+    read only public values: candidates whose noisy count is below :meth:`threshold`, at
+    x = |U| / (2 KAPPA), are dropped, and a kept node is expanded iff its
+    noisy count reaches :meth:`expand_threshold`, at x = |U|, where an
+    empty-born node has half an expanded child on average. The tree's shape
+    thus depends only on noisy counts. ``thresholded=False`` sets both to 0,
+    for noise-free checks.
     """
 
     epsilon: float
     height: int
-    theta_multiplier: float = 2.0
+    thresholded: bool = True
 
     def __post_init__(self) -> None:
         if not (
@@ -43,10 +51,6 @@ class PrivacyParams:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not (isinstance(self.height, int) and self.height >= 1):
             raise ValueError(f"height must be an integer >= 1, got {self.height!r}")
-        if not (math.isfinite(self.theta_multiplier) and self.theta_multiplier >= 0):
-            raise ValueError(
-                f"theta multiplier must be finite and >= 0, got {self.theta_multiplier!r}"
-            )
         if self.per_level < sys.float_info.min:  # a subnormal share makes the noise scale overflow
             raise ValueError(
                 f"epsilon {self.epsilon!r} is too small to split over {self.height} levels"
@@ -62,19 +66,21 @@ class PrivacyParams:
         """Laplace scale for one noisy count at one level."""
         return COUNT_SENSITIVITY / self.per_level
 
-    @property
-    def threshold(self) -> float:
-        # std of Laplace(scale) is scale * sqrt(2)
-        return self.theta_multiplier * math.sqrt(2.0) * COUNT_SENSITIVITY / self.per_level
+    def _log_threshold(self, x: float) -> float:
+        """max(0, ln x) noise scales, or 0 with thresholds off."""
+        return math.log(max(x, 1.0)) * self.noise_scale if self.thresholded else 0.0
+
+    def threshold(self, universe_size: int) -> float:
+        """Noisy count that keeps a candidate: max(0, ln(|U| / (2 KAPPA))) / per_level."""
+        return self._log_threshold(universe_size / (2.0 * KAPPA))
 
     def expand_threshold(self, universe_size: int) -> float:
-        """Noisy count that expands a kept node: ln|U| / per_level, or 0 if thresholds are off."""
-        return math.log(max(universe_size, 1)) / self.per_level if self.theta_multiplier else 0.0
+        """Noisy count that expands a kept node: ln|U| / per_level."""
+        return self._log_threshold(universe_size)
 
-    @property
-    def pass_probability(self) -> float:
-        """Probability that a zero-count candidate's noisy count clears the threshold."""
-        return math.exp(-self.per_level * self.threshold / COUNT_SENSITIVITY) / 2.0
+    def pass_probability(self, universe_size: int) -> float:
+        """Probability that a zero-count candidate clears the threshold: min(1/2, KAPPA / |U|)."""
+        return math.exp(-self.threshold(universe_size) / self.noise_scale) / 2.0
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,8 @@ def laplace_noise(scale: float, rng, size: int) -> np.ndarray:
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
-def sample_pass_count(m, params: PrivacyParams, rng):
-    """Number of m zero-count candidates whose noisy count would clear the threshold.
+def sample_pass_count(m, params: PrivacyParams, universe_size: int, rng):
+    """How many of m zero-count candidates clear the threshold over ``universe_size`` locations.
 
     Equivalent to running the m independent noisy-count checks and counting
     the passes, but in one binomial draw. ``m`` may be an array of pool
@@ -158,13 +164,15 @@ def sample_pass_count(m, params: PrivacyParams, rng):
     """
     if np.any(np.less(m, 0)):
         raise ValueError(f"candidate count must be >= 0, got {m!r}")
-    return rng.binomial(m, params.pass_probability)
+    return rng.binomial(m, params.pass_probability(universe_size))
 
 
-def sample_passing_noisy_count(params: PrivacyParams, rng, size: int) -> np.ndarray:
+def sample_passing_noisy_count(
+    params: PrivacyParams, universe_size: int, rng, size: int
+) -> np.ndarray:
     """``size`` noisy counts for zero-count candidates conditioned on clearing the threshold.
 
-    The conditional law is the threshold plus an exponential with rate equal
-    to the per-level budget; sampled as ``threshold - log(1 - u) / rate``.
+    The conditional law is ``params.threshold(universe_size)`` plus an exponential
+    with rate equal to the per-level budget; sampled as ``threshold - log(1 - u) / rate``.
     """
-    return params.threshold - np.log1p(-rng.random(size)) / params.per_level
+    return params.threshold(universe_size) - np.log1p(-rng.random(size)) / params.per_level

@@ -184,11 +184,11 @@ def _next_depth(
     # empty-born child; and its noisy count.
     draws = counts + laplace_noise(params.noise_scale, rng, size=len(counts))
     pool = universe_size - runs
-    n_born = sample_pass_count(pool, params, rng)
+    n_born = sample_pass_count(pool, params, universe_size, rng)
     bearer, rank = _spans(np.zeros_like(n_born), n_born)
     slots = rng.integers(rank, pool[bearer])
-    values = sample_passing_noisy_count(params, rng, size=len(slots))
-    kept = draws >= params.threshold
+    values = sample_passing_noisy_count(params, universe_size, rng, size=len(slots))
+    kept = draws >= params.threshold(universe_size)
     born = _empty_born_locations(loc, runs, bearer, rank, slots, universe_size)
     # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
     empty = np.zeros(len(born), dtype=np.int64)

@@ -164,7 +164,7 @@ def reference_noisy_tree(
     cum = [0, *accumulate(db.weights[order].tolist())]  # cum[j] - cum[i]: records in rows[i:j]
     rows = list(map(entries.__getitem__, order))
     universe_size = len(universe)
-    theta_expand = params.expand_threshold(universe_size)
+    theta, theta_expand = params.threshold(universe_size), params.expand_threshold(universe_size)
 
     # (prefix, noisy count, true count), parents first and siblings in birth order.
     nodes: list[tuple[tuple[int, ...], float, int]] = [((), float("nan"), cum[-1])]
@@ -189,16 +189,18 @@ def reference_noisy_tree(
         candidates = [(path, run) for (path, _, _), own in zip(frontier, runs) for run in own]
         noise = laplace_noise(params.noise_scale, rng, size=len(candidates)).tolist()
         pools = [universe_size - len(own) for own in runs]
-        passing = sample_pass_count(pools, params, rng).tolist()
+        passing = sample_pass_count(pools, params, universe_size, rng).tolist()
         low = np.array([i for n in passing for i in range(n)], dtype=np.int64)
         high = np.array([m for m, n in zip(pools, passing) for _ in range(n)], dtype=np.int64)
         slots = iter(rng.integers(low, high).tolist())
-        values = iter(sample_passing_noisy_count(params, rng, size=len(low)).tolist())
+        values = iter(
+            sample_passing_noisy_count(params, universe_size, rng, size=len(low)).tolist()
+        )
 
         next_frontier = []
         for (path, (loc, i, j)), e in zip(candidates, noise):
             count = cum[j] - cum[i]
-            if count + e >= params.threshold:
+            if count + e >= theta:
                 nodes.append((path + (loc,), count + e, count))
                 if count + e >= theta_expand:
                     next_frontier.append((path + (loc,), i, j))

@@ -88,7 +88,7 @@ def _stm_like(n_records: int, n_locations: int) -> GenConfig:
 
 def test_criterion_1_zero_noise_identity():
     rnd = random.Random(20240)
-    params = PrivacyParams(epsilon=1.0, height=8, theta_multiplier=0.0)
+    params = PrivacyParams(epsilon=1.0, height=8, thresholded=False)
     source = ZeroNoiseSource()
     cases = []
     for _ in range(100):
@@ -148,15 +148,15 @@ def test_criterion_3_one_shot_empty_candidate_process():
 
     process_rng = RandomSource(404).stream(0)
     pass_counts = np.array(
-        [sample_pass_count(m, params, process_rng) for _ in range(trials)]
+        [sample_pass_count(m, params, m, process_rng) for _ in range(trials)]
     )
     process_values = sample_passing_noisy_count(
-        params, process_rng, size=int(pass_counts.sum())
+        params, m, process_rng, size=int(pass_counts.sum())
     )
 
     naive_rng = RandomSource(405).stream(0)
     noise = naive_rng.laplace(scale=params.noise_scale, size=(trials, m))
-    naive_mask = noise >= params.threshold
+    naive_mask = noise >= params.threshold(m)
     naive_values = noise[naive_mask]
 
     total = trials * m
@@ -307,6 +307,17 @@ def test_criterion_7_scalability():
         f"{[round(t, 2) for t in record_times]}s, locations "
         f"{[round(t, 2) for t in location_times]}s); full scale {full_scale:.1f}s <= 120s",
     )
+
+
+@pytest.mark.parametrize("n_locations", [4000, 8000])
+def test_large_universe_release_stays_near_input_size(n_locations):
+    # On criterion 7's recipe an expanded node bears about kappa empty-born
+    # children whatever |U| is. At the paper's fixed two-sigma threshold it bore
+    # about 0.03 |U|, and the release was 7-9x the input here.
+    db, universe = generate(_stm_like(20_000, n_locations))
+    params = PrivacyParams(epsilon=1.0, height=12)
+    release, _ = sanitize(db, universe, params, RandomSource(7), variant="full")
+    assert len(release) <= 1.5 * len(db), f"released {len(release)} for {len(db)} records"
 
 
 def test_criterion_8_budget_ledger_exact():

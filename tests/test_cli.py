@@ -89,9 +89,10 @@ class TestSanitize:
         universe.write_text("a\nb\nc\n", encoding="utf-8")
         for variant in ("full", "basic"):
             out = tmp_path / f"{variant}.txt"
+            # Each zero-count candidate passes with probability 1/2; at seed 25 none does.
             result = run_cli(
                 "sanitize", "--input", data, "--universe", universe, "--output", out,
-                "--epsilon", "0.1", "--height", "3", "--seed", "1", "--variant", variant,
+                "--epsilon", "0.1", "--height", "3", "--seed", "25", "--variant", variant,
             )
             assert result.returncode == 0, (variant, result.stderr)
             assert "tree.nodes=0 " in result.stdout
@@ -113,7 +114,7 @@ class TestSanitize:
         assert out.read_bytes() == b"" and dump.read_bytes() == b""
 
     def test_deterministic_given_seed(self, tmp_path, sample_paths):
-        # threshold works out to 2.0 for this budget/height split
+        # over 4 locations, fewer than 2 kappa, the pruning threshold is 0
         data, universe = sample_paths
         outputs = []
         for name in ("a.txt", "b.txt"):
@@ -124,7 +125,7 @@ class TestSanitize:
                 "--universe", universe,
             )
             assert result.returncode == 0, result.stderr
-            assert "theta=2" in result.stdout
+            assert "theta=0" in result.stdout.split()
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -291,8 +292,7 @@ class TestSanitize:
                 "--seed", "0", "--universe", universe)
         for flags, name in [
             (("--epsilon", "inf"), "epsilon"),
-            (("--epsilon", "1", "--theta-mult", "nan"), "--theta-mult"),
-            (("--epsilon", "1", "--theta-mult", "0"), "--theta-mult"),
+            (("--epsilon", "nan"), "epsilon"),
         ]:
             result = run_cli(*base, *flags)
             assert result.returncode == 2, flags
@@ -334,17 +334,26 @@ class TestSanitize:
         assert f"{universe}:1" in result.stderr
 
     def test_theta_mult_flag_and_expand_threshold(self, tmp_path, sample_paths):
+        # The thresholds are worked out from public values; no flag sets them.
         data, universe = sample_paths
-        out = tmp_path / "release.txt"
         result = run_cli(
-            "sanitize", "--input", data, "--output", out, "--epsilon", "4.0",
-            "--height", "3", "--seed", "2", "--universe", universe,
-            "--theta-mult", "0.5",
+            "sanitize", "--input", data, "--output", tmp_path / "release.txt",
+            "--epsilon", "1", "--seed", "0", "--universe", universe, "--theta-mult", "2",
         )
-        assert result.returncode == 0, result.stderr
-        assert "theta_mult=0.5" in result.stdout.split()
-        # ln(4 locations) / (4.0 / 3 per level)
-        assert "theta_expand=1.03972" in result.stdout.split()
+        assert result.returncode == 2 and "--theta-mult" in result.stderr
+        assert not (tmp_path / "release.txt").exists()
+        wide = tmp_path / "wide-universe.txt"
+        wide.write_text("".join(f"L{i}\n" for i in range(1, 1013)), encoding="utf-8")
+        # ln(|U| / (2 kappa)), at least 0, and ln|U|, each over 4.0 / 3 per level.
+        for path, theta, theta_expand in ((universe, "0", "1.03972"), (wide, "3.18209", "5.18976")):
+            result = run_cli(
+                "sanitize", "--input", data, "--output", tmp_path / "release.txt",
+                "--epsilon", "4.0", "--height", "3", "--seed", "2", "--universe", path,
+            )
+            assert result.returncode == 0, result.stderr
+            manifest = result.stdout.split()
+            assert f"theta={theta}" in manifest and f"theta_expand={theta_expand}" in manifest
+            assert not [item for item in manifest if item.startswith("theta_mult=")]
 
 
 class TestSanitizeStages:
@@ -516,52 +525,59 @@ class TestEvalCount:
 
 
 class TestPinnedRelease:
-    """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus.
+    """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus and a narrow one.
 
-    The digests were recorded when the expansion rule moved to noisy counts;
-    any change to a draw, to the child order, to which nodes are expanded or
-    to the inference arithmetic shows up here.
+    The digests were recorded when the pruning threshold came to follow the
+    universe's size; any change to a draw, to the child order, to which nodes
+    are kept or expanded or to the inference arithmetic shows up here.
     """
 
-    CORPUS = "07c4cdd7e0a9fc577e9780745ca9237fd28e5f9231508c99029ae90894e17310"
+    CORPORA = {
+        # --n-locations: corpus digest. Under 2 kappa locations the pruning threshold
+        # is 0, so half of the empty candidates pass and the one-shot sampler's swaps collide.
+        "40": "07c4cdd7e0a9fc577e9780745ca9237fd28e5f9231508c99029ae90894e17310",
+        "12": "60e4f84010a05d09ebdceca346f0c9aaec9b0c81a955fc176a3d0436b119d2c6",
+    }
     RUNS = {
-        # flags: (release digest, --dump-tree digest)
-        ("--variant", "full"): (
-            "77d8699b2254b87a473712e19e6bdb918eee85d04ac83208f8e019c2c526b176",
-            "79b1056c58343b43d7dfd17e6a87dc1bf4a6b4a53f890ed50383f7fbe3e5aec5",
+        # (--n-locations, --variant): (release digest, --dump-tree digest)
+        ("40", "full"): (
+            "88897685d25ced88aab9ae4e9b59d8c79ecd2916fb68e1da6c739cabadcbf343",
+            "0f7ff27ad9c41b0db385d3dac82b19b52070d1d403499d22b57f40304935a2b5",
         ),
-        ("--variant", "basic"): (
-            "c69ab33773d474e8212b119f971259bdf06ef7f4b70eee8861c44bf9fa455fb9",
-            "79b1056c58343b43d7dfd17e6a87dc1bf4a6b4a53f890ed50383f7fbe3e5aec5",
+        ("40", "basic"): (
+            "7b50723e1b9509e738f1a1e558c8179c21f1f332d8dbdd261c24baa6ac27e9e5",
+            "0f7ff27ad9c41b0db385d3dac82b19b52070d1d403499d22b57f40304935a2b5",
         ),
-        # ~43% of empty candidates pass, so the one-shot sampler's swaps collide.
-        ("--theta-mult", "0.1"): (
-            "04ab46b588cb53821e9563ae7568c1732e0988ac820811299aebb82d9b8f99b1",
-            "5ad3a59bdab2dcd256707ebcf7a013ccb300e386b1a864e2ff864f31b3c6f270",
+        ("12", "full"): (
+            "e5510fee90f6fd3e9cdb50e04615ee6289b2e94d89dcbdc6dd44c4b66abd8cbf",
+            "70d7726eaff7f4de6f5337ccbee726aabb07cc5a83ca4e48a43c239b25fe59e8",
         ),
     }
 
     def test_release_and_dump_digests(self, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        universe = tmp_path / "universe.txt"
-        result = run_cli(
-            "gen", "--output", corpus, "--universe-out", universe,
-            "--n-locations", "40", "--n-records", "4000", "--avg-len", "5",
-            "--max-len", "12", "--n-planted-routes", "5", "--zipf-skew", "0.8",
-            "--seed", "21",
-        )
-        assert result.returncode == 0, result.stderr
-        assert hashlib.sha256(corpus.read_bytes()).hexdigest() == self.CORPUS
-        for flags, (release_digest, dump_digest) in self.RUNS.items():
-            out, dump = tmp_path / "release.txt", tmp_path / "tree.txt"
+        for n_locations, corpus_digest in self.CORPORA.items():
+            corpus = tmp_path / f"corpus-{n_locations}.txt"
+            universe = tmp_path / f"universe-{n_locations}.txt"
             result = run_cli(
-                "sanitize", "--input", corpus, "--output", out, "--epsilon", "1.0",
-                "--height", "8", "--seed", "33", "--universe", universe,
-                "--dump-tree", dump, *flags,
+                "gen", "--output", corpus, "--universe-out", universe,
+                "--n-locations", n_locations, "--n-records", "4000", "--avg-len", "5",
+                "--max-len", "12", "--n-planted-routes", "5", "--zipf-skew", "0.8",
+                "--seed", "21",
             )
             assert result.returncode == 0, result.stderr
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == release_digest, flags
-            assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest, flags
+            assert hashlib.sha256(corpus.read_bytes()).hexdigest() == corpus_digest
+        for (n_locations, variant), (release_digest, dump_digest) in self.RUNS.items():
+            out, dump = tmp_path / "release.txt", tmp_path / "tree.txt"
+            result = run_cli(
+                "sanitize", "--input", tmp_path / f"corpus-{n_locations}.txt",
+                "--universe", tmp_path / f"universe-{n_locations}.txt", "--output", out,
+                "--epsilon", "1.0", "--height", "8", "--seed", "33", "--variant", variant,
+                "--dump-tree", dump,
+            )
+            assert result.returncode == 0, result.stderr
+            key = (n_locations, variant)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == release_digest, key
+            assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest, key
 
 
 class TestEvalFsp:
@@ -656,19 +672,6 @@ class TestGenAndStats:
         assert stats.returncode == 0, stats.stderr
         assert stats.stdout.startswith("length,count")
         assert "records=200" in stats.stderr
-
-    def test_gen_config_file_with_flag_override(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(
-            '{"n_locations": 5, "n_records": 50, "avg_len": 2, "max_len": 6, "seed": 1}',
-            encoding="utf-8",
-        )
-        out = tmp_path / "corpus.txt"
-        result = run_cli(
-            "gen", "--output", out, "--config", config, "--n-records", "75",
-        )
-        assert result.returncode == 0, result.stderr
-        assert "records=75" in result.stdout
 
     def test_gen_deterministic(self, tmp_path):
         blobs = []

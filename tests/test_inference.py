@@ -171,7 +171,8 @@ class TestConsolidate:
         rnd = random.Random(11)
         rows = [[rnd.randrange(6) for _ in range(rnd.randint(1, 4))] for _ in range(600)]
         params = PrivacyParams(epsilon=2.0, height=4)
-        tree = build_noisy_tree(records_db(rows), make_universe(6), params, RandomSource(3))
+        # Two locations no record visits: their empty-born nodes end short records.
+        tree = build_noisy_tree(records_db(rows), make_universe(8), params, RandomSource(1))
         leaves = np.flatnonzero((tree.n_children == 0) & (tree.depth > 0))
         lengths, per_length = np.unique(tree.depth[leaves], return_counts=True)
         assert len(lengths) >= 3

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dptraj.privacy import (
+    KAPPA,
     PrivacyParams,
     RandomSource,
     budget_ledger,
@@ -29,33 +30,31 @@ class TestPrivacyParams:
         assert params.noise_scale == pytest.approx(2.0)
 
     def test_threshold_worked_example(self):
-        params = PrivacyParams(epsilon=3 * math.sqrt(2), height=3)
-        assert params.per_level == pytest.approx(math.sqrt(2))
-        assert params.threshold == pytest.approx(2.0)
+        # At |U| = 1,012 the threshold sits three noise standard deviations up.
+        params = PrivacyParams(epsilon=3.0, height=3)
+        assert params.threshold(1012) == pytest.approx(3 * math.sqrt(2), rel=1e-4)
+        assert params.threshold(1012) == pytest.approx(math.log(1012 / (2 * KAPPA)))
+        assert params.pass_probability(1012) == pytest.approx(KAPPA / 1012)
 
     def test_pass_probability_constant_in_budget(self):
-        # with the default multiplier the exponent is always 2*sqrt(2)
-        expected = math.exp(-2 * math.sqrt(2)) / 2
-        assert expected == pytest.approx(0.029552873, abs=1e-8)
+        # kappa / |U| over 2 kappa locations or more, and 1/2 (theta = 0) below.
         for epsilon, height in [(0.5, 12), (1.0, 7), (9.0, 2)]:
             params = PrivacyParams(epsilon=epsilon, height=height)
-            assert params.pass_probability == pytest.approx(expected)
-            assert 0 < params.pass_probability < 0.5
-            assert params.threshold > 0
+            for size in (15, 16, 1012, 8000):
+                assert params.threshold(size) > 0
+                assert params.pass_probability(size) == pytest.approx(KAPPA / size)
+            for size in (0, 1, 2, 14):
+                assert params.threshold(size) == 0.0
+                assert params.pass_probability(size) == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=0.0, height=3)
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, height=0)
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=1.0, height=2, theta_multiplier=-1)
         for bad in (math.nan, math.inf, -math.inf, 5e-324):
             with pytest.raises(ValueError, match="epsilon"):
                 PrivacyParams(epsilon=bad, height=3)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="theta multiplier"):
-                PrivacyParams(epsilon=1.0, height=3, theta_multiplier=bad)
 
     @given(
         st.one_of(
@@ -69,44 +68,41 @@ class TestPrivacyParams:
             PrivacyParams(epsilon=epsilon, height=height)
 
     @given(
-        st.one_of(
-            st.floats(max_value=0.0, exclude_max=True),
-            st.sampled_from([math.nan, math.inf, -math.inf]),
-        ),
-    )
-    def test_rejects_non_finite_or_negative_theta_multiplier(self, theta_multiplier):
-        # Zero stays valid: it switches thresholding off (see below).
-        with pytest.raises(ValueError, match="theta multiplier"):
-            PrivacyParams(epsilon=1.0, height=3, theta_multiplier=theta_multiplier)
-
-    @given(
         st.floats(min_value=1e-3, max_value=1e3),
         st.integers(1, 20),
-        st.floats(min_value=0.0, max_value=10.0),
+        st.integers(0, 10**7),
     )
-    def test_accepts_finite_positive_parameters(self, epsilon, height, theta_multiplier):
-        params = PrivacyParams(epsilon=epsilon, height=height, theta_multiplier=theta_multiplier)
+    def test_accepts_finite_positive_parameters(self, epsilon, height, universe_size):
+        params = PrivacyParams(epsilon=epsilon, height=height)
         assert math.isfinite(params.noise_scale) and params.noise_scale > 0
-        assert math.isfinite(params.threshold) and params.threshold >= 0
-        assert 0 < params.pass_probability <= 0.5
+        theta = params.threshold(universe_size)
+        assert math.isfinite(theta) and 0 <= theta <= params.expand_threshold(universe_size)
+        assert 0 < params.pass_probability(universe_size) <= 0.5
 
-    def test_zero_multiplier_disables_threshold(self):
-        params = PrivacyParams(epsilon=1.0, height=4, theta_multiplier=0.0)
-        assert params.threshold == 0.0
-        assert params.pass_probability == pytest.approx(0.5)
+    def test_unthresholded_params_disable_both_thresholds(self):
+        params = PrivacyParams(epsilon=1.0, height=4, thresholded=False)
+        for size in (0, 14, 1012):
+            assert params.threshold(size) == params.expand_threshold(size) == 0.0
+            assert params.pass_probability(size) == 0.5
 
     def test_expand_threshold(self):
         params = PrivacyParams(epsilon=1.0, height=12)
         assert params.expand_threshold(1012) == pytest.approx(12 * math.log(1012))  # 83.04
-        # An expanded empty-born node: each of |U| zero-count candidates passes and
-        # reaches the expand threshold with probability 1 / (2|U|), half a child in all.
-        above = math.exp(-params.per_level * (params.expand_threshold(1012) - params.threshold))
-        assert 1012 * params.pass_probability * above == pytest.approx(0.5)
-        # Below the threshold, so every kept node is expanded, iff |U| <= 16.
-        assert [params.expand_threshold(u) < params.threshold for u in (16, 17)] == [True, False]
+        # One form: the thresholds are ln(|U| / (2 kappa)) and ln|U| over the level budget.
+        for size in (15, 16, 17, 1012, 8000):
+            gap = params.expand_threshold(size) - params.threshold(size)
+            assert gap == pytest.approx(math.log(2 * KAPPA) / params.per_level)
+        # Below 2 kappa locations the threshold is 0, never above the expand threshold.
+        for size in (2, 14):
+            assert params.threshold(size) == 0.0 < params.expand_threshold(size)
         assert params.expand_threshold(0) == params.expand_threshold(1) == 0.0
-        zero = PrivacyParams(epsilon=1.0, height=12, theta_multiplier=0.0)
-        assert zero.expand_threshold(1012) == 0.0
+        # An expanded empty-born node: its zero-count candidates pass and reach the
+        # expand threshold with probability 1 / (2|U|) each, half a child in all.
+        for size in (1, 2, 14, 15, 16, 17, 1012, 8000):
+            above = math.exp(
+                -params.per_level * (params.expand_threshold(size) - params.threshold(size))
+            )
+            assert size * params.pass_probability(size) * above == pytest.approx(0.5)
 
 
 class TestNeighbouringAudit:
@@ -176,16 +172,16 @@ class TestLaplace:
 class TestPassCount:
     def test_zero_candidates(self):
         params = PrivacyParams(epsilon=1.0, height=2)
-        assert sample_pass_count(0, params, RandomSource(1).stream(0)) == 0
+        assert sample_pass_count(0, params, 1012, RandomSource(1).stream(0)) == 0
 
     def test_negative_rejected(self):
         params = PrivacyParams(epsilon=1.0, height=2)
         with pytest.raises(ValueError):
-            sample_pass_count(-1, params, RandomSource(1).stream(0))
+            sample_pass_count(-1, params, 1012, RandomSource(1).stream(0))
 
     def test_binomial_mean(self):
         params = PrivacyParams(epsilon=1.0, height=2)
-        p = params.pass_probability
+        p = params.pass_probability(1012)
         m, trials = 1000, 100_000
         rng = RandomSource(11).stream(0)
         draws = rng.binomial(m, p, size=trials)
@@ -193,11 +189,11 @@ class TestPassCount:
         assert abs(draws.mean() - m * p) < 3 * se
 
     def test_bounded_by_candidates(self):
-        params = PrivacyParams(epsilon=0.1, height=1, theta_multiplier=0.1)
+        params = PrivacyParams(epsilon=0.1, height=1)  # over 10 locations, half pass
         rng = RandomSource(5).stream(0)
         for m in (1, 3, 10):
             for _ in range(200):
-                assert 0 <= sample_pass_count(m, params, rng) <= m
+                assert 0 <= sample_pass_count(m, params, 10, rng) <= m
 
 
 class TestPassingNoisyCount:
@@ -208,21 +204,21 @@ class TestPassingNoisyCount:
             def random(self, size):
                 return np.zeros(size)
 
-        values = sample_passing_noisy_count(params, _Zero(), size=1)
-        assert values == pytest.approx(params.threshold)
+        values = sample_passing_noisy_count(params, 1012, _Zero(), size=1)
+        assert values == pytest.approx(params.threshold(1012))
 
     def test_support_above_threshold(self):
         params = PrivacyParams(epsilon=1.0, height=4)
         rng = RandomSource(21).stream(0)
-        draws = sample_passing_noisy_count(params, rng, size=20_000)
-        assert (draws >= params.threshold).all()
+        draws = sample_passing_noisy_count(params, 1012, rng, size=20_000)
+        assert (draws >= params.threshold(1012)).all()
 
     def test_shifted_exponential_mean(self):
         params = PrivacyParams(epsilon=1.0, height=4)
         rng = RandomSource(22).stream(0)
         n = 1_000_000
-        draws = sample_passing_noisy_count(params, rng, size=n)
-        expected = params.threshold + 1.0 / params.per_level
+        draws = sample_passing_noisy_count(params, 1012, rng, size=n)
+        expected = params.threshold(1012) + 1.0 / params.per_level
         se = (1.0 / params.per_level) / math.sqrt(n)
         assert abs(draws.mean() - expected) < 3 * se
 
@@ -232,14 +228,14 @@ class TestStatisticalProcessEquivalence:
         # One-shot draw (binomial count + conditional counts) versus noising
         # each empty candidate individually and keeping those >= threshold.
         params = PrivacyParams(epsilon=1.0, height=2)
-        m, trials = 50, 20_000
+        m, trials = 50, 20_000  # the candidates of a root over m locations
         process_rng = RandomSource(31).stream(0)
-        ks = np.array([sample_pass_count(m, params, process_rng) for _ in range(trials)])
-        values = sample_passing_noisy_count(params, process_rng, size=int(ks.sum()))
+        ks = np.array([sample_pass_count(m, params, m, process_rng) for _ in range(trials)])
+        values = sample_passing_noisy_count(params, m, process_rng, size=int(ks.sum()))
 
         naive_rng = RandomSource(32).stream(0)
         noise = naive_rng.laplace(scale=params.noise_scale, size=(trials, m))
-        passing = noise >= params.threshold
+        passing = noise >= params.threshold(m)
         naive_values = noise[passing]
 
         p_process = ks.sum() / (trials * m)

@@ -80,7 +80,7 @@ class TestGenerateRelease:
             ]
             db = records_db(rows)
             universe = make_universe(universe_size)
-            params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
+            params = PrivacyParams(epsilon=1.0, height=6, thresholded=False)
             for variant in ("basic", "full"):
                 release, _ = sanitize(db, universe, params, ZeroNoiseSource(), variant)
                 assert Counter(release.trajectories) == Counter(db.trajectories)
@@ -88,7 +88,7 @@ class TestGenerateRelease:
     def test_zero_noise_truncates_to_height(self):
         db = records_db([(0, 1, 2, 3), (0, 1)])
         universe = make_universe(4)
-        params = PrivacyParams(epsilon=1.0, height=2, theta_multiplier=0.0)
+        params = PrivacyParams(epsilon=1.0, height=2, thresholded=False)
         release, _ = sanitize(db, universe, params, ZeroNoiseSource(), "basic")
         assert Counter(release.trajectories) == Counter([(0, 1), (0, 1)])
 
@@ -159,8 +159,8 @@ class TestGenerateRelease:
 def _release_trees(draw):
     """A noisy tree of a random small database, or a root-only tree.
 
-    Universes fall on both sides of 16 locations, at or below which every kept
-    node is expanded at the default theta multiplier.
+    Universes fall on both sides of 2 KAPPA (about 14.5) locations, below
+    which the pruning threshold is 0 and half of the zero-count candidates pass.
     """
     universe = make_universe(draw(st.integers(1, 30)))
     if draw(st.integers(0, 9)) == 0:
@@ -171,7 +171,6 @@ def _release_trees(draw):
     params = PrivacyParams(
         epsilon=draw(st.sampled_from([0.5, 2.0, 20.0])),
         height=height,
-        theta_multiplier=draw(st.sampled_from([0.1, 2.0])),
     )
     source = RandomSource(draw(st.integers(0, 2**32 - 1)))
     return build_noisy_tree(db, universe, params, source)

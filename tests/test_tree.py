@@ -57,8 +57,8 @@ def _build_cases(draw):
     """A database read back with a small line cache, and the parameters to build its tree with.
 
     Records run past the height, and repeats are split over several entries.
-    Universes fall on both sides of 16 locations, at or below which every kept
-    node is expanded at the default theta multiplier.
+    Universes fall on both sides of 2 KAPPA (about 14.5) locations, below
+    which the pruning threshold is 0 and half of the zero-count candidates pass.
     """
     universe_size = draw(st.integers(1, 60))
     height = draw(st.integers(1, 7))
@@ -69,7 +69,6 @@ def _build_cases(draw):
     params = PrivacyParams(
         epsilon=draw(st.sampled_from([0.5, 2.0, 20.0])),
         height=height,
-        theta_multiplier=draw(st.sampled_from([0.1, 2.0])),
     )
     seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)))
     return rows, make_universe(universe_size), params, seed, draw(st.integers(1, 8))
@@ -155,7 +154,7 @@ class TestNoisyTree:
             # read back with a small line cache, repeats also split into several entries
             cases.append((load_split(rows, universe, 2, tmp_path), universe))
         assert any(len(set(db_entries(db))) < len(db.weights) for db, _ in cases)
-        params = PrivacyParams(epsilon=1.0, height=6, theta_multiplier=0.0)
+        params = PrivacyParams(epsilon=1.0, height=6, thresholded=False)
 
         def signature(tree):
             return sorted(zip(prefixes(tree)[1:], tree.noisy[1:].tolist()))
@@ -170,7 +169,7 @@ class TestNoisyTree:
         db, universe = sample_db
         params = PrivacyParams(epsilon=2.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(13))
-        assert (tree.noisy[1:] >= params.threshold).all()
+        assert (tree.noisy[1:] >= params.threshold(len(universe))).all()
 
     def test_depth_bounded_by_height(self):
         rnd = random.Random(3)
@@ -182,7 +181,7 @@ class TestNoisyTree:
     def test_truncation_in_zero_noise_mode(self):
         db = records_db([(0, 1, 2, 3, 0, 1)])
         universe = make_universe(4)
-        params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=0.0)
+        params = PrivacyParams(epsilon=1.0, height=3, thresholded=False)
         tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
         assert set(prefixes(tree)[1:]) == {(0,), (0, 1), (0, 1, 2)}
 
@@ -205,12 +204,12 @@ class TestNoisyTree:
         db = records_db([(0,)] * 50)
         universe = make_universe(30)
         params = PrivacyParams(epsilon=10.0, height=3)
-        theta_expand = params.expand_threshold(len(universe))
-        assert theta_expand > params.threshold
+        theta, theta_expand = params.threshold(30), params.expand_threshold(30)
+        assert theta_expand > theta
         unexpanded = 0
         for seed in range(6):
             tree = build_noisy_tree(db, universe, params, RandomSource(seed))
-            assert (tree.noisy[1:] >= params.threshold).all()
+            assert (tree.noisy[1:] >= theta).all()
             parents = np.flatnonzero(tree.n_children[1:]) + 1
             assert (tree.noisy[parents] >= theta_expand).all()
             unexpanded += (tree.noisy[1:] < theta_expand).sum()
@@ -220,20 +219,21 @@ class TestNoisyTree:
         db = records_db([(0,)] * 50)
         universe = make_universe(30)
         params = PrivacyParams(epsilon=10.0, height=3)
-        tree = build_noisy_tree(db, universe, params, RandomSource(0))
+        tree = build_noisy_tree(db, universe, params, RandomSource(5))
         empty_born = np.flatnonzero(tree.true_count[1:] == 0) + 1
         grown = empty_born[tree.n_children[empty_born] > 0]
         assert len(grown), "expected an empty-born node with children for this seed"
         assert (tree.noisy[grown] >= params.expand_threshold(len(universe))).all()
 
     def test_narrow_universe_expands_every_kept_node(self):
-        # Without noise each node counts 3, over the threshold 2 * sqrt(2). The expand
-        # threshold ln|U| is below the threshold iff |U| <= 16, and over 30 locations is 3.4.
+        # Without noise each node counts 3, over the threshold ln(|U| / (2 kappa)) < 0.4.
+        # A kept node is expanded iff 3 reaches ln|U|: over 20 locations, not over 21.
         db = records_db([(0, 1, 2)] * 3)
         params = PrivacyParams(epsilon=3.0, height=3)
-        for size, depth in ((16, 3), (30, 1)):
+        for size, depth in ((20, 3), (21, 1)):
             universe = make_universe(size)
-            assert (params.expand_threshold(size) < params.threshold) == (size == 16)
+            assert params.threshold(size) < 0.4
+            assert (params.expand_threshold(size) <= 3) == (size == 20)
             tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
             assert tree.depth.max() == depth and (tree.noisy[1:] == 3).all()
 
@@ -277,7 +277,7 @@ class TestNoisyTree:
     @pytest.mark.parametrize("thresholded", [False, True])
     def test_empty_universe_gives_root_only_tree(self, thresholded):
         db, universe = records_db(()), make_universe(0)
-        params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=2.0 * thresholded)
+        params = PrivacyParams(epsilon=1.0, height=3, thresholded=thresholded)
         for variant in VARIANTS:
             release, tree = sanitize(db, universe, params, RandomSource(5), variant)
             assert len(tree) == 1 and len(release) == 0 and len(release.tokens) == 0
@@ -324,7 +324,7 @@ class TestDrawAssignment:
         rows = [*db.trajectories, *rnd.choices(db.trajectories, k=40)]
         shuffled = rnd.sample(rows, len(rows))
         assert shuffled != rows
-        params = PrivacyParams(epsilon=2.0, height=4, theta_multiplier=0.1)
+        params = PrivacyParams(epsilon=2.0, height=4)
         trees = [
             build_noisy_tree(other, universe, params, RandomSource(8))
             for other in (
@@ -338,16 +338,16 @@ class TestDrawAssignment:
             _assert_same_tree(tree, trees[0])
 
     @pytest.mark.parametrize(
-        "rows, height, theta, narrow",
+        "rows, height, narrow",
         [
-            ([(0, 1)] * 5, 6, 2.0, False),  # the frontier empties below the height
-            ([(0, 1, 2, 3)] * 40 + [(1, 2)] * 40, 3, 2.0, False),
-            ([(0,)] * 5, 4, 0.1, True),  # empty-born nodes carry the frontier past the data
+            ([(0, 1)] * 5, 6, False),  # the frontier empties below the height
+            ([(0, 1, 2, 3)] * 40 + [(1, 2)] * 40, 3, False),
+            ([(0,)] * 5, 4, True),  # empty-born nodes carry the frontier past the data
         ],
     )
-    def test_one_stream_per_expanded_depth(self, rows, height, theta, narrow):
+    def test_one_stream_per_expanded_depth(self, rows, height, narrow):
         universe = make_universe(4 if narrow else 40)
-        params = PrivacyParams(epsilon=20.0, height=height, theta_multiplier=theta)
+        params = PrivacyParams(epsilon=20.0, height=height)
         source = _CountingSource(7)
         tree = build_noisy_tree(records_db(rows), universe, params, source)
         expands = tree.noisy >= params.expand_threshold(len(universe))
@@ -362,12 +362,12 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(_build_cases())
     # An empty database: only empty-born nodes, grown to the height.
-    @example(([], make_universe(5), PrivacyParams(2.0, 3, 0.1), 5, 2))
+    @example(([], make_universe(5), PrivacyParams(2.0, 3), 5, 2))
     # The frontier empties below the height of 6.
     @example(([(0, 1)] * 5, make_universe(4), PrivacyParams(20.0, 6), 7, 2))
     # Height 1; a one-location universe.
-    @example(([(0, 1), (1,), (2, 0)], make_universe(3), PrivacyParams(2.0, 1, 0.1), 7, 2))
-    @example(([(0,), (0, 0, 0), (0, 0)], make_universe(1), PrivacyParams(2.0, 3, 0.1), 7, 1))
+    @example(([(0, 1), (1,), (2, 0)], make_universe(3), PrivacyParams(2.0, 1), 7, 2))
+    @example(([(0,), (0, 0, 0), (0, 0)], make_universe(1), PrivacyParams(2.0, 3), 7, 1))
     # Every record runs past the height.
     @example(([(0, 1, 2), (1, 0, 3, 3)], make_universe(4), PrivacyParams(20.0, 2), 7, 1))
     # Kept nodes below the expand threshold stay leaves.
@@ -386,7 +386,7 @@ class TestAgainstReference:
         db, universe = _random_db(
             random.Random(13), max_records=200, universe_size=12 if narrow else 24, max_len=5
         )
-        params = PrivacyParams(epsilon=8.0, height=3, theta_multiplier=0.1)
+        params = PrivacyParams(epsilon=8.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(3))
         reference = reference_noisy_tree(db, universe, params, RandomSource(3))
         _assert_same_tree(tree, reference)
@@ -504,17 +504,19 @@ class TestDump:
         interleaved = 0
         for seed in range(6):
             db, universe = _random_db(rnd, max_records=80, universe_size=8 if narrow else 30)
-            params = PrivacyParams(epsilon=3.0, height=4, theta_multiplier=0.3)
+            params = PrivacyParams(epsilon=3.0, height=4)
             tree = build_noisy_tree(db, universe, params, RandomSource(seed))
             order = _preorder_walk(tree)
             assert dump_tree(tree).splitlines() == [_dump_line(tree, i) for i in order]
             interleaved += order != list(range(1, len(tree)))
         assert interleaved  # some trees' level rows are not already a preorder
 
-    def test_root_only_tree_dumps_nothing(self, sample_db):
-        db, universe = sample_db
-        params = PrivacyParams(epsilon=1.0, height=3, theta_multiplier=1000.0)
-        tree = build_noisy_tree(db, universe, params, RandomSource(0))
+    def test_root_only_tree_dumps_nothing(self):
+        # Without noise, one record's count of 1 is under the threshold over 1,000 locations.
+        db, universe = records_db([(0, 1)]), make_universe(1000)
+        params = PrivacyParams(epsilon=1.0, height=1)
+        assert params.threshold(len(universe)) > 1
+        tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
         assert len(tree) == 1 and _preorder_walk(tree) == []
         assert dump_tree(tree) == ""
 
