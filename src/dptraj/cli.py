@@ -2,11 +2,15 @@
 
 Subcommands write plain text or CSV so runs compose in shell pipelines, and
 read every trajectory file against one public list of locations, --universe.
-Every command that consumes randomness takes --seed (falling back to the
-DPTRAJ_SEED environment variable, then to a fresh random seed) and is
-bit-reproducible given the same seed and flags. sanitize's seed is the key to
-its noise: it is never printed, and --seed-out PATH keeps it in an
-owner-only file.
+Every command that consumes randomness takes --seed, draws a fresh 128-bit
+seed without it, and is bit-reproducible given the same seed and flags.
+sanitize's seed is the key to its noise: it is never printed, and
+--seed-out PATH keeps it in an owner-only file, written before any work.
+
+sanitize's stdout manifest prints public parameters and noisy sizes, and one
+confidential value: tree.empty_born=, computed from true counts. It stays
+until the manifest is split into public and confidential fields, because
+perfbench/run.py reads it.
 
 Exit codes: 0 success, 1 I/O or data-format failure, 2 invalid parameters,
 3 location outside the --universe file.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import secrets
 import sys
@@ -52,28 +55,13 @@ EXIT_UNIVERSE = 3
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("DPTRAJ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"DPTRAJ_SEED must be an integer, got {env!r}") from None
-    return secrets.randbits(128)
+    return secrets.randbits(128) if value is None else value
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -97,27 +85,25 @@ def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> boo
 def cmd_sanitize(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = PrivacyParams(epsilon=args.epsilon, height=args.height)
+    if args.seed_out:
+        # The seed is a key: readable by its owner only, from creation on, and never
+        # printed. It is written first, so no release exists whose drawn key is lost.
+        fd = os.open(args.seed_out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o600)  # a file that was there keeps its mode otherwise
+            fh.write(f"{seed}\n")
     db, universe = load_db(args.input, args.universe)
-    records = len(db)
-    started = time.perf_counter()
     # The steps of ``sanitize``, with the input freed once the tree is built:
     # the later steps read only the tree.
     tree = build_noisy_tree(db, universe, params, RandomSource(seed))
     del db
     release = release_tree(tree, use_inference=(args.variant == "full"))
-    elapsed = time.perf_counter() - started
     write_db(release, universe, args.output)
     if args.dump_tree:
         with open(args.dump_tree, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dump_tree(tree))
-    if args.seed_out:
-        # The seed is a key: readable by its owner only, from creation on, and never printed.
-        fd = os.open(args.seed_out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with open(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, 0o600)  # a file that was there keeps its mode otherwise
-            fh.write(f"{seed}\n")
 
-    print(f"input={args.input} records={records} universe={len(universe)}")
+    print(f"input={args.input} universe={len(universe)}")
     print(
         f"epsilon={params.epsilon:g} height={params.height} "
         f"theta={params.threshold(len(universe)):.6g} "
@@ -129,7 +115,6 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     if args.variant == "full":
         print(f"inference.order_violations={order_violations(tree)}")
     print(f"release.records={len(release)} output={args.output}")
-    print(f"runtime_seconds={elapsed:.3f}")
     return 0
 
 
@@ -146,9 +131,9 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     raw, sanitized, universe = _load_inputs(args)
     workload = generate_workload(universe, args.height, args.queries_per_subset, seed)
-    sanity = args.sanity_fraction * len(raw)
+    sanity = DEFAULT_SANITY_FRACTION * len(raw)
     started = time.perf_counter()
-    averages = evaluate_workload(raw, sanitized, workload, len(universe), sanity)
+    averages = evaluate_workload(raw, sanitized, workload, len(universe))
     runtime = time.perf_counter() - started
     _write_csv(
         args.output,
@@ -252,10 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--height", type=int, default=12)
     p.add_argument("--queries-per-subset", type=int, default=10000, dest="queries_per_subset")
-    p.add_argument(
-        "--sanity-fraction", type=_positive_float, default=DEFAULT_SANITY_FRACTION,
-        dest="sanity_fraction",
-    )
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval_count)
 

@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 
 CountQuery = frozenset  # of location ids
 
-#: Default sanity bound as a fraction of the raw database size.
+#: The sanity bound as a fraction of the raw database size.
 DEFAULT_SANITY_FRACTION = 0.001
 
 
@@ -165,15 +165,13 @@ def evaluate_workload(
     sanitized: TrajectoryDb,
     workload: QueryWorkload,
     universe_size: int,
-    sanity: float | None = None,
 ) -> list[float]:
     """Average relative error per workload subset.
 
-    The sanity bound defaults to 0.1% of the raw database size. Each subset's
-    queries are answered together on each database.
+    The sanity bound is 0.1% of the raw database size. Each subset's queries
+    are answered together on each database.
     """
-    if sanity is None:
-        sanity = DEFAULT_SANITY_FRACTION * len(raw)
+    sanity = DEFAULT_SANITY_FRACTION * len(raw)
     raw_index = PresenceIndex(raw, universe_size)
     sanitized_index = PresenceIndex(sanitized, universe_size)
 

@@ -82,6 +82,26 @@ class TestSanitize:
         assert "budget.total epsilon=4 conserved=true" in result.stdout
         assert "privacy.claim=" not in result.stdout
 
+    def test_manifest_keys_are_the_documented_ones(self, tmp_path, sample_paths):
+        # The exact input size and the run time grow with the data, so neither is printed.
+        data, universe = sample_paths
+        documented = {
+            "input", "universe", "epsilon", "height", "theta", "theta_expand", "variant",
+            "conserved", "tree.nodes", "tree.empty_born", "inference.order_violations",
+            "release.records", "output",
+        }
+        for variant, keys in (("full", documented),
+                              ("basic", documented - {"inference.order_violations"})):
+            result = run_cli(
+                "sanitize", "--input", data, "--output", tmp_path / "release.txt",
+                "--epsilon", "4.0", "--height", "3", "--seed", "11", "--universe", universe,
+                "--variant", variant,
+            )
+            assert result.returncode == 0, result.stderr
+            printed = {item.partition("=")[0] for item in result.stdout.split() if "=" in item}
+            assert printed == keys, variant
+            assert result.stderr == ""
+
     def test_root_only_tree_releases_nothing(self, tmp_path):
         data = tmp_path / "empty.txt"
         data.write_text("", encoding="utf-8")
@@ -129,41 +149,38 @@ class TestSanitize:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_seed_from_environment(self, tmp_path, sample_paths):
+    def test_exported_seed_variable_is_ignored(self, tmp_path, sample_paths):
+        # A seed comes only from --seed: an exported variable left over from an
+        # earlier shell must not make every release reuse one key.
         data, universe = sample_paths
-        out_env = tmp_path / "env.txt"
-        result = run_cli(
-            "sanitize", "--input", data, "--output", out_env, "--epsilon", "2.0",
-            "--height", "4", "--universe", universe,
-            env_extra={"DPTRAJ_SEED": "3"},
-        )
-        assert result.returncode == 0, result.stderr
-        out_flag = tmp_path / "flag.txt"
-        run_cli(
-            "sanitize", "--input", data, "--output", out_flag, "--epsilon", "2.0",
-            "--height", "4", "--seed", "3", "--universe", universe,
-        )
-        assert out_env.read_bytes() == out_flag.read_bytes()
+        dumps = []
+        for name in ("a", "b"):
+            dump = tmp_path / f"{name}-tree.txt"
+            result = run_cli(
+                "sanitize", "--input", data, "--output", tmp_path / f"{name}.txt",
+                "--epsilon", "2.0", "--height", "4", "--universe", universe,
+                "--dump-tree", dump, env_extra={"DPTRAJ_SEED": "3"},
+            )
+            assert result.returncode == 0, result.stderr
+            dumps.append(dump.read_bytes())
+        assert dumps[0] and dumps[0] != dumps[1]
 
-    def test_seed_is_never_printed(self, tmp_path, sample_paths, monkeypatch):
+    def test_seed_is_never_printed(self, tmp_path, sample_paths):
         # Whoever holds the seed can redraw every noise value, so it is a key:
-        # not printed whether given by flag, by environment, or drawn.
-        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
+        # not printed whether given by flag or drawn.
         data, universe = sample_paths
-        ways = [(["--seed", "123456789"], None), ([], {"DPTRAJ_SEED": "987654321"}), ([], None)]
-        for flags, env_extra in ways:
+        for flags in (["--seed", "123456789"], []):
             result = run_cli(
                 "sanitize", "--input", data, "--output", tmp_path / "o.txt", "--epsilon", "2.0",
-                "--height", "3", "--universe", universe, *flags, env_extra=env_extra,
+                "--height", "3", "--universe", universe, *flags,
             )
             assert result.returncode == 0, result.stderr
             for text in (result.stdout, result.stderr):
                 assert "seed=" not in text
-                assert "123456789" not in text and "987654321" not in text
+                assert "123456789" not in text
 
-    def test_seed_out_keeps_a_drawn_seed_for_the_owner(self, tmp_path, sample_paths, monkeypatch):
+    def test_seed_out_keeps_a_drawn_seed_for_the_owner(self, tmp_path, sample_paths):
         # A drawn seed is written only where asked, owner-only, and reproduces the release.
-        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
         data, universe = sample_paths
         args = ("sanitize", "--input", data, "--universe", universe, "--epsilon", "2.0",
                 "--height", "3")
@@ -185,6 +202,21 @@ class TestSanitize:
         assert given.returncode == 0, given.stderr
         assert seed_file.read_text(encoding="utf-8") == "7\n"
         assert seed_file.stat().st_mode & 0o777 == 0o600
+
+    def test_seed_out_in_a_missing_directory_writes_no_release(self, tmp_path, sample_paths):
+        # The seed file is made before any work, so a drawn key is never lost
+        # behind a release that was written.
+        data, universe = sample_paths
+        out, dump = tmp_path / "release.txt", tmp_path / "tree.txt"
+        seed_file = tmp_path / "missing" / "seed.txt"
+        result = run_cli(
+            "sanitize", "--input", data, "--universe", universe, "--output", out,
+            "--epsilon", "2.0", "--height", "3", "--dump-tree", dump, "--seed-out", seed_file,
+        )
+        assert result.returncode == 1
+        assert str(seed_file) in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert not out.exists() and not dump.exists()
 
     def test_file_parts_and_a_pipe_give_the_same_outputs(
         self, tmp_path, recipe_corpus, monkeypatch, capsys
@@ -210,10 +242,9 @@ class TestSanitize:
             assert got.read_bytes() == want.read_bytes()
         assert parts[0].stat().st_size and parts[1].stat().st_size
 
-    def test_drawn_seed_has_128_bits(self, monkeypatch):
+    def test_drawn_seed_has_128_bits(self):
         from dptraj.cli import _resolve_seed
 
-        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
         assert max(_resolve_seed(None).bit_length() for _ in range(64)) > 63
 
     def test_known_seed_recovers_depth_one_counts(self, tmp_path, recipe_corpus):
@@ -252,6 +283,37 @@ class TestSanitize:
         assert len(depth_one) >= 20
         assert recovered(42) == len(depth_one)
         assert recovered(43) <= 1
+
+    def test_reused_seed_reveals_an_added_record(self, tmp_path, recipe_corpus):
+        # Why a seed is used for one release only: two releases under one seed
+        # draw the same noise, so their depth-1 counts differ by exactly the
+        # true difference of the inputs. Here, one record with a first location
+        # that other records share.
+        corpus, universe = recipe_corpus
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        added = tmp_path / "added.txt"
+        added.write_text("".join(lines) + lines[0], encoding="utf-8")
+        depth_one = []
+        for name, data in (("corpus", corpus), ("added", added)):
+            dump = tmp_path / f"{name}-tree.txt"
+            result = run_cli(
+                "sanitize", "--input", data, "--universe", universe, "--output",
+                tmp_path / f"{name}.txt", "--epsilon", "1", "--height", "8", "--seed", "42",
+                "--dump-tree", dump,
+            )
+            assert result.returncode == 0, result.stderr
+            depth_one.append({
+                token: float(noisy)
+                for token, noisy in (line.split() for line in
+                                     dump.read_text(encoding="utf-8").splitlines()
+                                     if not line.startswith(" "))
+            })
+        before, after = depth_one
+        assert len(before) >= 40 and before.keys() == after.keys()
+        moved = {token: after[token] - before[token] for token in before
+                 if after[token] != before[token]}
+        assert moved.keys() == {lines[0].split()[0]}
+        assert moved[lines[0].split()[0]] == pytest.approx(1.0, abs=0.011)  # two decimals
 
     def test_variants_share_tree_but_not_release(self, tmp_path, sample_paths):
         data, universe = sample_paths
@@ -382,7 +444,7 @@ class TestSanitizeStages:
              "--output", str(tmp_path / "release.txt"), "--epsilon", "4.0", "--height", "3",
              "--seed", "11"]
         ) == 0
-        assert "records=8 " in capsys.readouterr().out
+        assert "release.records=" in capsys.readouterr().out
         assert alive == [False]
 
     def test_release_matches_library_sanitize(self, tmp_path):
@@ -468,17 +530,17 @@ class TestEvalCount:
             "4,4,5,,4,,0.008000,0.400000",
         ]
 
-    def test_non_finite_sanity_fraction_is_param_error(self, tmp_path, sample_paths):
+    def test_sanity_fraction_flag_is_rejected(self, tmp_path, sample_paths):
+        # The bound is always 0.1% of the raw records; no flag sets it.
         data, universe = sample_paths
-        for value in ("nan", "inf", "0", "-0.5"):
-            result = run_cli(
-                "eval-count", "--raw", data, "--sanitized", data, "--universe", universe,
-                "--queries-per-subset", "5", "--seed", "1", "--sanity-fraction", value,
-                "--output", tmp_path / "o.csv",
-            )
-            assert result.returncode == 2, value
-            assert "--sanity-fraction" in result.stderr
-            assert "Traceback" not in result.stderr
+        result = run_cli(
+            "eval-count", "--raw", data, "--sanitized", data, "--universe", universe,
+            "--queries-per-subset", "5", "--seed", "1", "--sanity-fraction", "0.01",
+            "--output", tmp_path / "o.csv",
+        )
+        assert result.returncode == 2
+        assert "--sanity-fraction" in result.stderr
+        assert "Traceback" not in result.stderr
         assert not (tmp_path / "o.csv").exists()
 
     def test_deterministic_reports(self, tmp_path, sample_paths):
@@ -494,13 +556,10 @@ class TestEvalCount:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
-    def test_drawn_seed_is_printed_and_redraws_the_workload(
-        self, tmp_path, recipe_corpus, monkeypatch
-    ):
+    def test_drawn_seed_is_printed_and_redraws_the_workload(self, tmp_path, recipe_corpus):
         # The seed draws only the public queries, so it is printed: a run
         # without one can be repeated. Raw and sanitized differ, so the CSV
         # depends on which queries were drawn.
-        monkeypatch.delenv("DPTRAJ_SEED", raising=False)
         corpus, universe = recipe_corpus
         sanitized = tmp_path / "half.txt"
         sanitized.write_text(

@@ -25,6 +25,24 @@ class TestConfigValidation:
                 n_locations=5, n_records=10, avg_len=2, max_len=9, planted_fraction=1.5
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_locations", 0, "at least one location"),
+            ("n_records", -1, "record count"),
+            ("n_planted_routes", -1, "route count"),
+            ("route_length", 0, "route length must be >= 1"),
+            ("route_skew", -0.5, "route skew"),
+            ("zipf_skew", -0.5, "zipf skew"),
+            ("seed", -1, "seed"),
+        ],
+    )
+    def test_each_field_is_checked(self, field, value, message):
+        valid = dict(n_locations=5, n_records=10, avg_len=2, max_len=9, n_planted_routes=1)
+        GenConfig(**valid)
+        with pytest.raises(ValueError, match=message):
+            GenConfig(**{**valid, field: value})
+
 
 class TestGenerate:
     def test_deterministic(self):

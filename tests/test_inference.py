@@ -314,6 +314,8 @@ class TestOrderViolations:
 
     def test_clean_tree_reports_zero(self):
         tree = build_manual_tree({0: {1: {}}}, {(0,): 5.0, (0, 1): 1.0})
+        assert tree.adjusted is None
+        assert order_violations(tree) == 0  # nothing adjusted yet, so nothing counted
         parent = children(tree, 0)[0]
         child = children(tree, parent)[0]
         tree.adjusted = np.zeros(len(tree))

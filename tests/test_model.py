@@ -419,6 +419,8 @@ class TestTrajectoryDb:
                 TrajectoryDb(tokens, bad, [1, 1])
         with pytest.raises(ValueError, match="at least one location"):
             TrajectoryDb(tokens, [0, 1, 1, 3], [1, 1, 1])
+        with pytest.raises(ValueError, match="location ids must be >= 0"):
+            TrajectoryDb([0, -1, 2], offsets, [1, 1])
         for weights in ([1], [1, 1, 1], [1, 0], [-1, 2]):  # too few, too many, zero, negative
             with pytest.raises(ValueError, match="weights"):
                 TrajectoryDb(tokens, offsets, weights)
@@ -492,4 +494,10 @@ class TestUniverse:
         path = tmp_path / "u.txt"
         path.write_text("A\n\nB\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
+            load_universe(str(path))
+
+    def test_two_tokens_on_a_universe_line(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("A\nB C\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"u\.txt:2: more than one token"):
             load_universe(str(path))

@@ -137,6 +137,12 @@ class TestGenerateRelease:
         assert np.array_equal(tree_a.location, tree_b.location)
         assert np.array_equal(tree_a.noisy, tree_b.noisy, equal_nan=True)
 
+    def test_unknown_variant_rejected(self):
+        db = records_db([(0, 1)])
+        with pytest.raises(ValueError, match="variant must be one of"):
+            sanitize(db, make_universe(2), PrivacyParams(epsilon=1.0, height=2),
+                     RandomSource(0), variant="bogus")
+
     def test_release_tree_is_sanitize_after_the_build(self):
         rnd = random.Random(13)
         rows = [

@@ -215,6 +215,11 @@ class TestWorkload:
         with pytest.raises(ValueError):
             generate_workload(make_universe(10), height=3, per_subset=5, seed=0)
 
+    def test_empty_subsets_rejected(self):
+        for per_subset in (0, -1):
+            with pytest.raises(ValueError, match="per_subset must be >= 1"):
+                generate_workload(make_universe(10), height=12, per_subset=per_subset, seed=0)
+
     def test_lengths_capped_by_universe(self):
         universe = make_universe(4)
         workload = generate_workload(universe, height=20, per_subset=20, seed=2)
