@@ -5,7 +5,8 @@ read every trajectory file against one public list of locations, --universe.
 Every command that consumes randomness takes --seed, draws a fresh 128-bit
 seed without it, and is bit-reproducible given the same seed and flags.
 sanitize's seed is the key to its noise: it is never printed, and
---seed-out PATH keeps it in an owner-only file, written before any work.
+--seed-out PATH keeps it in an owner-only file, written beside PATH before any
+work and moved onto PATH once the release is written.
 
 sanitize's stdout manifest prints public parameters and noisy sizes, and one
 confidential value: tree.empty_born=, computed from true counts. It stays
@@ -85,23 +86,31 @@ def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> boo
 def cmd_sanitize(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = PrivacyParams(epsilon=args.epsilon, height=args.height)
-    if args.seed_out:
-        # The seed is a key: readable by its owner only, from creation on, and never
-        # printed. It is written first, so no release exists whose drawn key is lost.
-        fd = os.open(args.seed_out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    pending = args.seed_out and f"{args.seed_out}.{secrets.token_hex(4)}"
+    if pending:
+        # The seed is a key: owner-only from creation on, and never printed. It goes to
+        # a fresh file before any work, so no release loses its drawn key, and replaces
+        # PATH once the release is written, so a failed run leaves the key PATH held.
+        fd = os.open(pending, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         with open(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, 0o600)  # a file that was there keeps its mode otherwise
             fh.write(f"{seed}\n")
-    db, universe = load_db(args.input, args.universe)
-    # The steps of ``sanitize``, with the input freed once the tree is built:
-    # the later steps read only the tree.
-    tree = build_noisy_tree(db, universe, params, RandomSource(seed))
-    del db
-    release = release_tree(tree, use_inference=(args.variant == "full"))
-    write_db(release, universe, args.output)
-    if args.dump_tree:
-        with open(args.dump_tree, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dump_tree(tree))
+    try:
+        db, universe = load_db(args.input, args.universe)
+        # The steps of ``sanitize``, with the input freed once the tree is built:
+        # the later steps read only the tree.
+        tree = build_noisy_tree(db, universe, params, RandomSource(seed))
+        del db
+        release = release_tree(tree, use_inference=(args.variant == "full"))
+        write_db(release, universe, args.output)
+        if args.dump_tree:
+            with open(args.dump_tree, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(dump_tree(tree))
+    except BaseException:
+        if pending:
+            os.remove(pending)
+        raise
+    if pending:
+        os.replace(pending, args.seed_out)  # if this fails, the key stays in ``pending``
 
     print(f"input={args.input} universe={len(universe)}")
     print(

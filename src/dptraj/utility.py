@@ -12,8 +12,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -40,19 +39,29 @@ def eval_count_query(db: TrajectoryDb, query: CountQuery) -> int:
     return sum(w for lo, hi, w in spans if wanted.issubset(flat[lo:hi]))
 
 
-def relative_error(true_count: int, noisy_count: int, sanity: float) -> float:
-    """|noisy - true| over max(true, sanity); the bound tames tiny selectivities."""
+def relative_error(true_count, noisy_count, sanity: float):
+    """|noisy - true| over max(true, sanity), elementwise; the bound tames tiny selectivities."""
     if not (math.isfinite(sanity) and sanity > 0):
         raise ValueError(f"sanity bound must be finite and > 0, got {sanity!r}")
-    return abs(noisy_count - true_count) / max(true_count, sanity)
+    return np.abs(noisy_count - true_count) / np.maximum(true_count, sanity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryWorkload:
-    """Four query subsets of increasing maximum length."""
+    """Four query subsets of increasing maximum length: per subset, the
+    queries' lengths (``sizes``) and their locations end to end (``locations``)."""
 
-    subsets: tuple[tuple[CountQuery, ...], ...]
+    sizes: tuple[np.ndarray, ...]
+    locations: tuple[np.ndarray, ...]
     max_lengths: tuple[int, ...]
+
+    @cached_property
+    def subsets(self) -> tuple[tuple[CountQuery, ...], ...]:
+        """Each subset's queries as frozensets, built on first read; nothing in the CLI reads it."""
+        return tuple(
+            tuple(frozenset(q.tolist()) for q in np.split(locations, np.cumsum(sizes)[:-1]))
+            for sizes, locations in zip(self.sizes, self.locations)
+        )
 
 
 def generate_workload(
@@ -60,8 +69,10 @@ def generate_workload(
 ) -> QueryWorkload:
     """Random location-set queries in 4 groups; group i draws lengths from [1, i*height/4].
 
-    Lengths are additionally capped by the universe size since locations are
-    drawn without replacement.
+    Lengths are additionally capped by the universe size. Each query is a uniform
+    subset of its length L, drawn by Floyd's algorithm (Bentley & Floyd, CACM 1987)
+    for the whole group at once: at step c, every query longer than c draws t
+    from [0, j] with j = |U| - L + c, and takes t unless it holds t already, j if so.
     """
     if per_subset < 1:
         raise ValueError(f"per_subset must be >= 1, got {per_subset!r}")
@@ -69,22 +80,26 @@ def generate_workload(
         raise ValueError(f"height {height} too small: the first subset would have max length 0")
     size = len(universe)
     rng = np.random.default_rng(seed)
-    subsets: list[tuple[CountQuery, ...]] = []
-    max_lengths: list[int] = []
-    for group in range(1, 5):
-        max_len = min(group * height // 4, size)
-        queries = []
-        for _ in range(per_subset):
-            length = int(rng.integers(1, max_len + 1))
-            queries.append(frozenset(rng.choice(size, size=length, replace=False).tolist()))
-        subsets.append(tuple(queries))
-        max_lengths.append(max_len)
-    return QueryWorkload(subsets=tuple(subsets), max_lengths=tuple(max_lengths))
+    sizes, locations = [], []
+    max_lengths = tuple(min(group * height // 4, size) for group in range(1, 5))
+    for max_len in max_lengths:
+        lengths = rng.integers(1, max_len + 1, size=per_subset)
+        # Query q's locations fill the first lengths[q] places of row q.
+        picks = np.full((per_subset, max_len), -1, dtype=np.int64)
+        for c in range(max_len):
+            rows = np.flatnonzero(lengths > c)
+            j = size - lengths[rows] + c
+            t = rng.integers(0, j + 1)
+            held = (picks[rows, :c] == t[:, None]).any(axis=1)
+            picks[rows, c] = np.where(held, j, t)
+        sizes.append(lengths)
+        locations.append(picks[picks >= 0])
+    return QueryWorkload(tuple(sizes), tuple(locations), max_lengths)
 
 
 #: Candidate entries gathered at once when answering many queries; a larger
 #: batch only holds more memory while it is tested.
-_BATCH_CANDIDATES = 1 << 16
+_BATCH_CANDIDATES = 1 << 14
 
 
 class PresenceIndex:
@@ -117,14 +132,12 @@ class PresenceIndex:
 
     def count(self, query: CountQuery) -> int:
         """One query's count, answered as a batch of one."""
-        return int(self.counts([query])[0])
+        return int(self.counts(np.array([len(query)]), np.fromiter(query, np.intp, len(query)))[0])
 
-    def counts(self, queries: Sequence[CountQuery]) -> np.ndarray:
-        """Every query's count, the queries answered together in batches."""
-        sizes = np.fromiter(map(len, queries), np.intp, len(queries))
+    def counts(self, sizes: np.ndarray, locations: np.ndarray) -> np.ndarray:
+        """Every query's count, answered in batches; query q is the next sizes[q] locations."""
         if not sizes.all():
             raise ValueError("count query needs at least one location")
-        locations = np.fromiter(chain.from_iterable(queries), np.intp, sizes.sum())
         size = len(self._bounds) - 1
         if len(outside := locations[(locations < 0) | (locations >= size)]):
             raise ValueError(f"query location {outside[0]} outside universe of size {size}")
@@ -135,9 +148,9 @@ class PresenceIndex:
         locations, lengths = locations[order], lengths[order]
         firsts = np.cumsum(sizes) - sizes
         gathered = np.cumsum(lengths[firsts])  # candidates up to and including each query
-        answers = np.zeros(len(queries), dtype=np.int64)
+        answers = np.zeros(len(sizes), dtype=np.int64)
         lo = 0
-        while lo < len(queries):
+        while lo < len(sizes):
             budget = (gathered[lo - 1] if lo else 0) + _BATCH_CANDIDATES
             hi = max(int(np.searchsorted(gathered, budget, "right")), lo + 1)
             rarest = locations[firsts[lo:hi]]
@@ -175,12 +188,10 @@ def evaluate_workload(
     raw_index = PresenceIndex(raw, universe_size)
     sanitized_index = PresenceIndex(sanitized, universe_size)
 
-    averages = []
-    for queries in workload.subsets:
-        pairs = zip(raw_index.counts(queries).tolist(), sanitized_index.counts(queries).tolist())
-        errors = [relative_error(true, noisy, sanity) for true, noisy in pairs]
-        averages.append(sum(errors) / len(errors))
-    return averages
+    return [
+        float(relative_error(raw_index.counts(*q), sanitized_index.counts(*q), sanity).mean())
+        for q in zip(workload.sizes, workload.locations)
+    ]
 
 
 @dataclass(frozen=True)

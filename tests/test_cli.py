@@ -218,6 +218,48 @@ class TestSanitize:
         assert result.stdout == ""
         assert not out.exists() and not dump.exists()
 
+    @pytest.mark.parametrize("failure, code", [("missing input", 1), ("unknown location", 3)])
+    def test_failed_run_keeps_the_seed_file(self, tmp_path, sample_paths, failure, code):
+        # The key that PATH held still belongs to the release made with it: a
+        # run that fails leaves PATH as it was, and no other file beside it.
+        data, universe = sample_paths
+        if failure == "missing input":
+            data = tmp_path / "nosuch.txt"
+        else:
+            data = tmp_path / "unknown.txt"
+            data.write_text("L1 L2\nL1 NOPE\n", encoding="utf-8")
+        seed_file = tmp_path / "keep-seed.txt"
+        seed_file.write_text("12345\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        result = run_cli(
+            "sanitize", "--input", data, "--universe", universe, "--output", tmp_path / "o.txt",
+            "--epsilon", "2.0", "--height", "3", "--seed-out", seed_file,
+        )
+        assert result.returncode == code, result.stderr
+        assert seed_file.read_text(encoding="utf-8") == "12345\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_seed_out_that_cannot_be_replaced_keeps_the_key_beside_it(
+        self, tmp_path, sample_paths
+    ):
+        # The release exists before the key is moved onto PATH; when the move
+        # fails (PATH is a directory), the key stays in the file the error names.
+        data, universe = sample_paths
+        args = ("sanitize", "--input", data, "--universe", universe, "--epsilon", "2.0",
+                "--height", "3")
+        target = tmp_path / "seed-dir"
+        target.mkdir()
+        result = run_cli(*args, "--output", tmp_path / "drawn.txt", "--seed-out", target)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr and result.stdout == ""
+        (kept,) = [p for p in tmp_path.iterdir() if p.name.startswith("seed-dir.")]
+        assert str(kept) in result.stderr
+        assert kept.stat().st_mode & 0o777 == 0o600
+        again = run_cli(*args, "--output", tmp_path / "again.txt",
+                        "--seed", kept.read_text(encoding="utf-8").strip())
+        assert again.returncode == 0, again.stderr
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "drawn.txt").read_bytes()
+
     def test_file_parts_and_a_pipe_give_the_same_outputs(
         self, tmp_path, recipe_corpus, monkeypatch, capsys
     ):
@@ -522,12 +564,19 @@ class TestEvalCount:
             "--height", "4", "--queries-per-subset", "5", "--seed", "1", "--output", out,
         )
         assert result.returncode == 0, result.stderr
+        # A query some raw record covers is missed entirely (error 1); the others score 0.
+        from dptraj.model import load_db
+        from dptraj.utility import eval_count_query, generate_workload
+
+        db, ids = load_db(str(data), str(universe))
+        missed = [
+            sum(eval_count_query(db, q) > 0 for q in queries) / 5
+            for queries in generate_workload(ids, 4, 5, seed=1).subsets
+        ]
+        assert 0 < min(missed) < 1
         assert out.read_text(encoding="utf-8").splitlines() == [
             "subset,max_query_len,queries,epsilon,height,variant,sanity,avg_relative_error",
-            "1,1,5,,4,,0.008000,1.000000",
-            "2,2,5,,4,,0.008000,1.000000",
-            "3,3,5,,4,,0.008000,0.600000",
-            "4,4,5,,4,,0.008000,0.400000",
+            *(f"{i},{i},5,,4,,0.008000,{share:.6f}" for i, share in enumerate(missed, start=1)),
         ]
 
     def test_sanity_fraction_flag_is_rejected(self, tmp_path, sample_paths):

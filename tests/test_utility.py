@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dptraj import utility
 from dptraj.model import TrajectoryDb
 from dptraj.utility import (
     PresenceIndex,
+    QueryWorkload,
     SeqPattern,
     eval_count_query,
     evaluate_workload,
@@ -24,6 +26,12 @@ from dptraj.utility import (
 
 from conftest import load_split, make_universe
 from oracles import entries_db, records_db
+
+
+def packed(queries):
+    """A sequence of query sets as ``PresenceIndex.counts`` takes it: sizes, then locations."""
+    sizes = np.array([len(q) for q in queries], dtype=np.intp)
+    return sizes, np.array([loc for q in queries for loc in q], dtype=np.intp)
 
 
 def brute_force_top_k(db, k, max_len=3):
@@ -143,7 +151,7 @@ class TestCountQuery:
         expected = [eval_count_query(records_db(rows), q) for q in queries]
         with mock.patch.object(utility, "_BATCH_CANDIDATES", batch):
             index = PresenceIndex(db, 14)
-            assert index.counts(queries).tolist() == expected
+            assert index.counts(*packed(queries)).tolist() == expected
             assert [index.count(q) for q in queries] == expected
 
     def test_index_holds_no_per_location_rows(self):
@@ -163,12 +171,12 @@ class TestCountQuery:
         index = PresenceIndex(records_db([(0, 1), (2,)]), 3)
         queries = [frozenset({0}), frozenset({location, 2})]
         with pytest.raises(ValueError, match=f"query location {location} outside universe of size 3"):
-            index.counts(queries)
+            index.counts(*packed(queries))
 
     def test_batch_rejects_an_empty_query(self, sample_db):
         db, _ = sample_db
         with pytest.raises(ValueError, match="at least one location"):
-            PresenceIndex(db, 4).counts([frozenset({0}), frozenset()])
+            PresenceIndex(db, 4).counts(*packed([frozenset({0}), frozenset()]))
 
 
 class TestRelativeError:
@@ -201,15 +209,53 @@ class TestWorkload:
         universe = make_universe(40)
         workload = generate_workload(universe, height=12, per_subset=100, seed=1)
         assert sum(len(s) for s in workload.subsets) == 400
-        for max_len, queries in zip(workload.max_lengths, workload.subsets):
+        for max_len, sizes, queries in zip(
+            workload.max_lengths, workload.sizes, workload.subsets
+        ):
+            # A query's locations are distinct, so its set is as long as its size.
+            assert [len(q) for q in queries] == sizes.tolist()
             for q in queries:
-                assert 1 <= len(q) <= max_len
+                assert 1 <= len(q) <= max_len and q <= set(range(40))
 
     def test_deterministic(self):
         universe = make_universe(30)
         a = generate_workload(universe, 12, 50, seed=9)
         b = generate_workload(universe, 12, 50, seed=9)
-        assert a == b
+        assert a.max_lengths == b.max_lengths
+        for x, y in zip(a.sizes + a.locations, b.sizes + b.locations, strict=True):
+            assert np.array_equal(x, y)
+        c = generate_workload(universe, 12, 50, seed=10)
+        assert not all(np.array_equal(x, y) for x, y in zip(a.locations, c.locations))
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_lengths_and_sets_are_uniform(self, seed):
+        # Over 6 locations: in each subset every length is equally likely, and
+        # for each length L every L-subset of the universe is.
+        workload = generate_workload(make_universe(6), height=8, per_subset=12_000, seed=seed)
+        assert workload.max_lengths == (2, 4, 6, 6)
+        for max_len, sizes, queries in zip(
+            workload.max_lengths, workload.sizes, workload.subsets
+        ):
+            lengths = np.bincount(sizes, minlength=max_len + 1)[1:]
+            assert len(lengths) == max_len
+            assert stats.chisquare(lengths).pvalue > 1e-3
+            by_length = Counter(queries)
+            for length in range(1, max_len + 1):
+                sets = [frozenset(c) for c in itertools.combinations(range(6), length)]
+                observed = [by_length[s] for s in sets]
+                assert sum(observed) == lengths[length - 1]
+                if len(sets) > 1:
+                    assert stats.chisquare(observed).pvalue > 1e-3
+
+    def test_queries_can_take_every_location(self):
+        # Every subset's lengths are capped at |U|, so the longest queries are the universe.
+        workload = generate_workload(make_universe(5), height=48, per_subset=200, seed=4)
+        assert workload.max_lengths == (5, 5, 5, 5)
+        for sizes, queries in zip(workload.sizes, workload.subsets):
+            assert sizes.max() == 5
+            assert all(q == set(range(5)) for q, n in zip(queries, sizes.tolist()) if n == 5)
+        one = generate_workload(make_universe(1), height=4, per_subset=3, seed=4)
+        assert one.subsets == ((frozenset({0}),) * 3,) * 4
 
     def test_too_small_height_rejected(self):
         with pytest.raises(ValueError):
@@ -232,6 +278,32 @@ class TestWorkload:
         workload = generate_workload(universe, height=4, per_subset=25, seed=3)
         averages = evaluate_workload(db, db, workload, len(universe))
         assert averages == [0.0, 0.0, 0.0, 0.0]
+
+    def test_evaluation_builds_no_query_sets(self):
+        # Answered from the workload's arrays: neither the frozenset view nor
+        # the one-query path runs, and the averages equal record scans'.
+        rnd = random.Random(8)
+        raw = records_db([tuple(rnd.sample(range(9), rnd.randint(1, 6))) for _ in range(300)])
+        sanitized = records_db([tuple(rnd.sample(range(9), rnd.randint(1, 6))) for _ in range(200)])
+        universe = make_universe(9)
+        sanity = utility.DEFAULT_SANITY_FRACTION * len(raw)
+        expected = [
+            np.mean([
+                relative_error(eval_count_query(raw, q), eval_count_query(sanitized, q), sanity)
+                for q in queries
+            ])
+            for queries in generate_workload(universe, 12, 80, seed=2).subsets
+        ]
+        workload = generate_workload(universe, 12, 80, seed=2)
+
+        def refuse(*_):
+            raise AssertionError("evaluation built a query set")
+
+        with mock.patch.object(QueryWorkload, "subsets", property(refuse)), \
+                mock.patch.object(PresenceIndex, "count", refuse):
+            averages = evaluate_workload(raw, sanitized, workload, len(universe))
+        assert averages == pytest.approx(expected, rel=1e-12)
+        assert min(averages) > 0
 
 
 class TestMineTopK:
