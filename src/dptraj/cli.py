@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import os
-import secrets
 import sys
 import time
 from dataclasses import fields
@@ -56,14 +55,34 @@ EXIT_UNIVERSE = 3
 
 
 def _resolve_seed(value: int | None) -> int:
-    return secrets.randbits(128) if value is None else value
+    return int.from_bytes(os.urandom(16), "big") if value is None else value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int, why: str = ""):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}{why}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _at_least(1)
+
+
+def _topk(text: str) -> list[int]:
+    """Comma-separated top-k sizes, as their distinct values in ascending order."""
+    try:
+        values = sorted({int(v) for v in text.split(",") if v.strip()})
+    except ValueError:
+        values = []
+    if not values or values[0] < 1:
+        raise argparse.ArgumentTypeError(f"needs positive integers, got {text!r}")
+    return values
 
 
 def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> bool:
@@ -86,7 +105,7 @@ def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> boo
 def cmd_sanitize(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = PrivacyParams(epsilon=args.epsilon, height=args.height)
-    pending = args.seed_out and f"{args.seed_out}.{secrets.token_hex(4)}"
+    pending = args.seed_out and f"{args.seed_out}.{os.urandom(4).hex()}"
     if pending:
         # The seed is a key: owner-only from creation on, and never printed. It goes to
         # a fresh file before any work, so no release loses its drawn key, and replaces
@@ -161,18 +180,14 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
 
 def cmd_eval_fsp(args: argparse.Namespace) -> int:
     raw, sanitized, _ = _load_inputs(args)
-    k_values = sorted({int(v) for v in args.topk.split(",") if v.strip()})
-    if not k_values or k_values[0] < 1:
-        raise ValueError(f"--topk needs positive integers, got {args.topk!r}")
-    k_max = k_values[-1]
     started = time.perf_counter()
-    raw_patterns = mine_top_k(raw, k_max, args.max_pattern_len)
-    sanitized_patterns = mine_top_k(sanitized, k_max, args.max_pattern_len)
+    raw_patterns = mine_top_k(raw, args.topk[-1], args.max_pattern_len)
+    sanitized_patterns = mine_top_k(sanitized, args.topk[-1], args.max_pattern_len)
     rows = [
         [k, args.epsilon_label, args.height_label, args.variant_label,
          *fsp_metrics(raw_patterns[:k], sanitized_patterns[:k], k),
          min(k, len(raw_patterns)), min(k, len(sanitized_patterns))]
-        for k in k_values
+        for k in args.topk
     ]
     runtime = time.perf_counter() - started
     _write_csv(
@@ -244,15 +259,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "eval-count", parents=[evaluator], help="relative-error report over a random query workload"
     )
-    p.add_argument("--height", type=int, default=12)
-    p.add_argument("--queries-per-subset", type=int, default=10000, dest="queries_per_subset")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--height", type=_at_least(4, " (the first query subset's lengths reach height/4)"),
+        default=12,
+    )
+    p.add_argument(
+        "--queries-per-subset", type=_positive_int, default=10000, dest="queries_per_subset"
+    )
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_eval_count)
 
     p = sub.add_parser(
         "eval-fsp", parents=[evaluator], help="top-k sequential-pattern overlap report"
     )
-    p.add_argument("--topk", default="100", help="comma-separated k values, e.g. 50,100,200")
+    p.add_argument(
+        "--topk", type=_topk, default="100", help="comma-separated k values, e.g. 50,100,200"
+    )
     p.add_argument("--max-pattern-len", type=_positive_int, default=None, dest="max_pattern_len")
     p.add_argument("--height", default="", dest="height_label", help=label)
     p.set_defaults(func=cmd_eval_fsp)

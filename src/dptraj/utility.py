@@ -8,9 +8,10 @@ into the release.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import logging
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +65,27 @@ class QueryWorkload:
         )
 
 
+def _below(rng: random.Random, bounds: np.ndarray) -> np.ndarray:
+    """One uniform integer in ``[0, b)`` for each bound ``b`` in ``[1, 2**32]``.
+
+    Lemire's multiply-and-reject method (ACM TOMACS 2019): a 32-bit word ``x``
+    gives ``x * b >> 32``, unless the product's low word is below
+    ``2**32 % b``; such a word is rejected and a fresh one drawn. The words
+    are ``rng``'s bytes read as little-endian uint32.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    threshold = (2**32 - bounds) % bounds
+    drawn = np.empty(len(bounds), dtype=np.int64)
+    todo = np.arange(len(bounds))
+    while len(todo):
+        words = np.frombuffer(rng.randbytes(4 * len(todo)), dtype="<u4")
+        product = words * bounds[todo]
+        kept = (product & 0xFFFFFFFF) >= threshold[todo]
+        drawn[todo[kept]] = product[kept] >> 32
+        todo = todo[~kept]
+    return drawn
+
+
 def generate_workload(
     universe: LocationUniverse, height: int, per_subset: int, seed: int
 ) -> QueryWorkload:
@@ -73,23 +95,26 @@ def generate_workload(
     subset of its length L, drawn by Floyd's algorithm (Bentley & Floyd, CACM 1987)
     for the whole group at once: at step c, every query longer than c draws t
     from [0, j] with j = |U| - L + c, and takes t unless it holds t already, j if so.
+    Every draw comes from ``random.Random(seed)`` (MT19937) through :func:`_below`.
     """
     if per_subset < 1:
         raise ValueError(f"per_subset must be >= 1, got {per_subset!r}")
     if height // 4 < 1:
         raise ValueError(f"height {height} too small: the first subset would have max length 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     size = len(universe)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     sizes, locations = [], []
     max_lengths = tuple(min(group * height // 4, size) for group in range(1, 5))
     for max_len in max_lengths:
-        lengths = rng.integers(1, max_len + 1, size=per_subset)
+        lengths = _below(rng, np.full(per_subset, max_len)) + 1
         # Query q's locations fill the first lengths[q] places of row q.
         picks = np.full((per_subset, max_len), -1, dtype=np.int64)
         for c in range(max_len):
             rows = np.flatnonzero(lengths > c)
             j = size - lengths[rows] + c
-            t = rng.integers(0, j + 1)
+            t = _below(rng, j + 1)
             held = (picks[rows, :c] == t[:, None]).any(axis=1)
             picks[rows, c] = np.where(held, j, t)
         sizes.append(lengths)
@@ -101,6 +126,42 @@ def generate_workload(
 #: batch only holds more memory while it is tested.
 _BATCH_CANDIDATES = 1 << 14
 
+#: Keys handled at once by the passes that build key arrays in place; a larger
+#: block only holds more memory in its temporaries.
+_BLOCK = 1 << 13
+
+
+def _row_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
+    """Ranges ``[lo, hi)`` of rows holding about ``_BLOCK`` tokens each, in order.
+
+    Row ``r``'s tokens are ``bounds[r]:bounds[r + 1]``.
+    """
+    cuts = np.searchsorted(bounds, np.arange(_BLOCK, bounds[-1], _BLOCK)).tolist()
+    edges = sorted({0, *cuts, len(bounds) - 1}) if cuts else [0, len(bounds) - 1]
+    return list(zip(edges, edges[1:]))
+
+
+def _keep_first(keys: np.ndarray, group) -> np.ndarray:
+    """``keys`` sorted and then cut to the first key of each run of equal
+    ``group(keys)``, both in place; ``keys`` must own its data and have no views.
+
+    The cut is a ``resize``, so the memory past the kept keys is given back.
+    """
+    keys.sort()
+    kept, last = 0, -1
+    for lo in range(0, len(keys), _BLOCK):
+        ids = group(keys[lo:lo + _BLOCK])
+        first = np.empty(len(ids), dtype=bool)
+        first[0] = ids[0] != last
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        last = ids[-1]
+        chosen = keys[lo:lo + _BLOCK][first]
+        keys[kept:kept + len(chosen)] = chosen
+        kept += len(chosen)
+    ids = None  # ``group`` may return a view of ``keys``
+    keys.resize(kept, refcheck=False)
+    return keys
+
 
 class PresenceIndex:
     """One sorted key per (location, entry) visit, for bulk count queries.
@@ -111,7 +172,9 @@ class PresenceIndex:
     ``l``'s keys fill ``[l * n, (l + 1) * n)`` in ascending entry order. A
     query takes its rarest location's keys, modulo ``n``, as candidates,
     keeps a candidate ``e`` while ``l * n + e`` is found in the keys for each
-    of its other locations ``l``, and sums the weights of the survivors.
+    of its other locations ``l``, and sums the weights of the survivors. The
+    keys are made, sorted and de-duplicated in one array, a block at a time,
+    so the build holds little more than one key per token.
     """
 
     def __init__(self, db: TrajectoryDb, universe_size: int):
@@ -121,13 +184,13 @@ class PresenceIndex:
             )
         self.weights = db.weights
         n = len(db.weights)
-        keys = db.tokens.astype(np.int64)
-        keys *= n
-        keys += np.repeat(np.arange(n), np.diff(db.offsets))
-        keys.sort()
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]  # a repeated visit equals the key before it
-        self._keys = keys[first]
+        keys = np.empty(len(db.tokens), dtype=np.int64)
+        for lo, hi in _row_blocks(db.offsets):
+            a, b = db.offsets[lo], db.offsets[hi]
+            keys[a:b] = db.tokens[a:b]
+            keys[a:b] *= n
+            keys[a:b] += np.repeat(np.arange(lo, hi), np.diff(db.offsets[lo:hi + 1]))
+        self._keys = _keep_first(keys, lambda block: block)  # a repeated visit's key repeats
         self._bounds = np.searchsorted(self._keys, np.arange(universe_size + 1) * n)
 
     def count(self, query: CountQuery) -> int:
@@ -203,44 +266,88 @@ class SeqPattern:
 
 
 def _extensions(
-    db: TrajectoryDb, ids: np.ndarray, skips: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Every one-location extension of a projected pattern, by location.
+    db: TrajectoryDb, ids: np.ndarray, skips: np.ndarray, best: int, floor: int, loc_bits: int
+) -> list[tuple[int, int, np.ndarray]]:
+    """The ``best`` one-location extensions of a projected pattern with a
+    support of at least ``floor``, best first.
 
     The projection is ``ids``, the entries that hold the pattern, and
     ``skips``, how many of each entry's tokens its earliest occurrence ends
-    after. Returns every location's support and run length, and the
-    extensions' projections as one ``family`` of two arrays, location by
-    location: each run is one extension's projection.
+    after; ``loc_bits`` is the bit width of the database's largest location.
+    Returns each extension's location, support and projection.
+
+    Token ``p`` after the pattern in row ``r`` (entry ``ids[r]``), at location
+    ``l``, is one int64 key holding ``l``, ``r`` and ``p`` in bit fields, in
+    that order. Sorted and cut to the first key of each (location, row), the
+    keys are the visits: each location's earliest token in each row. The
+    supports are weighted counts of the visits, and only the best locations'
+    visits become projections, a block of locations at a time from the
+    highest, each block's keys given back once its projections are made. So
+    the step holds one key per token, a few numbers per row, and the
+    projections.
     """
     starts = db.offsets[ids] + skips
-    lengths = db.offsets[ids + 1] - starts
-    rows, at = _spans(starts, lengths)
-    keys = db.tokens[at].astype(np.int64)
-    del at
-    # Unique keys: by location, then by (row, position) as gathered. The
-    # arrays are as long as every remaining token, so they are reused in
-    # place and dropped as soon as they are spent.
-    total = max(len(keys), 1)
-    keys *= total
-    keys += np.arange(len(keys))
-    keys.sort()
-    flat = keys % total
-    keys //= total
-    rows = rows[flat]
-    # A (location, row) pair's first key is the location's earliest occurrence in the row.
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]) | (rows[1:] != rows[:-1])
-    rows = rows[first]
-    after = flat[first]
-    del flat
-    locs = keys[first]
-    del keys
-    after -= (np.cumsum(lengths) - lengths)[rows]
-    after += skips[rows]
-    after += 1
-    support = np.bincount(locs, weights=db.weights[ids[rows]]).astype(np.int64)
-    return support, np.bincount(locs), (ids[rows], after.astype(np.int32))
+    lengths = db.offsets[1:][ids] - starts
+    bounds = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    if not bounds[-1]:
+        return []
+    pos_bits = int(lengths.max() - 1).bit_length()
+    row_bits = (len(ids) - 1).bit_length()
+    loc_shift = row_bits + pos_bits
+    if loc_bits + loc_shift > 63:
+        raise ValueError(f"{len(ids)} rows of up to 2**{pos_bits} tokens overflow a 64-bit key")
+    # Token j, counted over all rows, is database token j + starts[r], and
+    # j + to_fields holds its row and place fields.
+    starts -= bounds[:-1]
+    keys = np.empty(int(bounds[-1]), dtype=np.int64)
+    for lo, hi in _row_blocks(bounds):
+        a, b = bounds[lo], bounds[hi]
+        j = np.arange(a, b)
+        keys[a:b] = db.tokens[np.repeat(starts[lo:hi], lengths[lo:hi]) + j]
+        keys[a:b] <<= loc_shift
+        to_fields = np.arange(lo, hi) << pos_bits
+        to_fields -= bounds[lo:hi]
+        j += np.repeat(to_fields, lengths[lo:hi])
+        keys[a:b] |= j
+    del starts, lengths, to_fields, j
+    keys = _keep_first(keys, lambda block: block >> pos_bits)
+    size = int(keys[-1] >> loc_shift) + 1
+    row_mask = (1 << row_bits) - 1
+    row_weights = db.weights[ids]
+    support = np.zeros(size)
+    for lo in range(0, len(keys), _BLOCK):
+        rows = keys[lo:lo + _BLOCK] >> pos_bits
+        rows &= row_mask
+        support += np.bincount(keys[lo:lo + _BLOCK] >> loc_shift, row_weights[rows], size)
+    support = support.astype(np.int64)
+    children = np.flatnonzero(support >= floor)
+    children = children[np.lexsort((children, -support[children]))[:best]]
+    if not len(children):
+        return []
+
+    # Projections, in blocks of about _BLOCK visits from the highest location down.
+    chosen = np.sort(children)[::-1]
+    run_starts = np.searchsorted(keys, chosen << loc_shift)
+    runs = np.searchsorted(keys, (chosen + 1) << loc_shift) - run_starts
+    cuts = (np.flatnonzero(np.diff(np.cumsum(runs) // _BLOCK)) + 1).tolist()
+    projections = {}
+    for lo, hi in zip([0, *cuts], [*cuts, len(chosen)]):
+        _, at = _spans(run_starts[lo:hi], runs[lo:hi])
+        place = keys[at]
+        rows = place >> pos_bits
+        rows &= row_mask
+        place &= (1 << pos_bits) - 1
+        place += skips[rows]
+        place += 1
+        held = np.empty((len(at), 2), dtype=ids.dtype)  # each visit's entry and skip
+        held[:, 0] = ids[rows]
+        held[:, 1] = place
+        ends = np.cumsum(runs[lo:hi]).tolist()
+        for loc, a, b in zip(chosen[lo:hi].tolist(), [0, *ends], ends):
+            projections[loc] = held[a:b].copy()
+        keys.resize(run_starts[hi - 1], refcheck=False)  # the block's locations and above
+    return [(loc, int(support[loc]), projections[loc]) for loc in children.tolist()]
 
 
 def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[SeqPattern]:
@@ -252,51 +359,49 @@ def mine_top_k(db: TrajectoryDb, k: int, max_len: int | None = None) -> list[Seq
     pattern, then lexicographically smaller location ids. If fewer than k
     patterns occur at all, all of them are returned and a warning is logged.
 
-    Candidates wait in one heap keyed by that order. A pattern's one-location
-    extensions have at most its support and are one location longer, so none
-    sorts before it: popping in key order yields the result in order, and the
-    first k pops are the top k. With p patterns popped, only the k - p best
-    candidates can still be popped, so the heap is cut to those whenever it
-    grows past twice that many, and a popped pattern pushes only its k - p
-    best extensions.
+    Candidates wait in one list sorted by that order. A pattern's
+    one-location extensions have at most its support and are one location
+    longer, so none sorts before it: taking the first candidate each time
+    yields the result in order, and the first k taken are the top k. With p
+    patterns taken, only the k - p first candidates can still be taken, so
+    the list is cut to those after every step, and a taken pattern adds only
+    its k - p best extensions with at least the support of the (k - p)-th
+    candidate.
 
     A pattern's projection (PrefixSpan's pseudo-projection) is the entries
-    that hold it, each with the position just past its earliest occurrence;
-    both fit int32. A popped pattern sorts the tokens after those positions
-    by (location, entry) and keeps each pair's first: one weighted
-    ``bincount`` gives every extension's support, and each location's run is
-    that extension's projection. Each pushed extension holds a copy of its
-    run, so the whole family is freed once its best extensions are pushed.
+    that hold it, each with the position just past its earliest occurrence:
+    one row of (entry, position) per entry, of the narrowest unsigned type
+    that holds every entry id and record length. A taken pattern sorts the
+    tokens after those positions by (location, entry) and keeps each pair's
+    first: a weighted ``bincount`` gives every extension's support, and each
+    location's run is that extension's projection, made only for the
+    extensions it adds (see :func:`_extensions`).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len!r}")
-    heap: list = []
+    waiting: list = []
     patterns: list[SeqPattern] = []
     pattern: Trajectory = ()
-    ids, skips = np.arange(len(db.weights), dtype=np.int32), np.zeros(len(db.weights), np.int32)
+    # A projection's rows are (entry, position) pairs, in the narrowest type that holds both.
+    n = len(db.weights)
+    longest = int(np.diff(db.offsets).max(initial=0))
+    projection = np.zeros((n, 2), np.min_scalar_type(max(n, longest)))
+    projection[:, 0] = np.arange(n)
+    ids, skips = projection.T
+    loc_bits = int(db.tokens.max(initial=0)).bit_length()
     while True:
         left = k - len(patterns)
         if max_len is None or len(pattern) < max_len:
-            support, runs, (family_ids, family_skips) = _extensions(db, ids, skips)
-            run_ends = np.cumsum(runs)
-            children = np.flatnonzero(runs)
-            children = children[np.lexsort((children, -support[children]))[:left]]
-            for loc, count, lo, hi in zip(
-                children.tolist(),
-                support[children].tolist(),
-                (run_ends - runs)[children].tolist(),
-                run_ends[children].tolist(),
-            ):
-                projection = family_ids[lo:hi].copy(), family_skips[lo:hi].copy()
-                heapq.heappush(heap, (-count, len(pattern) + 1, pattern + (loc,), projection))
-            del family_ids, family_skips  # freed now: no pushed extension holds a view
-            if len(heap) > 2 * left:
-                heap = heapq.nsmallest(left, heap)
-        if not heap:
+            floor = -waiting[left - 1][0] if len(waiting) >= left else 1
+            for loc, count, projection in _extensions(db, ids, skips, left, floor, loc_bits):
+                bisect.insort(waiting, (-count, len(pattern) + 1, pattern + (loc,), projection))
+            del waiting[left:]
+        if not waiting:
             break
-        neg_support, _, pattern, (ids, skips) = heapq.heappop(heap)
+        neg_support, _, pattern, projection = waiting.pop(0)
+        ids, skips = projection.T
         patterns.append(SeqPattern(locations=pattern, support=-neg_support))
         if len(patterns) == k:
             break

@@ -253,6 +253,8 @@ class TestSanitize:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr and result.stdout == ""
         (kept,) = [p for p in tmp_path.iterdir() if p.name.startswith("seed-dir.")]
+        assert re.fullmatch(r"seed-dir\.[0-9a-f]{8}", kept.name)
+        assert 0 <= int(kept.read_text(encoding="utf-8")) < 2**128
         assert str(kept) in result.stderr
         assert kept.stat().st_mode & 0o777 == 0o600
         again = run_cli(*args, "--output", tmp_path / "again.txt",
@@ -630,6 +632,67 @@ class TestEvalCount:
             reports[name] = (tmp_path / f"{name}.csv").read_bytes()
         assert reports["again"] == (tmp_path / "drawn.csv").read_bytes()
         assert reports["next"] != reports["again"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval-fsp", "--topk", "0"),
+        ("eval-fsp", "--topk", "5,x"),
+        ("eval-fsp", "--topk", ","),
+        ("eval-count", "--height", "2"),
+        ("eval-count", "--queries-per-subset", "0"),
+        ("eval-count", "--seed", "-1"),
+    ],
+    ids=" ".join,
+)
+def test_bad_evaluator_parameter_exits_before_reading_any_input(
+    tmp_path, sample_file, sample_universe_file, args
+):
+    # Both inputs are named, one is missing: a parameter error is found first.
+    out = tmp_path / "out.csv"
+    for raw, sanitized in ((tmp_path / "missing.txt", sample_file), (sample_file, sample_file)):
+        result = run_cli(*args, "--raw", raw, "--sanitized", sanitized,
+                         "--universe", sample_universe_file, "--output", out)
+        assert result.returncode == 2, result.stderr
+        assert f"argument {args[1]}" in result.stderr
+        assert "Traceback" not in result.stderr and not out.exists()
+
+
+def test_evaluators_hold_neither_numpy_random_nor_openssl(tmp_path, recipe_corpus):
+    # The queries are drawn from random.Random and a drawn seed comes from
+    # os.urandom: numpy.random (about 6 MB of RSS with what it imports) and
+    # secrets' OpenSSL-backed hashlib (about 3.7 MB) are never loaded, apart
+    # from what importing numpy loads by itself (numpy.random, before NumPy 2).
+    corpus, universe = recipe_corpus
+    script = (
+        "import sys; import numpy; before = set(sys.modules); "
+        "from dptraj.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *(m in set(sys.modules) - before "
+        "for m in ('numpy.random', 'secrets', '_hashlib')))"
+    )
+    inputs = ("--raw", corpus, "--sanitized", corpus, "--universe", universe)
+    for args in (
+        ("eval-count", *inputs, "--height", "8", "--queries-per-subset", "50"),
+        ("eval-fsp", *inputs, "--topk", "5,20"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args), "--output", tmp_path / "out.csv"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False", "False", "False"], args[0]
+
+
+def test_drawn_seeds_are_128_bit_integers(monkeypatch):
+    from dptraj import cli
+
+    seeds = [cli._resolve_seed(None) for _ in range(64)]
+    assert all(0 <= seed < 2**128 for seed in seeds) and len(set(seeds)) == 64
+    assert max(seed.bit_length() for seed in seeds) == 128  # fails with odds 2**-64
+    monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(range(1, n + 1)))
+    assert cli._resolve_seed(None) == int.from_bytes(bytes(range(1, 17)), "big")
+    assert cli._resolve_seed(5) == 5
 
 
 class TestPinnedRelease:

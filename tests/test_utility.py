@@ -162,6 +162,37 @@ class TestCountQuery:
         held = sum(v.nbytes for v in vars(index).values() if isinstance(v, np.ndarray))
         assert held < 256 * 1024
 
+    def test_index_build_holds_little_more_than_it_keeps(self):
+        # The keys are made, sorted and cut to one per visit in a single array,
+        # a block at a time. With the entry ids and the cut keys as arrays of
+        # their own, the build peaked at 2.3 times what it kept.
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(1, 13, 40_000)
+        tokens = rng.integers(0, 1000, lengths.sum())
+        db = TrajectoryDb(tokens, np.concatenate(([0], np.cumsum(lengths))), np.ones(40_000))
+        PresenceIndex(db, 1000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            index = PresenceIndex(db, 1000)
+            kept, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept >= index._keys.nbytes
+        assert peak <= 1.5 * kept, (peak, kept)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_index_does_not_depend_on_the_block(self, block):
+        rnd = random.Random(block)
+        rows = [tuple(rnd.choices(range(9), k=rnd.randint(1, 7))) for _ in range(200)]
+        db = records_db(rows)
+        queries = [frozenset(rnd.sample(range(9), rnd.randint(1, 3))) for _ in range(40)]
+        with mock.patch.object(utility, "_BLOCK", block):
+            index = PresenceIndex(db, 9)
+        assert np.array_equal(index._keys, PresenceIndex(db, 9)._keys)
+        expected = [eval_count_query(db, q) for q in queries]
+        assert index.counts(*packed(queries)).tolist() == expected
+
     def test_index_rejects_ids_outside_universe(self):
         with pytest.raises(ValueError, match="outside universe of size 3"):
             PresenceIndex(records_db([(0, 5)]), 3)
@@ -261,6 +292,19 @@ class TestWorkload:
         with pytest.raises(ValueError):
             generate_workload(make_universe(10), height=3, per_subset=5, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random would draw the same workload for -s and s.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            generate_workload(make_universe(10), height=12, per_subset=5, seed=-3)
+
+    def test_draws_come_from_python_random(self):
+        # The first subset's lengths are the first words of random.Random(seed),
+        # each mapped into [0, max_len) by Lemire's method, plus one.
+        workload = generate_workload(make_universe(50), height=12, per_subset=6, seed=21)
+        words = np.frombuffer(random.Random(21).randbytes(24), dtype="<u4").astype(np.uint64)
+        assert ((3 * words) % 2**32 >= 2**32 % 3).all()  # none of these six words is rejected
+        assert workload.sizes[0].tolist() == ((words * 3 >> 32) + 1).tolist()
+
     def test_empty_subsets_rejected(self):
         for per_subset in (0, -1):
             with pytest.raises(ValueError, match="per_subset must be >= 1"):
@@ -304,6 +348,40 @@ class TestWorkload:
             averages = evaluate_workload(raw, sanitized, workload, len(universe))
         assert averages == pytest.approx(expected, rel=1e-12)
         assert min(averages) > 0
+
+
+class _CountingRandom(random.Random):
+    """``random.Random`` that counts the bytes drawn through ``randbytes``."""
+
+    drawn = 0
+
+    def randbytes(self, n):
+        self.drawn += n
+        return super().randbytes(n)
+
+
+class TestBoundedDraws:
+    def test_uniform_where_a_quarter_of_the_words_are_rejected(self):
+        # At b = 3 * 2**30, x * b >> 32 is floor(3x / 4): without rejection a
+        # multiple of 3 comes from two words and every other value from one.
+        # Lemire's method rejects the words with x % 4 == 0, a quarter of them.
+        bound, n = 3 * 2**30, 30_000
+        rng = _CountingRandom(5)
+        drawn = utility._below(rng, np.full(n, bound))
+        assert drawn.min() >= 0 and drawn.max() < bound
+        assert stats.chisquare(np.bincount(drawn % 3, minlength=3)).pvalue > 1e-3
+        assert stats.chisquare(np.bincount(drawn >> 28, minlength=12)).pvalue > 1e-3
+        assert rng.drawn / 4 / n == pytest.approx(4 / 3, abs=0.03)
+
+    def test_edge_bounds(self):
+        words = np.frombuffer(random.Random(2).randbytes(40), dtype="<u4")
+        # At 2**32 no word is rejected and each maps to itself.
+        assert utility._below(random.Random(2), np.full(10, 2**32)).tolist() == words.tolist()
+        assert utility._below(random.Random(2), np.ones(10, dtype=np.int64)).tolist() == [0] * 10
+        bounds = np.array([1, 2, 5, 1012, 2**31 + 1, 2**32])
+        for seed in range(50):
+            assert (utility._below(random.Random(seed), bounds) < bounds).all()
+        assert len(utility._below(random.Random(2), np.array([], dtype=np.int64))) == 0
 
 
 class TestMineTopK:
@@ -402,6 +480,39 @@ class TestMineTopK:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
+
+    def test_root_step_holds_about_one_key_per_token(self):
+        # The top one pattern runs only the root step. Its keys, one per token,
+        # are cut to one per visit, and only the best location is projected:
+        # with every location's projection and its sort arrays at once, the
+        # step held about 40 B per token of this database.
+        rng = np.random.default_rng(4)
+        lengths = rng.integers(1, 13, 75_000)
+        tokens = rng.integers(0, 1000, lengths.sum())
+        db = TrajectoryDb(tokens, np.concatenate(([0], np.cumsum(lengths))), np.ones(75_000))
+        mine_top_k(db, 1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mine_top_k(db, 1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * len(tokens), peak / len(tokens)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_patterns_do_not_depend_on_the_block(self, block):
+        # Blocks split the keys, the visits and the projections; the result
+        # is the same at any block size.
+        rnd = random.Random(block)
+        db = records_db(
+            [tuple(rnd.choices(range(8), k=rnd.randint(1, 9))) for _ in range(150)]
+            + [(0, 1, 2, 3)] * 20
+        )
+        expected = mine_top_k(db, 60)
+        with mock.patch.object(utility, "_BLOCK", block):
+            assert mine_top_k(db, 60) == expected
+        assert expected == brute_force_top_k(db, 60, max_len=9)[:60]
 
     def test_duplicate_records_count_individually(self):
         db = records_db([(0, 1)] * 4 + [(1, 0)])
