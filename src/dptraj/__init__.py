@@ -1,9 +1,9 @@
 """Differentially private sanitization of trajectory databases.
 
-Pipeline: build a noisy, thresholded prefix tree over the records, restore
-the tree's count-consistency constraints, and materialize a sanitized
-database; evaluate the release with count-query relative error and top-k
-sequential-pattern overlap.
+Pipeline: build a noisy prefix tree over the records, pruned by thresholds
+on its noisy counts, restore the tree's count-consistency constraints, and
+materialize a sanitized database; evaluate the release with count-query
+relative error and top-k sequential-pattern overlap.
 """
 
 from .datagen import GenConfig, generate, planted_routes

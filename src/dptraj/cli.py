@@ -4,6 +4,8 @@ Subcommands write plain text or CSV so runs compose in shell pipelines, and
 read every trajectory file against one public list of locations, --universe.
 Every command that consumes randomness takes --seed, draws a fresh 128-bit
 seed without it, and is bit-reproducible given the same seed and flags.
+sanitize's and the evaluators' --seed must be non-negative, and is checked
+before any input is read.
 sanitize's seed is the key to its noise: it is never printed, and
 --seed-out PATH keeps it in an owner-only file, written beside PATH before any
 work and moved onto PATH once the release is written.
@@ -236,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--height", type=int, default=12)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--universe", required=True, help="public universe file, one token per line")
     p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--dump-tree", default=None, dest="dump_tree", metavar="PATH")

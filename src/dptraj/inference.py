@@ -81,26 +81,20 @@ def consistent_estimates(tree: PrefixTree, flat: PrefixTree | None = None) -> Pr
 
     ``flat`` is ignored; callers may pass on what :func:`consolidate` returns.
     """
-    n = len(tree)
     if tree.fitted is None or np.isnan(tree.fitted[1:]).any():
         raise ValueError("fitted counts missing; run consolidate() first")
-    fitted = tree.fitted.copy()
-    fitted[0] = 0.0
-
-    child_fitted_sum = np.bincount(tree.parent[1:], fitted[1:], minlength=n)
-
-    adjusted = np.empty(n)
+    # Starts as the fitted counts; each level from depth 2 on then takes its deficit.
+    adjusted = tree.fitted.copy()
     adjusted[0] = 0.0
-    for depth in range(1, int(tree.depth.max()) + 1):
+
+    child_fitted_sum = np.bincount(tree.parent[1:], adjusted[1:], minlength=len(tree))
+
+    for depth in range(2, int(tree.depth.max()) + 1):
         level = np.flatnonzero(tree.depth == depth)
-        if depth == 1:
-            adjusted[level] = fitted[level]
-            continue
         parents = tree.parent[level]
-        deficit = np.minimum(
+        adjusted[level] += np.minimum(
             0.0, (adjusted[parents] - child_fitted_sum[parents]) / tree.n_children[parents]
         )
-        adjusted[level] = fitted[level] + deficit
     tree.adjusted = adjusted
     return tree
 

@@ -29,18 +29,18 @@ KAPPA = 7.27
 class PrivacyParams:
     """Total budget, tree height, and the derived per-level quantities.
 
-    Both thresholds take one form, ln(x) noise scales (ln(x) / per_level), and
-    read only public values: candidates whose noisy count is below :meth:`threshold`, at
-    x = |U| / (2 KAPPA), are dropped, and a kept node is expanded iff its
-    noisy count reaches :meth:`expand_threshold`, at x = |U|, where an
-    empty-born node has half an expanded child on average. The tree's shape
-    thus depends only on noisy counts. ``thresholded=False`` sets both to 0,
-    for noise-free checks.
+    Both thresholds take one form, max(0, ln x) noise scales (max(0, ln x) /
+    per_level), and read only public values: candidates whose noisy count is
+    below :meth:`threshold`, at x = |U| / (2 KAPPA), are dropped, and a kept
+    node is expanded iff its noisy count reaches :meth:`expand_threshold`, at
+    x = |U|, where an empty-born node has half an expanded child on average.
+    The tree's shape thus depends only on noisy counts. No setting turns the
+    thresholds off: with real noise and none, each kept node would bear about
+    |U|/2 children.
     """
 
     epsilon: float
     height: int
-    thresholded: bool = True
 
     def __post_init__(self) -> None:
         if not (
@@ -66,17 +66,13 @@ class PrivacyParams:
         """Laplace scale for one noisy count at one level."""
         return COUNT_SENSITIVITY / self.per_level
 
-    def _log_threshold(self, x: float) -> float:
-        """max(0, ln x) noise scales, or 0 with thresholds off."""
-        return math.log(max(x, 1.0)) * self.noise_scale if self.thresholded else 0.0
-
     def threshold(self, universe_size: int) -> float:
         """Noisy count that keeps a candidate: max(0, ln(|U| / (2 KAPPA))) / per_level."""
-        return self._log_threshold(universe_size / (2.0 * KAPPA))
+        return math.log(max(universe_size / (2.0 * KAPPA), 1.0)) * self.noise_scale
 
     def expand_threshold(self, universe_size: int) -> float:
-        """Noisy count that expands a kept node: ln|U| / per_level."""
-        return self._log_threshold(universe_size)
+        """Noisy count that expands a kept node: max(0, ln|U|) / per_level."""
+        return math.log(max(universe_size, 1.0)) * self.noise_scale
 
     def pass_probability(self, universe_size: int) -> float:
         """Probability that a zero-count candidate clears the threshold: min(1/2, KAPPA / |U|)."""

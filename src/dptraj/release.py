@@ -76,10 +76,9 @@ def generate_release(
 
     emitting = np.flatnonzero(terminated)
     paths = tree.paths(emitting)
-    if len(emitting):  # with nothing to emit, the paths have no column to sort by
-        # Padding sorts after every row, so this is a postorder, siblings in birth order.
-        order = np.lexsort(paths.T[::-1])
-        emitting, paths = emitting[order], paths[order]
+    # Padding sorts after every row, so this is a postorder, siblings in birth order.
+    order = np.lexsort(paths.T[::-1])
+    emitting, paths = emitting[order], paths[order]
     return TrajectoryDb(
         tree.location.astype(np.int32)[paths[paths < len(tree)]],  # the db's width: no recopy
         np.concatenate(([0], np.cumsum(tree.depth[emitting]))),

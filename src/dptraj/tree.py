@@ -1,4 +1,4 @@
-"""Prefix-tree construction: the noisy, thresholded prefix tree of a database.
+"""Prefix-tree construction: the noisy prefix tree of a database, pruned by thresholds.
 
 At each expanded node every universe location is a candidate child:
 candidates backed by at least one trajectory get an individually noised count
@@ -95,9 +95,10 @@ class PrefixTree:
 
         Column ``c`` holds the node's ancestor at depth ``c + 1`` (the node
         itself at its own depth); columns past its depth hold ``len(self)``.
+        There is always at least one column, so the rows can be sorted.
         """
         depth = self.depth[nodes]
-        paths = np.full((len(nodes), int(depth.max(initial=0))), len(self), dtype=np.int32)
+        paths = np.full((len(nodes), int(depth.max(initial=1))), len(self), dtype=np.int32)
         for c in reversed(range(paths.shape[1])):
             below = depth > c  # the nodes with an ancestor at depth c + 1
             paths[below, c] = nodes[below]
@@ -245,8 +246,6 @@ def dump_tree(tree: PrefixTree) -> str:
     order. True counts never appear; the dump is safe to share with a release.
     """
     nodes = np.arange(1, len(tree))
-    if not len(nodes):  # a root-only tree's paths have no column to sort by
-        return ""
     paths = tree.paths(nodes)
     paths[paths == len(tree)] = -1
     nodes = nodes[np.lexsort(paths.T[::-1])]

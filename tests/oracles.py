@@ -40,6 +40,22 @@ class ZeroNoiseSource(RandomSource):
         return _ZeroNoiseStream()
 
 
+class NoThresholds(PrivacyParams):
+    """Privacy parameters with both thresholds at 0, for noise-free checks.
+
+    With :class:`ZeroNoiseSource` every data-backed candidate is kept and
+    expanded, so the tree is the exact prefix tree. With real noise a kept
+    node would bear about |U|/2 children, which is why the library has no
+    such setting.
+    """
+
+    def threshold(self, universe_size: int) -> float:
+        return 0.0
+
+    def expand_threshold(self, universe_size: int) -> float:
+        return 0.0
+
+
 def array_tree(
     nodes: Iterable[tuple[tuple[int, ...], float, int]],
     universe: LocationUniverse,

@@ -32,7 +32,7 @@ from dptraj.release import generate_release, sanitize
 from dptraj.utility import evaluate_workload, fsp_metrics, generate_workload, mine_top_k
 
 from conftest import make_universe
-from oracles import ZeroNoiseSource, isotonic_fit, isotonic_fit_minmax, records_db
+from oracles import NoThresholds, ZeroNoiseSource, isotonic_fit, isotonic_fit_minmax, records_db
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -88,7 +88,7 @@ def _stm_like(n_records: int, n_locations: int) -> GenConfig:
 
 def test_criterion_1_zero_noise_identity():
     rnd = random.Random(20240)
-    params = PrivacyParams(epsilon=1.0, height=8, thresholded=False)
+    params = NoThresholds(epsilon=1.0, height=8)
     source = ZeroNoiseSource()
     cases = []
     for _ in range(100):

@@ -405,6 +405,21 @@ class TestSanitize:
             assert name in result.stderr
         assert not (tmp_path / "o.txt").exists()
 
+    def test_negative_seed_exits_before_reading_any_input(self, tmp_path, sample_paths):
+        # The parser rejects the seed, so no input is opened (a missing one is not
+        # an I/O error here) and no release, dump or seed file is written.
+        data, universe = sample_paths
+        for input_path in (tmp_path / "missing.txt", data):
+            before = set(tmp_path.iterdir())
+            result = run_cli(
+                "sanitize", "--input", input_path, "--output", tmp_path / "o.txt",
+                "--epsilon", "1", "--seed", "-1", "--universe", universe,
+                "--dump-tree", tmp_path / "dump.txt", "--seed-out", tmp_path / "seed.txt",
+            )
+            assert result.returncode == 2, result.stderr
+            assert "argument --seed:" in result.stderr and "Traceback" not in result.stderr
+            assert set(tmp_path.iterdir()) == before
+
     def test_non_utf8_input_is_data_error(self, tmp_path, sample_paths):
         data, universe = sample_paths
         bad = tmp_path / "bad.txt"

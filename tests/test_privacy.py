@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from dptraj.privacy import (
 from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
-from oracles import ZeroNoiseSource, records_db
+from oracles import NoThresholds, ZeroNoiseSource, records_db
 
 
 class TestPrivacyParams:
@@ -80,10 +81,17 @@ class TestPrivacyParams:
         assert 0 < params.pass_probability(universe_size) <= 0.5
 
     def test_unthresholded_params_disable_both_thresholds(self):
-        params = PrivacyParams(epsilon=1.0, height=4, thresholded=False)
+        # The noise-free tests' double; the library has no such setting.
+        params = NoThresholds(epsilon=1.0, height=4)
         for size in (0, 14, 1012):
             assert params.threshold(size) == params.expand_threshold(size) == 0.0
             assert params.pass_probability(size) == 0.5
+
+    def test_thresholds_cannot_be_turned_off(self):
+        # Only the epsilon and the height are set; the thresholds follow from them.
+        assert [f.name for f in fields(PrivacyParams)] == ["epsilon", "height"]
+        with pytest.raises(TypeError):
+            PrivacyParams(epsilon=1.0, height=3, thresholded=False)
 
     def test_expand_threshold(self):
         params = PrivacyParams(epsilon=1.0, height=12)

@@ -13,6 +13,7 @@ from dptraj.tree import build_noisy_tree
 
 from conftest import make_universe
 from oracles import (
+    NoThresholds,
     ZeroNoiseSource,
     array_tree,
     assert_same_arrays,
@@ -80,7 +81,7 @@ class TestGenerateRelease:
             ]
             db = records_db(rows)
             universe = make_universe(universe_size)
-            params = PrivacyParams(epsilon=1.0, height=6, thresholded=False)
+            params = NoThresholds(epsilon=1.0, height=6)
             for variant in ("basic", "full"):
                 release, _ = sanitize(db, universe, params, ZeroNoiseSource(), variant)
                 assert Counter(release.trajectories) == Counter(db.trajectories)
@@ -88,7 +89,7 @@ class TestGenerateRelease:
     def test_zero_noise_truncates_to_height(self):
         db = records_db([(0, 1, 2, 3), (0, 1)])
         universe = make_universe(4)
-        params = PrivacyParams(epsilon=1.0, height=2, thresholded=False)
+        params = NoThresholds(epsilon=1.0, height=2)
         release, _ = sanitize(db, universe, params, ZeroNoiseSource(), "basic")
         assert Counter(release.trajectories) == Counter([(0, 1), (0, 1)])
 

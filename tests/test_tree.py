@@ -16,6 +16,7 @@ from dptraj.tree import _empty_born_locations, build_noisy_tree, dump_tree
 
 from conftest import load_split, make_universe
 from oracles import (
+    NoThresholds,
     ZeroNoiseSource,
     build_exact_tree,
     children,
@@ -154,7 +155,7 @@ class TestNoisyTree:
             # read back with a small line cache, repeats also split into several entries
             cases.append((load_split(rows, universe, 2, tmp_path), universe))
         assert any(len(set(db_entries(db))) < len(db.weights) for db, _ in cases)
-        params = PrivacyParams(epsilon=1.0, height=6, thresholded=False)
+        params = NoThresholds(epsilon=1.0, height=6)
 
         def signature(tree):
             return sorted(zip(prefixes(tree)[1:], tree.noisy[1:].tolist()))
@@ -181,7 +182,7 @@ class TestNoisyTree:
     def test_truncation_in_zero_noise_mode(self):
         db = records_db([(0, 1, 2, 3, 0, 1)])
         universe = make_universe(4)
-        params = PrivacyParams(epsilon=1.0, height=3, thresholded=False)
+        params = NoThresholds(epsilon=1.0, height=3)
         tree = build_noisy_tree(db, universe, params, ZeroNoiseSource())
         assert set(prefixes(tree)[1:]) == {(0,), (0, 1), (0, 1, 2)}
 
@@ -274,10 +275,10 @@ class TestNoisyTree:
         assert [r.empty_born for r in rows[1:]] == (tree.true_count[1:] == 0).tolist()
         json.dumps(rows)  # numpy scalars would not serialize
 
-    @pytest.mark.parametrize("thresholded", [False, True])
-    def test_empty_universe_gives_root_only_tree(self, thresholded):
+    @pytest.mark.parametrize("params_type", [NoThresholds, PrivacyParams], ids=lambda t: t.__name__)
+    def test_empty_universe_gives_root_only_tree(self, params_type):
         db, universe = records_db(()), make_universe(0)
-        params = PrivacyParams(epsilon=1.0, height=3, thresholded=thresholded)
+        params = params_type(epsilon=1.0, height=3)
         for variant in VARIANTS:
             release, tree = sanitize(db, universe, params, RandomSource(5), variant)
             assert len(tree) == 1 and len(release) == 0 and len(release.tokens) == 0
@@ -552,7 +553,7 @@ class TestFlatten:
             assert path[depth - 1] == node
             assert (path[depth:] == len(tree)).all()
             assert tuple(tree.location[path[:depth]]) == want[node]
-        assert tree.paths(nodes[:0]).shape == (0, 0)
+        assert tree.paths(nodes[:0]).shape == (0, 1)  # always a column to sort by
 
     @pytest.mark.parametrize("narrow", [False, True])
     def test_builder_rows_are_in_level_order(self, narrow):
