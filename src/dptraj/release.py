@@ -54,33 +54,26 @@ def generate_release(
 
     Each non-root node terminates ``round(count - sum of child counts)``
     trajectories (clamped at zero, halves rounded to even): its prefix becomes
-    one entry standing for that many records, nodes taken in postorder with
-    siblings in birth order (sorting their root paths gives it). With
+    one entry standing for that many records, nodes taken in
+    :meth:`PrefixTree.preorder`, so prefixes sort before extensions. With
     ``use_inference`` the adjusted counts are read, otherwise the raw noisy
     counts ("basic" variant); both run on the same tree so the two variants
     share one set of random draws.
 
     ``flat`` is ignored; callers may pass on what ``consolidate`` returns.
     """
-    if use_inference:
-        if tree.adjusted is None or np.isnan(tree.adjusted[1:]).any():
-            raise ValueError("adjusted counts missing; run the inference passes first")
-        counts = tree.adjusted.copy()
-    else:
-        counts = tree.noisy.copy()
+    if use_inference and (tree.adjusted is None or np.isnan(tree.adjusted[1:]).any()):
+        raise ValueError("adjusted counts missing; run the inference passes first")
+    counts = (tree.adjusted if use_inference else tree.noisy).copy()
     counts[0] = 0.0
 
     child_sum = np.bincount(tree.parent[1:], counts[1:], minlength=len(tree))
     terminated = np.maximum(np.rint(counts - child_sum), 0.0).astype(np.int64)
     terminated[0] = 0
 
-    emitting = np.flatnonzero(terminated)
-    paths = tree.paths(emitting)
-    # Padding sorts after every row, so this is a postorder, siblings in birth order.
-    order = np.lexsort(paths.T[::-1])
-    emitting, paths = emitting[order], paths[order]
+    emitting, paths = tree.preorder(np.flatnonzero(terminated))
     return TrajectoryDb(
-        tree.location.astype(np.int32)[paths[paths < len(tree)]],  # the db's width: no recopy
+        paths[paths >= 0],  # int32, the db's width: no recopy
         np.concatenate(([0], np.cumsum(tree.depth[emitting]))),
         terminated[emitting],
     )

@@ -21,8 +21,8 @@ moved slots of every expanded node's pool, places the empty-born children.
 Only the entries of expanded runs whose records go on are carried to the next
 depth. Each depth's nodes are appended to the tree's rows as they are made.
 Those arrays are the tree's interface, read and written directly by
-inference, release, the CLI and :func:`dump_tree`; one sort of the root paths
-from :meth:`PrefixTree.paths` orders a release or a dump.
+inference, release, the CLI and :func:`dump_tree`. Row order is the build's
+own: the release and the dump are both written in :meth:`PrefixTree.preorder`.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class PrefixTree:
     """A prefix tree held as one array per node field, one row per node.
 
     Row 0 is the root, with no location, parent or measured count (-1, -1,
-    NaN). Rows are in level order: each depth's rows are contiguous, and
-    within a depth they are in the build's order, so siblings sit in birth
-    order and every parent's row comes before its children's.
+    NaN). Rows are in level order: each depth's rows are contiguous, and every
+    parent's row comes before its children's. Within a depth the order is the
+    build's and may follow true counts, so no output reads it.
     ``true_count`` is the number of input records under a node; it is never
     written to any output. A data-backed node always has a record under it,
     so the non-root nodes with a zero true count are the empty-born ones.
@@ -105,6 +105,18 @@ class PrefixTree:
             nodes = np.where(below, self.parent[nodes], nodes)
         return paths
 
+    def preorder(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Non-root ``nodes`` in the order every output writes them, and their paths.
+
+        Each int32 path holds the node's locations from depth 1 down, then -1 past
+        its depth, so a node sorts just before its subtree and siblings sort by
+        location id, which is public (row order tells data-backed siblings from
+        empty-born ones).
+        """
+        paths = np.append(self.location, -1).astype(np.int32)[self.paths(nodes)]
+        order = np.lexsort(paths.T[::-1])
+        return nodes[order], paths[order]
+
 
 def build_noisy_tree(
     db: TrajectoryDb,
@@ -124,8 +136,7 @@ def build_noisy_tree(
     # Each entry's length, clipped to the height: all a depth asks is whether a record goes on.
     length = np.minimum(np.diff(db.offsets), params.height)
     length = length.astype(np.min_scalar_type(params.height))
-    # Per depth, the nodes born there: parent (its index in the tree),
-    # location, noisy count and true count, siblings in birth order.
+    # Per depth, the nodes born there: parent (its row), location, noisy and true count.
     levels = [(np.full(1, -1), np.full(1, -1), np.full(1, np.nan), np.full(1, len(db)))]
     # The frontier: each node's index in the tree, and how many of ``rows``
     # (the entries under it, grouped by node) it holds; ``size`` nodes are made so far.
@@ -211,7 +222,7 @@ def _empty_born_locations(
     locs: np.ndarray, runs: np.ndarray, bearer: np.ndarray, rank: np.ndarray,
     slots: np.ndarray, universe_size: int,
 ) -> np.ndarray:
-    """Locations of the depth's empty-born nodes, in birth order.
+    """Locations of the depth's empty-born nodes, one per ``bearer`` and ``rank``.
 
     Frontier node ``b`` owns the next ``runs[b]`` of ``locs``, its data-backed
     locations (ascending); its pool is the universe without them, in
@@ -241,14 +252,10 @@ def _empty_born_locations(
 def dump_tree(tree: PrefixTree) -> str:
     """Debug outline: one node per line, depth-indented token and noisy count.
 
-    Nodes are in preorder, children in birth order: sorting the root paths,
-    padding first, puts each node before its subtree and siblings in row
-    order. True counts never appear; the dump is safe to share with a release.
+    Nodes are in :meth:`PrefixTree.preorder`, siblings by location id. Neither
+    true counts nor row order reach it; the dump is safe to share with a release.
     """
-    nodes = np.arange(1, len(tree))
-    paths = tree.paths(nodes)
-    paths[paths == len(tree)] = -1
-    nodes = nodes[np.lexsort(paths.T[::-1])]
+    nodes, _ = tree.preorder(np.arange(1, len(tree)))
     indent_by_depth = np.array(["  " * d for d in range(tree.depth.max())], dtype=object)
     indent = indent_by_depth[tree.depth[nodes] - 1].tolist()
     tokens = np.array(tree.universe.tokens, dtype=object)[tree.location[nodes]].tolist()

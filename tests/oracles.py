@@ -129,8 +129,9 @@ def prefixes(tree: PrefixTree) -> list[tuple[int, ...]]:
 
 
 def children(tree: PrefixTree, i: int) -> list[int]:
-    """Rows whose parent is row ``i``, in birth order (the order of their rows)."""
-    return np.flatnonzero(tree.parent == i).tolist()
+    """Rows whose parent is row ``i``, by location id: the order every output writes."""
+    rows = np.flatnonzero(tree.parent == i)
+    return rows[np.argsort(tree.location[rows])].tolist()
 
 
 def build_exact_tree(
@@ -245,8 +246,9 @@ def reference_release(tree: PrefixTree, use_inference: bool) -> TrajectoryDb:
     """The release built by a recursive walk over the tree's child lists.
 
     Counts as ``generate_release`` counts them; each node's prefix extends
-    its parent's, and a node is emitted after its children's subtrees, which
-    are walked in birth order: a postorder found without sorting rows.
+    its parent's, and a node is emitted before its children's subtrees, which
+    are walked by location id: the prefixes' lexicographic order, found
+    without sorting paths.
     """
     counts = (tree.adjusted if use_inference else tree.noisy).copy()
     counts[0] = 0.0
@@ -260,11 +262,11 @@ def reference_release(tree: PrefixTree, use_inference: bool) -> TrajectoryDb:
     weights: list[int] = []
 
     def walk(i: int, prefix: tuple[int, ...]) -> None:
-        for child in kids[i]:
-            walk(child, prefix + (int(tree.location[child]),))
         if i and terminated[i]:
             entries.append(prefix)
             weights.append(terminated[i])
+        for child in sorted(kids[i], key=tree.location.__getitem__):
+            walk(child, prefix + (int(tree.location[child]),))
 
     walk(0, ())
     return entries_db(entries, weights)

@@ -713,9 +713,11 @@ def test_drawn_seeds_are_128_bit_integers(monkeypatch):
 class TestPinnedRelease:
     """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus and a narrow one.
 
-    The digests were recorded when the pruning threshold came to follow the
-    universe's size; any change to a draw, to the child order, to which nodes
-    are kept or expanded or to the inference arithmetic shows up here.
+    The digests were recorded when the outputs came to be written in location
+    order; any change to a draw, to the written order, to which nodes are kept
+    or expanded or to the inference arithmetic shows up here. The change of
+    order moved no line: each release is the earlier pin's lines, sorted, and
+    each dump's sorted lines are the earlier pin's sorted lines.
     """
 
     CORPORA = {
@@ -725,18 +727,21 @@ class TestPinnedRelease:
         "12": "60e4f84010a05d09ebdceca346f0c9aaec9b0c81a955fc176a3d0436b119d2c6",
     }
     RUNS = {
-        # (--n-locations, --variant): (release digest, --dump-tree digest)
+        # (--n-locations, --variant): (release digest, --dump-tree digest, sorted dump digest)
         ("40", "full"): (
-            "88897685d25ced88aab9ae4e9b59d8c79ecd2916fb68e1da6c739cabadcbf343",
-            "0f7ff27ad9c41b0db385d3dac82b19b52070d1d403499d22b57f40304935a2b5",
+            "6593e11649799c9b2e56bd2adc68e091de3c544abc70d0b5b39013ad8a3865b1",
+            "0f122ce10c898442597fda7d041fff7dcd226acb0658406dde26f15bb67f2de6",
+            "993912df8a361485222991b62dbe2b6d520ae0b74dcbe47142620c6a5e880b24",
         ),
         ("40", "basic"): (
-            "7b50723e1b9509e738f1a1e558c8179c21f1f332d8dbdd261c24baa6ac27e9e5",
-            "0f7ff27ad9c41b0db385d3dac82b19b52070d1d403499d22b57f40304935a2b5",
+            "e80669d7f03480c078da14c0f476d5cc8ee88c8cc563bf7eb4a8d22841577cd6",
+            "0f122ce10c898442597fda7d041fff7dcd226acb0658406dde26f15bb67f2de6",
+            "993912df8a361485222991b62dbe2b6d520ae0b74dcbe47142620c6a5e880b24",
         ),
         ("12", "full"): (
-            "e5510fee90f6fd3e9cdb50e04615ee6289b2e94d89dcbdc6dd44c4b66abd8cbf",
-            "70d7726eaff7f4de6f5337ccbee726aabb07cc5a83ca4e48a43c239b25fe59e8",
+            "5fbcbd233db6cb2eddbc5d15c1d5ea8b9d0f78a1acb5aecbc255e7ee5d7d8951",
+            "df750827b5761483c05a4ef84f008ce3b67a3b826a6307a2d5694cc586b5510e",
+            "4ca9d4b4abec72efda56b2e86a59964379e30b9886ffa7678c62520e8d50625a",
         ),
     }
 
@@ -752,7 +757,8 @@ class TestPinnedRelease:
             )
             assert result.returncode == 0, result.stderr
             assert hashlib.sha256(corpus.read_bytes()).hexdigest() == corpus_digest
-        for (n_locations, variant), (release_digest, dump_digest) in self.RUNS.items():
+        for key, (release_digest, dump_digest, sorted_dump_digest) in self.RUNS.items():
+            n_locations, variant = key
             out, dump = tmp_path / "release.txt", tmp_path / "tree.txt"
             result = run_cli(
                 "sanitize", "--input", tmp_path / f"corpus-{n_locations}.txt",
@@ -761,9 +767,14 @@ class TestPinnedRelease:
                 "--dump-tree", dump,
             )
             assert result.returncode == 0, result.stderr
-            key = (n_locations, variant)
             assert hashlib.sha256(out.read_bytes()).hexdigest() == release_digest, key
+            # gen's tokens share one width, so location order is byte order: the
+            # release is sorted, and its digest is that of the earlier pin's sorted lines.
+            lines = out.read_bytes().splitlines(keepends=True)
+            assert lines == sorted(lines), key
             assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest, key
+            lines = sorted(dump.read_bytes().splitlines(keepends=True))
+            assert hashlib.sha256(b"".join(lines)).hexdigest() == sorted_dump_digest, key
 
 
 class TestEvalFsp:

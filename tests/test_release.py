@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dptraj.inference import consistent_estimates, consolidate
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.release import VARIANTS, generate_release, release_stats, release_tree, sanitize
-from dptraj.tree import build_noisy_tree
+from dptraj.tree import build_noisy_tree, dump_tree
 
 from conftest import make_universe
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     array_tree,
     assert_same_arrays,
     children,
+    prefixes,
     records_db,
     reference_release,
 )
@@ -54,16 +55,16 @@ class TestGenerateRelease:
         assert generate_release(manual_tree({(0,): 2.5}), False).trajectories == ((0,),) * 2
         assert generate_release(manual_tree({(0,): 3.5}), False).trajectories == ((0,),) * 4
 
-    def test_postorder_output_order(self):
-        tree = manual_tree({(0,): 5.0, (0, 1): 2.0, (2,): 1.0})
+    def test_lexicographic_output_order(self):
+        tree = manual_tree({(2,): 1.0, (0,): 5.0, (0, 1): 2.0})
         release = generate_release(tree, use_inference=False)
-        # subtree of 0 first (its deepest nodes first), then sibling 2
-        assert release.trajectories == ((0, 1), (0, 1), (0,), (0,), (0,), (2,))
+        # 0 before its subtree, then sibling 2, though 2's row comes first
+        assert release.trajectories == ((0,),) * 3 + ((0, 1),) * 2 + ((2,),)
         # Three levels under two depth-1 subtrees, whose rows interleave by depth.
-        tree = manual_tree({(0,): 5.0, (2,): 4.0, (0, 1): 3.0, (2, 3): 2.0, (0, 1, 4): 1.0})
+        tree = manual_tree({(2,): 5.0, (0,): 4.0, (2, 3): 3.0, (0, 1): 2.0, (0, 1, 4): 1.0})
         release = generate_release(tree, use_inference=False)
         assert release.trajectories == (
-            ((0, 1, 4),) + ((0, 1),) * 2 + ((0,),) * 2 + ((2, 3),) * 2 + ((2,),) * 2
+            ((0,),) * 2 + ((0, 1),) + ((0, 1, 4),) + ((2,),) * 2 + ((2, 3),) * 3
         )
 
     def test_inference_counts_require_inference_passes(self):
@@ -160,6 +161,29 @@ class TestGenerateRelease:
             assert (built.adjusted is None) == (variant == "basic")
             if variant == "full":
                 assert np.array_equal(built.adjusted, tree.adjusted)
+
+
+class TestRowOrderIsPrivate:
+    def test_relabelled_rows_write_the_same_bytes(self):
+        # Rows follow the build, which puts data-backed siblings first. Relabelled
+        # by a random permutation within each depth, a tree writes the same outputs.
+        rnd = random.Random(17)
+        moved = 0
+        for seed in range(20):
+            rows = [
+                tuple(rnd.randrange(20) for _ in range(rnd.randint(1, 5)))
+                for _ in range(rnd.randint(1, 150))
+            ]
+            params = PrivacyParams(epsilon=2.0, height=4)
+            tree = build_noisy_tree(records_db(rows), make_universe(20), params, RandomSource(seed))
+            listed = list(zip(prefixes(tree), tree.noisy.tolist(), tree.true_count.tolist()))
+            rnd.shuffle(listed)
+            relabelled = array_tree(listed, tree.universe)
+            moved += not np.array_equal(relabelled.location, tree.location)
+            # The noisy counts: inference sums in leaf order, which could move a last bit.
+            assert_same_arrays(generate_release(relabelled, False), generate_release(tree, False))
+            assert dump_tree(relabelled) == dump_tree(tree)
+        assert moved > 10
 
 
 @st.composite

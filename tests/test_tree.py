@@ -523,7 +523,7 @@ class TestDump:
 
 
 def _preorder_walk(tree, i=0):
-    """The rows below row ``i``, each followed by its subtree, children in birth order."""
+    """The rows below row ``i``, each followed by its subtree, children by location id."""
     return [row for c in children(tree, i) for row in (c, *_preorder_walk(tree, c))]
 
 
@@ -571,9 +571,10 @@ class TestFlatten:
             assert (tree.n_children == np.bincount(parent, minlength=n)).all()
             theta_expand = params.expand_threshold(len(universe))
             assert (tree.noisy[1:][tree.n_children[1:] > 0] >= theta_expand).all()
-            # Under each parent: data-backed children in ascending location, then empty-born.
+            # Under each parent, rows hold data-backed children in ascending location,
+            # then empty-born ones: the build's order, which no output reads.
             for i in np.flatnonzero(tree.n_children):
-                rows = children(tree, i)
+                rows = np.flatnonzero(tree.parent == i)
                 backed = tree.true_count[rows] > 0
                 assert not (~backed[:-1] & backed[1:]).any()
                 assert (np.diff(tree.location[rows][backed]) > 0).all()
