@@ -55,7 +55,7 @@ def consolidate(tree: PrefixTree) -> PrefixTree:
     paths, lengths = tree.paths(leaves), tree.depth[leaves]
     sums = np.zeros(n)
     hits = np.zeros(n, dtype=np.int64)
-    for length in np.unique(lengths):
+    for length in np.flatnonzero(np.bincount(lengths)):
         rows = np.flatnonzero(lengths == length)
         step = max(1, _BLOCK_CELLS // length)
         for start in range(0, len(rows), step):

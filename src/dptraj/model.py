@@ -95,18 +95,6 @@ class TrajectoryDb:
         return tuple(chain.from_iterable(map(repeat, entries, self.weights.tolist())))
 
 
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ranges ``[starts[i], starts[i] + lengths[i])`` laid end to end.
-
-    Returns ``(owner, index)``: ``index`` runs through every range in order,
-    and ``owner[j]`` (int32) is the ``i`` whose range ``index[j]`` belongs to.
-    """
-    owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
-    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    index += np.arange(len(index))
-    return owner, index
-
-
 @contextmanager
 def _open_text(path: str):
     """Open a UTF-8 text file for reading; undecodable bytes are a format error.

@@ -155,8 +155,7 @@ def sample_pass_count(m, params: PrivacyParams, universe_size: int, rng):
     """How many of m zero-count candidates clear the threshold over ``universe_size`` locations.
 
     Equivalent to running the m independent noisy-count checks and counting
-    the passes, but in one binomial draw. ``m`` may be an array of pool
-    sizes; then one count is drawn for each, in one call.
+    the passes, but in one binomial draw.
     """
     if np.any(np.less(m, 0)):
         raise ValueError(f"candidate count must be >= 0, got {m!r}")

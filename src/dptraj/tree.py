@@ -2,11 +2,11 @@
 
 At each expanded node every universe location is a candidate child:
 candidates backed by at least one trajectory get an individually noised count
-and survive only above the threshold, while the (typically many) zero-count
-candidates are resolved in one shot -- a binomial draw decides how many pass,
-and those are placed on uniformly chosen empty locations with counts drawn
-from the passing-count distribution. Any kept node is expanded iff its noisy
-count reaches ``PrivacyParams.expand_threshold``: the shape reads no true count.
+and survive only above the threshold, while a depth's (typically many)
+zero-count candidates are resolved in one shot: a uniform subset of binomial
+size is drawn from its (node, location) cells, and its zero-count cells become
+children with counts from the passing-count distribution. A kept node is
+expanded iff its noisy count reaches the expand threshold: the shape reads no true count.
 
 The tree grows one depth at a time. Between depths the builder holds only the
 ids of the entries still under the frontier's data-backed nodes, grouped by
@@ -14,11 +14,9 @@ node, and how many each node holds. A depth sorts those entries by one integer
 key, the node's place on the frontier times the universe size plus the entry's
 location at that depth: the runs of equal keys are the data-backed candidates,
 in frontier order and then by ascending location, and their true counts are
-sums of the entries' weights. One stream makes every draw of the depth in four
-vector calls, and array steps keep children and pick the next frontier. One
-partial Fisher-Yates shuffle over the whole depth, a dict holding only the
-moved slots of every expanded node's pool, places the empty-born children.
-Only the entries of expanded runs whose records go on are carried to the next
+sums of the entries' weights. One stream makes every draw of the depth in
+vector calls, and array steps keep children and pick the next frontier. Only
+the entries of expanded runs whose records go on are carried to the next
 depth. Each depth's nodes are appended to the tree's rows as they are made.
 Those arrays are the tree's interface, read and written directly by
 inference, release, the CLI and :func:`dump_tree`. Row order is the build's
@@ -32,7 +30,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import LocationUniverse, TrajectoryDb, _spans
+from .model import LocationUniverse, TrajectoryDb
 from .privacy import (
     PrivacyParams,
     RandomSource,
@@ -128,7 +126,7 @@ def build_noisy_tree(
 
     The root, and each kept node whose noisy count reaches
     ``params.expand_threshold(len(universe))``, is expanded. Depth ``d`` draws
-    from one stream, ``source.stream(d)``, in four vector calls that hand the
+    from one stream, ``source.stream(d)``, in vector calls that hand the
     draws to the frontier's candidates in a canonical order: data-backed
     frontier nodes in the lexicographic order of their paths, then empty-born
     ones, so the tree does not depend on the order of the records.
@@ -186,22 +184,22 @@ def _next_depth(
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     begin = np.flatnonzero(first)
-    owner, loc = np.divmod(key[begin], universe_size)
+    backed = key[begin]  # the data-backed candidates' cells, ascending
     del key, first
     counts = np.add.reduceat(db.weights[rows], begin)
-    runs = np.bincount(owner, minlength=len(held))
-    # The depth's draws, in this order: noise for every data-backed
-    # candidate (frontier order, then ascending location); how many of
-    # each node's zero-count candidates pass; the pool slot of each
-    # empty-born child; and its noisy count.
+    # The depth's draws, in this order: noise for every data-backed candidate
+    # (frontier order, then ascending location); how many of the depth's cells
+    # would pass as zero-count candidates; a uniform subset of that many; and
+    # the noisy count of each subset cell that is no data-backed candidate.
     draws = counts + laplace_noise(params.noise_scale, rng, size=len(counts))
-    pool = universe_size - runs
-    n_born = sample_pass_count(pool, params, universe_size, rng)
-    bearer, rank = _spans(np.zeros_like(n_born), n_born)
-    slots = rng.integers(rank, pool[bearer])
-    values = sample_passing_noisy_count(params, universe_size, rng, size=len(slots))
+    cells = len(held) * universe_size
+    chosen = _uniform_subset(cells, sample_pass_count(cells, params, universe_size, rng), rng)
+    free = chosen[np.searchsorted(backed, chosen) == np.searchsorted(backed, chosen, "right")]
+    values = sample_passing_noisy_count(params, universe_size, rng, size=len(free))
     kept = draws >= params.threshold(universe_size)
-    born = _empty_born_locations(loc, runs, bearer, rank, slots, universe_size)
+    owner, loc = np.divmod(backed, universe_size)
+    bearer, born = np.divmod(free, universe_size)
+    del backed, free
     # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
     empty = np.zeros(len(born), dtype=np.int64)
     pos = np.concatenate((owner[kept], bearer))
@@ -218,35 +216,17 @@ def _next_depth(
     return level, grow, rows[moves], held
 
 
-def _empty_born_locations(
-    locs: np.ndarray, runs: np.ndarray, bearer: np.ndarray, rank: np.ndarray,
-    slots: np.ndarray, universe_size: int,
-) -> np.ndarray:
-    """Locations of the depth's empty-born nodes, one per ``bearer`` and ``rank``.
+def _uniform_subset(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform ``k``-subset of ``range(n)``, ascending, without making ``range(n)``.
 
-    Frontier node ``b`` owns the next ``runs[b]`` of ``locs``, its data-backed
-    locations (ascending); its pool is the universe without them, in
-    ascending order, so pool slot ``s`` is the ``s``-th free location.
-    Empty-born child ``k`` is the ``rank[k]``-th drawn from node
-    ``bearer[k]``'s pool by a partial Fisher-Yates shuffle: its step swaps
-    pool slots ``rank[k]`` and ``slots[k] >= rank[k]``, after which slot
-    ``rank[k]`` holds the child's. One dict keyed ``bearer * universe_size +
-    slot`` holds the moved slots of every pool of the depth.
+    Draws ``k`` values with replacement, then as many again as were repeats, until
+    ``k`` are distinct. No step tells values apart, so all C(n, k) subsets are equally likely.
     """
-    bearer = bearer.astype(np.int64)  # keys and needles pass 2**31 on big depths
-    base = bearer * universe_size
-    picks, moved = [], {}
-    for i, s in zip((base + rank).tolist(), (base + slots).tolist()):
-        picks.append(moved.get(s, s))
-        moved[s] = moved.pop(i, i)  # step i is the last to read slot i
-    slot = np.array(picks, dtype=np.int64) - base
-    # The s-th free location is s plus the number of taken locations t_q
-    # (q-th smallest of its node's, from 0) with t_q - q <= s.
-    stride = universe_size + 1
-    firsts = np.cumsum(runs) - runs
-    shifted = np.repeat(np.arange(len(runs)) * stride + firsts, runs) + locs - np.arange(len(locs))
-    below = np.searchsorted(shifted, bearer * stride + slot, side="right") - firsts[bearer]
-    return slot + below
+    chosen = np.empty(0, dtype=np.int64)
+    while len(chosen) < k:
+        chosen = np.sort(np.concatenate((chosen, rng.integers(0, n, k - len(chosen)))))
+        chosen = chosen[np.append(True, chosen[1:] != chosen[:-1])]
+    return chosen
 
 
 def dump_tree(tree: PrefixTree) -> str:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import LocationUniverse, Trajectory, TrajectoryDb, _spans
+from .model import LocationUniverse, Trajectory, TrajectoryDb
 
 logger = logging.getLogger(__name__)
 
@@ -139,6 +139,18 @@ def _row_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
     cuts = np.searchsorted(bounds, np.arange(_BLOCK, bounds[-1], _BLOCK)).tolist()
     edges = sorted({0, *cuts, len(bounds) - 1}) if cuts else [0, len(bounds) - 1]
     return list(zip(edges, edges[1:]))
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[starts[i], starts[i] + lengths[i])`` laid end to end.
+
+    Returns ``(owner, index)``: ``index`` runs through every range in order,
+    and ``owner[j]`` (int32) is the ``i`` whose range ``index[j]`` belongs to.
+    """
+    owner = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(len(index))
+    return owner, index
 
 
 def _keep_first(keys: np.ndarray, group) -> np.ndarray:

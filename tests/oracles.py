@@ -26,8 +26,8 @@ class _ZeroNoiseStream:
     def binomial(self, n, p: float) -> np.ndarray:
         return np.zeros(np.shape(n), dtype=np.int64)
 
-    def integers(self, low, high) -> np.ndarray:
-        return np.asarray(low)
+    def integers(self, low, high, size) -> np.ndarray:
+        return low + np.arange(size)
 
 
 class ZeroNoiseSource(RandomSource):
@@ -172,9 +172,9 @@ def reference_noisy_tree(
     """The noisy tree built one level at a time over sorted record tuples.
 
     Makes the same draws in the same order as ``build_noisy_tree``, one
-    stream per depth, but finds child runs by bisecting tuples and places
-    empty-born nodes with a dict-based partial Fisher-Yates shuffle. A kept
-    node is expanded iff its noisy count reaches the expand threshold.
+    stream per depth, but finds child runs by bisecting tuples and gathers
+    the depth's subset of (frontier node, location) cells in a Python set. A
+    kept node is expanded iff its noisy count reaches the expand threshold.
     """
     entries = db_entries(db)
     order = sorted(range(len(entries)), key=entries.__getitem__)
@@ -186,7 +186,7 @@ def reference_noisy_tree(
     # (prefix, noisy count, true count), parents first and siblings in birth order.
     nodes: list[tuple[tuple[int, ...], float, int]] = [((), float("nan"), cum[-1])]
     # Nodes to expand, as (root path, row range lo and hi): data-backed nodes
-    # in path order, then empty-born ones in their parents' order.
+    # in path order, then empty-born ones by parent and then location.
     frontier = [((), 0, len(rows))]
     for d in range(params.height):
         if not frontier:
@@ -205,14 +205,15 @@ def reference_noisy_tree(
         rng = source.stream(d)
         candidates = [(path, run) for (path, _, _), own in zip(frontier, runs) for run in own]
         noise = laplace_noise(params.noise_scale, rng, size=len(candidates)).tolist()
-        pools = [universe_size - len(own) for own in runs]
-        passing = sample_pass_count(pools, params, universe_size, rng).tolist()
-        low = np.array([i for n in passing for i in range(n)], dtype=np.int64)
-        high = np.array([m for m, n in zip(pools, passing) for _ in range(n)], dtype=np.int64)
-        slots = iter(rng.integers(low, high).tolist())
-        values = iter(
-            sample_passing_noisy_count(params, universe_size, rng, size=len(low)).tolist()
-        )
+        # Cell f * |U| + loc is frontier node f's candidate at loc.
+        cells = len(frontier) * universe_size
+        passing = int(sample_pass_count(cells, params, universe_size, rng))
+        chosen: set[int] = set()
+        while len(chosen) < passing:
+            chosen.update(rng.integers(0, cells, passing - len(chosen)).tolist())
+        backed = {f * universe_size + loc for f, own in enumerate(runs) for loc, _, _ in own}
+        free = sorted(chosen - backed)
+        values = sample_passing_noisy_count(params, universe_size, rng, size=len(free)).tolist()
 
         next_frontier = []
         for (path, (loc, i, j)), e in zip(candidates, noise):
@@ -221,23 +222,12 @@ def reference_noisy_tree(
                 nodes.append((path + (loc,), count + e, count))
                 if count + e >= theta_expand:
                     next_frontier.append((path + (loc,), i, j))
-        for (path, _, hi), own, n in zip(frontier, runs, passing):
-            if not n:
-                continue
-            mask = np.ones(universe_size, dtype=bool)
-            mask[[loc for loc, _, _ in own]] = False
-            pool = np.flatnonzero(mask).tolist()
-            # Partial Fisher-Yates over pool slots: step i swaps slots i and j >= i,
-            # after which slot i holds its sample. Only moved slots are stored.
-            moved: dict[int, int] = {}
-            for i in range(n):
-                j = next(slots)
-                child = path + (pool[moved.get(j, j)],)
-                moved[j] = moved.get(i, i)
-                value = next(values)
-                nodes.append((child, value, 0))
-                if value >= theta_expand:
-                    next_frontier.append((child, hi, hi))
+        for cell, value in zip(free, values):
+            f, loc = divmod(cell, universe_size)
+            path, _, hi = frontier[f]
+            nodes.append((path + (loc,), value, 0))
+            if value >= theta_expand:
+                next_frontier.append((path + (loc,), hi, hi))
         frontier = next_frontier
     return array_tree(nodes, universe)
 

@@ -699,6 +699,29 @@ def test_evaluators_hold_neither_numpy_random_nor_openssl(tmp_path, recipe_corpu
         assert result.stdout.split() == ["0", "False", "False", "False"], args[0]
 
 
+def test_sanitize_and_stats_never_load_numpy_ma(tmp_path, recipe_corpus):
+    # np.unique imports numpy.ma on its first call (about 16 ms and 1.7 MB of
+    # RSS under NumPy 2.4); sanitize sets its peak while that is held.
+    corpus, universe = recipe_corpus
+    script = (
+        "import sys; import numpy; before = set(sys.modules); "
+        "from dptraj.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'numpy.ma' in set(sys.modules) - before)"
+    )
+    release = tmp_path / "release.txt"
+    for args in (
+        ("sanitize", "--input", corpus, "--universe", universe, "--output", release,
+         "--epsilon", "1.0", "--height", "8", "--seed", "42"),
+        ("stats", "--input", release, "--universe", universe, "--output", tmp_path / "out.csv"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-2:] == ["0", "False"], args[0]
+
+
 def test_drawn_seeds_are_128_bit_integers(monkeypatch):
     from dptraj import cli
 
@@ -713,35 +736,35 @@ def test_drawn_seeds_are_128_bit_integers(monkeypatch):
 class TestPinnedRelease:
     """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus and a narrow one.
 
-    The digests were recorded when the outputs came to be written in location
-    order; any change to a draw, to the written order, to which nodes are kept
-    or expanded or to the inference arithmetic shows up here. The change of
-    order moved no line: each release is the earlier pin's lines, sorted, and
-    each dump's sorted lines are the earlier pin's sorted lines.
+    The digests were recorded when each depth's empty-born children came to
+    be placed by one subset draw over its (node, location) cells; any change
+    to a draw, to the written order, to which nodes are kept or expanded or to
+    the inference arithmetic shows up here. Each dump is also pinned by its
+    sorted lines, which no change of the written order alone moves.
     """
 
     CORPORA = {
-        # --n-locations: corpus digest. Under 2 kappa locations the pruning threshold
-        # is 0, so half of the empty candidates pass and the one-shot sampler's swaps collide.
+        # --n-locations: corpus digest. Under 2 kappa locations the pruning threshold is 0,
+        # so half of the empty candidates pass and the subset draw redraws many repeats.
         "40": "07c4cdd7e0a9fc577e9780745ca9237fd28e5f9231508c99029ae90894e17310",
         "12": "60e4f84010a05d09ebdceca346f0c9aaec9b0c81a955fc176a3d0436b119d2c6",
     }
     RUNS = {
         # (--n-locations, --variant): (release digest, --dump-tree digest, sorted dump digest)
         ("40", "full"): (
-            "6593e11649799c9b2e56bd2adc68e091de3c544abc70d0b5b39013ad8a3865b1",
-            "0f122ce10c898442597fda7d041fff7dcd226acb0658406dde26f15bb67f2de6",
-            "993912df8a361485222991b62dbe2b6d520ae0b74dcbe47142620c6a5e880b24",
+            "136c6c4f0ff3eabf651eb2ef6b885ade263d47619bcc6298282ccf8f2c2c33ae",
+            "1d7a53de35687755de95bc4088f0fab93442b64ceebe11e291695b02c5ff0b7a",
+            "8148f350fa3655c9176b8705ab3b2e7123fc9dacb560db6a8477d8f7215ac50f",
         ),
         ("40", "basic"): (
-            "e80669d7f03480c078da14c0f476d5cc8ee88c8cc563bf7eb4a8d22841577cd6",
-            "0f122ce10c898442597fda7d041fff7dcd226acb0658406dde26f15bb67f2de6",
-            "993912df8a361485222991b62dbe2b6d520ae0b74dcbe47142620c6a5e880b24",
+            "be23fde14c4ffdb7160dd0af2ac84f00299c96cde85335bc43d76b88ecf50b21",
+            "1d7a53de35687755de95bc4088f0fab93442b64ceebe11e291695b02c5ff0b7a",
+            "8148f350fa3655c9176b8705ab3b2e7123fc9dacb560db6a8477d8f7215ac50f",
         ),
         ("12", "full"): (
-            "5fbcbd233db6cb2eddbc5d15c1d5ea8b9d0f78a1acb5aecbc255e7ee5d7d8951",
-            "df750827b5761483c05a4ef84f008ce3b67a3b826a6307a2d5694cc586b5510e",
-            "4ca9d4b4abec72efda56b2e86a59964379e30b9886ffa7678c62520e8d50625a",
+            "f3f2f2b779537c36b8f5c46004e910155c0e0e83954defdf692a38a4ccd8e0bd",
+            "f076d504f7f8a73ed30f91594d21489093e78dccecaee3a868c8bccb3c5da3d5",
+            "b643a5ca5c963d20567bd384700df45cd3e679968efbdb4f943a1f76d5e85667",
         ),
     }
 
@@ -768,8 +791,7 @@ class TestPinnedRelease:
             )
             assert result.returncode == 0, result.stderr
             assert hashlib.sha256(out.read_bytes()).hexdigest() == release_digest, key
-            # gen's tokens share one width, so location order is byte order: the
-            # release is sorted, and its digest is that of the earlier pin's sorted lines.
+            # gen's tokens share one width, so location order is byte order.
             lines = out.read_bytes().splitlines(keepends=True)
             assert lines == sorted(lines), key
             assert hashlib.sha256(dump.read_bytes()).hexdigest() == dump_digest, key

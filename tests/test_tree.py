@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tempfile
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dptraj.privacy import PrivacyParams, RandomSource
 from dptraj.release import VARIANTS, sanitize
-from dptraj.tree import _empty_born_locations, build_noisy_tree, dump_tree
+from dptraj import tree as tree_module
+from dptraj.tree import _uniform_subset, build_noisy_tree, dump_tree
 
 from conftest import load_split, make_universe
 from oracles import (
@@ -383,7 +386,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("narrow", [False, True])
     def test_bearers_share_one_shuffle(self, narrow):
-        # Every bearer of a depth draws its empty-born children's slots from one dict.
+        # Every bearer of a depth takes its empty-born children from one subset of the depth's cells.
         db, universe = _random_db(
             random.Random(13), max_records=200, universe_size=12 if narrow else 24, max_len=5
         )
@@ -393,38 +396,6 @@ class TestAgainstReference:
         _assert_same_tree(tree, reference)
         bearers = np.unique(tree.parent[1:][tree.true_count[1:] == 0])
         assert np.bincount(tree.depth[bearers]).max() > 6
-
-    @pytest.mark.parametrize("narrow", [False, True])
-    @pytest.mark.parametrize("chunk", [1, 3])
-    def test_shuffle_chunks(self, chunk, narrow):
-        # One dict keyed by bearer keeps pools apart: placing the depth `chunk`
-        # bearers at a time, each chunk with a fresh dict, places it the same,
-        # and so does a plain Fisher-Yates over each bearer's own pool.
-        rnd = np.random.default_rng(13)
-        universe_size, n_nodes = (12 if narrow else 24), 40
-        taken = [np.flatnonzero(rnd.random(universe_size) < 0.3) for _ in range(n_nodes)]
-        runs = np.array([len(t) for t in taken], dtype=np.int64)
-        locs = np.concatenate(taken)
-        n_born = rnd.binomial(universe_size - runs, 0.4)
-        bearer = np.repeat(np.arange(n_nodes, dtype=np.int32), n_born)
-        rank = np.concatenate([np.arange(n) for n in n_born]).astype(np.int64)
-        slots = rnd.integers(rank, (universe_size - runs)[bearer])
-        assert len(np.unique(bearer)) > 2 * chunk
-        whole = _empty_born_locations(locs, runs, bearer, rank, slots, universe_size)
-        parts = []
-        for first in range(0, n_nodes, chunk):
-            part = (bearer >= first) & (bearer < first + chunk)
-            parts.append(_empty_born_locations(
-                locs, runs, bearer[part], rank[part], slots[part], universe_size
-            ))
-        np.testing.assert_array_equal(np.concatenate(parts), whole)
-        expected = []
-        for b in range(n_nodes):
-            pool = np.setdiff1d(np.arange(universe_size), taken[b])
-            for r, s in zip(rank[bearer == b], slots[bearer == b]):
-                pool[[r, s]] = pool[[s, r]]
-                expected.append(pool[r])
-        assert whole.tolist() == expected
 
     def test_wide_universe(self):
         # Location ids past the int16 range must survive the build's sort key.
@@ -441,15 +412,84 @@ class TestAgainstReference:
         backed = tree.location[1:][tree.true_count[1:] > 0]
         assert backed.max() > 32_767
 
-    def test_placement_keys_pass_int32(self):
-        # Bearer 2,099 over 2**20 locations keys past 2**31; wrapped, its taken locations vanish.
+    def test_cells_pass_int32(self):
+        # 2,100 expanded nodes over 2**20 locations make 2,100 * 2**20 cells at
+        # depth 2, past 2**31: wrapped, the cells of the last 52 nodes would land
+        # on the first ones.
         universe_size, n_nodes = 1 << 20, 2100
-        runs = np.zeros(n_nodes, dtype=np.int64)
-        runs[-1] = 2  # the last node holds locations 0 and 1, so its pool slot 5 is location 7
-        bearer = np.full(1, n_nodes - 1, dtype=np.int32)  # as `_spans` gives it
-        rank, slots = np.zeros(1, dtype=np.int64), np.full(1, 5)
-        born = _empty_born_locations(np.arange(2), runs, bearer, rank, slots, universe_size)
-        assert born.tolist() == [7]
+        db = records_db([(i, i + 1) for i in range(n_nodes)])
+        params = PrivacyParams(epsilon=40.0, height=2)
+        universe = make_universe(universe_size)
+        tree = build_noisy_tree(db, universe, params, RandomSource(5))
+        _assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
+        assert (tree.n_children[1:] > 0).sum() * universe_size > 2**31
+        born = (tree.true_count == 0) & (tree.depth == 2)
+        assert (tree.location[tree.parent[born]] >= 2**31 // universe_size).sum() > 10
+
+
+class TestPlacementLaw:
+    """Each zero-count candidate passes alone with ``pass_probability``, wherever it is."""
+
+    @staticmethod
+    def _skip_redraw(n, k, rng):
+        # Keeps the distinct values of k draws and fills up with the smallest
+        # values not drawn: k distinct cells, but biased to low ones.
+        chosen = set(rng.integers(0, n, k).tolist())
+        rest = sorted(set(range(n)) - chosen)
+        return np.array(sorted(chosen | set(rest[: k - len(chosen)])), dtype=np.int64)
+
+    @staticmethod
+    def _subset_pvalue(sample):
+        # Every 3-subset of 6 cells is drawn about 1,000 times of 20,000.
+        rng = np.random.default_rng(17)
+        index = {subset: i for i, subset in enumerate(itertools.combinations(range(6), 3))}
+        hits = np.zeros(len(index))
+        for _ in range(20_000):
+            hits[index[tuple(sample(6, 3, rng).tolist())]] += 1
+        return stats.chisquare(hits).pvalue
+
+    def test_every_subset_equally_likely(self):
+        assert self._subset_pvalue(_uniform_subset) > 0.001
+
+    def test_a_sampler_that_skips_the_redraw_fails(self):
+        assert self._subset_pvalue(self._skip_redraw) < 1e-6
+
+    def _placement_pvalues(self, sample, monkeypatch):
+        # Frontier at depth 2: (0,) holds location 1, (1,) nothing and (2,) location 3.
+        monkeypatch.setattr(tree_module, "_uniform_subset", sample)
+        universe = make_universe(20)
+        db = records_db([(0, 1)] * 200 + [(1,)] * 200 + [(2, 3)] * 200)
+        params = PrivacyParams(epsilon=40.0, height=2)
+        p = params.pass_probability(len(universe))
+        taken = {(): {0, 1, 2}, (0,): {1}, (1,): set(), (2,): {3}}
+        born = {prefix: [] for prefix in taken}  # per seed, the locations born under prefix
+        for seed in range(800):
+            tree = build_noisy_tree(db, universe, params, RandomSource(seed))
+            paths = prefixes(tree)
+            for prefix in taken:
+                born[prefix].append([])
+            for i in (np.flatnonzero(tree.true_count[1:] == 0) + 1).tolist():
+                if paths[i][:-1] in born:
+                    born[paths[i][:-1]][-1].append(paths[i][-1])
+        pvalues = []
+        for prefix, locs in born.items():
+            free = sorted(set(range(len(universe))) - taken[prefix])
+            assert not {loc for seed in locs for loc in seed} - set(free), prefix
+            # Per node, Binomial(|free|, p) children; counts up to 3 share a bin, as do 10 and up.
+            observed = np.bincount(np.clip(list(map(len, locs)), 3, 10) - 3, minlength=8)
+            expected = stats.binom.pmf(np.arange(3, 11), len(free), p)
+            expected[[0, -1]] = stats.binom.cdf(3, len(free), p), stats.binom.sf(9, len(free), p)
+            pvalues.append(stats.chisquare(observed, expected * len(locs)).pvalue)
+            # Each free location is chosen as often as any other.
+            chosen = Counter(loc for seed in locs for loc in seed)
+            pvalues.append(stats.chisquare([chosen[loc] for loc in free]).pvalue)
+        return pvalues
+
+    def test_empty_born_counts_and_locations(self, monkeypatch):
+        assert min(self._placement_pvalues(_uniform_subset, monkeypatch)) > 0.001 / 8
+
+    def test_a_placement_that_skips_the_redraw_fails(self, monkeypatch):
+        assert min(self._placement_pvalues(self._skip_redraw, monkeypatch)) < 1e-6
 
 
 class TestMemory:
