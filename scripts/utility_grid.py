@@ -13,7 +13,9 @@ The grid:
   recipe (``tests/test_acceptance.py``, ``_stm_like``) at 200,000 records over
   250, 1,000, 4,000 and 8,000 locations;
 - ``PrivacyParams(epsilon, height=12)`` with its defaults, epsilon in
-  {0.5, 1, 2}, variant ``full``, sanitize seeds 1-3;
+  {0.5, 1, 2}, variant ``full``, sanitize seeds 1-3; each (epsilon, sanitize
+  seed) pair draws from its own ``RandomSource``, seeded 1-3 at epsilon 0.5,
+  4-6 at 1 and 7-9 at 2, so no two epsilons share their noise;
 - per cell: the average relative count error of each of the four query
   subsets (2,500 queries each, eval seed 7, queries of height 12), TP@50,
   TP@100 and TP@250, released records, nodes per depth and empty-born nodes.
@@ -90,11 +92,12 @@ def run_corpus(name: str, group: str, config: GenConfig) -> list[dict]:
     workload = generate_workload(universe, HEIGHT, QUERIES_PER_SUBSET, EVAL_SEED)
     raw_top = mine_top_k(db, max(TOPK))
     cells = []
-    for epsilon in EPSILONS:
+    for i, epsilon in enumerate(EPSILONS):
         params = PrivacyParams(epsilon=epsilon, height=HEIGHT)
         for seed in SANITIZE_SEEDS:
+            source = RandomSource(i * len(SANITIZE_SEEDS) + seed)
             started = time.perf_counter()
-            release, tree = sanitize(db, universe, params, RandomSource(seed), variant="full")
+            release, tree = sanitize(db, universe, params, source, variant="full")
             sanitize_s = time.perf_counter() - started
             errors = evaluate_workload(db, release, workload, len(universe))
             top = mine_top_k(release, max(TOPK))
@@ -106,6 +109,7 @@ def run_corpus(name: str, group: str, config: GenConfig) -> list[dict]:
                 "input_records": len(db),
                 "epsilon": epsilon,
                 "sanitize_seed": seed,
+                "source_seed": source.seed,
                 "count_error": [round(e, 6) for e in errors],
                 "tp": {k: fsp_metrics(raw_top[:k], top[:k], k)[0] for k in TOPK},
                 "released": len(release),

@@ -4,42 +4,35 @@ Pipeline: build a noisy prefix tree over the records, pruned by thresholds
 on its noisy counts, restore the tree's count-consistency constraints, and
 materialize a sanitized database; evaluate the release with count-query
 relative error and top-k sequential-pattern overlap.
+
+Each exported name is imported from its module on first access (PEP 562), so
+``from dptraj import load_db`` loads ``dptraj.model`` and nothing else.
 """
 
-from .datagen import GenConfig, generate, planted_routes
-from .inference import consistent_estimates, consolidate, order_violations
-from .model import (
-    DataFormatError,
-    LocationUniverse,
-    Trajectory,
-    TrajectoryDb,
-    UnknownLocationError,
-    load_db,
-    load_universe,
-    write_db,
-    write_universe,
-)
-from .privacy import (
-    BudgetLedger,
-    PrivacyParams,
-    RandomSource,
-    budget_ledger,
-    sample_pass_count,
-    sample_passing_noisy_count,
-)
-from .release import ReleaseStats, generate_release, release_stats, release_tree, sanitize
-from .tree import PrefixTree, build_noisy_tree, dump_tree
-from .utility import (
-    CountQuery,
-    PresenceIndex,
-    QueryWorkload,
-    SeqPattern,
-    eval_count_query,
-    evaluate_workload,
-    fsp_metrics,
-    generate_workload,
-    mine_top_k,
-    relative_error,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+#: Release variants: "basic" releases the noisy counts, "full" the consistent ones.
+VARIANTS = ("basic", "full")
+
+_EXPORTS = {
+    "datagen": "GenConfig generate planted_routes",
+    "inference": "consistent_estimates consolidate order_violations",
+    "model": "DataFormatError LocationUniverse Trajectory TrajectoryDb UnknownLocationError "
+    "load_db load_universe write_db write_universe",
+    "privacy": "BudgetLedger PrivacyParams RandomSource budget_ledger sample_passing_noisy_count",
+    "release": "ReleaseStats generate_release release_stats release_tree sanitize",
+    "tree": "PrefixTree build_noisy_tree dump_tree",
+    "utility": "CountQuery PresenceIndex QueryWorkload SeqPattern eval_count_query "
+    "evaluate_workload fsp_metrics generate_workload mine_top_k relative_error",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = ["VARIANTS", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value

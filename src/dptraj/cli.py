@@ -3,12 +3,14 @@
 Subcommands write plain text or CSV so runs compose in shell pipelines, and
 read every trajectory file against one public list of locations, --universe.
 Every command that consumes randomness takes --seed, draws a fresh 128-bit
-seed without it, and is bit-reproducible given the same seed and flags.
+seed without it, and is bit-reproducible given the same seed and flags. Each
+command imports only the modules it runs: sanitize loads no evaluator, nor
+numpy.random or OpenSSL, and the evaluators load no tree, inference or noise.
 sanitize's and the evaluators' --seed must be non-negative, and is checked
-before any input is read.
-sanitize's seed is the key to its noise: it is never printed, and
---seed-out PATH keeps it in an owner-only file, written beside PATH before any
-work and moved onto PATH once the release is written.
+before any input is read. sanitize's seed keys its SHAKE-256 noise streams
+(dptraj.privacy.RandomSource): it is never printed, and --seed-out PATH keeps it
+in an owner-only file, written beside PATH before any work and moved onto PATH
+once the release is written.
 
 sanitize's stdout manifest prints public parameters and noisy sizes, and one
 confidential value: tree.empty_born=, computed from true counts. It stays
@@ -29,26 +31,12 @@ import time
 from dataclasses import fields
 from typing import Iterable, get_type_hints
 
-from .datagen import GenConfig, generate
-from .inference import order_violations
+# Each command imports the modules it runs; gen's options are GenConfig's fields.
+from . import VARIANTS
+from .datagen import GenConfig
 from .model import (
-    DataFormatError,
-    LocationUniverse,
-    TrajectoryDb,
-    UnknownLocationError,
-    load_db,
-    write_db,
+    DataFormatError, LocationUniverse, TrajectoryDb, UnknownLocationError, load_db, write_db,
     write_universe,
-)
-from .privacy import PrivacyParams, RandomSource, budget_ledger
-from .release import VARIANTS, release_stats, release_tree
-from .tree import build_noisy_tree, dump_tree
-from .utility import (
-    DEFAULT_SANITY_FRACTION,
-    evaluate_workload,
-    fsp_metrics,
-    generate_workload,
-    mine_top_k,
 )
 
 EXIT_IO = 1
@@ -105,6 +93,11 @@ def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> boo
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
+    from .inference import order_violations
+    from .privacy import PrivacyParams, RandomSource, budget_ledger
+    from .release import release_tree
+    from .tree import build_noisy_tree, dump_tree
+
     seed = _resolve_seed(args.seed)
     params = PrivacyParams(epsilon=args.epsilon, height=args.height)
     pending = args.seed_out and f"{args.seed_out}.{os.urandom(4).hex()}"
@@ -158,6 +151,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[TrajectoryDb, TrajectoryDb, 
 
 
 def cmd_eval_count(args: argparse.Namespace) -> int:
+    from .utility import DEFAULT_SANITY_FRACTION, evaluate_workload, generate_workload
+
     seed = _resolve_seed(args.seed)
     raw, sanitized, universe = _load_inputs(args)
     workload = generate_workload(universe, args.height, args.queries_per_subset, seed)
@@ -181,6 +176,8 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_fsp(args: argparse.Namespace) -> int:
+    from .utility import fsp_metrics, mine_top_k
+
     raw, sanitized, _ = _load_inputs(args)
     started = time.perf_counter()
     raw_patterns = mine_top_k(raw, args.topk[-1], args.max_pattern_len)
@@ -203,6 +200,8 @@ def cmd_eval_fsp(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .datagen import generate
+
     values = {f.name: getattr(args, f.name) for f in fields(GenConfig)}
     values["seed"] = _resolve_seed(args.seed)
     config = GenConfig(**{name: v for name, v in values.items() if v is not None})
@@ -217,6 +216,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .release import release_stats
+
     db, _ = load_db(args.input, args.universe)
     stats = release_stats(db)
     to_stdout = _write_csv(args.output, ["length", "count"], stats.length_histogram.items())

@@ -15,6 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
+try:  # hashlib's would load OpenSSL's _hashlib, about 3.7 MB of RSS
+    from _sha3 import shake_256
+except ImportError:  # a Python built without its own SHA-3
+    from hashlib import shake_256
+
 #: Adding or removing one record changes any prefix count by at most one.
 COUNT_SENSITIVITY = 1.0
 
@@ -119,12 +124,14 @@ def budget_ledger(params: PrivacyParams) -> BudgetLedger:
 
 
 class RandomSource:
-    """Deterministic generator factory with one sub-stream per integer key.
+    """Deterministic factory of keyed noise streams, one per depth.
 
-    Two sources with the same seed yield identical streams for identical keys.
-    The tree builder keys one stream by each depth and hands its draws out in
-    a canonical order, so a tree's draws do not depend on the order of the
-    input records.
+    Call i of ``stream(depth).randbytes(n)`` returns the first n bytes of SHAKE-256 of
+    the text ``dptraj/{seed}/{depth}/{i}``, which no two (seed, depth, i) share. SHAKE-256
+    is no linear generator: noise values that a release or a dump shows give away
+    none of the stream's other draws, as MT19937's outputs give away its state.
+    The tree builder hands each depth's draws out in a canonical order, so a
+    tree's draws do not depend on the order of the records.
     """
 
     def __init__(self, seed: int):
@@ -133,41 +140,45 @@ class RandomSource:
             raise ValueError("seed must be non-negative")
         self.seed = seed
 
-    def stream(self, depth: int) -> np.random.Generator:
-        # The 1 (a key count) is part of every stream's entropy: fixed-seed releases depend on it.
-        return np.random.default_rng(np.random.SeedSequence((self.seed, 1, depth)))
+    def stream(self, depth: int) -> NoiseStream:
+        return NoiseStream(f"dptraj/{self.seed}/{depth}")
 
 
-def laplace_noise(scale: float, rng, size: int) -> np.ndarray:
+class NoiseStream:
+    """One depth's key and how many draws it has made; see :class:`RandomSource`."""
+
+    def __init__(self, key: str):
+        self.key, self.calls = key, 0
+
+    def randbytes(self, n: int) -> bytes:
+        self.calls += 1
+        return shake_256(f"{self.key}/{self.calls - 1}".encode()).digest(n)
+
+
+def uniforms(rng: NoiseStream, size: int) -> np.ndarray:
+    """``size`` doubles uniform on the 2**-53 grid of [0, 1): the top 53 bits of 64-bit words."""
+    return (np.frombuffer(rng.randbytes(8 * size), dtype="<u8") >> 11) * 2.0**-53
+
+
+def laplace_noise(scale: float, rng: NoiseStream, size: int) -> np.ndarray:
     """``size`` Laplace(scale) samples by inverse transform, u uniform in (-1/2, 1/2]."""
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale!r}")
-    u = 0.5 - rng.random(size)
+    u = 0.5 - uniforms(rng, size)
     while True:
-        degenerate = u == 0.5  # rng.random() hit exactly 0.0; would map to +inf
+        degenerate = u == 0.5  # a uniform of exactly 0.0; would map to +inf
         if not degenerate.any():
             break
-        u[degenerate] = 0.5 - rng.random(int(degenerate.sum()))
+        u[degenerate] = 0.5 - uniforms(rng, int(degenerate.sum()))
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
-def sample_pass_count(m, params: PrivacyParams, universe_size: int, rng):
-    """How many of m zero-count candidates clear the threshold over ``universe_size`` locations.
-
-    Equivalent to running the m independent noisy-count checks and counting
-    the passes, but in one binomial draw.
-    """
-    if np.any(np.less(m, 0)):
-        raise ValueError(f"candidate count must be >= 0, got {m!r}")
-    return rng.binomial(m, params.pass_probability(universe_size))
-
-
 def sample_passing_noisy_count(
-    params: PrivacyParams, universe_size: int, rng, size: int
+    params: PrivacyParams, universe_size: int, rng: NoiseStream, size: int
 ) -> np.ndarray:
     """``size`` noisy counts for zero-count candidates conditioned on clearing the threshold.
 
     The conditional law is ``params.threshold(universe_size)`` plus an exponential
     with rate equal to the per-level budget; sampled as ``threshold - log(1 - u) / rate``.
     """
-    return params.threshold(universe_size) - np.log1p(-rng.random(size)) / params.per_level
+    return params.threshold(universe_size) - np.log1p(-uniforms(rng, size)) / params.per_level

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import VARIANTS
 from .inference import consistent_estimates, consolidate
 from .model import LocationUniverse, TrajectoryDb
 from .privacy import PrivacyParams, RandomSource
 from .tree import PrefixTree, build_noisy_tree
-
-VARIANTS = ("basic", "full")
 
 
 def sanitize(

@@ -3,10 +3,11 @@
 At each expanded node every universe location is a candidate child:
 candidates backed by at least one trajectory get an individually noised count
 and survive only above the threshold, while a depth's (typically many)
-zero-count candidates are resolved in one shot: a uniform subset of binomial
-size is drawn from its (node, location) cells, and its zero-count cells become
-children with counts from the passing-count distribution. A kept node is
-expanded iff its noisy count reaches the expand threshold: the shape reads no true count.
+zero-count candidates are resolved in one shot: each of its (node, location)
+cells passes alone with the pass probability, drawn by geometric skips, and the
+passing zero-count cells become children with counts from the passing-count
+distribution. A kept node is expanded iff its noisy count reaches the expand
+threshold: the shape reads no true count.
 
 The tree grows one depth at a time. Between depths the builder holds only the
 ids of the entries still under the frontier's data-backed nodes, grouped by
@@ -25,6 +26,7 @@ own: the release and the dump are both written in :meth:`PrefixTree.preorder`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -32,11 +34,12 @@ import numpy as np
 
 from .model import LocationUniverse, TrajectoryDb
 from .privacy import (
+    NoiseStream,
     PrivacyParams,
     RandomSource,
     laplace_noise,
-    sample_pass_count,
     sample_passing_noisy_count,
+    uniforms,
 )
 
 
@@ -163,7 +166,7 @@ def build_noisy_tree(
 
 def _next_depth(
     db: TrajectoryDb, rows: np.ndarray, held: np.ndarray, length: np.ndarray, d: int,
-    universe_size: int, params: PrivacyParams, rng: np.random.Generator,
+    universe_size: int, params: PrivacyParams, rng: NoiseStream,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """One depth of :func:`build_noisy_tree`, below the frontier.
 
@@ -188,12 +191,11 @@ def _next_depth(
     del key, first
     counts = np.add.reduceat(db.weights[rows], begin)
     # The depth's draws, in this order: noise for every data-backed candidate
-    # (frontier order, then ascending location); how many of the depth's cells
-    # would pass as zero-count candidates; a uniform subset of that many; and
-    # the noisy count of each subset cell that is no data-backed candidate.
+    # (frontier order, then ascending location); the depth's cells that would
+    # pass as zero-count candidates; and the noisy count of each drawn cell
+    # that is no data-backed candidate.
     draws = counts + laplace_noise(params.noise_scale, rng, size=len(counts))
-    cells = len(held) * universe_size
-    chosen = _uniform_subset(cells, sample_pass_count(cells, params, universe_size, rng), rng)
+    chosen = _passing_cells(len(held) * universe_size, params.pass_probability(universe_size), rng)
     free = chosen[np.searchsorted(backed, chosen) == np.searchsorted(backed, chosen, "right")]
     values = sample_passing_noisy_count(params, universe_size, rng, size=len(free))
     kept = draws >= params.threshold(universe_size)
@@ -216,17 +218,26 @@ def _next_depth(
     return level, grow, rows[moves], held
 
 
-def _uniform_subset(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniform ``k``-subset of ``range(n)``, ascending, without making ``range(n)``.
+def _passing_cells(n: int, p: float, rng: NoiseStream) -> np.ndarray:
+    """Each of ``range(n)`` independently with probability ``p``, ascending, without making it.
 
-    Draws ``k`` values with replacement, then as many again as were repeats, until
-    ``k`` are distinct. No step tells values apart, so all C(n, k) subsets are equally likely.
+    Skips from one drawn cell to the next by Geometric(p) gaps, floor(log u /
+    log(1 - p)) for u uniform (Devroye 1986, the skip method for Bernoulli
+    sequences), drawn in batches of about the number still expected until they
+    step past ``n - 1``. A u of 0 is an infinite gap and ends the draw.
     """
-    chosen = np.empty(0, dtype=np.int64)
-    while len(chosen) < k:
-        chosen = np.sort(np.concatenate((chosen, rng.integers(0, n, k - len(chosen)))))
-        chosen = chosen[np.append(True, chosen[1:] != chosen[:-1])]
-    return chosen
+    if n < 0:
+        raise ValueError(f"cell count must be >= 0, got {n!r}")
+    steps, end = [np.empty(0)], -1.0
+    while end < n - 1:
+        expected = (n - 1 - end) * p
+        with np.errstate(divide="ignore"):
+            gaps = np.floor(np.log(uniforms(rng, int(expected + 3 * math.sqrt(expected)) + 1))
+                            / math.log1p(-p))
+        steps.append(end + np.cumsum(gaps + 1))
+        end = steps[-1][-1]
+    cells = np.concatenate(steps)
+    return cells[cells < n].astype(np.int64)
 
 
 def dump_tree(tree: PrefixTree) -> str:

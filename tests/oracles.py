@@ -1,5 +1,6 @@
 """Reference implementations that tests compare the library against."""
 
+import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -11,23 +12,26 @@ from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
     laplace_noise,
-    sample_pass_count,
     sample_passing_noisy_count,
+    uniforms,
 )
 from dptraj.tree import PrefixTree
 
 
 class _ZeroNoiseStream:
-    """Stands in for a Generator; forces Laplace noise to 0 and spawns no empty nodes."""
+    """Stands in for a depth's stream; forces Laplace noise to 0 and spawns no empty nodes.
 
-    def random(self, size) -> np.ndarray:
-        return np.full(size, 0.5)
+    Its first draw, the depth's noise, is all uniforms of 1/2, which the inverse
+    transform maps to 0. Every later draw is all zeros: the cell draw's first
+    gap is infinite, so no cell passes.
+    """
 
-    def binomial(self, n, p: float) -> np.ndarray:
-        return np.zeros(np.shape(n), dtype=np.int64)
+    def __init__(self):
+        self.draws = 0
 
-    def integers(self, low, high, size) -> np.ndarray:
-        return low + np.arange(size)
+    def randbytes(self, n: int) -> bytes:
+        self.draws += 1
+        return (1 << 63 if self.draws == 1 else 0).to_bytes(8, "little") * (n // 8)
 
 
 class ZeroNoiseSource(RandomSource):
@@ -172,8 +176,8 @@ def reference_noisy_tree(
     """The noisy tree built one level at a time over sorted record tuples.
 
     Makes the same draws in the same order as ``build_noisy_tree``, one
-    stream per depth, but finds child runs by bisecting tuples and gathers
-    the depth's subset of (frontier node, location) cells in a Python set. A
+    stream per depth, but finds child runs by bisecting tuples and steps
+    through the depth's (frontier node, location) cells one gap at a time. A
     kept node is expanded iff its noisy count reaches the expand threshold.
     """
     entries = db_entries(db)
@@ -205,12 +209,19 @@ def reference_noisy_tree(
         rng = source.stream(d)
         candidates = [(path, run) for (path, _, _), own in zip(frontier, runs) for run in own]
         noise = laplace_noise(params.noise_scale, rng, size=len(candidates)).tolist()
-        # Cell f * |U| + loc is frontier node f's candidate at loc.
-        cells = len(frontier) * universe_size
-        passing = int(sample_pass_count(cells, params, universe_size, rng))
+        # Cell f * |U| + loc is frontier node f's candidate at loc. The cells
+        # that pass are one geometric gap apart, in the library's batches.
+        cells, p = len(frontier) * universe_size, params.pass_probability(universe_size)
         chosen: set[int] = set()
-        while len(chosen) < passing:
-            chosen.update(rng.integers(0, cells, passing - len(chosen)).tolist())
+        at = -1.0
+        while at < cells - 1:
+            expected = (cells - 1 - at) * p
+            with np.errstate(divide="ignore"):  # a uniform of 0 is an infinite gap
+                logs = np.log(uniforms(rng, int(expected + 3 * math.sqrt(expected)) + 1))
+            for gap in np.floor(logs / math.log1p(-p)).tolist():
+                at += gap + 1
+                if at < cells:
+                    chosen.add(int(at))
         backed = {f * universe_size + loc for f, own in enumerate(runs) for loc, _, _ in own}
         free = sorted(chosen - backed)
         values = sample_passing_noisy_count(params, universe_size, rng, size=len(free)).tolist()

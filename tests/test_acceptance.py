@@ -25,10 +25,10 @@ from dptraj.privacy import (
     PrivacyParams,
     RandomSource,
     budget_ledger,
-    sample_pass_count,
     sample_passing_noisy_count,
 )
 from dptraj.release import generate_release, sanitize
+from dptraj.tree import _passing_cells
 from dptraj.utility import evaluate_workload, fsp_metrics, generate_workload, mine_top_k
 
 from conftest import make_universe
@@ -146,15 +146,15 @@ def test_criterion_3_one_shot_empty_candidate_process():
     m, trials = 50, 100_000
     started = time.perf_counter()
 
+    # The process: one cell draw over ``trials`` nodes' m zero-count candidates each.
     process_rng = RandomSource(404).stream(0)
-    pass_counts = np.array(
-        [sample_pass_count(m, params, m, process_rng) for _ in range(trials)]
-    )
+    cells = _passing_cells(trials * m, params.pass_probability(m), process_rng)
+    pass_counts = np.bincount(cells // m, minlength=trials)
     process_values = sample_passing_noisy_count(
         params, m, process_rng, size=int(pass_counts.sum())
     )
 
-    naive_rng = RandomSource(405).stream(0)
+    naive_rng = np.random.default_rng(405)
     noise = naive_rng.laplace(scale=params.noise_scale, size=(trials, m))
     naive_mask = noise >= params.threshold(m)
     naive_values = noise[naive_mask]

@@ -109,10 +109,10 @@ class TestSanitize:
         universe.write_text("a\nb\nc\n", encoding="utf-8")
         for variant in ("full", "basic"):
             out = tmp_path / f"{variant}.txt"
-            # Each zero-count candidate passes with probability 1/2; at seed 25 none does.
+            # Each zero-count candidate passes with probability 1/2; at seed 3 none does.
             result = run_cli(
                 "sanitize", "--input", data, "--universe", universe, "--output", out,
-                "--epsilon", "0.1", "--height", "3", "--seed", "25", "--variant", variant,
+                "--epsilon", "0.1", "--height", "3", "--seed", "3", "--variant", variant,
             )
             assert result.returncode == 0, (variant, result.stderr)
             assert "tree.nodes=0 " in result.stdout
@@ -699,6 +699,47 @@ def test_evaluators_hold_neither_numpy_random_nor_openssl(tmp_path, recipe_corpu
         assert result.stdout.split() == ["0", "False", "False", "False"], args[0]
 
 
+def test_sanitize_holds_neither_numpy_random_nor_openssl(tmp_path, recipe_corpus):
+    # Every draw is SHAKE-256 from the standalone _sha3 module: numpy.random and
+    # the OpenSSL-backed _hashlib that secrets and hashlib load are never loaded,
+    # apart from what importing numpy loads by itself (numpy.random, before
+    # NumPy 2), and neither are the evaluators.
+    corpus, universe = recipe_corpus
+    script = (
+        "import sys; import numpy; before = set(sys.modules); "
+        "from dptraj.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *(m in set(sys.modules) - before "
+        "for m in ('numpy.random', 'secrets', '_hashlib', 'dptraj.utility')))"
+    )
+    for variant in ("full", "basic"):
+        args = ("sanitize", "--input", corpus, "--universe", universe, "--epsilon", "1.0",
+                "--height", "8", "--variant", variant, "--output", tmp_path / "release.txt")
+        result = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-5:] == ["0", "False", "False", "False", "False"], variant
+
+
+def test_each_module_loads_on_first_use():
+    # The package resolves its exports lazily: loading a database loads the
+    # model alone, and the evaluators' module loads no tree, inference or noise.
+    script = (
+        "import sys; from dptraj import load_db; print(*sorted(m for m in sys.modules "
+        "if m.startswith('dptraj'))); from dptraj import mine_top_k; "
+        "print(*sorted(m for m in sys.modules if m.startswith('dptraj')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "dptraj dptraj.model", "dptraj dptraj.model dptraj.utility",
+    ]
+
+
 def test_sanitize_and_stats_never_load_numpy_ma(tmp_path, recipe_corpus):
     # np.unique imports numpy.ma on its first call (about 16 ms and 1.7 MB of
     # RSS under NumPy 2.4); sanitize sets its peak while that is held.
@@ -736,8 +777,9 @@ def test_drawn_seeds_are_128_bit_integers(monkeypatch):
 class TestPinnedRelease:
     """Release and tree-dump bytes at a fixed seed, on the criterion-9 corpus and a narrow one.
 
-    The digests were recorded when each depth's empty-born children came to
-    be placed by one subset draw over its (node, location) cells; any change
+    The digests were recorded when every draw came to be made from keyed
+    SHAKE-256 streams and each depth's empty-born children to be placed by
+    geometric skips over its (node, location) cells; any change
     to a draw, to the written order, to which nodes are kept or expanded or to
     the inference arithmetic shows up here. Each dump is also pinned by its
     sorted lines, which no change of the written order alone moves.
@@ -745,26 +787,26 @@ class TestPinnedRelease:
 
     CORPORA = {
         # --n-locations: corpus digest. Under 2 kappa locations the pruning threshold is 0,
-        # so half of the empty candidates pass and the subset draw redraws many repeats.
+        # so each of the empty candidates passes with probability 1/2.
         "40": "07c4cdd7e0a9fc577e9780745ca9237fd28e5f9231508c99029ae90894e17310",
         "12": "60e4f84010a05d09ebdceca346f0c9aaec9b0c81a955fc176a3d0436b119d2c6",
     }
     RUNS = {
         # (--n-locations, --variant): (release digest, --dump-tree digest, sorted dump digest)
         ("40", "full"): (
-            "136c6c4f0ff3eabf651eb2ef6b885ade263d47619bcc6298282ccf8f2c2c33ae",
-            "1d7a53de35687755de95bc4088f0fab93442b64ceebe11e291695b02c5ff0b7a",
-            "8148f350fa3655c9176b8705ab3b2e7123fc9dacb560db6a8477d8f7215ac50f",
+            "0064b34599ef4d3f80b8c58a3b194cafbfad222a1179bee0e266703ef0fcb7b8",
+            "41d5eed6785cdc02d7a6b0cc7c8f6d2ac6992e5d854b66c3169923fac8c32af1",
+            "6b1d4b807a240cdae75b65d83b3758385262d9f07f359a8609470fa7d641f4ae",
         ),
         ("40", "basic"): (
-            "be23fde14c4ffdb7160dd0af2ac84f00299c96cde85335bc43d76b88ecf50b21",
-            "1d7a53de35687755de95bc4088f0fab93442b64ceebe11e291695b02c5ff0b7a",
-            "8148f350fa3655c9176b8705ab3b2e7123fc9dacb560db6a8477d8f7215ac50f",
+            "e86bf563fbcfdacfa1394e6b5a5f57de07104663593aed732cccd8a3efbf4446",
+            "41d5eed6785cdc02d7a6b0cc7c8f6d2ac6992e5d854b66c3169923fac8c32af1",
+            "6b1d4b807a240cdae75b65d83b3758385262d9f07f359a8609470fa7d641f4ae",
         ),
         ("12", "full"): (
-            "f3f2f2b779537c36b8f5c46004e910155c0e0e83954defdf692a38a4ccd8e0bd",
-            "f076d504f7f8a73ed30f91594d21489093e78dccecaee3a868c8bccb3c5da3d5",
-            "b643a5ca5c963d20567bd384700df45cd3e679968efbdb4f943a1f76d5e85667",
+            "0133f9ad2e295089d350de60c2e763179675b3affa86e5d5f3c42f4e83a70e8c",
+            "2c410ba2b1a2ab3722319d24fce5566e4850bddcfc2b2ed06f3e1ea672b5c885",
+            "1c80facc973b643e50ae73b6f229589b371942132dbb332af46e3f36e984aa62",
         ),
     }
 

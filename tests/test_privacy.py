@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import fields
 from fractions import Fraction
@@ -14,11 +15,11 @@ from dptraj.privacy import (
     RandomSource,
     budget_ledger,
     laplace_noise,
-    sample_pass_count,
     sample_passing_noisy_count,
+    uniforms,
 )
 from dptraj.release import sanitize
-from dptraj.tree import build_noisy_tree, dump_tree
+from dptraj.tree import _passing_cells, build_noisy_tree, dump_tree
 
 from conftest import make_universe
 from oracles import NoThresholds, ZeroNoiseSource, db_entries, entries_db, records_db
@@ -186,9 +187,11 @@ class TestWrittenOrder:
 
 class TestLaplace:
     def test_zero_noise_source_is_identity(self):
-        stream = ZeroNoiseSource().stream(1)
-        assert (5 + laplace_noise(2.0, stream, size=1) == 5.0).all()
-        assert (5 + laplace_noise(2.0, stream, size=3) == 5.0).all()
+        # A zero-noise stream's first draw is the noise; its later draws place no cell.
+        for size in (1, 3):
+            stream = ZeroNoiseSource().stream(1)
+            assert (5 + laplace_noise(2.0, stream, size=size) == 5.0).all()
+            assert not len(_passing_cells(10**6, 0.5, stream))
 
     def test_rejects_bad_scale(self):
         rng = RandomSource(0).stream(0)
@@ -210,30 +213,38 @@ class TestLaplace:
 
 
 class TestPassCount:
+    """How many of a depth's zero-count cells pass, as ``_passing_cells`` draws them."""
+
     def test_zero_candidates(self):
-        params = PrivacyParams(epsilon=1.0, height=2)
-        assert sample_pass_count(0, params, 1012, RandomSource(1).stream(0)) == 0
+        p = PrivacyParams(epsilon=1.0, height=2).pass_probability(1012)
+        assert len(_passing_cells(0, p, RandomSource(1).stream(0))) == 0
 
     def test_negative_rejected(self):
-        params = PrivacyParams(epsilon=1.0, height=2)
+        p = PrivacyParams(epsilon=1.0, height=2).pass_probability(1012)
         with pytest.raises(ValueError):
-            sample_pass_count(-1, params, 1012, RandomSource(1).stream(0))
+            _passing_cells(-1, p, RandomSource(1).stream(0))
 
     def test_binomial_mean(self):
+        # 100,000 nodes' cells over 1,012 locations in one draw: each node's count is
+        # Binomial(1012, p).
         params = PrivacyParams(epsilon=1.0, height=2)
         p = params.pass_probability(1012)
-        m, trials = 1000, 100_000
-        rng = RandomSource(11).stream(0)
-        draws = rng.binomial(m, p, size=trials)
+        m, trials = 1012, 100_000
+        cells = _passing_cells(m * trials, p, RandomSource(11).stream(0))
+        draws = np.bincount(cells // m, minlength=trials)
         se = math.sqrt(m * p * (1 - p) / trials)
         assert abs(draws.mean() - m * p) < 3 * se
+        assert abs(draws.var() / (m * p * (1 - p)) - 1) < 0.03
 
     def test_bounded_by_candidates(self):
         params = PrivacyParams(epsilon=0.1, height=1)  # over 10 locations, half pass
+        p = params.pass_probability(10)
         rng = RandomSource(5).stream(0)
         for m in (1, 3, 10):
             for _ in range(200):
-                assert 0 <= sample_pass_count(m, params, 10, rng) <= m
+                cells = _passing_cells(m, p, rng)
+                assert cells.dtype == np.int64 and 0 <= len(cells) <= m
+                assert (cells >= 0).all() and (cells < m).all() and (np.diff(cells) > 0).all()
 
 
 class TestPassingNoisyCount:
@@ -241,8 +252,8 @@ class TestPassingNoisyCount:
         params = PrivacyParams(epsilon=2.0, height=2)
 
         class _Zero:
-            def random(self, size):
-                return np.zeros(size)
+            def randbytes(self, n):
+                return bytes(n)
 
         values = sample_passing_noisy_count(params, 1012, _Zero(), size=1)
         assert values == pytest.approx(params.threshold(1012))
@@ -265,15 +276,17 @@ class TestPassingNoisyCount:
 
 class TestStatisticalProcessEquivalence:
     def test_matches_per_candidate_simulation(self):
-        # One-shot draw (binomial count + conditional counts) versus noising
-        # each empty candidate individually and keeping those >= threshold.
+        # One-shot draw (the passing cells of ``trials`` nodes over m locations,
+        # then conditional counts) versus noising each empty candidate
+        # individually and keeping those >= threshold.
         params = PrivacyParams(epsilon=1.0, height=2)
-        m, trials = 50, 20_000  # the candidates of a root over m locations
+        m, trials = 50, 20_000
         process_rng = RandomSource(31).stream(0)
-        ks = np.array([sample_pass_count(m, params, m, process_rng) for _ in range(trials)])
+        cells = _passing_cells(trials * m, params.pass_probability(m), process_rng)
+        ks = np.bincount(cells // m, minlength=trials)
         values = sample_passing_noisy_count(params, m, process_rng, size=int(ks.sum()))
 
-        naive_rng = RandomSource(32).stream(0)
+        naive_rng = np.random.default_rng(32)
         noise = naive_rng.laplace(scale=params.noise_scale, size=(trials, m))
         passing = noise >= params.threshold(m)
         naive_values = noise[passing]
@@ -320,13 +333,13 @@ class TestBudgetLedger:
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
-        a = RandomSource(42).stream(1).random(5)
-        b = RandomSource(42).stream(1).random(5)
+        a = uniforms(RandomSource(42).stream(1), 5)
+        b = uniforms(RandomSource(42).stream(1), 5)
         assert np.array_equal(a, b)
 
     def test_different_keys_decorrelate(self):
-        a = RandomSource(42).stream(1).random(5)
-        b = RandomSource(42).stream(2).random(5)
+        a = uniforms(RandomSource(42).stream(1), 5)
+        b = uniforms(RandomSource(42).stream(2), 5)
         assert not np.array_equal(a, b)
 
     def test_negative_seed_rejected(self):
@@ -336,11 +349,18 @@ class TestRandomSource:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5])
     @pytest.mark.parametrize("key", [(0,), (1,), (11,), (12,)])
     def test_stream_seeds_like_seed_sequence_of_seed_and_key(self, seed, key):
-        # A stream's key is one depth. Streams must stay those of
-        # SeedSequence((seed, len(key), *key)), or every release made at a
-        # fixed seed would change.
-        expected = np.random.default_rng(np.random.SeedSequence((seed, len(key), *key)))
+        # A stream is keyed by the sequence of the seed and its key, one depth:
+        # call i of randbytes is SHAKE-256 of "dptraj/{seed}/{depth}/{i}", checked
+        # here against hashlib's implementation. Were that to change, so would
+        # every release made at a fixed seed.
+        (depth,) = key
         stream = RandomSource(seed).stream(*key)
-        assert np.array_equal(stream.random(8), expected.random(8))
-        low = np.arange(4)
-        assert np.array_equal(stream.integers(low, 1012), expected.integers(low, 1012))
+        for i, n in enumerate((64, 8, 0, 8)):
+            text = f"dptraj/{seed}/{depth}/{i}".encode()
+            assert stream.randbytes(n) == hashlib.shake_256(text).digest(n), i
+
+    def test_stream_keys_are_distinct_and_pinned(self):
+        firsts = {RandomSource(s).stream(d).randbytes(8) for s in range(200) for d in range(200)}
+        assert len(firsts) == 200 * 200
+        # Seed 42's depth-0 stream's first uniform, pinned.
+        assert uniforms(RandomSource(42).stream(0), 1)[0] == 1683872911770086 / 2**53

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import tempfile
 import tracemalloc
@@ -12,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dptraj.privacy import PrivacyParams, RandomSource
+from dptraj.privacy import KAPPA, PrivacyParams, RandomSource, uniforms
 from dptraj.release import VARIANTS, sanitize
 from dptraj import tree as tree_module
-from dptraj.tree import _uniform_subset, build_noisy_tree, dump_tree
+from dptraj.tree import _passing_cells, build_noisy_tree, dump_tree
 
 from conftest import load_split, make_universe
 from oracles import (
@@ -386,7 +387,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("narrow", [False, True])
     def test_bearers_share_one_shuffle(self, narrow):
-        # Every bearer of a depth takes its empty-born children from one subset of the depth's cells.
+        # Every bearer of a depth takes its empty-born children from the depth's one cell draw.
         db, universe = _random_db(
             random.Random(13), max_records=200, universe_size=12 if narrow else 24, max_len=5
         )
@@ -431,32 +432,61 @@ class TestPlacementLaw:
     """Each zero-count candidate passes alone with ``pass_probability``, wherever it is."""
 
     @staticmethod
-    def _skip_redraw(n, k, rng):
-        # Keeps the distinct values of k draws and fills up with the smallest
-        # values not drawn: k distinct cells, but biased to low ones.
-        chosen = set(rng.integers(0, n, k).tolist())
-        rest = sorted(set(range(n)) - chosen)
-        return np.array(sorted(chosen | set(rest[: k - len(chosen)])), dtype=np.int64)
+    def _gaps_without_the_plus_one(n, p, rng):
+        # The cell draw with its gaps not stepped past the cell just drawn: a
+        # gap of 0 draws that cell again (or cell -1).
+        at = -1 + np.cumsum(np.floor(np.log(uniforms(rng, n + 1)) / math.log1p(-p)))
+        return at[at < n].astype(np.int64)
 
     @staticmethod
-    def _subset_pvalue(sample):
-        # Every 3-subset of 6 cells is drawn about 1,000 times of 20,000.
-        rng = np.random.default_rng(17)
-        index = {subset: i for i, subset in enumerate(itertools.combinations(range(6), 3))}
-        hits = np.zeros(len(index))
-        for _ in range(20_000):
-            hits[index[tuple(sample(6, 3, rng).tolist())]] += 1
-        return stats.chisquare(hits).pvalue
+    def _at_twice_p(n, p, rng):
+        return _passing_cells(n, 2 * p, rng)
 
-    def test_every_subset_equally_likely(self):
-        assert self._subset_pvalue(_uniform_subset) > 0.001
+    @staticmethod
+    def _subset_pvalues(sample, p, trials=20_000):
+        # Per n <= 6, each of the 2**n subsets of n cells is drawn as often as
+        # independent Bernoulli(p) cells make it; subsets expected under 5 times
+        # share a bin. A draw that is no ascending subset of range(n) has
+        # probability 0, and one such draw rejects.
+        rng = RandomSource(17).stream(0)
+        pvalues = []
+        for n in range(1, 7):
+            index = {
+                cells: i for i, cells in enumerate(
+                    c for k in range(n + 1) for c in itertools.combinations(range(n), k)
+                )
+            }
+            hits = np.bincount(
+                [index.get(tuple(sample(n, p, rng).tolist()), -1) + 1 for _ in range(trials)],
+                minlength=len(index) + 1,
+            )
+            if hits[0]:
+                pvalues.append(0.0)
+                continue
+            size = np.array([len(cells) for cells in index])
+            expected = trials * p**size * (1 - p) ** (n - size)
+            bins = np.where(expected < 5, -1, np.arange(len(index))) + 1  # bin 0 pools the small
+            observed, expected = np.bincount(bins, hits[1:]), np.bincount(bins, expected)
+            pooled = expected > 0
+            pvalues.append(stats.chisquare(observed[pooled], expected[pooled]).pvalue)
+        return pvalues
 
-    def test_a_sampler_that_skips_the_redraw_fails(self):
-        assert self._subset_pvalue(self._skip_redraw) < 1e-6
+    # The pass probability over 20 locations, where the threshold is above 0, and
+    # over fewer than 2 KAPPA locations.
+    PROBABILITIES = (KAPPA / 20, 0.5)
+
+    def test_every_subset_has_its_bernoulli_probability(self):
+        for p in self.PROBABILITIES:
+            assert min(self._subset_pvalues(_passing_cells, p)) > 0.001 / 12, p
+
+    def test_a_cell_draw_without_the_plus_one_or_at_twice_p_fails(self):
+        for p in self.PROBABILITIES:
+            assert min(self._subset_pvalues(self._gaps_without_the_plus_one, p)) < 1e-6, p
+        assert min(self._subset_pvalues(self._at_twice_p, KAPPA / 20)) < 1e-6
 
     def _placement_pvalues(self, sample, monkeypatch):
         # Frontier at depth 2: (0,) holds location 1, (1,) nothing and (2,) location 3.
-        monkeypatch.setattr(tree_module, "_uniform_subset", sample)
+        monkeypatch.setattr(tree_module, "_passing_cells", sample)
         universe = make_universe(20)
         db = records_db([(0, 1)] * 200 + [(1,)] * 200 + [(2, 3)] * 200)
         params = PrivacyParams(epsilon=40.0, height=2)
@@ -486,10 +516,10 @@ class TestPlacementLaw:
         return pvalues
 
     def test_empty_born_counts_and_locations(self, monkeypatch):
-        assert min(self._placement_pvalues(_uniform_subset, monkeypatch)) > 0.001 / 8
+        assert min(self._placement_pvalues(_passing_cells, monkeypatch)) > 0.001 / 8
 
-    def test_a_placement_that_skips_the_redraw_fails(self, monkeypatch):
-        assert min(self._placement_pvalues(self._skip_redraw, monkeypatch)) < 1e-6
+    def test_a_placement_at_twice_the_probability_fails(self, monkeypatch):
+        assert min(self._placement_pvalues(self._at_twice_p, monkeypatch)) < 1e-6
 
 
 class TestMemory:
