@@ -19,10 +19,10 @@ VARIANTS = ("basic", "full")
 _EXPORTS = {
     "datagen": "GenConfig generate planted_routes",
     "inference": "consistent_estimates consolidate order_violations",
-    "model": "DataFormatError LocationUniverse Trajectory TrajectoryDb UnknownLocationError "
-    "load_db load_universe write_db write_universe",
+    "model": "DataFormatError LocationUniverse ReleaseStats Trajectory TrajectoryDb "
+    "UnknownLocationError load_db load_universe release_stats write_db write_universe",
     "privacy": "BudgetLedger PrivacyParams RandomSource budget_ledger sample_passing_noisy_count",
-    "release": "ReleaseStats generate_release release_stats release_tree sanitize",
+    "release": "generate_release release_tree sanitize",
     "tree": "PrefixTree build_noisy_tree dump_tree",
     "utility": "CountQuery PresenceIndex QueryWorkload SeqPattern eval_count_query "
     "evaluate_workload fsp_metrics generate_workload mine_top_k relative_error",

@@ -35,8 +35,8 @@ from typing import Iterable, get_type_hints
 from . import VARIANTS
 from .datagen import GenConfig
 from .model import (
-    DataFormatError, LocationUniverse, TrajectoryDb, UnknownLocationError, load_db, write_db,
-    write_universe,
+    DataFormatError, LocationUniverse, TrajectoryDb, UnknownLocationError, load_db,
+    release_stats, write_db, write_universe,
 )
 
 EXIT_IO = 1
@@ -216,8 +216,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .release import release_stats
-
     db, _ = load_db(args.input, args.universe)
     stats = release_stats(db)
     to_stdout = _write_csv(args.output, ["length", "count"], stats.length_histogram.items())

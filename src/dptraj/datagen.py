@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LocationUniverse, TrajectoryDb
+from .model import LocationUniverse, TrajectoryDb, id_type
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,12 @@ def generate(config: GenConfig) -> tuple[TrajectoryDb, LocationUniverse]:
         popularity = _location_weights(len(routes), config.route_skew)
         route_of[chosen] = rng.choice(len(routes), size=planted_count, p=popularity)
 
-    flat = rng.choice(config.n_locations, size=int(lengths.sum()), p=weights).astype(np.int32)
+    flat = rng.choice(config.n_locations, size=int(lengths.sum()), p=weights)
+    flat = flat.astype(id_type(config.n_locations))
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     # A planted record rides its line for the trip length and wanders on past the terminus.
     riders = np.flatnonzero(route_of >= 0)
     for stop, located in enumerate(np.array(routes).T):
         riders = riders[lengths[riders] > stop]
         flat[offsets[riders] + stop] = located[route_of[riders]]
-    return TrajectoryDb(flat, offsets, np.ones(config.n_records, dtype=np.int64)), universe
+    return TrajectoryDb(flat, offsets, np.ones(config.n_records, dtype=np.int32)), universe

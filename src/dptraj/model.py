@@ -53,17 +53,44 @@ class LocationUniverse:
         return len(self.tokens)
 
 
+def narrowest(largest: int, narrow: type, wide: type) -> np.dtype:
+    """``narrow`` if it holds ``largest``, else ``wide``: the type that holds values up to ``largest``.
+
+    Raises if ``wide`` does not hold it either.
+    """
+    for dtype in (narrow, wide):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError(f"value {largest} does not fit {np.dtype(wide)}")
+
+
+def id_type(universe_size: int) -> np.dtype:
+    """The type a database over ``universe_size`` locations holds its ids in."""
+    return narrowest(universe_size - 1, np.int16, np.int32)
+
+
+def _narrowed(values: np.ndarray, narrow: type, wide: type) -> np.ndarray:
+    """Non-negative ``values`` in :func:`narrowest` of the two types; no copy if they are so already."""
+    return values.astype(narrowest(int(values.max(initial=0)), narrow, wide), copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectoryDb:
     """Multiset of trajectories, held as weighted entries.
 
     Entry ``e`` is ``tokens[offsets[e]:offsets[e + 1]]``: the entries' location
-    ids lie end to end in one int32 array, and ``offsets`` (int64, one longer
-    than the entry count) marks where each starts. ``weights[e]`` (int64, at
-    least one) is how many records entry ``e`` stands for, and the records are
-    the entries in order, each repeated by its weight. Entries need not be
-    distinct: readers sum weights, so a record split over two equal entries
-    reads as one entry carrying both.
+    ids lie end to end in one array, and ``offsets`` (one longer than the entry
+    count) marks where each starts. ``weights[e]`` (at least one) is how many
+    records entry ``e`` stands for, and the records are the entries in order,
+    each repeated by its weight. Entries need not be distinct: readers sum
+    weights, so a record split over two equal entries reads as one entry
+    carrying both.
+
+    Each array is held in the narrower of two signed types when its largest
+    value fits (:func:`narrowest`): tokens in int16 when every id is below
+    2**15, else int32; offsets and weights in int32 when the largest is below
+    2**31, else int64. So a reader widens before it sums, multiplies or adds
+    past the array's own values.
     """
 
     tokens: np.ndarray
@@ -71,21 +98,24 @@ class TrajectoryDb:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        tokens = np.asarray(self.tokens, dtype=np.int32)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
+        tokens, offsets, weights = map(np.asarray, (self.tokens, self.offsets, self.weights))
         if not len(offsets) or offsets[0] != 0 or offsets[-1] != len(tokens):
             raise ValueError(f"offsets must run from 0 to the {len(tokens)} tokens")
         if (np.diff(offsets) < 1).any():
             raise ValueError("trajectories must have at least one location")
         if len(tokens) and tokens.min() < 0:
             raise ValueError("location ids must be >= 0")
-        weights, n = np.asarray(self.weights, dtype=np.int64), len(offsets) - 1
+        n = len(offsets) - 1
         if len(weights) != n or (weights < 1).any():
             raise ValueError(f"weights must give each of the {n} entries at least 1")
-        vars(self).update(tokens=tokens, offsets=offsets, weights=weights)  # frozen
+        vars(self).update(  # frozen; checked first, so no value is negative
+            tokens=_narrowed(tokens, np.int16, np.int32),
+            offsets=_narrowed(offsets, np.int32, np.int64),
+            weights=_narrowed(weights, np.int32, np.int64),
+        )
 
     def __len__(self) -> int:
-        return int(self.weights.sum())
+        return int(self.weights.sum(dtype=np.int64))
 
     @property
     def trajectories(self) -> tuple[Trajectory, ...]:
@@ -93,6 +123,22 @@ class TrajectoryDb:
         flat, bounds = self.tokens.tolist(), self.offsets.tolist()
         entries = (tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
         return tuple(chain.from_iterable(map(repeat, entries, self.weights.tolist())))
+
+
+@dataclass(frozen=True)
+class ReleaseStats:
+    records: int
+    length_histogram: dict[int, int]
+    distinct_locations: int
+
+
+def release_stats(db: TrajectoryDb) -> ReleaseStats:
+    histogram = np.bincount(np.diff(db.offsets), weights=db.weights).astype(np.int64)
+    return ReleaseStats(
+        records=len(db),
+        length_histogram={n: c for n, c in enumerate(histogram.tolist()) if c},
+        distinct_locations=np.count_nonzero(np.bincount(db.tokens)),
+    )
 
 
 @contextmanager
@@ -189,14 +235,18 @@ def _count_lines(fd: int, start: int, end: int) -> int:
     return lines
 
 
-def _parse(lines: Iterable[str], path: str, lookup) -> tuple[array, array, list[int]]:
-    """The ``tokens``, ``offsets`` and ``weights`` of ``lines``.
+def _parse(
+    lines: Iterable[str], path: str, universe: LocationUniverse
+) -> tuple[array, array, list[int]]:
+    """The ``tokens``, ``offsets`` and ``weights`` of ``lines``, read against ``universe``.
 
     Repeats of a line share its entry while the line cache, cleared when
     full, holds the line. An error names the line by its number in ``lines``.
     """
-    # Each grows in place; tokens and offsets become numpy arrays without a copy.
-    tokens, offsets, weights = array("i"), array("q", [0]), []
+    lookup = universe._index.__getitem__
+    # Each grows in place; tokens and offsets become numpy arrays without a
+    # copy, the tokens already in the database's type for the universe.
+    tokens, offsets, weights = array(id_type(len(universe)).char), array("q", [0]), []
     cache: dict[str, int] = {}
     for line in lines:
         entry = cache.get(line)
@@ -218,7 +268,7 @@ def _parse(lines: Iterable[str], path: str, lookup) -> tuple[array, array, list[
     return tokens, offsets, weights
 
 
-def _parse_part(path: str, lookup, start: int, end: int, last: bool):
+def _parse_part(path: str, universe: LocationUniverse, start: int, end: int, last: bool):
     """:func:`_parse` over the lines in bytes ``[start, end)`` of ``path``, or to its end if ``last``.
 
     The lines are counted first so that the part is read through a plain
@@ -228,19 +278,22 @@ def _parse_part(path: str, lookup, start: int, end: int, last: bool):
     with _open_text(path) as fh:
         count = None if last else _count_lines(fh.fileno(), start, end)
         fh.buffer.seek(start)  # before any read, so the text layer starts there
-        return _parse(islice(fh, count), path, lookup)
+        return _parse(islice(fh, count), path, universe)
 
 
-def _send_part(fd: int, path: str, lookup, start: int, end: int, last: bool) -> NoReturn:
+def _send_part(
+    fd: int, path: str, universe: LocationUniverse, start: int, end: int, last: bool
+) -> NoReturn:
     """In a forked child: parse a part, send it down the pipe ``fd`` and exit.
 
-    It sends the token and entry counts, then the tokens, offsets (less the
-    leading 0) and weights, as raw bytes. The child touches no stdio and
+    It sends the token and entry counts, then the tokens (in the parent's
+    type, since both read the same universe), offsets (less the leading 0)
+    and weights, as raw bytes. The child touches no stdio and
     leaves by ``os._exit``, 0 once all is sent and 1 on any failure.
     """
     status = 1
     try:
-        tokens, offsets, weights = _parse_part(path, lookup, start, end, last)
+        tokens, offsets, weights = _parse_part(path, universe, start, end, last)
         weights = array("q", weights)
         counts = array("q", [len(tokens), len(weights)])
         for part in (counts, tokens, memoryview(offsets)[1:], weights):
@@ -252,7 +305,7 @@ def _send_part(fd: int, path: str, lookup, start: int, end: int, last: bool) -> 
         os._exit(status)
 
 
-def _load_parts(path: str, lookup, cuts: list[int]) -> TrajectoryDb:
+def _load_parts(path: str, universe: LocationUniverse, cuts: list[int]) -> TrajectoryDb:
     """Read ``path`` in the parts that ``cuts`` bound, the first here and the others in forked children.
 
     Each child's arrays are read from its pipe ``_PIPE_ITEMS`` items at a
@@ -267,14 +320,14 @@ def _load_parts(path: str, lookup, cuts: list[int]) -> TrajectoryDb:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _send_part(write_end, path, lookup, cuts[k], cuts[k + 1], k == len(cuts) - 2)
+                    _send_part(write_end, path, universe, cuts[k], cuts[k + 1], k == len(cuts) - 2)
             except BaseException:
                 os.close(read_end)
                 raise
             finally:
                 os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        tokens, offsets, weights = _parse_part(path, lookup, cuts[0], cuts[1], False)
+        tokens, offsets, weights = _parse_part(path, universe, cuts[0], cuts[1], False)
         weights = array("q", weights)
         shifts = []  # each child's entries' offsets, and the tokens before its part
         for _, pipe in children:
@@ -308,18 +361,19 @@ def load_db(path: str, universe_path: str) -> tuple[TrajectoryDb, LocationUniver
     full, holds the line. A regular file of a few MiB or more is read in
     line-aligned parts, one per usable CPU, side by side (:func:`_cuts`); a
     line repeated in two parts is an entry in each. If any part fails, the
-    file is read again as one part, which raises the error at its line.
+    file is read again as one part, which raises the error at its line. Ids
+    are read straight into :func:`id_type` of the universe, so no wider copy
+    of the tokens is made.
     """
     universe = load_universe(universe_path)
-    lookup = universe._index.__getitem__
     cuts = _cuts(path)
     if len(cuts) > 2:
         try:
-            return _load_parts(path, lookup, cuts), universe
+            return _load_parts(path, universe, cuts), universe
         except (OSError, EOFError, ValueError):
             pass  # the one-part read below gives the error, or the database
     with _open_text(path) as fh:
-        return TrajectoryDb(*_parse(fh, path, lookup)), universe
+        return TrajectoryDb(*_parse(fh, path, universe)), universe
 
 
 #: Entries that ``write_db`` formats at a time, and lines of a run it joins into one string.

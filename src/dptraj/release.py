@@ -9,8 +9,6 @@ terminates records, weighted by how many it terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import VARIANTS
@@ -72,23 +70,7 @@ def generate_release(
 
     emitting, paths = tree.preorder(np.flatnonzero(terminated))
     return TrajectoryDb(
-        paths[paths >= 0],  # int32, the db's width: no recopy
+        paths[paths >= 0],  # in the universe's id type: no recopy unless a narrower one fits
         np.concatenate(([0], np.cumsum(tree.depth[emitting]))),
         terminated[emitting],
-    )
-
-
-@dataclass(frozen=True)
-class ReleaseStats:
-    records: int
-    length_histogram: dict[int, int]
-    distinct_locations: int
-
-
-def release_stats(db: TrajectoryDb) -> ReleaseStats:
-    histogram = np.bincount(np.diff(db.offsets), weights=db.weights).astype(np.int64)
-    return ReleaseStats(
-        records=len(db),
-        length_histogram={n: c for n, c in enumerate(histogram.tolist()) if c},
-        distinct_locations=np.count_nonzero(np.bincount(db.tokens)),
     )

@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import LocationUniverse, TrajectoryDb
+from .model import LocationUniverse, TrajectoryDb, id_type
 from .privacy import (
     NoiseStream,
     PrivacyParams,
@@ -109,12 +109,13 @@ class PrefixTree:
     def preorder(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Non-root ``nodes`` in the order every output writes them, and their paths.
 
-        Each int32 path holds the node's locations from depth 1 down, then -1 past
-        its depth, so a node sorts just before its subtree and siblings sort by
+        Each path holds the node's locations from depth 1 down, then -1 past its
+        depth, so a node sorts just before its subtree and siblings sort by
         location id, which is public (row order tells data-backed siblings from
-        empty-born ones).
+        empty-born ones). Paths are in the universe's :func:`~dptraj.model.id_type`.
         """
-        paths = np.append(self.location, -1).astype(np.int32)[self.paths(nodes)]
+        located = np.append(self.location, -1).astype(id_type(len(self.universe)))
+        paths = located[self.paths(nodes)]
         order = np.lexsort(paths.T[::-1])
         return nodes[order], paths[order]
 
@@ -134,8 +135,9 @@ def build_noisy_tree(
     frontier nodes in the lexicographic order of their paths, then empty-born
     ones, so the tree does not depend on the order of the records.
     """
-    # Each entry's length, clipped to the height: all a depth asks is whether a record goes on.
-    length = np.minimum(np.diff(db.offsets), params.height)
+    # Each entry's length, clipped to the height: all a depth asks is whether a
+    # record goes on. No entry is longer than the tokens, so the clip fits offsets' type.
+    length = np.minimum(np.diff(db.offsets), min(params.height, len(db.tokens)))
     length = length.astype(np.min_scalar_type(params.height))
     # Per depth, the nodes born there: parent (its row), location, noisy and true count.
     levels = [(np.full(1, -1), np.full(1, -1), np.full(1, np.nan), np.full(1, len(db)))]
@@ -178,18 +180,20 @@ def _next_depth(
     """
     # Sorted by (place on the frontier, location at depth d), a node's
     # children are runs of equal keys; the order within a run is immaterial.
-    key = db.tokens[db.offsets[rows] + d].astype(np.int64)
-    key += np.repeat(np.arange(len(held), dtype=np.int64) * universe_size, held)
-    order = np.argsort(key)
-    key = key[order]
-    rows = rows[order]
-    del order
+    # The key is int64 from the start: the cells pass the ids' and offsets' types.
+    key = np.repeat(np.arange(len(held), dtype=np.int64) * universe_size, held)
+    at = db.offsets[rows]
+    at += d
+    key += db.tokens[at]
+    del at
+    rows = rows[np.argsort(key)]
+    key.sort()
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     begin = np.flatnonzero(first)
     backed = key[begin]  # the data-backed candidates' cells, ascending
     del key, first
-    counts = np.add.reduceat(db.weights[rows], begin)
+    counts = np.add.reduceat(db.weights[rows], begin, dtype=np.int64)
     # The depth's draws, in this order: noise for every data-backed candidate
     # (frontier order, then ascending location); the depth's cells that would
     # pass as zero-count candidates; and the noisy count of each drawn cell

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import LocationUniverse, Trajectory, TrajectoryDb
+from .model import LocationUniverse, Trajectory, TrajectoryDb, narrowest
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +136,9 @@ def _row_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
 
     Row ``r``'s tokens are ``bounds[r]:bounds[r + 1]``.
     """
-    cuts = np.searchsorted(bounds, np.arange(_BLOCK, bounds[-1], _BLOCK)).tolist()
+    # Sought in the bounds' own type: a wider one would have them copied to it.
+    cuts = np.searchsorted(bounds, np.arange(_BLOCK, bounds[-1], _BLOCK, dtype=bounds.dtype))
+    cuts = cuts.tolist()
     edges = sorted({0, *cuts, len(bounds) - 1}) if cuts else [0, len(bounds) - 1]
     return list(zip(edges, edges[1:]))
 
@@ -186,7 +188,10 @@ class PresenceIndex:
     keeps a candidate ``e`` while ``l * n + e`` is found in the keys for each
     of its other locations ``l``, and sums the weights of the survivors. The
     keys are made, sorted and de-duplicated in one array, a block at a time,
-    so the build holds little more than one key per token.
+    so the build holds little more than one key per token. Keys and the
+    bounds of each location's keys are int32 when ``universe_size * n`` fits,
+    else int64, and each query's keys are made in the same type, so a search
+    never copies the keys to a wider one.
     """
 
     def __init__(self, db: TrajectoryDb, universe_size: int):
@@ -196,14 +201,15 @@ class PresenceIndex:
             )
         self.weights = db.weights
         n = len(db.weights)
-        keys = np.empty(len(db.tokens), dtype=np.int64)
+        keys = np.empty(len(db.tokens), dtype=narrowest(universe_size * n, np.int32, np.int64))
         for lo, hi in _row_blocks(db.offsets):
             a, b = db.offsets[lo], db.offsets[hi]
             keys[a:b] = db.tokens[a:b]
             keys[a:b] *= n
             keys[a:b] += np.repeat(np.arange(lo, hi), np.diff(db.offsets[lo:hi + 1]))
         self._keys = _keep_first(keys, lambda block: block)  # a repeated visit's key repeats
-        self._bounds = np.searchsorted(self._keys, np.arange(universe_size + 1) * n)
+        starts = (np.arange(universe_size + 1) * n).astype(keys.dtype)
+        self._bounds = np.searchsorted(self._keys, starts).astype(keys.dtype)
 
     def count(self, query: CountQuery) -> int:
         """One query's count, answered as a batch of one."""
@@ -236,7 +242,9 @@ class PresenceIndex:
                 if not len(query):
                     break
                 tested = np.flatnonzero(sizes[query] > column)
-                wanted = locations[firsts[query[tested]] + column] * n + entries[tested]
+                wanted = locations[firsts[query[tested]] + column].astype(self._keys.dtype)
+                wanted *= n
+                wanted += entries[tested]
                 # A wanted key can sort after every key, so its index is clamped.
                 at = np.searchsorted(self._keys, wanted).clip(max=len(self._keys) - 1)
                 keep = np.ones(len(query), dtype=bool)
@@ -298,7 +306,7 @@ def _extensions(
     the step holds one key per token, a few numbers per row, and the
     projections.
     """
-    starts = db.offsets[ids] + skips
+    starts = np.add(db.offsets[ids], skips, dtype=np.int64)
     lengths = db.offsets[1:][ids] - starts
     bounds = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(lengths, out=bounds[1:])

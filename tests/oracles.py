@@ -2,7 +2,8 @@
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,6 +17,7 @@ from dptraj.privacy import (
     uniforms,
 )
 from dptraj.tree import PrefixTree
+from dptraj.utility import SeqPattern
 
 
 class _ZeroNoiseStream:
@@ -119,6 +121,33 @@ def assert_same_arrays(got: TrajectoryDb, want: TrajectoryDb) -> None:
     """``got`` holds the same entries, in the same order and with the same weights, as ``want``."""
     for name in ("tokens", "offsets", "weights"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+def scan_count(db: TrajectoryDb, query: Iterable[int]) -> int:
+    """Records whose location set covers ``query``, summed entry by entry in plain Python."""
+    wanted = set(query)
+    return sum(w for entry, w in zip(db_entries(db), db.weights.tolist()) if wanted <= set(entry))
+
+
+def brute_force_top_k(db: TrajectoryDb, k: int, max_len: int = 3) -> list[SeqPattern]:
+    """Enumerate every subsequence pattern up to max_len by direct scans."""
+    support: Counter = Counter()
+    for t in db.trajectories:
+        seen = set()
+        for length in range(1, max_len + 1):
+            for combo in combinations(range(len(t)), length):
+                seen.add(tuple(t[i] for i in combo))
+        support.update(seen)
+    ordered = sorted(support.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))
+    return [SeqPattern(locations=p, support=s) for p, s in ordered[:k]]
+
+
+def assert_same_tree(tree: PrefixTree, reference: PrefixTree) -> None:
+    """``tree`` has ``reference``'s rows, field by field, in the same types."""
+    for name in ("parent", "location", "depth", "noisy", "true_count", "n_children"):
+        got, want = getattr(tree, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def prefixes(tree: PrefixTree) -> list[tuple[int, ...]]:

@@ -740,6 +740,26 @@ def test_each_module_loads_on_first_use():
     ]
 
 
+def test_stats_loads_no_tree_noise_or_release(tmp_path, recipe_corpus):
+    # stats reads one file and builds no tree, so it runs on the model alone.
+    corpus, universe = recipe_corpus
+    script = (
+        "import sys; from dptraj.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('dptraj')))"
+    )
+    args = ("stats", "--input", corpus, "--universe", universe, "--output", tmp_path / "out.csv")
+    result = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    code, *modules = result.stdout.splitlines()[-1].split()
+    assert code == "0" and "dptraj.model" in modules
+    assert not {"dptraj.tree", "dptraj.inference", "dptraj.privacy", "dptraj.release"} & {
+        *modules
+    }
+
+
 def test_sanitize_and_stats_never_load_numpy_ma(tmp_path, recipe_corpus):
     # np.unique imports numpy.ma on its first call (about 16 ms and 1.7 MB of
     # RSS under NumPy 2.4); sanitize sets its peak while that is held.

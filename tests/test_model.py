@@ -21,10 +21,10 @@ from dptraj.model import (
     UnknownLocationError,
     load_db,
     load_universe,
+    release_stats,
     write_db,
     write_universe,
 )
-from dptraj.release import release_stats
 from dptraj.utility import mine_top_k
 
 from conftest import SAMPLE_LINES, load_split, make_universe
@@ -209,9 +209,8 @@ class TestSplitLoad:
         path.write_bytes(data)
         expected, universe = self.one_part(str(path), abc_universe)
         after = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
-        lookup = universe._index.__getitem__
         for cuts in [[0, c, len(data)] for c in after] + [[0, *after[1:3], len(data)]]:
-            db = model._load_parts(str(path), lookup, cuts)
+            db = model._load_parts(str(path), universe, cuts)
             assert len(db.weights) >= len(expected.weights)
             assert Counter(db.trajectories) == Counter(expected.trajectories)
         self.assert_no_child_left()
@@ -288,11 +287,11 @@ class TestSplitLoad:
         expected, _ = self.one_part(str(path), abc_universe)
         calls, parse = [], model._parse_part
 
-        def parse_part(path, lookup, start, end, last):
+        def parse_part(path, universe, start, end, last):
             calls.append(os.getpid())
             if last:
                 os._exit(3)  # a child dies before it sends anything
-            return parse(path, lookup, start, end, last)
+            return parse(path, universe, start, end, last)
 
         with mock.patch.object(model, "_parse_part", parse_part):
             db, _ = load_db(str(path), abc_universe)

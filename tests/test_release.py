@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptraj.inference import consistent_estimates, consolidate
+from dptraj.model import release_stats
 from dptraj.privacy import PrivacyParams, RandomSource
-from dptraj.release import VARIANTS, generate_release, release_stats, release_tree, sanitize
+from dptraj.release import VARIANTS, generate_release, release_tree, sanitize
 from dptraj.tree import build_noisy_tree, dump_tree
 
 from conftest import make_universe

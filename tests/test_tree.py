@@ -22,6 +22,7 @@ from conftest import load_split, make_universe
 from oracles import (
     NoThresholds,
     ZeroNoiseSource,
+    assert_same_tree,
     build_exact_tree,
     children,
     db_entries,
@@ -45,16 +46,6 @@ def _random_db(rnd, max_records=60, universe_size=6, max_len=7):
         for _ in range(rnd.randint(1, max_records))
     ]
     return records_db(rows), make_universe(universe_size)
-
-
-_TREE_FIELDS = ("parent", "location", "depth", "noisy", "true_count", "n_children")
-
-
-def _assert_same_tree(tree, reference):
-    for name in _TREE_FIELDS:
-        got, want = getattr(tree, name), getattr(reference, name)
-        assert got.dtype == want.dtype, name
-        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 @st.composite
@@ -340,7 +331,7 @@ class TestDrawAssignment:
         ]
         assert (trees[0].n_children[trees[0].true_count == 0] > 0).any()
         for tree in trees[1:]:
-            _assert_same_tree(tree, trees[0])
+            assert_same_tree(tree, trees[0])
 
     @pytest.mark.parametrize(
         "rows, height, narrow",
@@ -383,7 +374,7 @@ class TestAgainstReference:
             db = load_split(rows, universe, cache_lines, directory)
         tree = build_noisy_tree(db, universe, params, RandomSource(seed))
         reference = reference_noisy_tree(db, universe, params, RandomSource(seed))
-        _assert_same_tree(tree, reference)
+        assert_same_tree(tree, reference)
 
     @pytest.mark.parametrize("narrow", [False, True])
     def test_bearers_share_one_shuffle(self, narrow):
@@ -394,7 +385,7 @@ class TestAgainstReference:
         params = PrivacyParams(epsilon=8.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(3))
         reference = reference_noisy_tree(db, universe, params, RandomSource(3))
-        _assert_same_tree(tree, reference)
+        assert_same_tree(tree, reference)
         bearers = np.unique(tree.parent[1:][tree.true_count[1:] == 0])
         assert np.bincount(tree.depth[bearers]).max() > 6
 
@@ -409,7 +400,7 @@ class TestAgainstReference:
         db = records_db(rnd.choices(distinct, k=300))
         params = PrivacyParams(epsilon=8.0, height=3)
         tree = build_noisy_tree(db, universe, params, RandomSource(5))
-        _assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
+        assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
         backed = tree.location[1:][tree.true_count[1:] > 0]
         assert backed.max() > 32_767
 
@@ -422,7 +413,7 @@ class TestAgainstReference:
         params = PrivacyParams(epsilon=40.0, height=2)
         universe = make_universe(universe_size)
         tree = build_noisy_tree(db, universe, params, RandomSource(5))
-        _assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
+        assert_same_tree(tree, reference_noisy_tree(db, universe, params, RandomSource(5)))
         assert (tree.n_children[1:] > 0).sum() * universe_size > 2**31
         born = (tree.true_count == 0) & (tree.depth == 2)
         assert (tree.location[tree.parent[born]] >= 2**31 // universe_size).sum() > 10

@@ -25,26 +25,13 @@ from dptraj.utility import (
 )
 
 from conftest import load_split, make_universe
-from oracles import entries_db, records_db
+from oracles import brute_force_top_k, entries_db, records_db
 
 
 def packed(queries):
     """A sequence of query sets as ``PresenceIndex.counts`` takes it: sizes, then locations."""
     sizes = np.array([len(q) for q in queries], dtype=np.intp)
     return sizes, np.array([loc for q in queries for loc in q], dtype=np.intp)
-
-
-def brute_force_top_k(db, k, max_len=3):
-    """Enumerate every subsequence pattern up to max_len by direct scans."""
-    support = Counter()
-    for t in db.trajectories:
-        seen = set()
-        for length in range(1, max_len + 1):
-            for combo in itertools.combinations(range(len(t)), length):
-                seen.add(tuple(t[i] for i in combo))
-        support.update(seen)
-    ordered = sorted(support.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))
-    return [SeqPattern(locations=p, support=s) for p, s in ordered[:k]]
 
 
 class TestCountQuery:
