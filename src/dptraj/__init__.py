@@ -6,7 +6,8 @@ materialize a sanitized database; evaluate the release with count-query
 relative error and top-k sequential-pattern overlap.
 
 Each exported name is imported from its module on first access (PEP 562), so
-``from dptraj import load_db`` loads ``dptraj.model`` and nothing else.
+``from dptraj import load_db`` loads ``dptraj.reader`` and nothing else, and
+no numpy until a file is read.
 """
 
 from importlib import import_module
@@ -17,11 +18,12 @@ __version__ = "0.1.0"
 VARIANTS = ("basic", "full")
 
 _EXPORTS = {
-    "datagen": "GenConfig generate planted_routes",
+    "datagen": "generate planted_routes",
     "inference": "consistent_estimates consolidate order_violations",
-    "model": "DataFormatError LocationUniverse ReleaseStats Trajectory TrajectoryDb "
-    "UnknownLocationError load_db load_universe release_stats write_db write_universe",
-    "privacy": "BudgetLedger PrivacyParams RandomSource budget_ledger sample_passing_noisy_count",
+    "model": "ReleaseStats Trajectory TrajectoryDb release_stats write_db write_universe",
+    "params": "GenConfig PrivacyParams",
+    "privacy": "BudgetLedger RandomSource budget_ledger sample_passing_noisy_count",
+    "reader": "DataFormatError LocationUniverse UnknownLocationError load_db load_universe",
     "release": "generate_release release_tree sanitize",
     "tree": "PrefixTree build_noisy_tree dump_tree",
     "utility": "CountQuery PresenceIndex QueryWorkload SeqPattern eval_count_query "

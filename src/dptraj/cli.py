@@ -4,10 +4,12 @@ Subcommands write plain text or CSV so runs compose in shell pipelines, and
 read every trajectory file against one public list of locations, --universe.
 Every command that consumes randomness takes --seed, draws a fresh 128-bit
 seed without it, and is bit-reproducible given the same seed and flags. Each
-command imports only the modules it runs: sanitize loads no evaluator, nor
-numpy.random or OpenSSL, and the evaluators load no tree, inference or noise.
-sanitize's and the evaluators' --seed must be non-negative, and is checked
-before any input is read. sanitize's seed keys its SHAKE-256 noise streams
+command checks its parameters, reads every input (in forked parts, for a big
+file) and only then imports numpy and the modules it runs: sanitize loads no
+evaluator, nor numpy.random or OpenSSL, and the evaluators load no tree,
+inference or noise. sanitize's and the evaluators' --seed must be
+non-negative, and is checked, like sanitize's --epsilon, before any input is
+read. sanitize's seed keys its SHAKE-256 noise streams
 (dptraj.privacy.RandomSource): it is never printed, and --seed-out PATH keeps it
 in an owner-only file, written beside PATH before any work and moved onto PATH
 once the release is written.
@@ -29,15 +31,18 @@ import os
 import sys
 import time
 from dataclasses import fields
-from typing import Iterable, get_type_hints
+from typing import TYPE_CHECKING, Iterable, get_type_hints
 
-# Each command imports the modules it runs; gen's options are GenConfig's fields.
+# No numpy here: each command checks its parameters, reads its inputs and only
+# then imports the modules it runs. gen's options are GenConfig's fields.
 from . import VARIANTS
-from .datagen import GenConfig
-from .model import (
-    DataFormatError, LocationUniverse, TrajectoryDb, UnknownLocationError, load_db,
-    release_stats, write_db, write_universe,
+from .params import GenConfig, PrivacyParams
+from .reader import (
+    DataFormatError, LocationUniverse, UnknownLocationError, load_db, load_universe, read_records,
 )
+
+if TYPE_CHECKING:
+    from .model import TrajectoryDb
 
 EXIT_IO = 1
 EXIT_PARAMS = 2
@@ -93,11 +98,6 @@ def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> boo
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
-    from .inference import order_violations
-    from .privacy import PrivacyParams, RandomSource, budget_ledger
-    from .release import release_tree
-    from .tree import build_noisy_tree, dump_tree
-
     seed = _resolve_seed(args.seed)
     params = PrivacyParams(epsilon=args.epsilon, height=args.height)
     pending = args.seed_out and f"{args.seed_out}.{os.urandom(4).hex()}"
@@ -110,6 +110,12 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
             fh.write(f"{seed}\n")
     try:
         db, universe = load_db(args.input, args.universe)
+        from .inference import order_violations
+        from .model import write_db
+        from .privacy import RandomSource, budget_ledger
+        from .release import release_tree
+        from .tree import build_noisy_tree, dump_tree
+
         # The steps of ``sanitize``, with the input freed once the tree is built:
         # the later steps read only the tree.
         tree = build_noisy_tree(db, universe, params, RandomSource(seed))
@@ -142,19 +148,25 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[TrajectoryDb, TrajectoryDb, LocationUniverse]:
-    """The evaluators' ``--raw`` (not empty) and ``--sanitized`` databases, and the universe."""
-    raw, universe = load_db(args.raw, args.universe)
-    if not len(raw):
+    """The evaluators' ``--raw`` (not empty) and ``--sanitized`` databases, and the universe.
+
+    Both files are read before numpy is imported.
+    """
+    universe = load_universe(args.universe)
+    raw = read_records(args.raw, universe)
+    if not raw.weights:
         raise DataFormatError(f"{args.raw}: raw database is empty")
-    sanitized, _ = load_db(args.sanitized, args.universe)
-    return raw, sanitized, universe
+    sanitized = read_records(args.sanitized, universe)
+    from .model import as_db
+
+    return as_db(raw), as_db(sanitized), universe
 
 
 def cmd_eval_count(args: argparse.Namespace) -> int:
-    from .utility import DEFAULT_SANITY_FRACTION, evaluate_workload, generate_workload
-
     seed = _resolve_seed(args.seed)
     raw, sanitized, universe = _load_inputs(args)
+    from .utility import DEFAULT_SANITY_FRACTION, evaluate_workload, generate_workload
+
     workload = generate_workload(universe, args.height, args.queries_per_subset, seed)
     sanity = DEFAULT_SANITY_FRACTION * len(raw)
     started = time.perf_counter()
@@ -176,9 +188,9 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_fsp(args: argparse.Namespace) -> int:
+    raw, sanitized, _ = _load_inputs(args)
     from .utility import fsp_metrics, mine_top_k
 
-    raw, sanitized, _ = _load_inputs(args)
     started = time.perf_counter()
     raw_patterns = mine_top_k(raw, args.topk[-1], args.max_pattern_len)
     sanitized_patterns = mine_top_k(sanitized, args.topk[-1], args.max_pattern_len)
@@ -201,6 +213,7 @@ def cmd_eval_fsp(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     from .datagen import generate
+    from .model import write_db, write_universe
 
     values = {f.name: getattr(args, f.name) for f in fields(GenConfig)}
     values["seed"] = _resolve_seed(args.seed)
@@ -217,6 +230,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     db, _ = load_db(args.input, args.universe)
+    from .model import release_stats
+
     stats = release_stats(db)
     to_stdout = _write_csv(args.output, ["length", "count"], stats.length_histogram.items())
     summary = f"records={stats.records} distinct_locations={stats.distinct_locations}"

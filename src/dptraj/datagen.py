@@ -13,50 +13,10 @@ the universe is big enough, like distinct transit lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import LocationUniverse, TrajectoryDb, id_type
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    n_locations: int
-    n_records: int
-    avg_len: float
-    max_len: int
-    n_planted_routes: int = 0
-    planted_fraction: float = 0.25
-    route_length: int = 3
-    route_skew: float = 0.0
-    zipf_skew: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_locations < 1:
-            raise ValueError("need at least one location")
-        if self.n_records < 0:
-            raise ValueError("record count must be >= 0")
-        if not 1 <= self.avg_len <= self.max_len:
-            raise ValueError(
-                f"need 1 <= avg_len <= max_len, got avg_len={self.avg_len}, max_len={self.max_len}"
-            )
-        if self.n_planted_routes < 0:
-            raise ValueError("route count must be >= 0")
-        if not 0 <= self.planted_fraction <= 1:
-            raise ValueError("planted fraction must be in [0, 1]")
-        if self.n_planted_routes:
-            if self.route_length < 1:
-                raise ValueError("route length must be >= 1")
-            if self.route_length > self.n_locations:
-                raise ValueError("route length exceeds universe size")
-        if self.route_skew < 0:
-            raise ValueError("route skew must be >= 0")
-        if self.zipf_skew < 0:
-            raise ValueError("zipf skew must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+from .params import GenConfig
 
 
 def _location_weights(n_locations: int, skew: float) -> np.ndarray:

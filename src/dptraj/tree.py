@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import LocationUniverse, TrajectoryDb, id_type
+from .model import LocationUniverse, TrajectoryDb, id_type, narrowest
 from .privacy import (
     NoiseStream,
     PrivacyParams,
@@ -193,7 +193,9 @@ def _next_depth(
     begin = np.flatnonzero(first)
     backed = key[begin]  # the data-backed candidates' cells, ascending
     del key, first
-    counts = np.add.reduceat(db.weights[rows], begin, dtype=np.int64)
+    # Summed in a type that holds every total, so the gathered weights are not widened first.
+    counts = np.add.reduceat(db.weights[rows], begin, dtype=narrowest(len(db), np.int32, np.int64))
+    counts = counts.astype(np.int64)
     # The depth's draws, in this order: noise for every data-backed candidate
     # (frontier order, then ascending location); the depth's cells that would
     # pass as zero-count candidates; and the noisy count of each drawn cell

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from dptraj import model  # noqa: E402
+from dptraj import reader  # noqa: E402
 from dptraj.model import LocationUniverse, load_db, write_db, write_universe  # noqa: E402
 from oracles import records_db  # noqa: E402
 
@@ -61,6 +61,6 @@ def load_split(rows, universe, cache_lines, directory):
     universe_path = os.path.join(directory, "split-universe.txt")
     write_db(records_db(rows), universe, data)
     write_universe(universe, universe_path)
-    with mock.patch.object(model, "_CACHE_LINES", cache_lines):
+    with mock.patch.object(reader, "_CACHE_LINES", cache_lines):
         db, _ = load_db(data, universe_path)
     return db

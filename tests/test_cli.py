@@ -1,3 +1,4 @@
+import builtins
 import csv
 import hashlib
 import os
@@ -267,12 +268,12 @@ class TestSanitize:
     ):
         # Read from the file in forced parts, in process, and from a pipe,
         # which is always one part: the release and the dump are the same bytes.
-        from dptraj import cli, model
+        from dptraj import cli, reader
 
         corpus, universe = recipe_corpus
-        monkeypatch.setattr(model, "_PART_BYTES", 1 << 10)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
-        assert len(model._cuts(str(corpus))) == 4
+        monkeypatch.setattr(reader, "_PART_BYTES", 1 << 10)
+        monkeypatch.setattr(reader, "_usable_cpus", lambda: 3)
+        assert len(reader._cuts(str(corpus))) == 4
         flags = ["--universe", str(universe), "--epsilon", "1", "--height", "8", "--seed", "42"]
         parts, pipe = ((tmp_path / f"{name}.txt", tmp_path / f"{name}-tree.txt")
                        for name in ("parts", "pipe"))
@@ -724,7 +725,7 @@ def test_sanitize_holds_neither_numpy_random_nor_openssl(tmp_path, recipe_corpus
 
 def test_each_module_loads_on_first_use():
     # The package resolves its exports lazily: loading a database loads the
-    # model alone, and the evaluators' module loads no tree, inference or noise.
+    # reader alone, and the evaluators' module loads no tree, inference or noise.
     script = (
         "import sys; from dptraj import load_db; print(*sorted(m for m in sys.modules "
         "if m.startswith('dptraj'))); from dptraj import mine_top_k; "
@@ -736,9 +737,83 @@ def test_each_module_loads_on_first_use():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
-        "dptraj dptraj.model", "dptraj dptraj.model dptraj.utility",
+        "dptraj dptraj.reader", "dptraj dptraj.model dptraj.reader dptraj.utility",
     ]
 
+
+def test_every_input_is_read_before_numpy_is_imported(tmp_path, recipe_corpus, sample_paths):
+    # The parse's line cache and lists, and the forked part readers, sit on a
+    # process that numpy has not filled: every part this process parses, of a
+    # file read in forked parts and of a small one, finds no numpy loaded.
+    script = (
+        "import sys; from dptraj import cli, reader; "
+        "reader._PART_BYTES, reader._usable_cpus = 1 << 12, lambda: 2; "
+        "seen, parse = [], reader._parse\n"
+        "def recorded(*args):\n"
+        "    parsed = parse(*args); seen.append('numpy' in sys.modules); return parsed\n"
+        "reader._parse = recorded; code = cli.main(sys.argv[1:]); print(code, *seen)"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, dptraj.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert loaded.stdout.split() == ["False"], loaded.stderr
+    (big, universe), (small, small_universe) = recipe_corpus, sample_paths
+    with pytest.MonkeyPatch.context() as patch:
+        from dptraj import reader
+
+        patch.setattr(reader, "_PART_BYTES", 1 << 12)
+        patch.setattr(reader, "_usable_cpus", lambda: 2)
+        assert len(reader._cuts(str(big))) == 3 and reader._cuts(str(small)) == []
+    out = tmp_path / "out"
+    runs = [
+        (args, data, universe_path)
+        for data, universe_path in ((big, universe), (small, small_universe))
+        for args in (
+            ("sanitize", "--input", data, "--epsilon", "1", "--height", "4", "--seed", "1"),
+            ("stats", "--input", data),
+            ("eval-count", "--raw", data, "--sanitized", data, "--height", "4",
+             "--queries-per-subset", "20", "--seed", "1"),
+            ("eval-fsp", "--raw", data, "--sanitized", data, "--topk", "5"),
+        )
+    ]
+    for args, data, universe_path in runs:
+        result = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args), "--universe", str(universe_path),
+             "--output", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert result.returncode == 0, result.stderr
+        reads = 2 if args[0].startswith("eval") else 1
+        assert result.stdout.splitlines()[-1].split() == ["0", *["False"] * reads], (args, data)
+
+
+@pytest.mark.parametrize(
+    "epsilon, height", [("0", "8"), ("nan", "8"), ("1e-308", "12")], ids=["zero", "nan", "subnormal"]
+)
+def test_bad_epsilon_exits_before_any_file_is_opened(
+    tmp_path, sample_universe_file, monkeypatch, capsys, epsilon, height
+):
+    # epsilon 1e-308 split over 12 levels is a subnormal share. The parameters are
+    # checked before any input is read: a missing --input is no I/O error, and no
+    # file, the seed's included, is opened or written.
+    from dptraj import cli
+
+    opened = []
+    for module, name in ((builtins, "open"), (os, "open")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda path, *a, real=real, **k: (
+            opened.append(path), real(path, *a, **k))[1])
+    before = set(tmp_path.iterdir())
+    code = cli.main([
+        "sanitize", "--input", str(tmp_path / "missing.txt"), "--universe",
+        str(sample_universe_file), "--output", str(tmp_path / "o.txt"), "--epsilon", epsilon,
+        "--height", height, "--seed", "1", "--seed-out", str(tmp_path / "seed.txt"),
+    ])
+    monkeypatch.undo()
+    assert code == 2 and opened == []
+    assert "epsilon" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
 
 def test_stats_loads_no_tree_noise_or_release(tmp_path, recipe_corpus):
     # stats reads one file and builds no tree, so it runs on the model alone.

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptraj import model
+from dptraj import reader
+from dptraj.datagen import GenConfig, generate
 from dptraj.model import (
     DataFormatError,
     LocationUniverse,
     TrajectoryDb,
     UnknownLocationError,
+    as_db,
     load_db,
     load_universe,
     release_stats,
@@ -28,7 +30,7 @@ from dptraj.model import (
 from dptraj.utility import mine_top_k
 
 from conftest import SAMPLE_LINES, load_split, make_universe
-from oracles import entries_db, records_db
+from oracles import assert_same_arrays, entries_db, records_db
 
 
 @pytest.fixture()
@@ -129,7 +131,7 @@ class TestLoad:
     def test_small_read_blocks(self, tmp_path, monkeypatch, abc_universe):
         # A line cache of two lines, cleared many times over: records and
         # line numbers must come out right across the clears.
-        monkeypatch.setattr(model, "_CACHE_LINES", 2)
+        monkeypatch.setattr(reader, "_CACHE_LINES", 2)
         lines = ["A B", "C", "A B", "B C A", "C", "A B"] * 7
         path = tmp_path / "d.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -153,14 +155,14 @@ class TestSplitLoad:
         """Make every file of a few bytes or more read in up to ``cpus`` parts."""
 
         def force(cpus=4):
-            monkeypatch.setattr(model, "_PART_BYTES", 4)
-            monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(reader, "_PART_BYTES", 4)
+            monkeypatch.setattr(reader, "_usable_cpus", lambda: cpus)
 
         return force
 
     @staticmethod
     def one_part(path, universe_path):
-        with mock.patch.object(model, "_usable_cpus", lambda: 1):
+        with mock.patch.object(reader, "_usable_cpus", lambda: 1):
             return load_db(path, universe_path)
 
     @staticmethod
@@ -191,7 +193,7 @@ class TestSplitLoad:
         expected, _ = self.one_part(str(path), abc_universe)
         for cpus in (2, 3, 4):
             split(cpus)
-            cuts = model._cuts(str(path))
+            cuts = reader._cuts(str(path))
             assert len(cuts) == cpus + 1 and cuts[-1] == len(data)
             assert all(data[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
             db, _ = load_db(str(path), abc_universe)
@@ -203,14 +205,14 @@ class TestSplitLoad:
     def test_every_line_aligned_cut(self, tmp_path, abc_universe, monkeypatch, count_bytes):
         # Parts cut after each newline in turn, two parts and three, CRs
         # included; lines are counted in blocks that split CRLF pairs or not.
-        monkeypatch.setattr(model, "_COUNT_BYTES", count_bytes)
+        monkeypatch.setattr(reader, "_COUNT_BYTES", count_bytes)
         data = b"A B\r\nC\rA B\nB C A\r\nC\nA B\rA\nC C\r\nB\n"
         path = tmp_path / "d.txt"
         path.write_bytes(data)
         expected, universe = self.one_part(str(path), abc_universe)
         after = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
         for cuts in [[0, c, len(data)] for c in after] + [[0, *after[1:3], len(data)]]:
-            db = model._load_parts(str(path), universe, cuts)
+            db = as_db(reader._load_parts(str(path), universe, cuts))
             assert len(db.weights) >= len(expected.weights)
             assert Counter(db.trajectories) == Counter(expected.trajectories)
         self.assert_no_child_left()
@@ -218,25 +220,25 @@ class TestSplitLoad:
     def test_pipes_small_files_and_threaded_processes_are_one_part(self, tmp_path, monkeypatch):
         path = tmp_path / "d.txt"
         path.write_bytes(b"A\n" * 100)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
-        assert model._cuts(str(path)) == []  # under two parts' floor
-        monkeypatch.setattr(model, "_PART_BYTES", 4)
-        assert len(model._cuts(str(path))) == 5
+        monkeypatch.setattr(reader, "_usable_cpus", lambda: 4)
+        assert reader._cuts(str(path)) == []  # under two parts' floor
+        monkeypatch.setattr(reader, "_PART_BYTES", 4)
+        assert len(reader._cuts(str(path))) == 5
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        assert model._cuts(str(fifo)) == []  # stat alone: the pipe is not opened
+        assert reader._cuts(str(fifo)) == []  # stat alone: the pipe is not opened
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert model._cuts(str(path)) == []  # a fork would not carry the thread
+            assert reader._cuts(str(path)) == []  # a fork would not carry the thread
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert len(model._cuts(str(path))) == 5
+        assert len(reader._cuts(str(path))) == 5
         monkeypatch.delattr(os, "fork")
-        assert model._cuts(str(path)) == []
+        assert reader._cuts(str(path)) == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -249,7 +251,7 @@ class TestSplitLoad:
         path.write_bytes(2 * good + bad + good)
         expected = self.raised(str(path), abc_universe)  # one part: the file is small
         split(2)
-        cuts = model._cuts(str(path))
+        cuts = reader._cuts(str(path))
         assert cuts[1] <= 2 * len(good) < cuts[2]  # the bad line lies in the second part
         assert self.raised(str(path), abc_universe) == expected
         self.assert_no_child_left()
@@ -259,7 +261,7 @@ class TestSplitLoad:
         path.write_bytes(b"A B\nC\n" * 20 + b"\n" + b"C\n" * 20)
         expected = self.raised(str(path), abc_universe)
         assert expected == (DataFormatError, f"{path}:41: blank line")
-        monkeypatch.setattr(model, "_cuts", lambda _: [0, 6 * 20, path.stat().st_size])
+        monkeypatch.setattr(reader, "_cuts", lambda _: [0, 6 * 20, path.stat().st_size])
         assert self.raised(str(path), abc_universe) == expected
         self.assert_no_child_left()
 
@@ -285,20 +287,69 @@ class TestSplitLoad:
         path.write_bytes(b"A B\nC\n" * 200)
         split(3)
         expected, _ = self.one_part(str(path), abc_universe)
-        calls, parse = [], model._parse_part
+        calls, parse = [], reader._parse_part
 
-        def parse_part(path, universe, start, end, last):
+        def parse_part(path, universe, start, end, last, code):
             calls.append(os.getpid())
             if last:
                 os._exit(3)  # a child dies before it sends anything
-            return parse(path, universe, start, end, last)
+            return parse(path, universe, start, end, last, code)
 
-        with mock.patch.object(model, "_parse_part", parse_part):
+        with mock.patch.object(reader, "_parse_part", parse_part):
             db, _ = load_db(str(path), abc_universe)
         assert calls == [os.getpid()]  # the children's calls happen in their own processes
         assert Counter(db.trajectories) == Counter(expected.trajectories)
         assert len(db.weights) == len(expected.weights)  # read again as one part
         self.assert_no_child_left()
+
+    def test_parts_fill_int32_arrays_with_no_wide_copy(self, tmp_path, monkeypatch, split):
+        # A regular file under 2 GiB is read straight into int32 offsets and
+        # weights, in this process's part and the forked one, so the load peaks
+        # near what it keeps: 1.8 times as much when they were filled as int64
+        # and narrowed. The line cache, a fixed cost of up to 2**15 lines'
+        # strings, is cut to 2**10 lines, so the peak is the arrays'.
+        config = GenConfig(n_locations=1012, n_records=50_000, avg_len=6.7, max_len=12,
+                           zipf_skew=1.0, seed=1)
+        db, universe = generate(config)
+        path, universe_path = str(tmp_path / "zipf.txt"), str(tmp_path / "universe.txt")
+        write_db(db, universe, path)
+        write_universe(universe, universe_path)
+        monkeypatch.setattr(reader, "_CACHE_LINES", 1 << 10)
+        split(2)
+        assert len(reader._cuts(path)) == 3
+        records = reader.read_records(path, universe)
+        assert records.offsets.typecode == records.weights.typecode == "i"
+        assert len(records.shifts) == 1  # the forked part's offsets
+        tracemalloc.start()
+        try:
+            loaded, _ = load_db(path, universe_path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.offsets.dtype == loaded.weights.dtype == np.int32
+        assert peak <= 1.3 * kept, (peak, kept)
+        assert_same_arrays(loaded, as_db(records))
+        self.assert_no_child_left()
+
+    def test_a_pipe_is_read_in_int64(self, tmp_path, abc_universe):
+        # A pipe's size is unknown, so its offsets and weights are filled as
+        # int64, and the database narrows them.
+        data = b"A B\nC\nA B\nB C A\n" * 5
+        path, fifo = tmp_path / "d.txt", tmp_path / "fifo"
+        path.write_bytes(data)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            records = reader.read_records(str(fifo), load_universe(abc_universe))
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert records.offsets.typecode == records.weights.typecode == "q"
+        db = as_db(records)
+        assert db.offsets.dtype == db.weights.dtype == np.int32
+        expected, _ = load_db(str(path), abc_universe)
+        assert_same_arrays(db, expected)
 
 
 class TestWrite:

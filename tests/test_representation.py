@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dptraj import model, utility
+from dptraj import model, reader, utility
 from dptraj.inference import consistent_estimates, consolidate
 from dptraj.model import TrajectoryDb, id_type, load_db, narrowest, write_db, write_universe
 from dptraj.privacy import PrivacyParams, RandomSource
@@ -158,10 +158,10 @@ class TestLoadWidth:
     def test_ids_are_read_in_the_universe_type(self, files, size, dtype, tmp_path, monkeypatch):
         paths, universes = files
         path, universe_path = paths[size], universes[size]
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(reader, "_usable_cpus", lambda: 1)
         one_part, _ = load_db(path, universe_path)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        assert len(model._cuts(path)) == 3  # two parts, the second read in a forked child
+        monkeypatch.setattr(reader, "_usable_cpus", lambda: 2)
+        assert len(reader._cuts(path)) == 3  # two parts, the second read in a forked child
         parts, _ = load_db(path, universe_path)
         piped = self._through_a_pipe(path, universe_path, tmp_path)
         for db in (one_part, parts, piped):
@@ -173,7 +173,7 @@ class TestLoadWidth:
 
     @pytest.mark.parametrize("size, typecode", [(TOP, "h"), (TOP + 1, "i")])
     def test_the_parser_fills_the_narrow_type(self, size, typecode):
-        tokens, _, _ = model._parse([f"L{size - 1} L0\n"], "x", make_universe(size))
+        tokens, _, _ = reader._parse([f"L{size - 1} L0\n"], "x", make_universe(size), "i")
         assert tokens.typecode == typecode and tokens.tolist() == [size - 1, 0]
 
 
