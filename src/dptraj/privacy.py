@@ -107,7 +107,10 @@ def laplace_noise(scale: float, rng: NoiseStream, size: int) -> np.ndarray:
         if not degenerate.any():
             break
         u[degenerate] = 0.5 - uniforms(rng, int(degenerate.sum()))
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    # -scale * sign(u) * log1p(-2|u|), in place; the sign only negates, so no bit changes.
+    negative = u < 0
+    np.log1p(np.multiply(np.abs(u, out=u), -2.0, out=u), out=u)
+    return np.negative(np.multiply(u, -scale, out=u), out=u, where=negative)
 
 
 def sample_passing_noisy_count(

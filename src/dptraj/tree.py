@@ -11,17 +11,18 @@ threshold: the shape reads no true count.
 
 The tree grows one depth at a time. Between depths the builder holds only the
 ids of the entries still under the frontier's data-backed nodes, grouped by
-node, and how many each node holds. A depth sorts those entries by one integer
-key, the node's place on the frontier times the universe size plus the entry's
-location at that depth: the runs of equal keys are the data-backed candidates,
-in frontier order and then by ascending location, and their true counts are
-sums of the entries' weights. One stream makes every draw of the depth in
-vector calls, and array steps keep children and pick the next frontier. Only
-the entries of expanded runs whose records go on are carried to the next
-depth. Each depth's nodes are appended to the tree's rows as they are made.
-Those arrays are the tree's interface, read and written directly by
-inference, release, the CLI and :func:`dump_tree`. Row order is the build's
-own: the release and the dump are both written in :meth:`PrefixTree.preorder`.
+node, and how many each node holds. A depth packs each of those entries in
+one int64 key, its cell (the node's place on the frontier times the universe
+size plus the entry's location at that depth) above its id, and sorts the keys
+in place: the runs of equal cells are the data-backed candidates, in frontier
+order and then by ascending location, and their true counts are sums of the
+entries' weights. One stream makes every draw of the depth in vector calls,
+and array steps keep children and pick the next frontier. Only the entries of
+expanded runs whose records go on are carried to the next depth. Each depth's
+nodes are appended to the tree's rows as they are made. Those arrays are the
+tree's interface, read and written directly by inference, release, the CLI and
+:func:`dump_tree`. Row order is the build's own: the release and the dump are
+both written in :meth:`PrefixTree.preorder`.
 """
 
 from __future__ import annotations
@@ -141,15 +142,14 @@ def build_noisy_tree(
     length = length.astype(np.min_scalar_type(params.height))
     # Per depth, the nodes born there: parent (its row), location, noisy and true count.
     levels = [(np.full(1, -1), np.full(1, -1), np.full(1, np.nan), np.full(1, len(db)))]
-    # The frontier: each node's index in the tree, and how many of ``rows``
+    # The frontier: each node's index in the tree, and how many of ``rows[0]``
     # (the entries under it, grouped by node) it holds; ``size`` nodes are made so far.
     at, size = np.zeros(1, dtype=np.int64), 1
-    rows = np.arange(len(length), dtype=np.int32)
-    held = np.full(1, len(rows))
+    rows, held = [np.arange(len(length), dtype=np.int32)], np.full(1, len(length))
     for d in range(params.height):
         if not len(at):
             break
-        (pos, *level), grow, rows, held = _next_depth(
+        (pos, *level), grow, held = _next_depth(
             db, rows, held, length, d, len(universe), params, source.stream(d)
         )
         levels.append((at[pos], *level))
@@ -167,61 +167,72 @@ def build_noisy_tree(
 
 
 def _next_depth(
-    db: TrajectoryDb, rows: np.ndarray, held: np.ndarray, length: np.ndarray, d: int,
+    db: TrajectoryDb, rows: list[np.ndarray], held: np.ndarray, length: np.ndarray, d: int,
     universe_size: int, params: PrivacyParams, rng: NoiseStream,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """One depth of :func:`build_noisy_tree`, below the frontier.
 
-    Frontier node ``i`` holds the next ``held[i]`` of ``rows``, the entries
-    under it that go on to depth ``d``. Returns the depth's nodes (parent's
-    place on the frontier, location, noisy and true count), which of them form
-    the next frontier, and the next frontier's ``rows`` and ``held``. Its
-    temporaries die on return, before the next depth's exist.
+    Frontier node ``i`` holds the next ``held[i]`` of ``rows[0]``, the entries
+    under it that go on to depth ``d``; the step takes them out of the list, so
+    they are freed once packed in the sort key, and puts the next frontier's in.
+    Returns the depth's nodes (parent's place on the frontier, location, noisy
+    and true count), which of them form the next frontier, and its ``held``.
     """
-    # Sorted by (place on the frontier, location at depth d), a node's
-    # children are runs of equal keys; the order within a run is immaterial.
-    # The key is int64 from the start: the cells pass the ids' and offsets' types.
+    # Each entry's key is its cell (place on the frontier, location at depth d)
+    # above its id: sorted, a node's children are runs of equal cells, and each
+    # run's ids ascend. The cells pass the ids' and offsets' types, so int64.
+    cells, row_bits = len(held) * universe_size, (len(length) - 1).bit_length()
+    if (cells - 1).bit_length() + row_bits > 63:
+        raise ValueError(f"{cells} cells and {len(length)} entries overflow a 64-bit sort key")
+    location = db.tokens[db.offsets[rows[0]] + d]
     key = np.repeat(np.arange(len(held), dtype=np.int64) * universe_size, held)
-    at = db.offsets[rows]
-    at += d
-    key += db.tokens[at]
-    del at
-    rows = rows[np.argsort(key)]
+    key += location
+    del location
+    key <<= row_bits
+    key |= rows.pop()
     key.sort()
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    begin = np.flatnonzero(first)
-    backed = key[begin]  # the data-backed candidates' cells, ascending
-    del key, first
+    ids = np.empty(len(key), dtype=np.int32)
+    np.bitwise_and(key, (1 << row_bits) - 1, out=ids, casting="unsafe")
+    key >>= row_bits
+    bounds = np.ones(len(key) + 1, dtype=bool)  # where runs start, and the end of the last
+    np.not_equal(key[1:], key[:-1], out=bounds[1:-1])
+    backed = key[bounds[:-1]]  # the data-backed candidates' cells, ascending
+    del key
+    bounds = np.flatnonzero(bounds)
     # Summed in a type that holds every total, so the gathered weights are not widened first.
-    counts = np.add.reduceat(db.weights[rows], begin, dtype=narrowest(len(db), np.int32, np.int64))
+    counts = np.add.reduceat(db.weights[ids], bounds[:-1], dtype=narrowest(len(db), np.int32, np.int64))
     counts = counts.astype(np.int64)
     # The depth's draws, in this order: noise for every data-backed candidate
     # (frontier order, then ascending location); the depth's cells that would
     # pass as zero-count candidates; and the noisy count of each drawn cell
     # that is no data-backed candidate.
-    draws = counts + laplace_noise(params.noise_scale, rng, size=len(counts))
-    chosen = _passing_cells(len(held) * universe_size, params.pass_probability(universe_size), rng)
+    draws = laplace_noise(params.noise_scale, rng, size=len(counts))
+    draws += counts
+    chosen = _passing_cells(cells, params.pass_probability(universe_size), rng)
     free = chosen[np.searchsorted(backed, chosen) == np.searchsorted(backed, chosen, "right")]
     values = sample_passing_noisy_count(params, universe_size, rng, size=len(free))
     kept = draws >= params.threshold(universe_size)
+    expand = params.expand_threshold(universe_size)
+    moving = kept & (draws >= expand)
+    backed, counts, draws = backed[kept], counts[kept], draws[kept]
+    # The next frontier's rows: those of expanded runs whose records go on past
+    # depth d + 1, still grouped by node; empty-born nodes hold none.
+    moves = np.repeat(moving, np.diff(bounds))
+    moves &= length[ids] > d + 1
+    going = np.add.reduceat(moves, bounds[:-1], dtype=np.int32)[kept]
+    rows.append(ids[moves])
     owner, loc = np.divmod(backed, universe_size)
     bearer, born = np.divmod(free, universe_size)
     del backed, free
     # The depth's nodes, by parent's place on the frontier: kept children, then empty-born.
     empty = np.zeros(len(born), dtype=np.int64)
-    pos = np.concatenate((owner[kept], bearer))
-    location = np.concatenate((loc[kept], born))
-    noisy = np.concatenate((draws[kept], values))
-    # The next frontier. Its rows are those of expanded runs whose records go
-    # on past depth d + 1, still grouped by node; empty-born nodes hold none.
-    expand = params.expand_threshold(universe_size)
+    pos = np.concatenate((owner, bearer))
+    location = np.concatenate((loc, born))
+    noisy = np.concatenate((draws, values))
     grow = np.flatnonzero(noisy >= expand)
-    moves = np.repeat(kept & (draws >= expand), np.diff(begin, append=len(rows)))
-    moves &= length[rows] > d + 1
-    held = np.concatenate((np.add.reduceat(moves, begin, dtype=np.int32)[kept], empty))[grow]
-    level = (pos, location, noisy, np.concatenate((counts[kept], empty)))
-    return level, grow, rows[moves], held
+    held = np.concatenate((going, empty))[grow]
+    level = (pos, location, noisy, np.concatenate((counts, empty)))
+    return level, grow, held
 
 
 def _passing_cells(n: int, p: float, rng: NoiseStream) -> np.ndarray:

@@ -205,6 +205,34 @@ class TestLaplace:
         assert abs(samples.mean()) < 0.01
         assert abs(samples.var() - 2.0) < 0.05
 
+    def test_in_place_transform_keeps_every_bit(self):
+        # The transform runs in place; it must equal the plain expression bit for
+        # bit, also on the draws made again because their uniform was exactly 0.
+        class _ZeroedWords:
+            """A stream whose first call has every 1,000th 64-bit word zeroed."""
+
+            def __init__(self):
+                self.stream, self.calls = RandomSource(9).stream(0), 0
+
+            def randbytes(self, n):
+                words = np.frombuffer(self.stream.randbytes(n), dtype="<u8").copy()
+                if not self.calls:
+                    words[::1000] = 0
+                self.calls += 1
+                return words.tobytes()
+
+        size = 200_000
+        for scale in (1.0, 1.7, 12.0):
+            rng = _ZeroedWords()
+            got = laplace_noise(scale, rng, size=size)
+            assert rng.calls == 2  # the 200 zeroed words are drawn again
+            rng = _ZeroedWords()
+            u = 0.5 - uniforms(rng, size)
+            while (degenerate := u == 0.5).any():
+                u[degenerate] = 0.5 - uniforms(rng, int(degenerate.sum()))
+            want = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+            assert got.tobytes() == want.tobytes()
+
     def test_ks_against_analytic_cdf(self):
         rng = RandomSource(7).stream(1)
         samples = laplace_noise(1.5, rng, size=100_000)

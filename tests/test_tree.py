@@ -13,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dptraj.datagen import generate
+from dptraj.params import GenConfig
 from dptraj.privacy import KAPPA, PrivacyParams, RandomSource, uniforms
 from dptraj.release import VARIANTS, sanitize
 from dptraj import tree as tree_module
@@ -532,6 +534,45 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / (len(db.offsets) - 1) < 45
+
+
+class TestSortKey:
+    """A depth sorts one int64 key per entry, its cell above its id."""
+
+    def test_key_past_63_bits_is_refused(self):
+        # 2**62 cells need 62 bits and 4 entries 2 more: the key would pass int64,
+        # so the step refuses before it packs anything.
+        db = records_db([(0,), (1,), (0, 1), (1, 0)])
+        length = np.diff(db.offsets).astype(np.uint8)
+        params = PrivacyParams(epsilon=1.0, height=2)
+        with pytest.raises(ValueError, match=rf"^{2**62} cells and 4 entries overflow"):
+            tree_module._next_depth(
+                db, [np.arange(4, dtype=np.int32)], np.full(1, 4), length, 0, 2**62, params,
+                RandomSource(1).stream(0),
+            )
+
+    def test_depth_zero_holds_few_bytes_per_entry(self):
+        # Depth 0 sorts every entry. Packed in one key, an entry's id, location and
+        # key cost about 15 bytes at the step's peak, the ids handed in included;
+        # a key sorted by argsort, with its index and a gathered copy of the ids, 24.
+        db, universe = generate(GenConfig(
+            n_locations=1012, n_records=50_000, avg_len=6.7, max_len=12,
+            n_planted_routes=0, zipf_skew=1.0, seed=1,
+        ))
+        n = len(db.weights)
+        length = np.minimum(np.diff(db.offsets), 12).astype(np.uint8)
+        params = PrivacyParams(epsilon=1.0, height=12)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tree_module._next_depth(
+                db, [np.arange(n, dtype=np.int32)], np.full(1, n), length, 0, len(universe),
+                params, RandomSource(1).stream(0),
+            )
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert n >= 50_000 and peak / n < 18
 
 
 class TestDump:
