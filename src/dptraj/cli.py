@@ -12,7 +12,7 @@ non-negative, and is checked, like sanitize's --epsilon, before any input is
 read. sanitize's seed keys its SHAKE-256 noise streams
 (dptraj.privacy.RandomSource): it is never printed, and --seed-out PATH keeps it
 in an owner-only file, written beside PATH before any work and moved onto PATH
-once the release is written.
+once the release, which is written after --dump-tree, is complete.
 
 sanitize's stdout manifest prints public parameters and noisy sizes, and one
 confidential value: tree.empty_born=, computed from true counts. It stays
@@ -116,15 +116,15 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         from .release import release_tree
         from .tree import build_noisy_tree, dump_tree
 
-        # The steps of ``sanitize``, with the input freed once the tree is built:
-        # the later steps read only the tree.
+        # The input is freed once the tree is built: the later steps read only the tree.
+        # The release is written last, so a failed dump leaves no release whose key is lost.
         tree = build_noisy_tree(db, universe, params, RandomSource(seed))
         del db
-        release = release_tree(tree, use_inference=(args.variant == "full"))
-        write_db(release, universe, args.output)
         if args.dump_tree:
             with open(args.dump_tree, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(dump_tree(tree))
+        release = release_tree(tree, use_inference=(args.variant == "full"))
+        write_db(release, universe, args.output)
     except BaseException:
         if pending:
             os.remove(pending)

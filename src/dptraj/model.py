@@ -97,10 +97,9 @@ class TrajectoryDb:
 
 
 def as_db(records: Records) -> TrajectoryDb:
-    """The database that ``records`` hold, on their arrays without a copy."""
-    offsets = np.asarray(records.offsets)
-    for lo, hi, base in records.shifts:
-        offsets[lo:hi] += base
+    """The database that ``records`` hold, on their arrays; the lengths become offsets in place."""
+    offsets = np.asarray(records.lengths)
+    np.cumsum(offsets, dtype=offsets.dtype, out=offsets)
     return TrajectoryDb(records.tokens, offsets, records.weights)
 
 

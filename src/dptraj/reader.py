@@ -48,16 +48,11 @@ class LocationUniverse:
 
 
 class Records(NamedTuple):
-    """A trajectory file's ``tokens``, ``offsets`` and ``weights``, as :func:`read_records` reads.
-
-    A forked part counts its offsets from its own first token: ``offsets[lo:hi]``
-    are short by ``base`` for each ``(lo, hi, base)`` of ``shifts``.
-    """
+    """A trajectory file's ``tokens``, entry ``lengths`` (after a leading 0) and ``weights``."""
 
     tokens: array
-    offsets: array
+    lengths: array
     weights: array
-    shifts: list[tuple[int, int, int]]
 
 
 @contextmanager
@@ -106,7 +101,7 @@ def _usable_cpus() -> int:
 
 
 def _count_type(size: int | None) -> str:
-    """Offsets' and weights' typecode for ``size`` bytes (None for a pipe): int32 under 2 GiB."""
+    """Lengths' and weights' typecode for ``size`` bytes (None for a pipe): int32 under 2 GiB."""
     return "i" if size is not None and size < 1 << 31 else "q"
 
 
@@ -156,17 +151,17 @@ def _count_lines(fd: int, start: int, end: int) -> int:
 def _parse(
     lines: Iterable[str], path: str, universe: LocationUniverse, code: str
 ) -> tuple[array, array, array]:
-    """The ``tokens``, ``offsets`` and ``weights`` of ``lines``, read against ``universe``.
+    """The ``tokens``, entry ``lengths`` and ``weights`` of ``lines``, read against ``universe``.
 
-    Offsets and weights are of typecode ``code``. Repeats of a line share its
-    entry while the line cache, cleared when full, holds the line. An error
-    names the line by its number in ``lines``.
+    Lengths (after a leading 0) and weights are of typecode ``code``. Repeats
+    of a line share its entry while the line cache, cleared when full, holds
+    the line. An error names the line by its number in ``lines``.
     """
     lookup = universe._index.__getitem__
-    # Tokens (in :func:`~dptraj.model.id_type`) and offsets grow in place; the
+    # Tokens (in :func:`~dptraj.model.id_type`) and lengths grow in place; the
     # weights are counted in a list, which is faster, and made an array once.
     tokens = array("h" if len(universe) <= 1 << 15 else "i")
-    offsets, weights = array(code, [0]), []
+    lengths, weights = array(code, [0]), []
     cache: dict[str, int] = {}
     for line in lines:
         entry = cache.get(line)
@@ -182,11 +177,11 @@ def _parse(
             if len(cache) == _CACHE_LINES:
                 cache.clear()
             entry = cache[line] = len(weights)
-            offsets.append(len(tokens))
+            lengths.append(len(words))
             weights.append(0)
         weights[entry] += 1
     del cache  # its lines go before the weights' array is made
-    return tokens, offsets, array(code, weights)
+    return tokens, lengths, array(code, weights)
 
 
 def _parse_part(
@@ -209,16 +204,16 @@ def _send_part(
 ) -> NoReturn:
     """In a forked child: parse a part, send it down the pipe ``fd`` and exit.
 
-    It sends the token and entry counts, then the tokens, offsets (less the
+    It sends the token and entry counts, then the tokens, lengths (less the
     leading 0) and weights, in the parent's types (both read the same
     universe and file size), as raw bytes. The child touches no stdio and
     leaves by ``os._exit``, 0 once all is sent and 1 on any failure.
     """
     status = 1
     try:
-        tokens, offsets, weights = _parse_part(path, universe, start, end, last, code)
+        tokens, lengths, weights = _parse_part(path, universe, start, end, last, code)
         counts = array("q", [len(tokens), len(weights)])
-        for part in (counts, tokens, memoryview(offsets)[1:], weights):
+        for part in (counts, tokens, memoryview(lengths)[1:], weights):
             view = memoryview(part).cast("B")
             while view:
                 view = view[os.write(fd, view) :]
@@ -251,21 +246,19 @@ def _load_parts(path: str, universe: LocationUniverse, cuts: list[int]) -> Recor
             finally:
                 os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        tokens, offsets, weights = _parse_part(path, universe, cuts[0], cuts[1], False, code)
-        shifts = []  # each child's entries' offsets, and the tokens before its part
+        tokens, lengths, weights = _parse_part(path, universe, cuts[0], cuts[1], False, code)
         for _, pipe in children:
-            counts, base, entry = array("q"), len(tokens), len(weights)
+            counts = array("q")
             counts.fromfile(pipe, 2)
-            for into, count in ((tokens, counts[0]), (offsets, counts[1]), (weights, counts[1])):
+            for into, count in ((tokens, counts[0]), (lengths, counts[1]), (weights, counts[1])):
                 for done in range(0, count, _PIPE_ITEMS):
                     into.fromfile(pipe, min(_PIPE_ITEMS, count - done))
-            shifts.append((entry + 1, len(offsets), base))
         while children:
             pid, pipe = children.pop()
             pipe.close()
             if os.waitpid(pid, 0)[1]:
                 raise ChildProcessError(f"a part's reader (pid {pid}) failed")
-        return Records(tokens, offsets, weights, shifts)
+        return Records(tokens, lengths, weights)
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -282,7 +275,7 @@ def read_records(path: str, universe: LocationUniverse) -> Records:
     line-aligned parts, one per usable CPU, side by side (:func:`_cuts`); a
     line repeated in two parts is an entry in each. If any part fails, the
     file is read again as one part, which raises the error at its line.
-    Tokens are read in the universe's id type; offsets and weights in int32
+    Tokens are read in the universe's id type; lengths and weights in int32
     from a regular file under 2 GiB, which has fewer tokens and lines than
     bytes, and in int64 from a bigger one or a pipe, whose size is unknown.
     """
@@ -295,7 +288,7 @@ def read_records(path: str, universe: LocationUniverse) -> Records:
     with _open_text(path) as fh:
         st = os.fstat(fh.fileno())
         code = _count_type(st.st_size if S_ISREG(st.st_mode) else None)
-        return Records(*_parse(fh, path, universe, code), [])
+        return Records(*_parse(fh, path, universe, code))
 
 
 def load_db(path: str, universe_path: str) -> tuple[TrajectoryDb, LocationUniverse]:

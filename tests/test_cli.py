@@ -240,6 +240,30 @@ class TestSanitize:
         assert seed_file.read_text(encoding="utf-8") == "12345\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_failed_dump_leaves_the_release_that_the_kept_seed_rebuilds(
+        self, tmp_path, recipe_corpus
+    ):
+        # The dump is written before the release, so a dump that fails leaves
+        # the earlier release at --output, and PATH still holds its key.
+        data, universe = recipe_corpus
+        out, seed_file = tmp_path / "release.txt", tmp_path / "seed.txt"
+        args = ("sanitize", "--input", data, "--universe", universe, "--output", out,
+                "--epsilon", "1.0", "--height", "8", "--seed-out", seed_file)
+        first = run_cli(*args)
+        assert first.returncode == 0, first.stderr
+        key, release = seed_file.read_text(encoding="utf-8"), out.read_bytes()
+        before = sorted(tmp_path.iterdir())
+        failed = run_cli(*args, "--dump-tree", tmp_path / "missing" / "tree.txt")
+        assert failed.returncode == 1
+        assert "Traceback" not in failed.stderr and failed.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert seed_file.read_text(encoding="utf-8") == key and out.read_bytes() == release
+        again = tmp_path / "again.txt"
+        rebuilt = run_cli("sanitize", "--input", data, "--universe", universe, "--output", again,
+                          "--epsilon", "1.0", "--height", "8", "--seed", key.strip())
+        assert rebuilt.returncode == 0, rebuilt.stderr
+        assert again.read_bytes() == out.read_bytes()
+
     def test_seed_out_that_cannot_be_replaced_keeps_the_key_beside_it(
         self, tmp_path, sample_paths
     ):

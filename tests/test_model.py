@@ -316,10 +316,15 @@ class TestSplitLoad:
         write_universe(universe, universe_path)
         monkeypatch.setattr(reader, "_CACHE_LINES", 1 << 10)
         split(2)
-        assert len(reader._cuts(path)) == 3
-        records = reader.read_records(path, universe)
-        assert records.offsets.typecode == records.weights.typecode == "i"
-        assert len(records.shifts) == 1  # the forked part's offsets
+        cuts = reader._cuts(path)
+        assert len(cuts) == 3
+        records = reader._load_parts(path, universe, cuts)  # forked, with no one-part fallback
+        assert records.lengths.typecode == records.weights.typecode == "i"
+        expected, _ = self.one_part(path, universe_path)
+        forked = as_db(records)
+        assert Counter(forked.trajectories) == Counter(expected.trajectories)
+        # The offsets are summed in the lengths' own buffer, not into a copy.
+        assert np.shares_memory(forked.offsets, np.asarray(records.lengths))
         tracemalloc.start()
         try:
             loaded, _ = load_db(path, universe_path)
@@ -328,12 +333,13 @@ class TestSplitLoad:
             tracemalloc.stop()
         assert loaded.offsets.dtype == loaded.weights.dtype == np.int32
         assert peak <= 1.3 * kept, (peak, kept)
-        assert_same_arrays(loaded, as_db(records))
+        assert_same_arrays(loaded, forked)
         self.assert_no_child_left()
 
     def test_a_pipe_is_read_in_int64(self, tmp_path, abc_universe):
-        # A pipe's size is unknown, so its offsets and weights are filled as
-        # int64, and the database narrows them.
+        # A pipe's size is unknown, so its lengths and weights are filled as
+        # int64, summed to offsets in their own buffer, and the database
+        # narrows them.
         data = b"A B\nC\nA B\nB C A\n" * 5
         path, fifo = tmp_path / "d.txt", tmp_path / "fifo"
         path.write_bytes(data)
@@ -345,8 +351,10 @@ class TestSplitLoad:
         finally:
             writer.join(timeout=60)
         assert not writer.is_alive()
-        assert records.offsets.typecode == records.weights.typecode == "q"
+        assert records.lengths.typecode == records.weights.typecode == "q"
+        assert records.lengths.tolist() == [0, 2, 1, 3]
         db = as_db(records)
+        assert records.lengths.tolist() == [0, 2, 3, 6]
         assert db.offsets.dtype == db.weights.dtype == np.int32
         expected, _ = load_db(str(path), abc_universe)
         assert_same_arrays(db, expected)
