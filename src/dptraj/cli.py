@@ -4,15 +4,18 @@ Subcommands write plain text or CSV so runs compose in shell pipelines, and
 read every trajectory file against one public list of locations, --universe.
 Every command that consumes randomness takes --seed, draws a fresh 128-bit
 seed without it, and is bit-reproducible given the same seed and flags. Each
-command checks its parameters, reads every input (in forked parts, for a big
-file) and only then imports numpy and the modules it runs: sanitize loads no
-evaluator, nor numpy.random or OpenSSL, and the evaluators load no tree,
-inference or noise. sanitize's and the evaluators' --seed must be
-non-negative, and is checked, like sanitize's --epsilon, before any input is
-read. sanitize's seed keys its SHAKE-256 noise streams
-(dptraj.privacy.RandomSource): it is never printed, and --seed-out PATH keeps it
-in an owner-only file, written beside PATH before any work and moved onto PATH
-once the release, which is written after --dump-tree, is complete.
+command checks its parameters and starts reading every input, a big file in
+readers forked from a process with no numpy. It imports numpy while those
+parse, then collects the inputs and imports the modules it runs: sanitize
+loads no evaluator, nor numpy.random or OpenSSL, and the evaluators load no
+tree, inference or noise. OpenBLAS runs one thread (OPENBLAS_NUM_THREADS,
+unless set), which leaves the readers' cores alone. sanitize's and the
+evaluators' --seed must be non-negative, and is checked, like sanitize's
+--epsilon, before any input is read. sanitize's seed keys its SHAKE-256 noise
+streams (dptraj.privacy.RandomSource): it is never printed, and --seed-out
+PATH keeps it in an owner-only file, written beside PATH before any work and
+moved onto PATH once the release, which is written after --dump-tree, is
+complete.
 
 sanitize's stdout manifest prints public parameters and noisy sizes, and one
 confidential value: tree.empty_born=, computed from true counts. It stays
@@ -30,15 +33,16 @@ import csv
 import os
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import fields
 from typing import TYPE_CHECKING, Iterable, get_type_hints
 
-# No numpy here: each command checks its parameters, reads its inputs and only
-# then imports the modules it runs. gen's options are GenConfig's fields.
+# No numpy here: each command checks its parameters and starts its reads before it
+# imports the modules it runs. gen's options are GenConfig's fields.
 from . import VARIANTS
 from .params import GenConfig, PrivacyParams
 from .reader import (
-    DataFormatError, LocationUniverse, UnknownLocationError, load_db, load_universe, read_records,
+    DataFormatError, LocationUniverse, StartedRead, UnknownLocationError, load_universe,
 )
 
 if TYPE_CHECKING:
@@ -97,6 +101,32 @@ def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> boo
     return to_stdout
 
 
+def _load(
+    args: argparse.Namespace, *inputs: str
+) -> tuple[LocationUniverse, list[TrajectoryDb]]:
+    """The universe and the databases of the files that ``args``' attributes ``inputs`` name.
+
+    Every input's read is started (forked readers parse a big file) before
+    numpy is imported, and each is finished after, in order; an empty
+    ``--raw`` is an error. Readers still running when anything fails are
+    killed and reaped.
+    """
+    universe = load_universe(args.universe)
+    with ExitStack() as stack:
+        reads = [
+            stack.enter_context(StartedRead(getattr(args, name), universe)) for name in inputs
+        ]
+        from .model import as_db
+
+        dbs = []
+        for name, read in zip(inputs, reads):
+            records = read.finish()
+            if name == "raw" and not records.weights:
+                raise DataFormatError(f"{args.raw}: raw database is empty")
+            dbs.append(as_db(records))
+    return universe, dbs
+
+
 def cmd_sanitize(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = PrivacyParams(epsilon=args.epsilon, height=args.height)
@@ -109,7 +139,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(f"{seed}\n")
     try:
-        db, universe = load_db(args.input, args.universe)
+        universe, (db,) = _load(args, "input")
         from .inference import order_violations
         from .model import write_db
         from .privacy import RandomSource, budget_ledger
@@ -147,24 +177,9 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[TrajectoryDb, TrajectoryDb, LocationUniverse]:
-    """The evaluators' ``--raw`` (not empty) and ``--sanitized`` databases, and the universe.
-
-    Both files are read before numpy is imported.
-    """
-    universe = load_universe(args.universe)
-    raw = read_records(args.raw, universe)
-    if not raw.weights:
-        raise DataFormatError(f"{args.raw}: raw database is empty")
-    sanitized = read_records(args.sanitized, universe)
-    from .model import as_db
-
-    return as_db(raw), as_db(sanitized), universe
-
-
 def cmd_eval_count(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    raw, sanitized, universe = _load_inputs(args)
+    universe, (raw, sanitized) = _load(args, "raw", "sanitized")
     from .utility import DEFAULT_SANITY_FRACTION, evaluate_workload, generate_workload
 
     workload = generate_workload(universe, args.height, args.queries_per_subset, seed)
@@ -188,7 +203,7 @@ def cmd_eval_count(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_fsp(args: argparse.Namespace) -> int:
-    raw, sanitized, _ = _load_inputs(args)
+    _, (raw, sanitized) = _load(args, "raw", "sanitized")
     from .utility import fsp_metrics, mine_top_k
 
     started = time.perf_counter()
@@ -229,7 +244,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    db, _ = load_db(args.input, args.universe)
+    _, (db,) = _load(args, "input")
     from .model import release_stats
 
     stats = release_stats(db)
@@ -313,6 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's OpenBLAS starts a worker thread per core at import, which spins on
+    # the cores that the forked readers parse on; nothing here calls BLAS.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

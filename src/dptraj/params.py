@@ -24,6 +24,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("avg_len", "route_skew", "zipf_skew"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_locations < 1:
             raise ValueError("need at least one location")
         if self.n_records < 0:

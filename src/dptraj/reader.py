@@ -1,7 +1,8 @@
 """The location universe and the trajectory-file reader, which load no numpy.
 
-A file is read into plain ``array`` objects, in forked parts if it is big,
-before numpy is imported; :func:`~dptraj.model.as_db` wraps them without a copy.
+A file is read into plain ``array`` objects, a big one by forked readers that
+parse while their starter goes on (the CLI imports numpy meanwhile), and
+:func:`~dptraj.model.as_db` wraps them without a copy.
 """
 
 from __future__ import annotations
@@ -56,14 +57,16 @@ class Records(NamedTuple):
 
 
 @contextmanager
-def _open_text(path: str):
+def _open_text(path: str, encoding: str):
     """Open a UTF-8 text file for reading; undecodable bytes are a format error.
 
+    ``encoding`` is ``utf-8-sig`` for a read from byte 0, which drops a
+    byte-order mark there, and ``utf-8`` for one that starts later.
     ``UnicodeDecodeError`` is a ``ValueError``, which callers would otherwise
     mistake for a bad parameter.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding=encoding) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -72,7 +75,7 @@ def _open_text(path: str):
 def load_universe(path: str) -> LocationUniverse:
     """Read a universe file: one token per line, no blanks."""
     tokens: list[str] = []
-    with _open_text(path) as fh:
+    with _open_text(path, "utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.strip()
             if not tok:
@@ -89,8 +92,6 @@ _CACHE_LINES = 1 << 15
 _PART_BYTES = 4 << 20
 #: Bytes a part's lines are counted in at a time.
 _COUNT_BYTES = 1 << 16
-#: Items of an array that are read from a part's pipe at a time.
-_PIPE_ITEMS = 1 << 13
 
 
 def _usable_cpus() -> int:
@@ -106,7 +107,7 @@ def _count_type(size: int | None) -> str:
 
 
 def _cuts(path: str) -> list[int]:
-    """Where :func:`read_records` cuts ``path`` into parts: ``[0, ..., size]``, or ``[]`` for one part.
+    """Where a read cuts ``path`` into parts: ``[0, ..., size]``, or ``[]`` for one part.
 
     Each inner cut falls just after a ``\\n``, so no part splits a line, a
     ``\\r\\n`` pair or a UTF-8 character. A regular file gets one part per
@@ -129,6 +130,11 @@ def _cuts(path: str) -> list[int]:
             fh.readline()
             cuts.append(fh.tell())
     return sorted(set(cuts) | {st.st_size})
+
+
+def _id_code(universe: LocationUniverse) -> str:
+    """Tokens' typecode over ``universe``: :func:`~dptraj.model.id_type`'s."""
+    return "h" if len(universe) <= 1 << 15 else "i"
 
 
 def _count_lines(fd: int, start: int, end: int) -> int:
@@ -158,9 +164,9 @@ def _parse(
     the line. An error names the line by its number in ``lines``.
     """
     lookup = universe._index.__getitem__
-    # Tokens (in :func:`~dptraj.model.id_type`) and lengths grow in place; the
-    # weights are counted in a list, which is faster, and made an array once.
-    tokens = array("h" if len(universe) <= 1 << 15 else "i")
+    # Tokens and lengths grow in place; the weights are counted in a list,
+    # which is faster, and made an array once.
+    tokens = array(_id_code(universe))
     lengths, weights = array(code, [0]), []
     cache: dict[str, int] = {}
     for line in lines:
@@ -193,7 +199,7 @@ def _parse_part(
     ``open()``: a raw file type that stops at ``end`` itself made the text
     layer check for closing through Python on every line, about 20% slower.
     """
-    with _open_text(path) as fh:
+    with _open_text(path, "utf-8" if start else "utf-8-sig") as fh:
         count = None if last else _count_lines(fh.fileno(), start, end)
         fh.buffer.seek(start)  # before any read, so the text layer starts there
         return _parse(islice(fh, count), path, universe, code)
@@ -222,18 +228,26 @@ def _send_part(
         os._exit(status)
 
 
-def _load_parts(path: str, universe: LocationUniverse, cuts: list[int]) -> Records:
-    """Read ``path`` in the parts that ``cuts`` bound, the first here and the others in forked children.
+def _reap(children: list[tuple[int, BinaryIO]]) -> None:
+    """Kill and reap every reader in ``children``, emptying it."""
+    while children:
+        pid, pipe = children.pop()
+        pipe.close()
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
 
-    Each child's arrays are read from its pipe ``_PIPE_ITEMS`` items at a
-    time and appended to the first part's, which grow in place into the
-    database's: no part is held twice. Entries of different parts are not
-    merged. Raises if any part fails; every child is reaped either way.
+
+def _fork_parts(
+    path: str, universe: LocationUniverse, cuts: list[int], code: str
+) -> list[tuple[int, BinaryIO]]:
+    """Fork one reader for each part of ``path`` that ``cuts`` bound: (pid, read end of its pipe).
+
+    Each reader but the last counts its part's lines. If a fork fails, the
+    readers already forked are killed and reaped.
     """
-    code = _count_type(cuts[-1])
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) until reaped
+    children: list[tuple[int, BinaryIO]] = []
     try:
-        for k in range(1, len(cuts) - 1):
+        for k in range(len(cuts) - 1):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -246,49 +260,118 @@ def _load_parts(path: str, universe: LocationUniverse, cuts: list[int]) -> Recor
             finally:
                 os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        tokens, lengths, weights = _parse_part(path, universe, cuts[0], cuts[1], False, code)
-        for _, pipe in children:
-            counts = array("q")
-            counts.fromfile(pipe, 2)
-            for into, count in ((tokens, counts[0]), (lengths, counts[1]), (weights, counts[1])):
-                for done in range(0, count, _PIPE_ITEMS):
-                    into.fromfile(pipe, min(_PIPE_ITEMS, count - done))
-        while children:
-            pid, pipe = children.pop()
-            pipe.close()
-            if os.waitpid(pid, 0)[1]:
-                raise ChildProcessError(f"a part's reader (pid {pid}) failed")
-        return Records(tokens, lengths, weights)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
+    except BaseException:
+        _reap(children)
+        raise
+    return children
 
 
-def read_records(path: str, universe: LocationUniverse) -> Records:
-    """Read a trajectory file: one trajectory per line, whitespace-separated tokens.
+def _receive(
+    children: list[tuple[int, BinaryIO]], universe: LocationUniverse, code: str
+) -> Records:
+    """The readers' arrays, in part order, and every reader reaped.
 
-    Every token must belong to ``universe``, whose order gives the ids.
-    Repeats of a line share its entry while the line cache, cleared when
-    full, holds the line. A regular file of a few MiB or more is read in
-    line-aligned parts, one per usable CPU, side by side (:func:`_cuts`); a
-    line repeated in two parts is an entry in each. If any part fails, the
-    file is read again as one part, which raises the error at its line.
-    Tokens are read in the universe's id type; lengths and weights in int32
-    from a regular file under 2 GiB, which has fewer tokens and lines than
-    bytes, and in int64 from a bigger one or a pipe, whose size is unknown.
+    Each reader first sends its token and entry counts, so the arrays are
+    made once, at their total sizes, and each part is read from its pipe
+    straight into its place: no part is held twice, and no array grows.
+    Entries of different parts are not merged. Raises if any reader fails;
+    the caller reaps what is left.
     """
-    cuts = _cuts(path)
-    if len(cuts) > 2:
-        try:
-            return _load_parts(path, universe, cuts)
-        except (OSError, EOFError, ValueError):
-            pass  # the one-part read below gives the error, or the database
-    with _open_text(path) as fh:
+    counts = array("q")
+    for _, pipe in children:
+        counts.fromfile(pipe, 2)
+    entries = sum(counts[1::2])
+    tokens = array(_id_code(universe), [0]) * sum(counts[0::2])
+    lengths, weights = array(code, [0]) * (entries + 1), array(code, [0]) * entries
+    ends = [0, 1, 0]  # where the next part's tokens, lengths and weights go
+    for k, (_, pipe) in enumerate(children):
+        n_tokens, n_entries = counts[2 * k : 2 * k + 2]
+        for i, (into, count) in enumerate(
+            zip((tokens, lengths, weights), (n_tokens, n_entries, n_entries))
+        ):
+            with memoryview(into)[ends[i] : ends[i] + count].cast("B") as view:
+                if pipe.readinto(view) != len(view):
+                    raise EOFError("a part's reader sent too few bytes")
+            ends[i] += count
+    while children:
+        pid, pipe = children.pop()
+        pipe.close()
+        if os.waitpid(pid, 0)[1]:
+            raise ChildProcessError(f"a part's reader (pid {pid}) failed")
+    return Records(tokens, lengths, weights)
+
+
+def _read_whole(path: str, universe: LocationUniverse) -> Records:
+    """Read ``path`` as one part, in this process."""
+    with _open_text(path, "utf-8-sig") as fh:
         st = os.fstat(fh.fileno())
         code = _count_type(st.st_size if S_ISREG(st.st_mode) else None)
         return Records(*_parse(fh, path, universe, code))
+
+
+class StartedRead:
+    """A read of a trajectory file, started on construction; :meth:`finish` gives its records.
+
+    The file holds one trajectory per line, whitespace-separated tokens, and
+    every token must belong to ``universe``, whose order gives the ids.
+    Repeats of a line share its entry while the line cache, cleared when
+    full, holds the line. A regular file of a few MiB or more is cut into
+    line-aligned parts, one per usable CPU (:func:`_cuts`), and each part is
+    parsed by a forked reader, which runs on while the caller does other
+    work; a line repeated in two parts is an entry in each. Any other file
+    is read here, at the start. Tokens are read in the universe's id type;
+    lengths and weights in int32 from a regular file under 2 GiB, which has
+    fewer tokens and lines than bytes, and in int64 from a bigger one or a
+    pipe, whose size is unknown.
+
+    Used as a context manager, it kills and reaps the readers still running
+    on leaving, so a read that is never finished leaves no child.
+    """
+
+    def __init__(self, path: str, universe: LocationUniverse):
+        self.path, self.universe = path, universe
+        self._records: Records | None = None
+        self._children: list[tuple[int, BinaryIO]] = []
+        cuts = _cuts(path)
+        if len(cuts) > 2:
+            try:
+                self._code = _count_type(cuts[-1])
+                self._children = _fork_parts(path, universe, cuts, self._code)
+                return
+            except OSError:
+                pass  # read as one part below
+        self._records = _read_whole(path, universe)
+
+    def finish(self) -> Records:
+        """The file's records, collected from the readers in part order; call it once.
+
+        If any reader fails, the file is read again as one part, in this
+        process, which raises the error at its line.
+        """
+        records, self._records = self._records, None
+        if records is None:
+            try:
+                records = _receive(self._children, self.universe, self._code)
+            except (OSError, EOFError, ValueError):
+                self.close()
+                records = _read_whole(self.path, self.universe)
+        return records
+
+    def close(self) -> None:
+        """Kill and reap the readers still running."""
+        _reap(self._children)
+
+    def __enter__(self) -> StartedRead:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def read_records(path: str, universe: LocationUniverse) -> Records:
+    """Read a trajectory file (:class:`StartedRead`) and finish at once."""
+    with StartedRead(path, universe) as read:
+        return read.finish()
 
 
 def load_db(path: str, universe_path: str) -> tuple[TrajectoryDb, LocationUniverse]:

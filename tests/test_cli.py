@@ -510,18 +510,18 @@ class TestSanitizeStages:
 
         data, universe = sample_paths
         loaded, alive = [], []
-        load_db, consolidate = cli.load_db, release.consolidate
+        load, consolidate = cli._load, release.consolidate
 
-        def tracked_load_db(*args):
-            db, universe = load_db(*args)
-            loaded.append(weakref.ref(db))
-            return db, universe
+        def tracked_load(*args):
+            universe, dbs = load(*args)
+            loaded.extend(map(weakref.ref, dbs))
+            return universe, dbs
 
         def checked_consolidate(tree):
             alive.append(loaded[0]() is not None)
             return consolidate(tree)
 
-        monkeypatch.setattr(cli, "load_db", tracked_load_db)
+        monkeypatch.setattr(cli, "_load", tracked_load)
         monkeypatch.setattr(release, "consolidate", checked_consolidate)
         assert cli.main(
             ["sanitize", "--input", str(data), "--universe", str(universe),
@@ -767,15 +767,19 @@ def test_each_module_loads_on_first_use():
 
 def test_every_input_is_read_before_numpy_is_imported(tmp_path, recipe_corpus, sample_paths):
     # The parse's line cache and lists, and the forked part readers, sit on a
-    # process that numpy has not filled: every part this process parses, of a
-    # file read in forked parts and of a small one, finds no numpy loaded.
+    # process that numpy has not filled: every process that parses a part, a
+    # forked reader of a big file or this process for a small one, finds no
+    # numpy loaded. Each appends its pid and what it found to a file.
+    seen = tmp_path / "seen.txt"
     script = (
-        "import sys; from dptraj import cli, reader; "
+        "import os, sys; from dptraj import cli, reader; "
         "reader._PART_BYTES, reader._usable_cpus = 1 << 12, lambda: 2; "
-        "seen, parse = [], reader._parse\n"
+        "parse = reader._parse\n"
         "def recorded(*args):\n"
-        "    parsed = parse(*args); seen.append('numpy' in sys.modules); return parsed\n"
-        "reader._parse = recorded; code = cli.main(sys.argv[1:]); print(code, *seen)"
+        f"    with open({str(seen)!r}, 'a') as fh: "
+        "print(os.getpid(), 'numpy' in sys.modules, file=fh)\n"
+        "    return parse(*args)\n"
+        "reader._parse = recorded; code = cli.main(sys.argv[1:]); print(code, os.getpid())"
     )
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, dptraj.cli; print('numpy' in sys.modules)"],
@@ -802,14 +806,71 @@ def test_every_input_is_read_before_numpy_is_imported(tmp_path, recipe_corpus, s
         )
     ]
     for args, data, universe_path in runs:
+        seen.write_text("", encoding="utf-8")
         result = subprocess.run(
             [sys.executable, "-c", script, *map(str, args), "--universe", str(universe_path),
              "--output", str(out)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         )
         assert result.returncode == 0, result.stderr
+        code, pid = result.stdout.splitlines()[-1].split()
+        assert code == "0", (args, data)
+        pids, found = zip(*(line.split() for line in seen.read_text().splitlines()))
         reads = 2 if args[0].startswith("eval") else 1
-        assert result.stdout.splitlines()[-1].split() == ["0", *["False"] * reads], (args, data)
+        if data == big:  # two forked readers per read, and no part parsed here
+            assert len(set(pids)) == len(pids) == 2 * reads and pid not in pids, (args, data)
+        else:
+            assert pids == (pid,) * reads, (args, data)
+        assert found == ("False",) * len(pids), (args, data)
+
+
+@pytest.mark.parametrize("command", ["eval-count", "eval-fsp"])
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"", "raw database is empty"), (b"A B\nC\n" * 100 + b"A D\n", "raw.txt:201: unknown")],
+    ids=["empty", "malformed"],
+)
+def test_a_failed_raw_leaves_no_sanitized_reader(
+    tmp_path, monkeypatch, capsys, command, raw, message
+):
+    # --sanitized is read in forked parts, whose readers are still running (each
+    # holds more than a pipe's buffer) when --raw fails: they are killed and reaped.
+    from dptraj import cli, reader
+
+    universe, raw_path, sanitized = (tmp_path / name for name in ("u.txt", "raw.txt", "s.txt"))
+    universe.write_text("A\nB\nC\n", encoding="utf-8")
+    raw_path.write_bytes(raw)
+    sanitized.write_bytes(b"A B C\n" * 100_000)
+    monkeypatch.setattr(reader, "_PART_BYTES", 4)
+    monkeypatch.setattr(reader, "_usable_cpus", lambda: 2)
+    assert len(reader._cuts(str(sanitized))) == 3
+    code = cli.main([command, "--raw", str(raw_path), "--sanitized", str(sanitized),
+                     "--universe", str(universe), "--output", str(tmp_path / "out.csv")])
+    assert code in (1, 3) and message in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_openblas_gets_one_thread_unless_set(sample_paths):
+    # Nothing in the commands calls BLAS, and OpenBLAS's threads would spin on
+    # the cores the forked readers parse on; a value the user set is kept.
+    data, universe = sample_paths
+    script = (
+        "import os, sys; from dptraj.cli import main; code = main(sys.argv[1:]); "
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for value, expected in ((None, "1"), ("3", "3")):
+        result = subprocess.run(
+            [sys.executable, "-c", script, "stats", "--input", str(data),
+             "--universe", str(universe)],
+            capture_output=True, text=True,
+            env={**env, "PYTHONPATH": SRC, **({} if value is None else {
+                "OPENBLAS_NUM_THREADS": value})},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1].split() == ["0", expected, "True"], value
 
 
 @pytest.mark.parametrize(
@@ -1052,6 +1113,21 @@ class TestGenAndStats:
         assert stats.returncode == 0, stats.stderr
         assert stats.stdout.startswith("length,count")
         assert "records=200" in stats.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--zipf-skew", "nan"), ("--zipf-skew", "inf"), ("--route-skew", "inf"),
+                        ("--route-skew", "nan"), ("--avg-len", "inf")],
+    )
+    def test_gen_rejects_non_finite_values(self, tmp_path, flag, value):
+        out = tmp_path / "corpus.txt"
+        result = run_cli(
+            "gen", "--output", out, "--n-locations", "9", "--n-records", "100", "--avg-len", "4",
+            "--max-len", "15", "--n-planted-routes", "2", "--seed", "12", flag, value,
+        )
+        assert result.returncode == 2, result.stderr
+        field = flag[2:].replace("-", "_")
+        assert f"error: {field} must be finite, got {float(value)!r}" in result.stderr
+        assert not out.exists()
 
     def test_gen_deterministic(self, tmp_path):
         blobs = []

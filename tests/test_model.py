@@ -123,7 +123,9 @@ class TestLoad:
         expected, universe = load_db(str(lf), abc_universe)
         crlf_universe = tmp_path / "crlf-universe.txt"
         crlf_universe.write_bytes(b"A\r\nB\r\nC\r\n")
-        for universe_path in (abc_universe, str(crlf_universe)):
+        bom_universe = tmp_path / "bom-universe.txt"  # a UTF-8 byte-order mark is dropped
+        bom_universe.write_bytes(b"\xef\xbb\xbfA\r\nB\r\nC\r\n")
+        for universe_path in (abc_universe, str(crlf_universe), str(bom_universe)):
             db, read_universe = load_db(str(crlf), universe_path)
             assert Counter(db.trajectories) == Counter(expected.trajectories)
             assert read_universe == universe
@@ -172,6 +174,18 @@ class TestSplitLoad:
         return type(info.value), str(info.value)
 
     @staticmethod
+    def forked(path, universe, cuts):
+        """Read ``path`` in the parts that ``cuts`` bound, each in a forked reader, with no
+        one-part fallback."""
+
+        def no_fallback(*args):
+            raise AssertionError("a forked reader failed")
+
+        with mock.patch.object(reader, "_cuts", lambda _: cuts), \
+                mock.patch.object(reader, "_read_whole", no_fallback):
+            return reader.read_records(path, universe)
+
+    @staticmethod
     def assert_no_child_left():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -184,19 +198,20 @@ class TestSplitLoad:
             b"A B\rC\nA B\rB C A\nC\r\nA\rC C\n" * 5,  # lone CRs among the LFs
             b"A B\nC\nA B\nB C A\nC\nA B\nA\nC C\n" * 5 + b"B A",  # no final newline
             "A B\nC\n".encode() * 30 + b"  A \t B  \n",
+            b"\xef\xbb\xbf" + b"A B\nC\nA B\nB C A\nC\nA B\nA\nC C\n" * 5,  # a byte-order mark
         ],
-        ids=["lf", "crlf", "lone-cr", "no-final-newline", "spaces"],
+        ids=["lf", "crlf", "lone-cr", "no-final-newline", "spaces", "bom"],
     )
     def test_parts_hold_the_one_part_multiset(self, tmp_path, abc_universe, split, data):
         path = tmp_path / "d.txt"
         path.write_bytes(data)
-        expected, _ = self.one_part(str(path), abc_universe)
+        expected, universe = self.one_part(str(path), abc_universe)
         for cpus in (2, 3, 4):
             split(cpus)
             cuts = reader._cuts(str(path))
             assert len(cuts) == cpus + 1 and cuts[-1] == len(data)
             assert all(data[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
-            db, _ = load_db(str(path), abc_universe)
+            db = as_db(self.forked(str(path), universe, cuts))
             assert Counter(db.trajectories) == Counter(expected.trajectories)
             assert db.weights.sum() == len(db)
         self.assert_no_child_left()
@@ -212,7 +227,7 @@ class TestSplitLoad:
         expected, universe = self.one_part(str(path), abc_universe)
         after = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")][:-1]
         for cuts in [[0, c, len(data)] for c in after] + [[0, *after[1:3], len(data)]]:
-            db = as_db(reader._load_parts(str(path), universe, cuts))
+            db = as_db(self.forked(str(path), universe, cuts))
             assert len(db.weights) >= len(expected.weights)
             assert Counter(db.trajectories) == Counter(expected.trajectories)
         self.assert_no_child_left()
@@ -287,24 +302,27 @@ class TestSplitLoad:
         path.write_bytes(b"A B\nC\n" * 200)
         split(3)
         expected, _ = self.one_part(str(path), abc_universe)
-        calls, parse = [], reader._parse_part
+        calls, parse = tmp_path / "calls.txt", reader._parse_part
 
         def parse_part(path, universe, start, end, last, code):
-            calls.append(os.getpid())
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
             if last:
                 os._exit(3)  # a child dies before it sends anything
             return parse(path, universe, start, end, last, code)
 
         with mock.patch.object(reader, "_parse_part", parse_part):
             db, _ = load_db(str(path), abc_universe)
-        assert calls == [os.getpid()]  # the children's calls happen in their own processes
+        # Each part is parsed in a reader of its own, none in this process.
+        pids = calls.read_text(encoding="utf-8").split()
+        assert len(set(pids)) == len(pids) == 3 and str(os.getpid()) not in pids
         assert Counter(db.trajectories) == Counter(expected.trajectories)
         assert len(db.weights) == len(expected.weights)  # read again as one part
         self.assert_no_child_left()
 
     def test_parts_fill_int32_arrays_with_no_wide_copy(self, tmp_path, monkeypatch, split):
         # A regular file under 2 GiB is read straight into int32 offsets and
-        # weights, in this process's part and the forked one, so the load peaks
+        # weights, in each forked part and in this process, so the load peaks
         # near what it keeps: 1.8 times as much when they were filled as int64
         # and narrowed. The line cache, a fixed cost of up to 2**15 lines'
         # strings, is cut to 2**10 lines, so the peak is the arrays'.
@@ -318,7 +336,7 @@ class TestSplitLoad:
         split(2)
         cuts = reader._cuts(path)
         assert len(cuts) == 3
-        records = reader._load_parts(path, universe, cuts)  # forked, with no one-part fallback
+        records = self.forked(path, universe, cuts)
         assert records.lengths.typecode == records.weights.typecode == "i"
         expected, _ = self.one_part(path, universe_path)
         forked = as_db(records)
